@@ -17,7 +17,7 @@ import sys
 
 from . import harness
 from .problems import DataFormatError
-from .topology import build_graph, matrix_power, metropolis_weights, write_matrix_csv, compute_beta
+from .topology import build_graph, compute_beta, metropolis_weights, write_matrix_csv
 from .tracking import DivergenceError
 
 EXIT_OK = 0
@@ -90,7 +90,7 @@ def _cmd_beta(args) -> int:
     w = metropolis_weights(graph, laziness=args.laziness)
     print(f"beta = {w.beta:.17g}")
     if args.nc != 1:
-        print(f"beta^{args.nc} = {compute_beta(matrix_power(w.w, args.nc)):.17g}")
+        print(f"beta^{args.nc} = {compute_beta(w.power(args.nc)):.17g}")
     if args.matrix_out:
         write_matrix_csv(w.w, args.matrix_out)
         print(f"wrote {args.matrix_out}")

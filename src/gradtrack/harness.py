@@ -20,8 +20,9 @@ import numpy as np
 from . import theory
 from .problems import (ObjectiveSuite, QuadraticSpec, generate_quadratic,
                        load_libsvm, logreg_suite)
-from .topology import (METHOD_NAMES, CommunicationStrategy, MixingMatrix,
-                       build_graph, metropolis_weights, read_matrix_csv, strategy_for)
+from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
+                       MixingMatrix, build_graph, metropolis_weights, read_matrix_csv,
+                       strategy_for)
 from .tracking import DIVERGENCE_LIMIT, DivergenceError, GtaConfig, RunTrace, run
 
 
@@ -350,7 +351,7 @@ def _theory_columns(cfg, suite, strategy, method, n_c, n_g, alpha):
     route = "general"
     rho = float("nan")
     admissible = alpha <= 1.0 / (n_g * suite.L)
-    if method in ("GTA2", "GTA3") and strategy.betas[0] == 0.0:
+    if method in ("GTA2", "GTA3") and p.b1c <= EXACT_AVERAGING_TOL:
         route = "fully_connected"
         try:
             reduced = theory.fully_connected_rate(method, p)
@@ -488,7 +489,7 @@ def theory_report(cfg: ExperimentConfig, result: GridResult | None = None,
                 bounds.append(theory.step_size_bound(p) if n_g == 1
                               else theory.step_size_bound_multi(p))
             a_chk = 0.9 * min(bounds)
-            if a_chk <= 0 or w.beta == 0.0:
+            if a_chk <= 0 or w.beta ** n_c <= EXACT_AVERAGING_TOL:
                 ordering_ok[n_c, n_g] = True   # degenerate regime, nothing to rank
                 continue
             radii = []

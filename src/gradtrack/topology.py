@@ -16,10 +16,17 @@ from pathlib import Path
 import numpy as np
 
 METHOD_NAMES = ("GTA1", "GTA2", "GTA3")
+# which slot of (W1, W2, W3, W4) holds the mixing matrix W and which the identity I
+SLOT_PATTERNS = {"GTA1": "WIWI", "GTA2": "WWWI", "GTA3": "WWWW"}
 
 # Tolerances for validating stochasticity of constructed vs. powered matrices.
 _STOCHASTIC_ATOL = 1e-12
 _POWERED_ATOL = 1e-9
+
+# beta^n_c at or below this counts as exact averaging: compute_beta returns
+# 0 for smaller betas (eigensolver noise), and the theory takes the fully
+# connected reduction.
+EXACT_AVERAGING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,15 +51,6 @@ class Graph:
             deg[i] += 1
             deg[j] += 1
         return deg
-
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -143,10 +141,21 @@ class MixingMatrix:
     w: np.ndarray
     beta: float
     graph: Graph = field(compare=False)
+    _powers: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False,
+                                           compare=False)
 
     @property
     def n(self) -> int:
         return self.w.shape[0]
+
+    def power(self, p: int) -> np.ndarray:
+        """Read-only ``matrix_power(w, p)``, computed on the first request
+        for each p and shared by every later caller; power(0) is the
+        identity."""
+        out = self._powers.get(p)
+        if out is None:
+            out = self._powers[p] = _readonly(matrix_power(self.w, p))
+        return out
 
 
 def validate_communication_matrix(w: np.ndarray, graph: Graph) -> None:
@@ -187,7 +196,8 @@ def validate_mixing_matrix(w: np.ndarray, graph: Graph) -> None:
 def compute_beta(w: np.ndarray) -> float:
     """Spectral norm of ``w - ones/n`` for a symmetric doubly stochastic w.
 
-    Equals the second-largest eigenvalue magnitude of w, and lies in [0, 1].
+    Equals the second-largest eigenvalue magnitude of w, and lies in [0, 1];
+    values at or below EXACT_AVERAGING_TOL are returned as exactly 0.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -203,18 +213,23 @@ def compute_beta(w: np.ndarray) -> float:
     beta = float(np.max(np.abs(eigs)))
     if beta > 1.0 + 1e-8:
         raise ValueError(f"beta = {beta} > 1: input cannot be doubly stochastic")
+    if beta <= EXACT_AVERAGING_TOL:
+        return 0.0          # eigensolver noise around an exact average
     return min(beta, 1.0)   # clamp eigensolver noise; beta <= 1 holds exactly
 
 
 def matrix_power(w: np.ndarray, p: int) -> np.ndarray:
-    """p-fold matrix product by iterated multiplication; w^0 is the identity."""
+    """p-fold matrix product by iterated multiplication, (..((w @ w) @ w)..);
+    w^0 is the identity.  Always a new array."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
     if p < 0 or int(p) != p:
         raise ValueError(f"power must be a nonnegative integer, got {p}")
-    out = np.eye(w.shape[0])
-    for _ in range(int(p)):
+    if p == 0:
+        return np.eye(w.shape[0])
+    out = w.copy()
+    for _ in range(int(p) - 1):
         out = out @ w
     return out
 
@@ -254,9 +269,10 @@ def mixing_matrix(w: np.ndarray, graph: Graph) -> MixingMatrix:
 class CommunicationStrategy:
     """Four communication matrices plus the consensus-step count per iteration.
 
-    ``powered`` caches each matrix raised to the n_c-th power (these are what
+    ``powered`` holds each matrix raised to the n_c-th power (these are what
     the runtime applies); ``betas`` holds the deflated spectral norm of each
-    base matrix (1.0 for the identity).
+    base matrix (1.0 for the identity); ``identity`` marks the slots that
+    exchange nothing.  Slots holding the same matrix share one array.
     """
 
     name: str
@@ -264,6 +280,7 @@ class CommunicationStrategy:
     matrices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     powered: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(compare=False)
     betas: tuple[float, float, float, float]
+    identity: tuple[bool, bool, bool, bool] = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -288,13 +305,16 @@ class CommunicationStrategy:
     def vectors_per_round(self) -> int:
         """Number of non-identity communication slots (vectors exchanged per
         consensus round)."""
-        return sum(1 for m in self.matrices if np.max(np.abs(m - np.eye(self.n))) > 0)
+        return self.identity.count(False)
 
 
 def strategy_for(method: str, w: MixingMatrix, n_c: int, custom=None) -> CommunicationStrategy:
     """Build the communication strategy for one of the named methods.
 
     GTA1 -> (W, I, W, I); GTA2 -> (W, W, W, I); GTA3 -> (W, W, W, W).
+    The W slots share ``w.power(n_c)`` and ``w.beta``, and the identity
+    slots share ``w.power(0)``, so each power of W is computed once per
+    mixing matrix however many strategies use it.
     method="custom" takes four explicit matrices, each validated
     independently against the graph of ``w`` (no relation among the four is
     imposed; subsets of the edge set are allowed).
@@ -302,25 +322,24 @@ def strategy_for(method: str, w: MixingMatrix, n_c: int, custom=None) -> Communi
     if n_c < 1 or int(n_c) != n_c:
         raise ValueError(f"n_c must be an integer >= 1, got {n_c}")
     n_c = int(n_c)
-    eye = np.eye(w.n)
-    if method == "GTA1":
-        mats = (w.w, eye, w.w, eye)
-    elif method == "GTA2":
-        mats = (w.w, w.w, w.w, eye)
-    elif method == "GTA3":
-        mats = (w.w, w.w, w.w, w.w)
+    eye = w.power(0)
+    if method in SLOT_PATTERNS:
+        # (matrix, its n_c-th power, beta, identity?) for "W" and "I" slots
+        kinds = {"W": (w.w, w.power(n_c), w.beta, False), "I": (eye, eye, 1.0, True)}
+        slots = [kinds[k] for k in SLOT_PATTERNS[method]]
     elif method == "custom":
         if custom is None or len(custom) != 4:
             raise ValueError("custom strategy requires four matrices")
         mats = tuple(np.asarray(m, dtype=float) for m in custom)
         for m in mats:
             validate_communication_matrix(m, w.graph)
+        slots = [(m, _readonly(matrix_power(m, n_c)), compute_beta(m), np.array_equal(m, eye))
+                 for m in map(_readonly, mats)]
     else:
         raise ValueError(f"unknown method {method!r}")
-    mats = tuple(_readonly(m) for m in mats)
-    powered = tuple(_readonly(matrix_power(m, n_c)) for m in mats)
-    betas = tuple(compute_beta(m) for m in mats)
-    return CommunicationStrategy(name=method, n_c=n_c, matrices=mats, powered=powered, betas=betas)
+    mats, powered, betas, identity = zip(*slots)
+    return CommunicationStrategy(name=method, n_c=n_c, matrices=mats, powered=powered,
+                                 betas=betas, identity=identity)
 
 
 def write_matrix_csv(w: np.ndarray, path) -> None:

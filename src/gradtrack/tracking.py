@@ -87,12 +87,6 @@ class GtaState:
         self.k = k
         self.j = j
 
-    def x_flat(self) -> np.ndarray:
-        return self.x.reshape(-1)
-
-    def y_flat(self) -> np.ndarray:
-        return self.y.reshape(-1)
-
 
 def initialize(suite: ObjectiveSuite, x0: np.ndarray) -> GtaState:
     """State at (k=0, j=1): trackers start at the local gradients of x0."""

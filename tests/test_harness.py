@@ -1,7 +1,11 @@
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradtrack as gt
 from gradtrack import cli
@@ -244,6 +248,34 @@ def test_theory_report_routes_exact_averaging_to_reduced_analysis(tmp_path, caps
     assert routes["GTA2"] == "fully_connected"
     assert routes["GTA3"] == "fully_connected"
     assert routes["GTA1"] == "general"
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=2, max_value=64))
+def test_every_complete_graph_takes_the_fully_connected_route(tmp_path_factory, n):
+    # eigensolver noise puts beta near 6e-17 instead of 0 for most n
+    out = tmp_path_factory.mktemp("fc")
+    cfg = parse_config(_write_cfg(out, f"""
+        problem = quadratic
+        n = {n}
+        d = 2
+        kappa_target = 10
+        seed = 3
+        graph = complete
+        methods = GTA2,GTA3
+        nc_grid = 1,2
+        budget = 2
+        tune_budget = 2
+        tune_tmax = 8
+        outdir = {out}
+    """))
+    lines = theory_report(cfg, stream=io.StringIO()).read_text().splitlines()
+    cols = lines[0].split(",")
+    for row in (dict(zip(cols, line.split(","))) for line in lines[1:]):
+        assert row["route"] == "fully_connected"
+        assert row["beta1_pow"] == "0"
+        if row["alpha_admissible"] == "1":
+            assert math.isfinite(float(row["rho_theory"]))
 
 
 def test_summary_contraction_bounded_by_theory_when_admissible(tmp_path):

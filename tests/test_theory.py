@@ -195,6 +195,25 @@ def test_radius_monotone_under_entrywise_decrease(seed):
     assert spectral_radius(shrink) <= spectral_radius(m) + 1e-10
 
 
+@pytest.mark.parametrize("method", ["GTA1", "GTA2", "GTA3"])
+@pytest.mark.parametrize("n_c", [1, 10])
+def test_radius_near_one_is_cross_checked_without_warning(method, n_c):
+    # a 1024-node torus (beta ~ 0.992, L ~ 103, mu ~ 1) at the theory report's
+    # ordering-check step: rho is within 1e-6 of 1, where power iteration
+    # stops on its step test far from the root and used to warn spuriously
+    beta, L, mu = 0.9923141121612926, 102.71963529971356, 1.0
+    a_chk = 0.9 * min(step_size_bound(params_for_method(m, beta, n_c=n_c, n_g=1, alpha=1.0,
+                                                        L=L, mu=mu, n=1024))
+                      for m in ("GTA1", "GTA2", "GTA3"))
+    m = recursion_matrix(params_for_method(method, beta, n_c=n_c, n_g=1, alpha=a_chk,
+                                           L=L, mu=mu, n=1024)).m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = spectral_radius(m)
+    # the closed form is authoritative; near rho = 1 it is good to ~1e-10
+    assert rho == pytest.approx(max(abs(np.linalg.eigvals(m))), abs=1e-9)
+
+
 def test_radius_input_validation():
     with pytest.raises(ValueError, match="square"):
         spectral_radius(np.ones((2, 3)))
@@ -438,6 +457,15 @@ def test_fully_connected_rejects_gta1_and_nonzero_beta():
     p2 = params_for_method("GTA3", 0.3, n_c=1, n_g=1, alpha=0.1, L=1.0, mu=0.5, n=4)
     with pytest.raises(ValueError, match="requires beta"):
         fully_connected_rate("GTA3", p2)
+
+
+def test_fully_connected_accepts_betas_within_exact_averaging_tolerance():
+    # beta^n_c = 1e-15 is below EXACT_AVERAGING_TOL; 1e-3 at n_c = 1 is not
+    p = params_for_method("GTA3", 1e-3, n_c=5, n_g=1, alpha=0.2, L=2.0, mu=0.5, n=8)
+    assert fully_connected_rate("GTA3", p) == pytest.approx(1 - 0.2 * 0.5)
+    p1 = params_for_method("GTA3", 1e-3, n_c=1, n_g=1, alpha=0.2, L=2.0, mu=0.5, n=8)
+    with pytest.raises(ValueError, match="requires beta"):
+        fully_connected_rate("GTA3", p1)
 
 
 def test_fully_connected_enforces_step_limit():

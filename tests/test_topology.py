@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradtrack as gt
-from gradtrack.topology import (build_graph, compute_beta, matrix_power,
+from gradtrack.topology import (METHOD_NAMES, build_graph, compute_beta, matrix_power,
                                 metropolis_weights, mixing_matrix, read_matrix_csv,
                                 strategy_for, validate_communication_matrix,
                                 write_matrix_csv)
@@ -201,6 +201,52 @@ def test_powered_matrices_cached(cycle8_mixing):
     assert np.max(np.abs(s.powered[0] - matrix_power(cycle8_mixing.w, 3))) == 0.0
     assert np.array_equal(s.powered[3], np.eye(8))
     assert s.vectors_per_round() == 3
+
+
+def test_mixing_power_is_computed_once_and_read_only(cycle8_mixing):
+    w = cycle8_mixing
+    p5 = w.power(5)
+    assert np.array_equal(p5, matrix_power(w.w, 5))
+    assert w.power(5) is p5
+    assert not p5.flags.writeable
+    assert np.array_equal(w.power(0), np.eye(8))
+
+
+def _torus(side):
+    edges = [(r * side + c, r * side + (c + 1) % side) for r in range(side) for c in range(side)]
+    edges += [(r * side + c, ((r + 1) % side) * side + c) for r in range(side) for c in range(side)]
+    return build_graph("edge_list", side * side, edges=edges)
+
+
+@st.composite
+def _graphs(draw):
+    kind = draw(st.sampled_from(["cycle", "star", "complete", "torus"]))
+    if kind == "torus":
+        return _torus(draw(st.integers(min_value=3, max_value=4)))
+    return build_graph(kind, draw(st.integers(min_value=3, max_value=12)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=_graphs(), n_c=st.integers(min_value=1, max_value=100))
+def test_strategies_share_one_power_per_mixing_matrix(graph, n_c):
+    w = metropolis_weights(graph)
+    eye = np.eye(graph.n)
+    named = [strategy_for(m, w, n_c) for m in METHOD_NAMES]
+    custom = strategy_for("custom", w, n_c, custom=(w.w, eye, w.w, np.eye(graph.n)))
+    w_power = named[0].powered[0]
+    for s in named + [custom]:
+        for m, wp, beta, is_eye in zip(s.matrices, s.powered, s.betas, s.identity):
+            assert np.array_equal(wp, matrix_power(m, n_c))
+            assert np.max(np.abs(wp - eig_matrix_power(m, n_c))) <= 1e-10
+            assert beta == compute_beta(m)
+            assert is_eye == np.array_equal(m, eye)
+            if s.name != "custom" and not is_eye:
+                assert wp is w_power        # one W^n_c shared by every W slot
+        # the per-run count this replaces: slots that differ from the identity
+        assert s.vectors_per_round() == sum(1 for m in s.matrices
+                                            if np.max(np.abs(m - eye)) > 0)
+    assert [s.vectors_per_round() for s in named] == [2, 3, 4]
+    assert custom.vectors_per_round() == 2
 
 
 def test_strategy_requires_positive_nc(cycle8_mixing):
