@@ -23,7 +23,8 @@ from .problems import (ObjectiveSuite, QuadraticSpec, generate_quadratic,
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
                        MixingMatrix, build_graph, metropolis_weights, read_matrix_csv,
                        strategy_for)
-from .tracking import DIVERGENCE_LIMIT, DivergenceError, GtaConfig, RunTrace, run
+from .tracking import (DivergenceError, GtaConfig, RunTrace, advance, diverged,
+                       error_vector, initialize, run)
 
 
 _ORDER_SLACK = 1e-10   # float slack for the spectral-radius ordering check
@@ -264,49 +265,34 @@ def tune_step_size(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: 
     the larger step size.  Diverged candidates are excluded; if all diverge
     a TuningError carrying the per-candidate diagnostics is raised.
 
-    All candidates advance in one batched run (the update rule is linear in
-    the state, so the sweep vectorizes over a leading candidate axis); dead
-    candidates are zeroed out and masked.
+    All candidates advance as the columns of one (n, d, c) state through the
+    runtime's kernel and divergence rule; dead candidates are zeroed out and
+    masked.
     """
     if budget < 1:
         raise ValueError("tuning budget must be >= 1 outer iteration")
     ts = np.arange(t_range[0], t_range[1] + 1)
     alphas = 2.0 ** -ts.astype(float)                      # descending
     c = len(alphas)
-    a = alphas[None, None, :]                              # candidates last
-    w1p, w2p, w3p, w4p = strategy.powered
-    mix = lambda w, v: np.tensordot(w, v, axes=(1, 0))
-
-    xs = np.zeros((suite.n, suite.d, c))
-    grads = suite.grad_stack_batch(xs)
-    ys = grads.copy()
+    state = initialize(suite, np.zeros((suite.n, suite.d, c)))
+    cfg = GtaConfig(strategy=strategy, alpha=alphas, n_g=n_g, max_outer_iters=budget)
     alive = np.ones(c, dtype=bool)
     died_at = np.full(c, -1, dtype=int)
-    x_star = suite.x_star[:, None]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(budget):
-            for _ in range(n_g - 1):
-                xs = xs - a * ys
-                g_new = suite.grad_stack_batch(xs)
-                ys = ys + (g_new - grads)
-                grads = g_new
-            xs = mix(w1p, xs) - a * mix(w2p, ys)
-            g_new = suite.grad_stack_batch(xs)
-            ys = mix(w3p, ys) + mix(w4p, g_new - grads)
-            grads = g_new
-            final_err = np.linalg.norm(xs.mean(axis=0) - x_star, axis=0)
-            dead = alive & (~np.isfinite(final_err) | (final_err > DIVERGENCE_LIMIT))
+            advance(state, cfg)
+            ev = error_vector(state, suite)
+            dead = alive & diverged(ev)
             if np.any(dead):
                 died_at[dead] = k + 1
                 alive &= ~dead
                 # park the dead slices at zero; they drift off again (the
                 # gradient at zero is not zero) but stay masked out
-                xs[:, :, dead] = 0.0
-                ys[:, :, dead] = 0.0
-                grads[:, :, dead] = 0.0
+                state.x[:, :, dead] = state.y[:, :, dead] = state.grads[:, :, dead] = 0.0
                 if not np.any(alive):
                     break
+    final_err = ev.opt_err
 
     diagnostics = [(int(t), f"diverged at k={died_at[i]}" if not alive[i]
                     else f"final opt_err {final_err[i]:.3e}")

@@ -54,10 +54,7 @@ class ObjectiveSuite:
         Candidates-last keeps every per-node contraction a clean matrix
         product (used by the vectorized step-size sweep).
         """
-        out = np.empty_like(xs)
-        for c in range(xs.shape[2]):
-            out[:, :, c] = self.grad_stack(np.ascontiguousarray(xs[:, :, c]))
-        return out
+        raise NotImplementedError
 
     def global_value(self, x: np.ndarray) -> float:
         return sum(self.local_value(i, x) for i in range(self.n)) / self.n
@@ -99,9 +96,12 @@ class QuadraticSuite(ObjectiveSuite):
         return self.qs[i] @ x + self.bs[i]
 
     def grad_stack(self, xs):
-        return np.einsum("nij,nj->ni", self.qs, xs) + self.bs
+        return self._grads(xs[:, :, None])[:, :, 0]
 
     def grad_stack_batch(self, xs):
+        return self._grads(xs)
+
+    def _grads(self, xs):
         return np.matmul(self.qs, xs) + self.bs[:, :, None]
 
 
@@ -164,22 +164,12 @@ def generate_quadratic(spec: QuadraticSpec) -> QuadraticSuite:
             v = evecs[:, 0]
             gamma = hi / spec.kappa_target - lo
         ridge = gamma * np.outer(v, v)
-        for i in range(spec.n):
-            qs[i] = qs[i] + ridge
-            qs[i] = 0.5 * (qs[i] + qs[i].T)
+        qs = qs + ridge
+        qs = 0.5 * (qs + qs.transpose(0, 2, 1))
         # normalize the scale so mu = 1: keeps both condition numbers, puts
         # 1/L on the order of 1/kappa_target (inside the 2^-t tuning range)
         qs /= np.linalg.eigvalsh(qs.mean(axis=0))[0]
     return QuadraticSuite(qs, bs)
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 @dataclass(frozen=True)
@@ -270,14 +260,8 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False,
         a, y = a[perm], y[perm]
 
     base, rem = divmod(m, n_nodes)
-    feats, labs = [], []
-    start = 0
-    for i in range(n_nodes):
-        size = base + (1 if i < rem else 0)
-        feats.append(a[start:start + size].copy())
-        labs.append(y[start:start + size].copy())
-        start += size
-    return LogRegDataset(features=tuple(feats), labels=tuple(labs), d=d)
+    cuts = np.cumsum([base + (i < rem) for i in range(n_nodes - 1)], dtype=int)
+    return LogRegDataset(features=tuple(np.split(a, cuts)), labels=tuple(np.split(y, cuts)), d=d)
 
 
 class LogisticSuite(ObjectiveSuite):
@@ -298,39 +282,42 @@ class LogisticSuite(ObjectiveSuite):
         self.d = dataset.d
         counts = np.array([a.shape[0] for a in dataset.features], dtype=float)
         self.mu = float(2.0 / self.n * np.sum(1.0 / counts))
-        l_is = []
-        for a, n_i in zip(dataset.features, counts):
-            gram_top = float(np.linalg.eigvalsh(a.T @ a)[-1])
-            l_is.append(gram_top / (4.0 * n_i) + 2.0 / n_i)
-        self.L = float(max(l_is))
+        # signed features y_s * a_s of every node, padded with zero rows to
+        # the largest shard: a zero row has margin 0 and adds nothing to the
+        # gradient, so all nodes share one (n, max n_i, d) tensor
+        self._counts = counts[:, None, None]
+        self._signed = np.zeros((self.n, int(counts.max()), self.d))
+        for i, (a, y) in enumerate(zip(dataset.features, dataset.labels)):
+            self._signed[i, :a.shape[0]] = a * y[:, None]
+        self._signed_t = self._signed.transpose(0, 2, 1)
+        self._shards = tuple(s[:a.shape[0]] for s, a in zip(self._signed, dataset.features))
+        # (y a)'(y a) = a'a: the Gram matrices of the signed shards
+        gram_top = np.linalg.eigvalsh(np.matmul(self._signed_t, self._signed))[:, -1]
+        self.L = float(np.max(gram_top / (4.0 * counts) + 2.0 / counts))
         self.x_star = None  # filled in by logreg_suite
-        # signed features y_s * a_s, precomputed per node
-        self._signed = tuple(a * y[:, None] for a, y in zip(dataset.features, dataset.labels))
 
     def local_value(self, i, x):
-        margins = self._signed[i] @ x
+        margins = self._shards[i] @ x
         n_i = margins.shape[0]
         return float(np.logaddexp(0.0, -margins).sum() / n_i + (x @ x) / n_i)
 
     def local_grad(self, i, x):
-        sa = self._signed[i]
-        n_i = sa.shape[0]
-        sig = _sigmoid(-(sa @ x))
-        return (-(sa.T @ sig) + 2.0 * x) / n_i
+        sa = self._shards[i]
+        # sigmoid(-m) = 1 / (1 + e^m), overflow-free through logaddexp
+        sig = np.exp(-np.logaddexp(0.0, sa @ x))
+        return (-(sa.T @ sig) + 2.0 * x) / sa.shape[0]
 
     def grad_stack(self, xs):
-        out = np.empty_like(xs)
-        for i in range(self.n):
-            out[i] = self.local_grad(i, xs[i])
-        return out
+        return self._grads(xs[:, :, None])[:, :, 0]
 
     def grad_stack_batch(self, xs):
-        out = np.empty_like(xs)
-        for i, sa in enumerate(self._signed):
-            n_i = sa.shape[0]
-            sig = _sigmoid(-(sa @ xs[i]))                  # (n_i, c)
-            out[i] = (-(sa.T @ sig) + 2.0 * xs[i]) / n_i
-        return out
+        return self._grads(xs)
+
+    def _grads(self, xs):
+        # sigmoid(-m) = 0.5 * (1 + tanh(-m / 2)): branch-free and saturates
+        # without overflow
+        sig = 0.5 * (1.0 + np.tanh(-0.5 * np.matmul(self._signed, xs)))
+        return (2.0 * xs - np.matmul(self._signed_t, sig)) / self._counts
 
 
 def compute_reference_optimum(suite: ObjectiveSuite, tol: float = 1e-12,

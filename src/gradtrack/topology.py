@@ -330,11 +330,12 @@ def strategy_for(method: str, w: MixingMatrix, n_c: int, custom=None) -> Communi
     elif method == "custom":
         if custom is None or len(custom) != 4:
             raise ValueError("custom strategy requires four matrices")
-        mats = tuple(np.asarray(m, dtype=float) for m in custom)
+        # copies: freezing must not touch the caller's arrays
+        mats = tuple(_readonly(np.array(m, dtype=float)) for m in custom)
         for m in mats:
             validate_communication_matrix(m, w.graph)
         slots = [(m, _readonly(matrix_power(m, n_c)), compute_beta(m), np.array_equal(m, eye))
-                 for m in map(_readonly, mats)]
+                 for m in mats]
     else:
         raise ValueError(f"unknown method {method!r}")
     mats, powered, betas, identity = zip(*slots)

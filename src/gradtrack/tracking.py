@@ -10,14 +10,15 @@ four communication matrices:
     outer:  x' = W1^nc x - alpha W2^nc y
             y' = W3^nc y + W4^nc (grad(x') - grad(x))
 
-Mixing is applied blockwise to the (n, d) stack of local copies, never
-materializing the (nd, nd) Kronecker form.
+One kernel steps a run's (n, d) stacks and the step-size sweep's (n, d, c)
+stacks (one alpha per column).  Mixing is one (n, n) by (n, d*c) product per
+non-identity slot, never materializing the (nd, nd) Kronecker form.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +30,20 @@ DIVERGENCE_LIMIT = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """Optimization error exceeded the divergence guard."""
+    """A run's errors met the divergence rule (see `diverged`)."""
 
-    def __init__(self, k: int, opt_err: float):
-        super().__init__(f"diverged at outer iteration {k}: opt_err = {opt_err:.3e}")
+    def __init__(self, k: int, errors: ErrorVector):
+        super().__init__(f"diverged at outer iteration {k}: " + ", ".join(
+            f"{name} = {value:.3e}" for name, value in asdict(errors).items()))
         self.k = k
-        self.opt_err = opt_err
+        self.opt_err = errors.opt_err
+        self.errors = errors
 
 
 @dataclass(frozen=True)
 class GtaConfig:
-    """Run parameters: strategy, step size, computation steps, budgets."""
+    """Run parameters: strategy, step size (a sweep's: one per column),
+    computation steps, budgets."""
 
     strategy: CommunicationStrategy
     alpha: float
@@ -48,7 +52,7 @@ class GtaConfig:
     stop_tol: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if np.any(np.asarray(self.alpha) <= 0):
             raise ValueError(f"step size must be positive, got {self.alpha}")
         if self.n_g < 1 or int(self.n_g) != self.n_g:
             raise ValueError(f"n_g must be an integer >= 1, got {self.n_g}")
@@ -59,7 +63,7 @@ class GtaConfig:
 @dataclass(frozen=True)
 class ErrorVector:
     """(optimization error, x consensus error, y consensus error) at an
-    outer-iteration boundary."""
+    outer-iteration boundary; (c,) arrays for a sweep."""
 
     opt_err: float
     x_consensus: float
@@ -69,42 +73,52 @@ class ErrorVector:
         return np.array([self.opt_err, self.x_consensus, self.y_consensus])
 
 
+@dataclass(slots=True)
 class GtaState:
-    """Mutable iteration state owned by a single run.
+    """Mutable iteration state owned by a single run or sweep.
 
-    x, y and grads are (n, d) stacks of the local copies; k is the outer
-    iteration and j the inner iteration (1-based, reset on communication).
+    x, y and grads are (n, d) stacks of the local copies, or (n, d, c) for a
+    sweep over c step sizes; k is the outer iteration and j the inner
+    iteration (1-based, reset on communication).
     """
 
-    __slots__ = ("suite", "x", "y", "grads", "k", "j")
-
-    def __init__(self, suite: ObjectiveSuite, x: np.ndarray, y: np.ndarray,
-                 grads: np.ndarray, k: int = 0, j: int = 1):
-        self.suite = suite
-        self.x = x
-        self.y = y
-        self.grads = grads
-        self.k = k
-        self.j = j
+    suite: ObjectiveSuite
+    x: np.ndarray
+    y: np.ndarray
+    grads: np.ndarray
+    k: int = 0
+    j: int = 1
 
 
 def initialize(suite: ObjectiveSuite, x0: np.ndarray) -> GtaState:
-    """State at (k=0, j=1): trackers start at the local gradients of x0."""
+    """State at (k=0, j=1): trackers start at the local gradients of x0, which
+    has n*d entries for a run and is an (n, d, c) stack for a sweep."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.size != suite.n * suite.d:
+    if x0.ndim < 3 and x0.size != suite.n * suite.d:
         raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")
-    x = x0.reshape(suite.n, suite.d).copy()
-    grads = suite.grad_stack(x)
+    x = x0.reshape(suite.n, suite.d, *x0.shape[2:]).copy()
+    grads = _gradients(suite, x)
     return GtaState(suite, x=x, y=grads.copy(), grads=grads, k=0, j=1)
 
 
-def inner_step(state: GtaState, alpha: float) -> GtaState:
+def _gradients(suite: ObjectiveSuite, xs: np.ndarray) -> np.ndarray:
+    return suite.grad_stack(xs) if xs.ndim == 2 else suite.grad_stack_batch(xs)
+
+
+def _mix(strategy: CommunicationStrategy, slot: int, v: np.ndarray) -> np.ndarray:
+    """W_slot^n_c applied to every column of v; identity slots return v."""
+    if strategy.identity[slot]:
+        return v
+    p = strategy.powered[slot]
+    return p @ v if v.ndim == 2 else (p @ v.reshape(len(p), -1)).reshape(v.shape)
+
+
+def inner_step(state: GtaState, alpha) -> GtaState:
     """One local computation step (no mixing): exactly one new gradient
     evaluation per node."""
-    x_new = state.x - alpha * state.y
-    g_new = state.suite.grad_stack(x_new)
+    state.x = state.x - alpha * state.y
+    g_new = _gradients(state.suite, state.x)
     state.y = state.y + (g_new - state.grads)
-    state.x = x_new
     state.grads = g_new
     state.j += 1
     return state
@@ -113,26 +127,49 @@ def inner_step(state: GtaState, alpha: float) -> GtaState:
 def outer_step(state: GtaState, cfg: GtaConfig) -> GtaState:
     """Communication update: n_c consensus steps through each slot, applied
     as precomputed matrix powers; one new gradient evaluation per node."""
-    w1p, w2p, w3p, w4p = cfg.strategy.powered
-    x_new = w1p @ state.x - cfg.alpha * (w2p @ state.y)
-    g_new = state.suite.grad_stack(x_new)
-    state.y = w3p @ state.y + w4p @ (g_new - state.grads)
-    state.x = x_new
+    strategy = cfg.strategy
+    w2y = _mix(strategy, 1, state.y)
+    # state.x is replaced at once (as in inner_step): holding the old x
+    # through the gradient and y updates would add a stack to a sweep's peak
+    state.x = _mix(strategy, 0, state.x) - cfg.alpha * w2y
+    g_new = _gradients(state.suite, state.x)
+    # GTA2 and GTA3 hold one W^n_c array in slots 2 and 3: apply it once
+    w3y = w2y if strategy.powered[2] is strategy.powered[1] else _mix(strategy, 2, state.y)
+    state.y = w3y + _mix(strategy, 3, g_new - state.grads)
     state.grads = g_new
     state.k += 1
     state.j = 1
     return state
 
 
+def advance(state: GtaState, cfg: GtaConfig) -> GtaState:
+    """One outer iteration: n_g - 1 local steps, then the communication step."""
+    for _ in range(cfg.n_g - 1):
+        inner_step(state, cfg.alpha)
+    return outer_step(state, cfg)
+
+
 def error_vector(state: GtaState, suite: ObjectiveSuite) -> ErrorVector:
-    """Measure the three errors against suite.x_star."""
+    """Measure the three errors against suite.x_star, per column for a sweep."""
     x_bar = state.x.mean(axis=0)
     y_bar = state.y.mean(axis=0)
+    if state.x.ndim == 3:
+        return ErrorVector(np.linalg.norm(x_bar - suite.x_star[:, None], axis=0),
+                           np.linalg.norm(state.x - x_bar, axis=(0, 1)),
+                           np.linalg.norm(state.y - y_bar, axis=(0, 1)))
     return ErrorVector(
         opt_err=float(np.linalg.norm(x_bar - suite.x_star)),
         x_consensus=float(np.linalg.norm(state.x - x_bar)),
         y_consensus=float(np.linalg.norm(state.y - y_bar)),
     )
+
+
+def diverged(ev: ErrorVector):
+    """The divergence rule of runs and sweeps: True (per column for a sweep)
+    where an error is above DIVERGENCE_LIMIT or not finite.  A non-finite x,
+    y or gradient makes an error non-finite within the step."""
+    return np.logical_not((ev.opt_err <= DIVERGENCE_LIMIT) & (ev.x_consensus <= DIVERGENCE_LIMIT)
+                          & (ev.y_consensus <= DIVERGENCE_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -190,37 +227,25 @@ class RunTrace:
 def run(suite: ObjectiveSuite, cfg: GtaConfig, x0: np.ndarray) -> RunTrace:
     """Execute outer iterations until the budget or stop_tol is reached.
 
-    Deterministic for fixed inputs.  Raises DivergenceError when the
-    optimization error exceeds 1e12 (so step-size sweeps can safely probe
-    unstable configurations).
+    Deterministic for fixed inputs.  Raises DivergenceError when the errors
+    meet the divergence rule (`diverged`).
     """
     if cfg.strategy.n != suite.n:
         raise ValueError(f"strategy has n={cfg.strategy.n} but suite has n={suite.n}")
     t0 = time.perf_counter()
     state = initialize(suite, x0)
-    ks = [0]
     errs = [error_vector(state, suite)]
     # overflow on the way past the divergence guard is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_outer_iters):
             if cfg.stop_tol is not None and errs[-1].opt_err <= cfg.stop_tol:
                 break
-            for _ in range(cfg.n_g - 1):
-                inner_step(state, cfg.alpha)
-            outer_step(state, cfg)
-            ev = error_vector(state, suite)
-            ks.append(state.k)
-            errs.append(ev)
-            if not np.isfinite(ev.opt_err) or ev.opt_err > DIVERGENCE_LIMIT:
-                raise DivergenceError(state.k, ev.opt_err)
-    return RunTrace(
-        k=np.array(ks, dtype=int),
-        opt_err=np.array([e.opt_err for e in errs]),
-        x_consensus_err=np.array([e.x_consensus for e in errs]),
-        y_consensus_err=np.array([e.y_consensus for e in errs]),
-        n_c=cfg.strategy.n_c,
-        n_g=cfg.n_g,
-        n=suite.n,
-        vectors_per_round=cfg.strategy.vectors_per_round(),
-        wall_time=time.perf_counter() - t0,
-    )
+            advance(state, cfg)
+            errs.append(error_vector(state, suite))
+            if diverged(errs[-1]):
+                raise DivergenceError(state.k, errs[-1])
+    opt_err, x_consensus, y_consensus = np.array([e.as_array() for e in errs]).T
+    return RunTrace(k=np.arange(len(errs)), opt_err=opt_err, x_consensus_err=x_consensus,
+                    y_consensus_err=y_consensus, n_c=cfg.strategy.n_c, n_g=cfg.n_g, n=suite.n,
+                    vectors_per_round=cfg.strategy.vectors_per_round(),
+                    wall_time=time.perf_counter() - t0)

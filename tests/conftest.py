@@ -68,6 +68,17 @@ def two_node_suite():
 
 
 @pytest.fixture
+def mirrored_pair():
+    """Two nodes, f_i = 3x^2/2 + b_i x with b_2 = -b_1 (x* = 0), mixing
+    nothing: the nodes mirror each other, so x_bar stays exactly 0 while a
+    step above 2/3 drives them apart.  Returns (suite, strategy)."""
+    suite = gt.quadratic_suite([[[3.0]], [[3.0]]], [[1.0], [-1.0]])
+    w = gt.metropolis_weights(gt.build_graph("complete", 2))
+    eye = np.eye(2)
+    return suite, gt.strategy_for("custom", w, 1, custom=(eye, eye, eye, eye))
+
+
+@pytest.fixture
 def small_quadratic():
     return gt.generate_quadratic(gt.QuadraticSpec(n=8, d=4, kappa_target=30.0, seed=2))
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradtrack as gt
-from gradtrack import cli
+from gradtrack import cli, harness
 from gradtrack.harness import (ConfigError, TuningError, measured_contraction,
                                parse_config, run_experiment, theory_report,
                                tune_step_size)
@@ -142,6 +142,55 @@ def test_batched_sweep_matches_candidate_by_candidate_runs(method, nc, ng, small
         if trace.opt_err[-1] < best_err:
             best, best_err = alpha, trace.opt_err[-1]
     assert picked == best
+
+
+def test_sweep_drops_candidates_whose_consensus_diverges(mirrored_pair):
+    # every candidate keeps opt_err at exactly 0, but alpha = 1 drives the
+    # two nodes apart, so the tie goes to the largest step that stays bounded
+    suite, strat = mirrored_pair
+    assert tune_step_size(suite, strat, 1, budget=100, t_range=(0, 3)) == 0.5
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "logistic"])
+@pytest.mark.parametrize("method,nc,ng", [("GTA1", 2, 1), ("GTA2", 1, 3), ("GTA3", 3, 2)])
+def test_every_sweep_candidate_matches_its_single_run(monkeypatch, problem, method, nc, ng,
+                                                      small_quadratic):
+    # each candidate's final errors in the batched sweep against one
+    # tracking.run at its alpha; diverging candidates die at the same k
+    if problem == "quadratic":
+        suite, budget = small_quadratic, 40
+    else:
+        suite, budget = gt.logreg_suite(gt.load_libsvm("data/synth_binary.libsvm", 8)), 25
+    w = gt.metropolis_weights(gt.build_graph("cycle", suite.n))
+    strat = gt.strategy_for(method, w, nc)
+    seen = []
+
+    def recording(state, s):
+        seen.append(gt.error_vector(state, s))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "error_vector", recording)
+    tune_step_size(suite, strat, ng, budget=budget)
+    seen = np.array([ev.as_array() for ev in seen])        # (iters, 3, 21)
+    x0 = np.zeros(suite.n * suite.d)
+    finished = 0
+    for i in range(21):
+        dead = np.flatnonzero(gt.tracking.diverged(gt.ErrorVector(*seen[:, :, i].T)))
+        cfg = gt.GtaConfig(strategy=strat, alpha=2.0**-i, n_g=ng, max_outer_iters=budget)
+        if len(dead):
+            with pytest.raises(gt.DivergenceError) as err:
+                gt.run(suite, cfg, x0)
+            assert err.value.k == dead[0] + 1
+            continue
+        final = gt.run(suite, cfg, x0).final().as_array()
+        assert len(seen) == budget
+        # the compared (tuned-on) error to 1e-12 relative; the consensus
+        # errors are differences of nearly equal copies, so their rounding
+        # is absolute, on the scale of eps * ||x||
+        assert seen[-1, 0, i] == pytest.approx(final[0], rel=1e-12, abs=0.0)
+        assert seen[-1, 1:, i] == pytest.approx(final[1:], rel=1e-12, abs=1e-14)
+        finished += 1
+    assert finished >= 10
 
 
 def test_all_candidates_diverging_raises_with_diagnostics():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradtrack as gt
-from gradtrack.problems import (DataFormatError, LogRegDataset, QuadraticSpec,
-                                compute_reference_optimum, generate_quadratic,
-                                load_libsvm, logreg_suite, quadratic_suite)
+from gradtrack.problems import (DataFormatError, LogisticSuite, LogRegDataset,
+                                QuadraticSpec, compute_reference_optimum,
+                                generate_quadratic, load_libsvm, logreg_suite,
+                                quadratic_suite)
 
 from conftest import central_diff
 
@@ -187,6 +190,34 @@ def test_toy_gradient_matches_finite_differences():
         fd = central_diff(lambda z: suite.local_value(0, z), x)
         g = suite.local_grad(0, x)
         assert np.linalg.norm(g - fd) <= 1e-6 * (1 + np.linalg.norm(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), base=st.integers(1, 4), rem_frac=st.floats(0.0, 1.0),
+       d=st.integers(1, 6), c=st.integers(1, 25), max_margin=st.floats(0.0, 50.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_logistic_gradient_matches_per_node_gradient(n, base, rem_frac, d, c,
+                                                              max_margin, seed):
+    # shards of base or base + 1 samples (m % n != 0 whenever rem > 0), and
+    # margins |y a'x| up to max_margin, where the sigmoid saturates
+    rng = np.random.default_rng(seed)
+    rem = int(rem_frac * (n - 1))
+    sizes = [base + (i < rem) for i in range(n)]
+    feats = tuple(rng.normal(size=(m_i, d)) for m_i in sizes)
+    labels = tuple(rng.choice([-1.0, 1.0], size=m_i) for m_i in sizes)
+    suite = LogisticSuite(LogRegDataset(features=feats, labels=labels, d=d))
+    xs = rng.normal(size=(n, d, c))
+    top = max(np.max(np.abs(a @ xs[i])) for i, a in enumerate(feats))
+    xs *= max_margin / top if top > 0 else 1.0
+    batched = suite.grad_stack_batch(xs)
+    assert batched.shape == (n, d, c)
+    for j in range(c):
+        single = suite.grad_stack(np.ascontiguousarray(xs[:, :, j]))
+        for i in range(n):
+            ref = suite.local_grad(i, xs[i, :, j])
+            scale = 1.0 + np.max(np.abs(ref))
+            assert np.max(np.abs(batched[i, :, j] - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(single[i] - ref)) <= 1e-13 * scale
 
 
 def test_empty_shard_rejected():

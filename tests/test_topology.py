@@ -189,6 +189,16 @@ def test_custom_strategy_on_edge_subset_accepted():
     assert s.betas[1] == pytest.approx(eig_beta(w_tree), abs=1e-12)
 
 
+def test_custom_strategy_leaves_caller_arrays_writeable():
+    w = metropolis_weights(build_graph("cycle", 4))
+    eye, mine = np.eye(4), w.w.copy()
+    s = strategy_for("custom", w, 2, custom=(mine, eye, mine, eye))
+    assert eye.flags.writeable and mine.flags.writeable
+    assert not any(m.flags.writeable for m in s.matrices + s.powered)
+    mine[0, 0] = 7.0            # the strategy keeps its own copy
+    assert s.w1[0, 0] == w.w[0, 0]
+
+
 def test_custom_strategy_rejects_off_graph_entries():
     w = metropolis_weights(build_graph("cycle", 4))
     bad = np.full((4, 4), 0.25)  # complete-graph support, not a cycle subgraph

@@ -230,6 +230,31 @@ def test_divergence_guard_raises(small_quadratic):
             np.zeros(small_quadratic.n * small_quadratic.d))
 
 
+def test_divergence_guard_watches_consensus_errors(mirrored_pair):
+    suite, strat = mirrored_pair
+    with pytest.raises(DivergenceError, match="y_consensus") as err:
+        run(suite, GtaConfig(strategy=strat, alpha=1.0, max_outer_iters=100), np.zeros(2))
+    # |x_i| about doubles each iteration: y_consensus passes 1e12 at k = 40,
+    # long before any overflow, and the optimization error never moves
+    assert err.value.k == 40
+    assert err.value.opt_err == 0.0
+    assert err.value.errors.y_consensus > gt.tracking.DIVERGENCE_LIMIT
+
+
+@pytest.mark.parametrize("errors,expected", [
+    ([1.0, 1.0, 1.0], False),
+    ([1e12, 1e12, 1e12], False),
+    ([1.0, 2e12, 1.0], True),
+    ([1.0, 1.0, np.inf], True),
+    ([np.nan, 1.0, 1.0], True),
+    ([1.0, 1.0, np.nan], True),
+])
+def test_divergence_rule(errors, expected):
+    assert bool(gt.tracking.diverged(gt.ErrorVector(*errors))) is expected
+    columns = np.array([errors, [0.0, 0.0, 0.0]]).T           # a sweep of c = 2
+    assert gt.tracking.diverged(gt.ErrorVector(*columns)).tolist() == [expected, False]
+
+
 def test_runs_are_bit_deterministic(small_quadratic):
     s = small_quadratic
     strat = _strategy("GTA2", s.n, n_c=3)
