@@ -7,7 +7,9 @@ Verbs:
     beta --graph KIND --n N [...]     compute a mixing matrix's spectral gap
 
 Exit codes: 0 success, 2 config error, 3 data/parse error, 4 divergence
-(including an all-candidates-diverged tuning sweep).
+(including an all-candidates-diverged tuning sweep), 5 numerical failure
+(a reference optimum that does not reach its tolerance, or a spectral
+radius of a non-finite matrix).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import sys
 
 from . import harness
-from .problems import DataFormatError
+from .problems import DataFormatError, ReferenceOptimumError
 from .topology import build_graph, compute_beta, metropolis_weights, write_matrix_csv
 from .tracking import DivergenceError
 
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
+EXIT_NUMERICAL = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,6 +115,9 @@ def main(argv=None) -> int:
     except (DivergenceError, harness.TuningError) as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except (ReferenceOptimumError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,6 +5,12 @@ Config files are flat "key = value" text (see parse_config for the schema).
 A run sweeps methods over an (n_c, n_g) grid, tunes the step size for each
 cell over {2^-t}, writes one trace CSV per cell plus a summary.csv and a
 manifest.json, all byte-reproducible for a fixed config and seed.
+
+The 2^-t sweep steps all live candidates as the columns of one (n, d, c)
+state.  After each outer iteration two stack norms either clear every
+column at once (`tracking.surely_bounded`) or the divergence rule is
+evaluated per column; a candidate that meets it leaves the stack, so dead
+candidates cost nothing afterwards.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +29,8 @@ from .problems import (ObjectiveSuite, QuadraticSpec, generate_quadratic,
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
                        MixingMatrix, build_graph, metropolis_weights, read_matrix_csv,
                        strategy_for)
-from .tracking import (DivergenceError, GtaConfig, RunTrace, advance, diverged,
-                       error_vector, initialize, run)
+from .tracking import (DivergenceError, ErrorVector, GtaConfig, RunTrace, advance,
+                       diverged, error_vector, initialize, run, surely_bounded)
 
 
 _ORDER_SLACK = 1e-10   # float slack for the spectral-radius ordering check
@@ -256,52 +262,67 @@ def build_strategy(cfg: ExperimentConfig, method: str, w: MixingMatrix,
     return strategy_for("custom", w, n_c, custom=mats)
 
 
+def _sweep(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int, budget: int,
+           alphas: np.ndarray) -> list[ErrorVector | int]:
+    """Run every step size in `alphas` for `budget` outer iterations from the
+    zero start; returns, per candidate, its final ErrorVector or the outer
+    iteration k at which it met the divergence rule.
+
+    The live candidates advance as the columns of one (n, d, c) state
+    through the runtime's kernel.  After each outer iteration the rule
+    (`diverged`) is evaluated only where `surely_bounded` cannot clear every
+    column, and a candidate that meets it leaves the stack: its columns
+    leave x, y and grads, its alpha leaves the alpha vector.
+    """
+    record: list[ErrorVector | int | None] = [None] * len(alphas)
+    live = np.arange(len(alphas))                  # the candidate of each column
+    state = initialize(suite, np.zeros((suite.n, suite.d, len(alphas))))
+    cfg = GtaConfig(strategy=strategy, alpha=alphas, n_g=n_g, max_outer_iters=budget)
+    x_star_norm = float(np.linalg.norm(suite.x_star))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, budget + 1):
+            advance(state, cfg)
+            if surely_bounded(state, x_star_norm):
+                continue
+            dead = diverged(error_vector(state, suite))
+            for i in live[dead]:
+                record[i] = k
+            if np.all(dead):
+                return record
+            if np.any(dead):
+                keep = ~dead
+                live = live[keep]
+                # one stack at a time, so at most one old stack is held
+                state.x = state.x[:, :, keep]
+                state.y = state.y[:, :, keep]
+                state.grads = state.grads[:, :, keep]
+                cfg = replace(cfg, alpha=cfg.alpha[keep])
+        final = error_vector(state, suite)
+    for j, i in enumerate(live):
+        record[i] = ErrorVector(float(final.opt_err[j]), float(final.x_consensus[j]),
+                                float(final.y_consensus[j]))
+    return record
+
+
 def tune_step_size(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int,
                    budget: int, t_range: tuple[int, int] = (0, 20)) -> float:
     """Sweep alpha over {2^-t : t in t_range} from the zero start.
 
-    Each candidate runs for `budget` outer iterations; the winner is the
-    candidate with the smallest final optimization error, ties broken toward
-    the larger step size.  Diverged candidates are excluded; if all diverge
-    a TuningError carrying the per-candidate diagnostics is raised.
-
-    All candidates advance as the columns of one (n, d, c) state through the
-    runtime's kernel and divergence rule; dead candidates are zeroed out and
-    masked.
+    Each candidate runs for `budget` outer iterations (all of them at once,
+    see `_sweep`); the winner is the candidate with the smallest final
+    optimization error, ties broken toward the larger step size.  Diverged
+    candidates are excluded; if all diverge a TuningError carrying the
+    per-candidate diagnostics is raised.
     """
     if budget < 1:
         raise ValueError("tuning budget must be >= 1 outer iteration")
     ts = np.arange(t_range[0], t_range[1] + 1)
     alphas = 2.0 ** -ts.astype(float)                      # descending
-    c = len(alphas)
-    state = initialize(suite, np.zeros((suite.n, suite.d, c)))
-    cfg = GtaConfig(strategy=strategy, alpha=alphas, n_g=n_g, max_outer_iters=budget)
-    alive = np.ones(c, dtype=bool)
-    died_at = np.full(c, -1, dtype=int)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(budget):
-            advance(state, cfg)
-            ev = error_vector(state, suite)
-            dead = alive & diverged(ev)
-            if np.any(dead):
-                died_at[dead] = k + 1
-                alive &= ~dead
-                # park the dead slices at zero; they drift off again (the
-                # gradient at zero is not zero) but stay masked out
-                state.x[:, :, dead] = state.y[:, :, dead] = state.grads[:, :, dead] = 0.0
-                if not np.any(alive):
-                    break
-    final_err = ev.opt_err
-
-    diagnostics = [(int(t), f"diverged at k={died_at[i]}" if not alive[i]
-                    else f"final opt_err {final_err[i]:.3e}")
-                   for i, t in enumerate(ts)]
-    if not np.any(alive):
-        raise TuningError(diagnostics)
-    errs = np.where(alive, final_err, math.inf)
-    best = int(np.argmin(errs))        # first minimum = largest alpha on ties
-    return float(alphas[best])
+    record = _sweep(suite, strategy, n_g, budget, alphas)
+    if all(isinstance(r, int) for r in record):
+        raise TuningError([(int(t), f"diverged at k={r}") for t, r in zip(ts, record)])
+    errs = [math.inf if isinstance(r, int) else r.opt_err for r in record]
+    return float(alphas[int(np.argmin(errs))])   # first minimum = largest alpha on ties
 
 
 def measured_contraction(trace: RunTrace) -> float:

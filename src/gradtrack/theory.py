@@ -16,7 +16,6 @@ necessary: a tuned step size often works well beyond them.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -224,17 +223,6 @@ def recursion_matrix_multi(p: SpectralParams) -> TheoryMatrix:
     return TheoryMatrix(m=m, label="recursion_multi")
 
 
-def is_irreducible(m: np.ndarray) -> bool:
-    """Structural irreducibility: the nonzero pattern, read as a directed
-    graph, is strongly connected."""
-    m = np.asarray(m.m if isinstance(m, TheoryMatrix) else m)
-    k = m.shape[0]
-    reach = ((m != 0) | np.eye(k, dtype=bool)).astype(int)
-    for _ in range(k):
-        reach = ((reach @ reach) > 0).astype(int)
-    return bool(np.all(reach > 0))
-
-
 def _power_iteration_radius(a: np.ndarray, tol: float, max_iters: int) -> float | None:
     """Perron root of a nonnegative matrix by power iteration on a + I.
 
@@ -255,76 +243,26 @@ def _power_iteration_radius(a: np.ndarray, tol: float, max_iters: int) -> float 
     return None
 
 
-def _cubic_roots(p2: float, p1: float, p0: float) -> list[complex]:
-    """Roots of x^3 + p2 x^2 + p1 x + p0 via Cardano in complex arithmetic."""
-    shift = p2 / 3.0
-    p = p1 - p2 * p2 / 3.0
-    q = p0 - p1 * p2 / 3.0 + 2.0 * p2 ** 3 / 27.0
-    s = cmath.sqrt(complex((q / 2.0) ** 2 + (p / 3.0) ** 3))
-    u3 = -q / 2.0 + s
-    if abs(u3) < abs(-q / 2.0 - s):
-        u3 = -q / 2.0 - s
-    if u3 == 0:
-        # u3 and its conjugate branch both vanish only for p = q = 0
-        return [complex(-shift)] * 3
-    u = u3 ** (1.0 / 3.0)
-    v = -p / (3.0 * u)
-    omega = complex(-0.5, math.sqrt(3.0) / 2.0)
-    return [u * omega ** j + v * omega.conjugate() ** j - shift for j in range(3)]
-
-
-def _char_poly_radius(a: np.ndarray) -> float:
-    """Spectral radius from the characteristic polynomial (sizes 1 to 3)."""
-    k = a.shape[0]
-    if k == 1:
-        return float(abs(a[0, 0]))
-    if k == 2:
-        tr = a[0, 0] + a[1, 1]
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        s = cmath.sqrt(complex(tr * tr - 4.0 * det))
-        return max(abs((tr + s) / 2.0), abs((tr - s) / 2.0))
-    if k == 3:
-        tr = float(np.trace(a))
-        minors = (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-                  + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-                  + a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-        det = float(np.linalg.det(a))
-        roots = _cubic_roots(-tr, minors, -det)
-        return max(abs(r) for r in roots)
-    raise ValueError(f"characteristic-polynomial route only supports sizes <= 3, got {k}")
-
-
 def spectral_radius(m, tol: float = 1e-12, max_iters: int = 100_000) -> float:
     """Spectral radius of a nonnegative matrix.
 
-    Sizes up to 3 use a closed-form characteristic-polynomial solve,
-    cross-checked against a dense eigensolve (a warning flags a gap above
-    1e-6 relative; the closed form is kept).  Larger sizes use power
-    iteration with tolerance ``tol``, falling back to the eigensolve when
-    it does not settle within ``max_iters``.
+    Sizes up to 3 use a dense eigensolve.  Larger sizes use power iteration
+    with tolerance ``tol``, falling back to the eigensolve when it does not
+    settle within ``max_iters``.  Raises ArithmeticError for a matrix with
+    non-finite entries.
     """
     a = np.asarray(m.m if isinstance(m, TheoryMatrix) else m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ArithmeticError("spectral radius of a matrix with non-finite entries")
     if np.any(a < 0):
         raise ValueError("expected a nonnegative matrix")
-    if a.shape[0] <= 3:
-        rho_cp = _char_poly_radius(a)
-        rho_eig = (float(np.max(np.abs(np.linalg.eigvals(a)))) if np.all(np.isfinite(a))
-                   else math.nan)
-        if not math.isfinite(rho_cp):
-            if not math.isfinite(rho_eig):
-                raise ArithmeticError("both spectral-radius routes failed")
-            return rho_eig
-        if abs(rho_eig - rho_cp) > 1e-6 * max(1.0, rho_cp):
-            warnings.warn(f"eigensolver ({rho_eig}) disagrees grossly with the "
-                          f"characteristic polynomial ({rho_cp}); using the latter",
-                          stacklevel=2)
-        return rho_cp
-    rho_pi = _power_iteration_radius(a, tol, max_iters)
-    if rho_pi is None:
-        return float(np.max(np.abs(np.linalg.eigvals(a))))
-    return rho_pi
+    if a.shape[0] > 3:
+        rho_pi = _power_iteration_radius(a, tol, max_iters)
+        if rho_pi is not None:
+            return rho_pi
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 def _stable_sqrt_term(x: float) -> float:

@@ -17,6 +17,7 @@ non-identity slot, never materializing the (nd, nd) Kronecker form.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -149,19 +150,26 @@ def advance(state: GtaState, cfg: GtaConfig) -> GtaState:
     return outer_step(state, cfg)
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) without its wrapper: the same memory-order ravel
+    and dot product, so the same bits."""
+    flat = v.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def error_vector(state: GtaState, suite: ObjectiveSuite) -> ErrorVector:
     """Measure the three errors against suite.x_star, per column for a sweep."""
-    x_bar = state.x.mean(axis=0)
-    y_bar = state.y.mean(axis=0)
+    n = len(state.x)
+    # sum / n is mean's own formula (same bits, less overhead)
+    x_bar = state.x.sum(axis=0) / n
+    y_bar = state.y.sum(axis=0) / n
     if state.x.ndim == 3:
         return ErrorVector(np.linalg.norm(x_bar - suite.x_star[:, None], axis=0),
                            np.linalg.norm(state.x - x_bar, axis=(0, 1)),
                            np.linalg.norm(state.y - y_bar, axis=(0, 1)))
-    return ErrorVector(
-        opt_err=float(np.linalg.norm(x_bar - suite.x_star)),
-        x_consensus=float(np.linalg.norm(state.x - x_bar)),
-        y_consensus=float(np.linalg.norm(state.y - y_bar)),
-    )
+    return ErrorVector(opt_err=_norm(x_bar - suite.x_star),
+                       x_consensus=_norm(state.x - x_bar),
+                       y_consensus=_norm(state.y - y_bar))
 
 
 def diverged(ev: ErrorVector):
@@ -170,6 +178,27 @@ def diverged(ev: ErrorVector):
     y or gradient makes an error non-finite within the step."""
     return np.logical_not((ev.opt_err <= DIVERGENCE_LIMIT) & (ev.x_consensus <= DIVERGENCE_LIMIT)
                           & (ev.y_consensus <= DIVERGENCE_LIMIT))
+
+
+# Relative margin of `surely_bounded` below DIVERGENCE_LIMIT.  Rounding moves
+# a computed norm by about (number of entries) * eps relative, far less than
+# this for any stack that fits in memory.
+_BOUND_MARGIN = 1e-6
+
+
+def surely_bounded(state: GtaState, x_star_norm: float) -> bool:
+    """True only if no column of the state can meet the divergence rule.
+
+    In every column, x_consensus <= ||x||_F, y_consensus <= ||y||_F and
+    opt_err <= ||x||_F / sqrt(n) + ||x*||, with the norms taken over the
+    whole stack.  So two dot products clear every column at once; a
+    non-finite entry makes a norm non-finite and the check fail.  It only
+    decides when `diverged` must be evaluated; it is not a second rule.
+    """
+    limit = DIVERGENCE_LIMIT * (1.0 - _BOUND_MARGIN)
+    x_norm = _norm(state.x)
+    return (x_norm <= limit and x_norm / math.sqrt(len(state.x)) + x_star_norm <= limit
+            and _norm(state.y) <= limit)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,42 +154,33 @@ def test_sweep_drops_candidates_whose_consensus_diverges(mirrored_pair):
 
 @pytest.mark.parametrize("problem", ["quadratic", "logistic"])
 @pytest.mark.parametrize("method,nc,ng", [("GTA1", 2, 1), ("GTA2", 1, 3), ("GTA3", 3, 2)])
-def test_every_sweep_candidate_matches_its_single_run(monkeypatch, problem, method, nc, ng,
-                                                      small_quadratic):
-    # each candidate's final errors in the batched sweep against one
-    # tracking.run at its alpha; diverging candidates die at the same k
+def test_every_sweep_candidate_matches_its_single_run(problem, method, nc, ng, small_quadratic):
+    # each candidate's record in the batched sweep against one tracking.run
+    # at its alpha: final errors for survivors, the step of death otherwise
     if problem == "quadratic":
         suite, budget = small_quadratic, 40
     else:
         suite, budget = gt.logreg_suite(gt.load_libsvm("data/synth_binary.libsvm", 8)), 25
     w = gt.metropolis_weights(gt.build_graph("cycle", suite.n))
     strat = gt.strategy_for(method, w, nc)
-    seen = []
-
-    def recording(state, s):
-        seen.append(gt.error_vector(state, s))
-        return seen[-1]
-
-    monkeypatch.setattr(harness, "error_vector", recording)
-    tune_step_size(suite, strat, ng, budget=budget)
-    seen = np.array([ev.as_array() for ev in seen])        # (iters, 3, 21)
+    alphas = 2.0 ** -np.arange(21.0)
+    record = harness._sweep(suite, strat, ng, budget, alphas)
+    assert len(record) == 21
     x0 = np.zeros(suite.n * suite.d)
     finished = 0
-    for i in range(21):
-        dead = np.flatnonzero(gt.tracking.diverged(gt.ErrorVector(*seen[:, :, i].T)))
-        cfg = gt.GtaConfig(strategy=strat, alpha=2.0**-i, n_g=ng, max_outer_iters=budget)
-        if len(dead):
+    for alpha, rec in zip(alphas, record):
+        cfg = gt.GtaConfig(strategy=strat, alpha=alpha, n_g=ng, max_outer_iters=budget)
+        if isinstance(rec, int):
             with pytest.raises(gt.DivergenceError) as err:
                 gt.run(suite, cfg, x0)
-            assert err.value.k == dead[0] + 1
+            assert err.value.k == rec
             continue
         final = gt.run(suite, cfg, x0).final().as_array()
-        assert len(seen) == budget
         # the compared (tuned-on) error to 1e-12 relative; the consensus
         # errors are differences of nearly equal copies, so their rounding
         # is absolute, on the scale of eps * ||x||
-        assert seen[-1, 0, i] == pytest.approx(final[0], rel=1e-12, abs=0.0)
-        assert seen[-1, 1:, i] == pytest.approx(final[1:], rel=1e-12, abs=1e-14)
+        assert rec.opt_err == pytest.approx(final[0], rel=1e-12, abs=0.0)
+        assert rec.as_array()[1:] == pytest.approx(final[1:], rel=1e-12, abs=1e-14)
         finished += 1
     assert finished >= 10
 
@@ -449,3 +441,39 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     """)
     assert cli.main(["run", str(cfg_path)]) == 4
     assert "diverged" in capsys.readouterr().err
+
+
+def test_cli_reference_optimum_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a reference solve cut off long before its tolerance is a numerical failure
+    real = gt.problems.compute_reference_optimum
+    monkeypatch.setattr(gt.problems, "compute_reference_optimum",
+                        lambda suite: real(suite, max_iters=1))
+    data = Path(__file__).resolve().parent.parent / "data" / "synth_binary.libsvm"
+    cfg_path = _write_cfg(tmp_path, f"""
+        problem = logreg
+        dataset = {data}
+        n = 4
+        graph = cycle
+        methods = GTA1
+        budget = 10
+        outdir = {tmp_path / 'ref_out'}
+    """)
+    assert cli.main(["run", str(cfg_path)]) == 5
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_spectral_radius_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # the theory report's ordering check meets a recursion matrix with an
+    # infinite entry, which has no spectral radius
+    real = gt.theory.recursion_matrix_multi
+
+    def poisoned(p):
+        m = real(p).m.copy()
+        m[0, 2] = math.inf
+        return gt.theory.TheoryMatrix(m=m, label="poisoned")
+
+    monkeypatch.setattr(gt.theory, "recursion_matrix_multi", poisoned)
+    cfg_path = _write_cfg(tmp_path, MINI_CFG.format(out=tmp_path / "sr_out")
+                          .replace("n = 2", "n = 4").replace("complete", "cycle"))
+    assert cli.main(["theory", str(cfg_path)]) == 5
+    assert "numerical failure" in capsys.readouterr().err

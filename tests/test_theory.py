@@ -10,7 +10,7 @@ import gradtrack as gt
 from gradtrack import theory
 from gradtrack.theory import (GridPoint, SpectralParams, fully_connected_rate,
                               inner_loop_error_matrix, inner_loop_error_terms,
-                              is_irreducible, monotonicity_report, params_for_method,
+                              monotonicity_report, params_for_method,
                               params_from_strategy, rate_upper_bound,
                               rate_upper_bound_for_method, recursion_matrix,
                               recursion_matrix_for_method, recursion_matrix_multi,
@@ -210,8 +210,23 @@ def test_radius_near_one_is_cross_checked_without_warning(method, n_c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rho = spectral_radius(m)
-    # the closed form is authoritative; near rho = 1 it is good to ~1e-10
-    assert rho == pytest.approx(max(abs(np.linalg.eigvals(m))), abs=1e-9)
+    assert rho == max(abs(np.linalg.eigvals(m)))
+
+
+def test_radius_near_one_is_exact():
+    # the eigenvalues of a triangular matrix are its diagonal; a cubic
+    # characteristic-polynomial solve lost ~1e-10 here
+    m = np.array([[1 - 1e-9, 0.7, 0.2], [0.0, 1 - 2e-9, 0.4], [0.0, 0.0, 0.3]])
+    assert spectral_radius(m) == pytest.approx(1 - 1e-9, rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("size", [3, 5])
+def test_radius_of_non_finite_matrix_is_an_arithmetic_error(bad, size):
+    m = np.eye(size)
+    m[0, -1] = bad
+    with pytest.raises(ArithmeticError):
+        spectral_radius(m)
 
 
 def test_radius_input_validation():
@@ -219,6 +234,16 @@ def test_radius_input_validation():
         spectral_radius(np.ones((2, 3)))
     with pytest.raises(ValueError, match="nonnegative"):
         spectral_radius(np.array([[1.0, -0.1], [0.0, 1.0]]))
+
+
+def is_irreducible(m: np.ndarray) -> bool:
+    """Structural irreducibility: the nonzero pattern, read as a directed
+    graph, is strongly connected."""
+    k = m.shape[0]
+    reach = ((m != 0) | np.eye(k, dtype=bool)).astype(int)
+    for _ in range(k):
+        reach = ((reach @ reach) > 0).astype(int)
+    return bool(np.all(reach > 0))
 
 
 def test_irreducibility_detection():

@@ -1,9 +1,15 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import gradtrack as gt
-from gradtrack.tracking import (DivergenceError, GtaConfig, error_vector,
-                                initialize, inner_step, outer_step, run)
+from gradtrack.tracking import (DIVERGENCE_LIMIT, DivergenceError, GtaConfig, GtaState,
+                                diverged, error_vector, initialize, inner_step, outer_step,
+                                run, surely_bounded)
 
 from conftest import kron_outer_step
 
@@ -253,6 +259,89 @@ def test_divergence_rule(errors, expected):
     assert bool(gt.tracking.diverged(gt.ErrorVector(*errors))) is expected
     columns = np.array([errors, [0.0, 0.0, 0.0]]).T           # a sweep of c = 2
     assert gt.tracking.diverged(gt.ErrorVector(*columns)).tolist() == [expected, False]
+
+
+
+@settings(max_examples=1000, deadline=None)
+@given(n=hst.integers(1, 16), d=hst.integers(1, 5), c=hst.integers(1, 6),
+       seed=hst.integers(0, 2**32 - 1), x_max=hst.floats(0.0, 1e13),
+       y_max=hst.floats(0.0, 1e13), x_star_frac=hst.floats(0.0, 1.0),
+       shape=hst.sampled_from(["random", "consensual", "centered"]),
+       rest=hst.sampled_from([0.0, 1e-3, 1.0]),
+       near=hst.sampled_from([None, "opt", "x", "y"]),
+       squeeze=hst.floats(1.0 - 1e-5, 1.0 + 1e-5),
+       poison=hst.sampled_from([None, None, None, math.nan, math.inf, -math.inf]))
+def test_norm_precheck_clears_only_states_that_cannot_diverge(n, d, c, seed, x_max, y_max,
+                                                              x_star_frac, shape, rest, near,
+                                                              squeeze, poison):
+    # whenever the sweep's two-norm pre-check passes, the divergence rule
+    # must hold for no column; "consensual" makes the opt_err bound tight
+    # (every node at -t*x*/||x*||), "centered" the x_consensus bound (both
+    # fully when the columns after the first are scaled to `rest` = 0), and
+    # `near` puts one bound within 1e-5 of the limit
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    x_star = x_star_frac * DIVERGENCE_LIMIT * u
+    if shape == "consensual":
+        x = np.broadcast_to(-u[None, :, None] * rng.uniform(0, x_max, c), (n, d, c)).copy()
+    else:
+        x = rng.uniform(-x_max, x_max, (n, d, c))
+        if shape == "centered":
+            x -= x.mean(axis=0)
+    y = rng.uniform(-y_max, y_max, (n, d, c))
+    if shape != "random":
+        x[:, :, 1:] *= rest
+        y[:, :, 1:] *= rest
+    x_norm, y_norm = np.linalg.norm(x), np.linalg.norm(y)
+    target = squeeze * DIVERGENCE_LIMIT
+    if near == "opt" and x_norm > 0 and target > np.linalg.norm(x_star):
+        x *= (target - np.linalg.norm(x_star)) * math.sqrt(n) / x_norm
+    elif near == "x" and x_norm > 0:
+        x *= target / x_norm
+    elif near == "y" and y_norm > 0:
+        y *= target / y_norm
+    if poison is not None:
+        (x if rng.integers(2) else y)[tuple(rng.integers(0, (n, d, c)))] = poison
+    state = GtaState(suite=None, x=x, y=y, grads=y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if surely_bounded(state, float(np.linalg.norm(x_star))):
+            assert not np.any(diverged(error_vector(state, SimpleNamespace(x_star=x_star))))
+
+
+def _tight_state(bound, scale):
+    """A state whose `bound` (opt, x or y) is attained with equality and
+    equals scale * DIVERGENCE_LIMIT; returns (state, x*)."""
+    e = np.array([[[0.6], [0.8]]])                       # a unit column, d = 2
+    zeros = np.zeros((4, 2, 1))
+    x_star = np.zeros(2)
+    if bound == "opt":                   # every node at -t*u, x* = 0.9 * limit * u
+        x_star = 0.9 * DIVERGENCE_LIMIT * e[0, :, 0]
+        x = np.repeat(-(scale - 0.9) * DIVERGENCE_LIMIT * e, 4, axis=0)
+        return GtaState(None, x=x, y=zeros, grads=zeros), x_star
+    mirrored = scale * DIVERGENCE_LIMIT / 2 * np.concatenate([e, -e, e, -e])   # mean 0
+    if bound == "x":
+        return GtaState(None, x=mirrored, y=zeros, grads=zeros), x_star
+    return GtaState(None, x=zeros, y=mirrored, grads=mirrored), x_star
+
+
+@pytest.mark.parametrize("bound", ["opt", "x", "y"])
+def test_norm_precheck_margin_sits_between_the_rule_and_its_bounds(bound):
+    # where a bound is attained exactly, a state just past the limit must
+    # fail the pre-check, and one 2e-6 under it must pass
+    for scale, passes in ((1 + 1e-7, False), (1 - 2e-6, True)):
+        state, x_star = _tight_state(bound, scale)
+        assert surely_bounded(state, float(np.linalg.norm(x_star))) is passes
+        assert bool(np.any(diverged(error_vector(state, SimpleNamespace(x_star=x_star))))) \
+            is not passes
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_norm_precheck_fails_on_non_finite_entries(bad):
+    for field in ("x", "y"):
+        state, _ = _tight_state(field, 0.0)
+        getattr(state, field)[3, 1, 0] = bad
+        assert not surely_bounded(state, 0.0)
 
 
 def test_runs_are_bit_deterministic(small_quadratic):
