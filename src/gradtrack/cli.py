@@ -8,8 +8,13 @@ Verbs:
 
 Exit codes: 0 success, 2 config error, 3 data/parse error, 4 divergence
 (including an all-candidates-diverged tuning sweep), 5 numerical failure
-(a reference optimum that does not reach its tolerance, or a spectral
-radius of a non-finite matrix).
+(a reference optimum that does not reach its tolerance, a spectral radius
+of a non-finite matrix, or a ValueError raised on computed numbers, such as
+a computed mu or L that the theory rejects).
+
+A ValueError raised while building the suite, the mixing matrix or a
+strategy out of config or command-line values is a config error
+(`harness.config_values`); any other ValueError is a numerical failure.
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    if args.ng < 1:
+        raise harness.ConfigError(f"--ng must be >= 1, got {args.ng}")
     cfg = harness.parse_config(args.config)
     suite = harness.build_suite(cfg)
     w = harness.build_mixing(cfg)
@@ -83,17 +90,19 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    edges = None
-    if args.edges:
-        edges = []
-        for tok in args.edges.replace(",", " ").split():
-            a, _, b = tok.partition("-")
-            edges.append((int(a), int(b)))
-    graph = build_graph(args.graph, args.n, edges=edges)
-    w = metropolis_weights(graph, laziness=args.laziness)
+    with harness.config_values():
+        edges = None
+        if args.edges:
+            edges = []
+            for tok in args.edges.replace(",", " ").split():
+                a, _, b = tok.partition("-")
+                edges.append((int(a), int(b)))
+        graph = build_graph(args.graph, args.n, edges=edges)
+        w = metropolis_weights(graph, laziness=args.laziness)
+        w_nc = w.power(args.nc)
     print(f"beta = {w.beta:.17g}")
     if args.nc != 1:
-        print(f"beta^{args.nc} = {compute_beta(w.power(args.nc)):.17g}")
+        print(f"beta^{args.nc} = {compute_beta(w_nc):.17g}")
     if args.matrix_out:
         write_matrix_csv(w.w, args.matrix_out)
         print(f"wrote {args.matrix_out}")
@@ -115,12 +124,9 @@ def main(argv=None) -> int:
     except (DivergenceError, harness.TuningError) as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (ReferenceOptimumError, ArithmeticError) as exc:
+    except (ReferenceOptimumError, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -15,16 +15,18 @@ candidates cost nothing afterwards.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import theory
-from .problems import (ObjectiveSuite, QuadraticSpec, generate_quadratic,
+from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_quadratic,
                        load_libsvm, logreg_suite)
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
                        MixingMatrix, build_graph, metropolis_weights, read_matrix_csv,
@@ -38,6 +40,20 @@ _ORDER_SLACK = 1e-10   # float slack for the spectral-radius ordering check
 
 class ConfigError(ValueError):
     """Raised for unknown keys, missing keys or unusable values."""
+
+
+@contextmanager
+def config_values():
+    """Scope that builds objects out of config values: a ValueError raised
+    in it is re-raised as a ConfigError (a DataFormatError keeps its own
+    kind).  A bare ValueError outside such a scope was raised on computed
+    numbers."""
+    try:
+        yield
+    except (ConfigError, DataFormatError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 class TuningError(RuntimeError):
@@ -194,6 +210,8 @@ def parse_config(path) -> ExperimentConfig:
         if budget < 1:
             raise ConfigError("budget must be >= 1")
         tune_budget = int(base.get("tune_budget", max(1, budget // 4)))
+        if tune_budget < 1:
+            raise ConfigError("tune_budget must be >= 1")
         tune_tmin = int(base.get("tune_tmin", 0))
         tune_tmax = int(base.get("tune_tmax", 20))
         if not (0 <= tune_tmin <= tune_tmax):
@@ -239,27 +257,31 @@ def parse_config(path) -> ExperimentConfig:
 
 def build_suite(cfg: ExperimentConfig) -> ObjectiveSuite:
     if cfg.problem == "quadratic":
-        spec = QuadraticSpec(n=cfg.n, d=cfg.d, kappa_target=cfg.kappa_target, seed=cfg.seed)
-        return generate_quadratic(spec)
+        with config_values():
+            spec = QuadraticSpec(n=cfg.n, d=cfg.d, kappa_target=cfg.kappa_target, seed=cfg.seed)
+            return generate_quadratic(spec)
     if cfg.dataset is None:
         raise ConfigError("problem logreg requires a dataset path")
-    ds = load_libsvm(cfg.dataset, n_nodes=cfg.n, normalize=cfg.normalize)
+    with config_values():
+        ds = load_libsvm(cfg.dataset, n_nodes=cfg.n, normalize=cfg.normalize)
     return logreg_suite(ds)
 
 
 def build_mixing(cfg: ExperimentConfig) -> MixingMatrix:
-    graph = build_graph(cfg.graph, cfg.n, edges=cfg.edges)
-    return metropolis_weights(graph, laziness=cfg.laziness)
+    with config_values():
+        graph = build_graph(cfg.graph, cfg.n, edges=cfg.edges)
+        return metropolis_weights(graph, laziness=cfg.laziness)
 
 
 def build_strategy(cfg: ExperimentConfig, method: str, w: MixingMatrix,
                    n_c: int) -> CommunicationStrategy:
-    if method != "custom":
-        return strategy_for(method, w, n_c)
-    if cfg.custom_matrices is None:
-        raise ConfigError("method custom requires custom_w1..custom_w4 matrix paths")
-    mats = tuple(read_matrix_csv(p) for p in cfg.custom_matrices)
-    return strategy_for("custom", w, n_c, custom=mats)
+    with config_values():
+        if method != "custom":
+            return strategy_for(method, w, n_c)
+        if cfg.custom_matrices is None:
+            raise ConfigError("method custom requires custom_w1..custom_w4 matrix paths")
+        mats = tuple(read_matrix_csv(p) for p in cfg.custom_matrices)
+        return strategy_for("custom", w, n_c, custom=mats)
 
 
 def _sweep(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int, budget: int,
@@ -292,10 +314,12 @@ def _sweep(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int, bud
             if np.any(dead):
                 keep = ~dead
                 live = live[keep]
-                # one stack at a time, so at most one old stack is held
-                state.x = state.x[:, :, keep]
-                state.y = state.y[:, :, keep]
-                state.grads = state.grads[:, :, keep]
+                # one stack at a time, so at most one old stack is held;
+                # compress keeps the stacks C-ordered (a boolean index
+                # would not), so mixing reshapes them without a copy
+                state.x = state.x.compress(keep, axis=2)
+                state.y = state.y.compress(keep, axis=2)
+                state.grads = state.grads.compress(keep, axis=2)
                 cfg = replace(cfg, alpha=cfg.alpha[keep])
         final = error_vector(state, suite)
     for j, i in enumerate(live):
@@ -449,10 +473,17 @@ def run_experiment(cfg: ExperimentConfig, result: GridResult | None = None) -> P
             str(int(rec["admissible"])),
         ]))
     (outdir / "summary.csv").write_text("\n".join(summary) + "\n")
+    # the manifest sits in outdir and names input files by content, so it
+    # does not depend on where the checkout lives
+    config = {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(cfg).items()
+              if k != "outdir"}
+    if cfg.dataset is not None:
+        config["dataset"] = _file_record(cfg.dataset)
+    if cfg.custom_matrices is not None:
+        config["custom_matrices"] = [_file_record(p) for p in cfg.custom_matrices]
     manifest = {
         "seed": cfg.seed,
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(cfg).items()},
+        "config": config,
         "versions": {
             "gradtrack": _package_version(),
             "numpy": np.__version__,
@@ -526,6 +557,12 @@ def theory_report(cfg: ExperimentConfig, result: GridResult | None = None,
     path = outdir / "theory_report.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _file_record(path) -> dict[str, str]:
+    """An input file by name and the SHA-256 of its bytes."""
+    path = Path(path)
+    return {"name": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def _package_version() -> str:

@@ -317,7 +317,8 @@ def strategy_for(method: str, w: MixingMatrix, n_c: int, custom=None) -> Communi
     mixing matrix however many strategies use it.
     method="custom" takes four explicit matrices, each validated
     independently against the graph of ``w`` (no relation among the four is
-    imposed; subsets of the edge set are allowed).
+    imposed; subsets of the edge set are allowed).  Equal custom matrices
+    share one slot entry: one frozen matrix, power, beta and identity flag.
     """
     if n_c < 1 or int(n_c) != n_c:
         raise ValueError(f"n_c must be an integer >= 1, got {n_c}")
@@ -330,12 +331,16 @@ def strategy_for(method: str, w: MixingMatrix, n_c: int, custom=None) -> Communi
     elif method == "custom":
         if custom is None or len(custom) != 4:
             raise ValueError("custom strategy requires four matrices")
-        # copies: freezing must not touch the caller's arrays
-        mats = tuple(_readonly(np.array(m, dtype=float)) for m in custom)
-        for m in mats:
-            validate_communication_matrix(m, w.graph)
-        slots = [(m, _readonly(matrix_power(m, n_c)), compute_beta(m), np.array_equal(m, eye))
-                 for m in mats]
+        slots = []
+        for m in custom:
+            same = next((s for s in slots if np.array_equal(s[0], m)), None)
+            if same is None:
+                # a copy: freezing must not touch the caller's array
+                m = _readonly(np.array(m, dtype=float))
+                validate_communication_matrix(m, w.graph)
+                same = (m, _readonly(matrix_power(m, n_c)), compute_beta(m),
+                        np.array_equal(m, eye))
+            slots.append(same)
     else:
         raise ValueError(f"unknown method {method!r}")
     mats, powered, betas, identity = zip(*slots)

@@ -10,9 +10,14 @@ four communication matrices:
     outer:  x' = W1^nc x - alpha W2^nc y
             y' = W3^nc y + W4^nc (grad(x') - grad(x))
 
+Each update is applied as a pair Z_a u + Z_b v: as the single product
+Z (u + v) when both slots hold the same matrix, so GTA-3 (all four slots
+W^nc) runs x' = W^nc (x - alpha y) and y' = W^nc (y + grad(x') - grad(x)),
+two dense products per outer iteration.
+
 One kernel steps a run's (n, d) stacks and the step-size sweep's (n, d, c)
 stacks (one alpha per column).  Mixing is one (n, n) by (n, d*c) product per
-non-identity slot, never materializing the (nd, nd) Kronecker form.
+non-identity matrix applied, never materializing the (nd, nd) Kronecker form.
 """
 
 from __future__ import annotations
@@ -125,18 +130,27 @@ def inner_step(state: GtaState, alpha) -> GtaState:
     return state
 
 
+def _pair(strategy: CommunicationStrategy, a: int, b: int, u: np.ndarray,
+          v: np.ndarray) -> np.ndarray:
+    """Z_a u + Z_b v, as the one product Z (u + v) when slots a and b hold
+    the same array.  v must be a temporary of the caller: the sum is formed
+    in place in v (or in its product), so a sweep's peak holds no extra stack."""
+    if strategy.powered[a] is strategy.powered[b]:
+        v += u
+        return _mix(strategy, a, v)
+    out = _mix(strategy, b, v)
+    out += _mix(strategy, a, u)
+    return out
+
+
 def outer_step(state: GtaState, cfg: GtaConfig) -> GtaState:
     """Communication update: n_c consensus steps through each slot, applied
     as precomputed matrix powers; one new gradient evaluation per node."""
-    strategy = cfg.strategy
-    w2y = _mix(strategy, 1, state.y)
     # state.x is replaced at once (as in inner_step): holding the old x
     # through the gradient and y updates would add a stack to a sweep's peak
-    state.x = _mix(strategy, 0, state.x) - cfg.alpha * w2y
+    state.x = _pair(cfg.strategy, 0, 1, state.x, -cfg.alpha * state.y)
     g_new = _gradients(state.suite, state.x)
-    # GTA2 and GTA3 hold one W^n_c array in slots 2 and 3: apply it once
-    w3y = w2y if strategy.powered[2] is strategy.powered[1] else _mix(strategy, 2, state.y)
-    state.y = w3y + _mix(strategy, 3, g_new - state.grads)
+    state.y = _pair(cfg.strategy, 2, 3, state.y, g_new - state.grads)
     state.grads = g_new
     state.k += 1
     state.j = 1

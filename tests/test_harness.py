@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -373,6 +374,30 @@ def test_run_experiment_custom_method(tmp_path):
     assert (outdir / "custom_nc1_ng1.csv").exists()
 
 
+def test_manifest_does_not_depend_on_where_files_live(tmp_path):
+    # one config, its dataset and outdir under two paths of different lengths
+    data = (Path(__file__).resolve().parent.parent / "data" / "synth_binary.libsvm").read_bytes()
+    manifests = []
+    for root in (tmp_path / "a", tmp_path / "a_much_longer_checkout_path"):
+        (root / "data").mkdir(parents=True)
+        (root / "data" / "synth_binary.libsvm").write_bytes(data)
+        cfg = parse_config(_write_cfg(root, f"""
+            problem = logreg
+            dataset = {root / 'data' / 'synth_binary.libsvm'}
+            n = 4
+            graph = cycle
+            methods = GTA1
+            budget = 5
+            outdir = {root / 'out'}
+        """))
+        manifests.append((run_experiment(cfg) / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    config = json.loads(manifests[0])["config"]
+    assert "outdir" not in config
+    assert config["dataset"] == {"name": "synth_binary.libsvm",
+                                 "sha256": hashlib.sha256(data).hexdigest()}
+
+
 # ----------------------------------------------------------------------- cli
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -477,3 +502,54 @@ def test_cli_spectral_radius_failure_exit_code(tmp_path, capsys, monkeypatch):
                           .replace("n = 2", "n = 4").replace("complete", "cycle"))
     assert cli.main(["theory", str(cfg_path)]) == 5
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build,change", [
+    ("build_suite", ("d = 1\nkappa_target = 1", "d = 1\nkappa_target = 10")),
+    ("build_mixing", ("graph = complete", "graph = cycle")),
+    ("build_strategy", ("nc_grid = 1", "nc_grid = 1\nmethods = custom\n"
+                                       "custom_w1 = {m}\ncustom_w2 = {m}\n"
+                                       "custom_w3 = {m}\ncustom_w4 = {m}")),
+])
+def test_value_errors_from_config_values_are_config_errors(build, change, tmp_path, capsys):
+    # a suite (d = 1 cannot reach kappa 10), mixing matrix (a 2-node cycle)
+    # or strategy (a custom matrix of the wrong shape) that cannot be built
+    # from the config's values is a config error where it is raised
+    bad = tmp_path / "w.csv"
+    bad.write_text("1\n")
+    text = MINI_CFG.format(out=tmp_path / "cf_out").replace("methods = GTA3\n", "")
+    cfg_path = _write_cfg(tmp_path, text.replace(change[0], change[1].format(m=bad)))
+    cfg = parse_config(cfg_path)
+    w = harness.build_mixing(cfg) if build == "build_strategy" else None
+    builds = {"build_suite": lambda: harness.build_suite(cfg),
+              "build_mixing": lambda: harness.build_mixing(cfg),
+              "build_strategy": lambda: harness.build_strategy(cfg, "custom", w, 1)}
+    with pytest.raises(ConfigError):
+        builds[build]()
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_value_error_on_computed_numbers_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a computed L below the computed mu: SpectralParams rejects the numbers
+    # the suite produced, not a config value
+    real = harness.build_suite
+
+    def broken_suite(cfg):
+        suite = real(cfg)
+        suite.L = 0.5 * suite.mu
+        return suite
+
+    monkeypatch.setattr(harness, "build_suite", broken_suite)
+    cfg_path = _write_cfg(tmp_path, MINI_CFG.format(out=tmp_path / "nf_out"))
+    assert cli.main(["run", str(cfg_path)]) == 5
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_argument_errors_are_config_errors(tmp_path, capsys):
+    # command-line values go through the same config scope as config values
+    assert cli.main(["beta", "--graph", "cycle", "--n", "2"]) == 2
+    assert cli.main(["beta", "--graph", "edge_list", "--n", "3", "--edges", "0-x"]) == 2
+    cfg_path = _write_cfg(tmp_path, MINI_CFG.format(out=tmp_path / "ng_out"))
+    assert cli.main(["tune", str(cfg_path), "--method", "GTA3", "--nc", "1", "--ng", "0"]) == 2
+    assert capsys.readouterr().err.count("config error") == 3

@@ -199,6 +199,27 @@ def test_custom_strategy_leaves_caller_arrays_writeable():
     assert s.w1[0, 0] == w.w[0, 0]
 
 
+def test_equal_custom_slots_share_one_matrix_power_and_beta(monkeypatch):
+    w = metropolis_weights(build_graph("cycle", 5))
+    w.power(0)                  # the shared identity is not the strategy's cost
+    calls = {"matrix_power": 0, "compute_beta": 0}
+    for name in calls:
+        real = getattr(gt.topology, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(gt.topology, name, counted)
+    # equal by value, not by identity: two copies of W and two identities
+    s = strategy_for("custom", w, 3, custom=(w.w.copy(), np.eye(5), w.w.copy(), np.eye(5)))
+    assert calls == {"matrix_power": 2, "compute_beta": 2}
+    for a, b in ((0, 2), (1, 3)):
+        assert s.matrices[a] is s.matrices[b] and s.powered[a] is s.powered[b]
+        assert s.betas[a] == s.betas[b] and s.identity[a] == s.identity[b]
+    assert s.identity == (False, True, False, True)
+    assert s.powered[0] is not s.powered[1]
+
+
 def test_custom_strategy_rejects_off_graph_entries():
     w = metropolis_weights(build_graph("cycle", 4))
     bad = np.full((4, 4), 0.25)  # complete-graph support, not a cycle subgraph

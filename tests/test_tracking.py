@@ -128,6 +128,93 @@ def test_outer_step_matches_dense_kronecker_oracle(two_node_suite):
     assert np.max(np.abs(st.y - y_ref)) <= 1e-12
 
 
+def _sweep_or_run_state(suite, c, seed):
+    """A random state: (n, d) stacks when c is None, else (n, d, c)."""
+    rng = np.random.default_rng(seed)
+    shape = (suite.n, suite.d) if c is None else (suite.n, suite.d, c)
+    x, y = rng.normal(size=shape), rng.normal(size=shape)
+    return GtaState(suite, x=x, y=y, grads=rng.normal(size=shape))
+
+
+def _alpha(c):
+    return 0.05 if c is None else 2.0 ** -np.arange(c, dtype=float)
+
+
+@pytest.mark.parametrize("c", [None, 5])
+@pytest.mark.parametrize("method", ["GTA1", "GTA2", "GTA3", "custom"])
+def test_outer_step_does_two_dense_products(method, c, small_quadratic, monkeypatch):
+    # a slot pair holding one matrix is applied once to the sum of its
+    # operands, so every method (custom (W,W,W,W) too) mixes twice per step
+    s = small_quadratic
+    w = gt.metropolis_weights(gt.build_graph("cycle", s.n))
+    strat = gt.strategy_for(method, w, 3, custom=(w.w,) * 4 if method == "custom" else None)
+    real = gt.tracking._mix
+    products = []
+
+    def counting(strategy, slot, v):
+        if not strategy.identity[slot]:
+            products.append(slot)
+        return real(strategy, slot, v)
+
+    monkeypatch.setattr(gt.tracking, "_mix", counting)
+    outer_step(_sweep_or_run_state(s, c, 0), GtaConfig(strategy=strat, alpha=_alpha(c)))
+    assert len(products) == 2
+
+
+@pytest.mark.parametrize("c", [None, 21])
+def test_gta1_outer_step_keeps_the_unfactored_bits(c, small_quadratic):
+    s = small_quadratic
+    strat = _strategy("GTA1", s.n, n_c=4)
+    st = _sweep_or_run_state(s, c, 1)
+    p, alpha = strat.powered[0], _alpha(c)
+    mix = lambda v: (p @ v.reshape(s.n, -1)).reshape(v.shape)
+    x = mix(st.x) - alpha * st.y
+    g = s.grad_stack(x) if c is None else s.grad_stack_batch(x)
+    y = mix(st.y) + (g - st.grads)
+    outer_step(st, GtaConfig(strategy=strat, alpha=alpha))
+    assert np.array_equal(st.x, x) and np.array_equal(st.y, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=hst.integers(2, 32), d=hst.integers(2, 4), n_c=hst.integers(1, 10),
+       c=hst.one_of(hst.none(), hst.integers(1, 21)),
+       slots=hst.sampled_from(["GTA1", "GTA2", "GTA3"])
+       | hst.lists(hst.sampled_from("WLI"), min_size=4, max_size=4).map("".join),
+       kind=hst.sampled_from(["cycle", "star"]), seed=hst.integers(0, 2**32 - 1))
+def test_factored_outer_step_equals_the_four_slot_formula(n, d, n_c, c, slots, kind, seed):
+    # x' = Z1 x - alpha Z2 y and y' = Z3 y + Z4 (grad(x') - grads), with
+    # every slot applied on its own; custom slots draw from W, a lazy W (L)
+    # and I, so equal and unequal pairs both occur
+    suite = gt.generate_quadratic(gt.QuadraticSpec(n=n, d=d, kappa_target=10.0, seed=seed % 1000))
+    graph = gt.build_graph(kind if n >= 3 else "complete", n)
+    w = gt.metropolis_weights(graph)
+    if slots in gt.topology.SLOT_PATTERNS:
+        strat = gt.strategy_for(slots, w, n_c)
+    else:
+        by_letter = {"W": w.w, "L": gt.metropolis_weights(graph, laziness=0.3).w,
+                     "I": np.eye(n)}
+        strat = gt.strategy_for("custom", w, n_c, custom=[by_letter[k] for k in slots])
+    st = _sweep_or_run_state(suite, c, seed)
+    alpha = _alpha(c)
+    z = [lambda v, p=p: np.einsum("ij,j...->i...", p, v) for p in strat.powered]
+    x_ref = z[0](st.x) - alpha * z[1](st.y)
+    g_ref = suite.grad_stack(x_ref) if c is None else suite.grad_stack_batch(x_ref)
+    y_ref = z[2](st.y) + z[3](g_ref - st.grads)
+    scale_x = np.max(np.abs(st.x)) + np.max(np.abs(alpha * st.y))
+    scale_y = np.max(np.abs(st.y)) + np.max(np.abs(g_ref - st.grads))
+    outer_step(st, GtaConfig(strategy=strat, alpha=alpha))
+    # relative to the result, with a floor at the operands' scale where the
+    # sum cancels
+    assert np.max(np.abs(st.x - x_ref)) <= 1e-12 * max(np.max(np.abs(x_ref)), scale_x)
+    assert np.max(np.abs(st.y - y_ref)) <= 1e-12 * max(np.max(np.abs(y_ref)), scale_y)
+    ev = error_vector(st, suite)
+    ev_ref = error_vector(GtaState(suite, x=x_ref, y=y_ref, grads=g_ref), suite)
+    assert np.all(np.abs(ev.opt_err - ev_ref.opt_err) <= 1e-12 * ev_ref.opt_err)
+    for got, ref, floor in ((ev.x_consensus, ev_ref.x_consensus, scale_x),
+                            (ev.y_consensus, ev_ref.y_consensus, scale_y)):
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-14 * floor)
+
+
 def test_fully_connected_gta3_contracts_like_gradient_descent(small_quadratic):
     s = small_quadratic
     w = gt.metropolis_weights(gt.build_graph("complete", s.n))
