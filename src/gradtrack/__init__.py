@@ -12,7 +12,6 @@ from .topology import (
     CommunicationStrategy,
     build_graph,
     metropolis_weights,
-    mixing_matrix,
     compute_beta,
     matrix_power,
     strategy_for,
@@ -23,7 +22,6 @@ from .problems import (
     QuadraticSpec,
     LogisticSuite,
     LogRegDataset,
-    quadratic_suite,
     generate_quadratic,
     load_libsvm,
     logreg_suite,

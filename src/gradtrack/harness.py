@@ -75,10 +75,13 @@ _KNOWN_KEYS = {
 
 _VALID_METHODS = METHOD_NAMES + ("custom",)
 
+# 2^-1074 is the smallest positive double; 2^-1075 rounds to 0
+_TMAX_LIMIT = 1074
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description.
+    """Fully resolved experiment description, built by parse_config.
 
     grids holds one (method, nc_values, ng_values) triple per method, with
     any per-method overrides already applied.
@@ -95,14 +98,14 @@ class ExperimentConfig:
     tune_tmin: int
     tune_tmax: int
     outdir: str
-    d: int = 10
-    kappa_target: float = 1e4
-    dataset: str | None = None
-    normalize: bool = False
-    edges: tuple[tuple[int, int], ...] | None = None
-    stop_tol: float | None = None
-    z1_mode: str = "bound"
-    custom_matrices: tuple[str, str, str, str] | None = None
+    d: int
+    kappa_target: float
+    dataset: str | None
+    normalize: bool
+    edges: tuple[tuple[int, int], ...] | None
+    stop_tol: float | None
+    z1_mode: str
+    custom_matrices: tuple[str, str, str, str] | None
 
     def cells(self):
         for method, ncs, ngs in self.grids:
@@ -148,7 +151,8 @@ def parse_config(path) -> ExperimentConfig:
         <M>.nc_grid / <M>.ng_grid   per-method overrides
         budget        outer iterations per final run [10000]
         tune_budget   outer iterations per tuning run [budget // 4]
-        tune_tmin / tune_tmax   exponent range of the 2^-t sweep [0 / 20]
+        tune_tmin / tune_tmax   exponent range of the 2^-t sweep [0 / 20];
+                      tune_tmax <= 1074, where 2^-t is still positive
         stop_tol      optional early-stop threshold on the optimization error
         outdir        artifact directory [results]
         z1_mode       bound | exact deviation norm in theory matrices [bound]
@@ -216,6 +220,9 @@ def parse_config(path) -> ExperimentConfig:
         tune_tmax = int(base.get("tune_tmax", 20))
         if not (0 <= tune_tmin <= tune_tmax):
             raise ConfigError("need 0 <= tune_tmin <= tune_tmax")
+        if tune_tmax > _TMAX_LIMIT:
+            raise ConfigError(f"tune_tmax must be <= {_TMAX_LIMIT}: beyond it the step "
+                              f"size 2^-tune_tmax underflows to 0, got {tune_tmax}")
         z1_mode = base.get("z1_mode", "bound")
         if z1_mode not in ("bound", "exact"):
             raise ConfigError(f"z1_mode must be bound or exact, got {z1_mode!r}")
@@ -306,7 +313,8 @@ def _sweep(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int, bud
             advance(state, cfg)
             if surely_bounded(state, x_star_norm):
                 continue
-            dead = diverged(error_vector(state, suite))
+            # a single column yields float errors, hence the reshape
+            dead = np.reshape(diverged(error_vector(state, suite)), -1)
             for i in live[dead]:
                 record[i] = k
             if np.all(dead):
@@ -321,10 +329,9 @@ def _sweep(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int, bud
                 state.y = state.y.compress(keep, axis=2)
                 state.grads = state.grads.compress(keep, axis=2)
                 cfg = replace(cfg, alpha=cfg.alpha[keep])
-        final = error_vector(state, suite)
+        final = np.reshape(error_vector(state, suite).as_array(), (3, -1))
     for j, i in enumerate(live):
-        record[i] = ErrorVector(float(final.opt_err[j]), float(final.x_consensus[j]),
-                                float(final.y_consensus[j]))
+        record[i] = ErrorVector(*final[:, j].tolist())
     return record
 
 
@@ -378,7 +385,9 @@ def _theory_columns(cfg, suite, strategy, method, n_c, n_g, alpha):
     """rho / lambda_u / step bound for one grid cell (nan where not applicable)."""
     p = theory.params_from_strategy(strategy, alpha=alpha, L=suite.L, mu=suite.mu,
                                     n_g=n_g, z1_mode=cfg.z1_mode)
-    beta = strategy.betas[0] if method != "custom" else max(strategy.betas)
+    # the slowest mixing matrix that exchanges anything; 1 if none does
+    beta = max((b for b, eye in zip(strategy.betas, strategy.identity) if not eye),
+               default=1.0)
     route = "general"
     rho = float("nan")
     admissible = alpha <= 1.0 / (n_g * suite.L)

@@ -34,10 +34,6 @@ class ObjectiveSuite:
     mu: float
     x_star: np.ndarray
 
-    @property
-    def kappa(self) -> float:
-        return self.L / self.mu
-
     def local_value(self, i: int, x: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -55,9 +51,6 @@ class ObjectiveSuite:
         product (used by the vectorized step-size sweep).
         """
         raise NotImplementedError
-
-    def global_value(self, x: np.ndarray) -> float:
-        return sum(self.local_value(i, x) for i in range(self.n)) / self.n
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
         xs = np.broadcast_to(x, (self.n, self.d))
@@ -122,11 +115,6 @@ class QuadraticSpec:
             raise ValueError(f"kappa_target must be >= 1, got {self.kappa_target}")
 
 
-def quadratic_suite(qs, bs) -> QuadraticSuite:
-    """Suite from explicit per-node matrices Q_i and vectors b_i."""
-    return QuadraticSuite(np.asarray(qs, dtype=float), np.asarray(bs, dtype=float))
-
-
 def generate_quadratic(spec: QuadraticSpec) -> QuadraticSuite:
     """Random quadratic suite whose global Hessian hits spec.kappa_target.
 
@@ -184,10 +172,6 @@ class LogRegDataset:
     def n_nodes(self) -> int:
         return len(self.features)
 
-    @property
-    def total_samples(self) -> int:
-        return sum(a.shape[0] for a in self.features)
-
 
 def _map_labels(raw: np.ndarray) -> np.ndarray:
     values = sorted(set(raw.tolist()))
@@ -201,16 +185,14 @@ def _map_labels(raw: np.ndarray) -> np.ndarray:
     return np.where(raw == lo, -1.0, 1.0)
 
 
-def load_libsvm(path, n_nodes: int, normalize: bool = False,
-                shuffle_seed: int | None = None) -> LogRegDataset:
+def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     """Parse a LIBSVM text file ("label idx:val ...") and shard it.
 
     Features are densified with d inferred as the maximum feature index.
     Samples are split into n_nodes contiguous shards of near-equal size (the
     remainder goes to the first shards).  Labels in {0,1} (or any two
     distinct values) are mapped to {-1,+1}.  normalize rescales each feature
-    to [0, 1] over the whole dataset.  shuffle_seed, if given, permutes the
-    samples reproducibly before sharding.
+    to [0, 1] over the whole dataset.
     """
     if n_nodes < 1:
         raise DataFormatError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -254,10 +236,6 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False,
         rng_ = a.max(axis=0) - lo
         rng_[rng_ == 0] = 1.0
         a = (a - lo) / rng_
-
-    if shuffle_seed is not None:
-        perm = np.random.default_rng(shuffle_seed).permutation(m)
-        a, y = a[perm], y[perm]
 
     base, rem = divmod(m, n_nodes)
     cuts = np.cumsum([base + (i < rem) for i in range(n_nodes - 1)], dtype=int)

@@ -223,32 +223,9 @@ def recursion_matrix_multi(p: SpectralParams) -> TheoryMatrix:
     return TheoryMatrix(m=m, label="recursion_multi")
 
 
-def _power_iteration_radius(a: np.ndarray, tol: float, max_iters: int) -> float | None:
-    """Perron root of a nonnegative matrix by power iteration on a + I.
-
-    The +I shift keeps the dominant eigenvalue real and unique in magnitude
-    even for structurally periodic patterns.  Returns None when the Rayleigh
-    quotient fails to settle within max_iters.
-    """
-    k = a.shape[0]
-    v = np.full(k, 1.0 / math.sqrt(k))
-    lam_prev = math.inf
-    for _ in range(max_iters):
-        w = a @ v + v
-        lam = float(v @ w)
-        v = w / np.linalg.norm(w)
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            return lam - 1.0
-        lam_prev = lam
-    return None
-
-
-def spectral_radius(m, tol: float = 1e-12, max_iters: int = 100_000) -> float:
-    """Spectral radius of a nonnegative matrix.
-
-    Sizes up to 3 use a dense eigensolve.  Larger sizes use power iteration
-    with tolerance ``tol``, falling back to the eigensolve when it does not
-    settle within ``max_iters``.  Raises ArithmeticError for a matrix with
+def spectral_radius(m) -> float:
+    """Spectral radius of a nonnegative matrix (the recursions are 3x3 or
+    2x2), by a dense eigensolve.  Raises ArithmeticError for a matrix with
     non-finite entries.
     """
     a = np.asarray(m.m if isinstance(m, TheoryMatrix) else m, dtype=float)
@@ -258,10 +235,6 @@ def spectral_radius(m, tol: float = 1e-12, max_iters: int = 100_000) -> float:
         raise ArithmeticError("spectral radius of a matrix with non-finite entries")
     if np.any(a < 0):
         raise ValueError("expected a nonnegative matrix")
-    if a.shape[0] > 3:
-        rho_pi = _power_iteration_radius(a, tol, max_iters)
-        if rho_pi is not None:
-            return rho_pi
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
@@ -482,13 +455,6 @@ class MonotonicityReport:
         head = (f"monotonicity report: {len(self.rows)} radii over n_c={list(self.nc_values)}, "
                 f"{len(self.violations)} violation(s)")
         return "\n".join([head] + list(self.violations))
-
-    def write_csv(self, path) -> None:
-        from pathlib import Path
-        lines = ["point,method,n_c,rho"]
-        for idx, method, n_c, rho in self.rows:
-            lines.append("%d,%s,%d,%.17g" % (idx, method, n_c, rho))
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def monotonicity_report(points, nc_values=(1, 2, 5, 10, 50)) -> MonotonicityReport:

@@ -144,10 +144,6 @@ class MixingMatrix:
     _powers: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False,
                                            compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
     def power(self, p: int) -> np.ndarray:
         """Read-only ``matrix_power(w, p)``, computed on the first request
         for each p and shared by every later caller; power(0) is the
@@ -161,14 +157,17 @@ class MixingMatrix:
 def validate_communication_matrix(w: np.ndarray, graph: Graph) -> None:
     """Check the relaxed (communication-matrix) invariants.
 
-    Symmetric, doubly stochastic within 1e-12, positive diagonal, nonnegative
-    entries, and zero off-diagonal entries outside the graph's edges.  The
-    identity matrix always passes.
+    Finite entries, symmetric, doubly stochastic within 1e-12, positive
+    diagonal, nonnegative entries, and zero off-diagonal entries outside the
+    graph's edges.  The identity matrix always passes.
     """
     w = np.asarray(w, dtype=float)
     n = graph.n
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match n={n}")
+    # every check below has the form "deviation > tol", which NaN passes
+    if not np.all(np.isfinite(w)):
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(w - w.T)) > _STOCHASTIC_ATOL:
         raise ValueError("matrix is not symmetric")
     if np.max(np.abs(w.sum(axis=1) - 1.0)) > _STOCHASTIC_ATOL:
@@ -259,12 +258,6 @@ def metropolis_weights(graph: Graph, laziness: float = 0.0) -> MixingMatrix:
     return MixingMatrix(w=_readonly(w), beta=beta, graph=graph)
 
 
-def mixing_matrix(w: np.ndarray, graph: Graph) -> MixingMatrix:
-    """Wrap and validate an explicitly supplied mixing matrix."""
-    validate_mixing_matrix(w, graph)
-    return MixingMatrix(w=_readonly(np.array(w, dtype=float)), beta=compute_beta(w), graph=graph)
-
-
 @dataclass(frozen=True)
 class CommunicationStrategy:
     """Four communication matrices plus the consensus-step count per iteration.
@@ -285,22 +278,6 @@ class CommunicationStrategy:
     @property
     def n(self) -> int:
         return self.matrices[0].shape[0]
-
-    @property
-    def w1(self) -> np.ndarray:
-        return self.matrices[0]
-
-    @property
-    def w2(self) -> np.ndarray:
-        return self.matrices[1]
-
-    @property
-    def w3(self) -> np.ndarray:
-        return self.matrices[2]
-
-    @property
-    def w4(self) -> np.ndarray:
-        return self.matrices[3]
 
     def vectors_per_round(self) -> int:
         """Number of non-identity communication slots (vectors exchanged per

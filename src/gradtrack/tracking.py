@@ -15,9 +15,10 @@ Z (u + v) when both slots hold the same matrix, so GTA-3 (all four slots
 W^nc) runs x' = W^nc (x - alpha y) and y' = W^nc (y + grad(x') - grad(x)),
 two dense products per outer iteration.
 
-One kernel steps a run's (n, d) stacks and the step-size sweep's (n, d, c)
-stacks (one alpha per column).  Mixing is one (n, n) by (n, d*c) product per
-non-identity matrix applied, never materializing the (nd, nd) Kronecker form.
+The state is an (n, d, c) stack: one column per step size, so a run is the
+step-size sweep with c = 1, and both go through one kernel.  Mixing is one
+(n, n) by (n, d*c) product per non-identity matrix applied, never
+materializing the (nd, nd) Kronecker form.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class GtaConfig:
 @dataclass(frozen=True)
 class ErrorVector:
     """(optimization error, x consensus error, y consensus error) at an
-    outer-iteration boundary; (c,) arrays for a sweep."""
+    outer-iteration boundary; (c,) arrays for a stack of c > 1 columns."""
 
     opt_err: float
     x_consensus: float
@@ -83,9 +84,8 @@ class ErrorVector:
 class GtaState:
     """Mutable iteration state owned by a single run or sweep.
 
-    x, y and grads are (n, d) stacks of the local copies, or (n, d, c) for a
-    sweep over c step sizes; k is the outer iteration and j the inner
-    iteration (1-based, reset on communication).
+    x, y and grads are (n, d, c) stacks of the local copies, one column per
+    step size (c = 1 for a run); k is the outer iteration.
     """
 
     suite: ObjectiveSuite
@@ -93,22 +93,17 @@ class GtaState:
     y: np.ndarray
     grads: np.ndarray
     k: int = 0
-    j: int = 1
 
 
 def initialize(suite: ObjectiveSuite, x0: np.ndarray) -> GtaState:
-    """State at (k=0, j=1): trackers start at the local gradients of x0, which
-    has n*d entries for a run and is an (n, d, c) stack for a sweep."""
+    """State at k = 0: trackers start at the local gradients of x0, an
+    (n, d, c) stack, or n*d entries for one column."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim < 3 and x0.size != suite.n * suite.d:
         raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")
-    x = x0.reshape(suite.n, suite.d, *x0.shape[2:]).copy()
-    grads = _gradients(suite, x)
-    return GtaState(suite, x=x, y=grads.copy(), grads=grads, k=0, j=1)
-
-
-def _gradients(suite: ObjectiveSuite, xs: np.ndarray) -> np.ndarray:
-    return suite.grad_stack(xs) if xs.ndim == 2 else suite.grad_stack_batch(xs)
+    x = x0.reshape(suite.n, suite.d, -1).copy()
+    grads = suite.grad_stack_batch(x)
+    return GtaState(suite, x=x, y=grads.copy(), grads=grads)
 
 
 def _mix(strategy: CommunicationStrategy, slot: int, v: np.ndarray) -> np.ndarray:
@@ -116,17 +111,18 @@ def _mix(strategy: CommunicationStrategy, slot: int, v: np.ndarray) -> np.ndarra
     if strategy.identity[slot]:
         return v
     p = strategy.powered[slot]
-    return p @ v if v.ndim == 2 else (p @ v.reshape(len(p), -1)).reshape(v.shape)
+    # ndarray.dot makes matmul's BLAS call (same bits) without its ufunc
+    # dispatch, which a run's small products would notice
+    return p.dot(v.reshape(len(p), -1)).reshape(v.shape)
 
 
 def inner_step(state: GtaState, alpha) -> GtaState:
     """One local computation step (no mixing): exactly one new gradient
     evaluation per node."""
     state.x = state.x - alpha * state.y
-    g_new = _gradients(state.suite, state.x)
+    g_new = state.suite.grad_stack_batch(state.x)
     state.y = state.y + (g_new - state.grads)
     state.grads = g_new
-    state.j += 1
     return state
 
 
@@ -149,11 +145,10 @@ def outer_step(state: GtaState, cfg: GtaConfig) -> GtaState:
     # state.x is replaced at once (as in inner_step): holding the old x
     # through the gradient and y updates would add a stack to a sweep's peak
     state.x = _pair(cfg.strategy, 0, 1, state.x, -cfg.alpha * state.y)
-    g_new = _gradients(state.suite, state.x)
+    g_new = state.suite.grad_stack_batch(state.x)
     state.y = _pair(cfg.strategy, 2, 3, state.y, g_new - state.grads)
     state.grads = g_new
     state.k += 1
-    state.j = 1
     return state
 
 
@@ -172,18 +167,20 @@ def _norm(v: np.ndarray) -> float:
 
 
 def error_vector(state: GtaState, suite: ObjectiveSuite) -> ErrorVector:
-    """Measure the three errors against suite.x_star, per column for a sweep."""
+    """Measure the three errors against suite.x_star: floats for one column
+    (a run), (c,) arrays per column for more."""
     n = len(state.x)
     # sum / n is mean's own formula (same bits, less overhead)
     x_bar = state.x.sum(axis=0) / n
     y_bar = state.y.sum(axis=0) / n
-    if state.x.ndim == 3:
-        return ErrorVector(np.linalg.norm(x_bar - suite.x_star[:, None], axis=0),
-                           np.linalg.norm(state.x - x_bar, axis=(0, 1)),
-                           np.linalg.norm(state.y - y_bar, axis=(0, 1)))
-    return ErrorVector(opt_err=_norm(x_bar - suite.x_star),
-                       x_consensus=_norm(state.x - x_bar),
-                       y_consensus=_norm(state.y - y_bar))
+    x_err = x_bar - suite.x_star[:, None]
+    if state.x.shape[2] == 1:
+        # _norm is the cheapest norm of a whole stack; a run calls this once
+        # per outer iteration
+        return ErrorVector(_norm(x_err), _norm(state.x - x_bar), _norm(state.y - y_bar))
+    return ErrorVector(np.linalg.norm(x_err, axis=0),
+                       np.linalg.norm(state.x - x_bar, axis=(0, 1)),
+                       np.linalg.norm(state.y - y_bar, axis=(0, 1)))
 
 
 def diverged(ev: ErrorVector):
@@ -268,7 +265,8 @@ class RunTrace:
 
 
 def run(suite: ObjectiveSuite, cfg: GtaConfig, x0: np.ndarray) -> RunTrace:
-    """Execute outer iterations until the budget or stop_tol is reached.
+    """Execute outer iterations until the budget or stop_tol is reached:
+    x0 (n*d entries) and the scalar cfg.alpha make a one-column stack.
 
     Deterministic for fixed inputs.  Raises DivergenceError when the errors
     meet the divergence rule (`diverged`).

@@ -37,13 +37,18 @@ def eig_matrix_power(w, p):
     return (vecs * vals**p) @ vecs.T
 
 
+def global_value(suite, x):
+    """Global average objective, summed from the per-node references."""
+    return sum(suite.local_value(i, x) for i in range(suite.n)) / suite.n
+
+
 def kron_outer_step(state_x, state_y, grads, suite, strategy, alpha):
     """Dense Kronecker reference for the communication update.
 
     Materializes Z_i = W_i^nc (x) I_d and applies it to the flattened
-    vectors; returns the next (x, y) stacks.
+    vectors of one-column (n, d, 1) stacks; returns the next (x, y) stacks.
     """
-    n, d = state_x.shape
+    n, d, _ = state_x.shape
     eye_d = np.eye(d)
     z = [np.kron(p, eye_d) for p in strategy.powered]
     x_flat = state_x.reshape(-1)
@@ -51,19 +56,19 @@ def kron_outer_step(state_x, state_y, grads, suite, strategy, alpha):
     x_next = z[0] @ x_flat - alpha * (z[1] @ y_flat)
     g_next = suite.grad_stack(x_next.reshape(n, d))
     y_next = z[2] @ y_flat + z[3] @ (g_next.reshape(-1) - grads.reshape(-1))
-    return x_next.reshape(n, d), y_next.reshape(n, d)
+    return x_next.reshape(n, d, 1), y_next.reshape(n, d, 1)
 
 
 @pytest.fixture
 def scalar_suite():
     """Single node, f(x) = x^2/2 (L = mu = 1, x* = 0)."""
-    return gt.quadratic_suite([[[1.0]]], [[0.0]])
+    return gt.QuadraticSuite([[[1.0]]], [[0.0]])
 
 
 @pytest.fixture
 def two_node_suite():
     """The hand-solvable pair Q1 = I, Q2 = diag(3, 1), b = (-2, 0)."""
-    return gt.quadratic_suite([np.diag([1.0, 1.0]), np.diag([3.0, 1.0])],
+    return gt.QuadraticSuite([np.diag([1.0, 1.0]), np.diag([3.0, 1.0])],
                               [[-2.0, 0.0], [-2.0, 0.0]])
 
 
@@ -72,7 +77,7 @@ def mirrored_pair():
     """Two nodes, f_i = 3x^2/2 + b_i x with b_2 = -b_1 (x* = 0), mixing
     nothing: the nodes mirror each other, so x_bar stays exactly 0 while a
     step above 2/3 drives them apart.  Returns (suite, strategy)."""
-    suite = gt.quadratic_suite([[[3.0]], [[3.0]]], [[1.0], [-1.0]])
+    suite = gt.QuadraticSuite([[[3.0]], [[3.0]]], [[1.0], [-1.0]])
     w = gt.metropolis_weights(gt.build_graph("complete", 2))
     eye = np.eye(2)
     return suite, gt.strategy_for("custom", w, 1, custom=(eye, eye, eye, eye))

@@ -97,6 +97,19 @@ def test_parse_rejects_bad_values(tmp_path, override, match):
         parse_config(_write_cfg(tmp_path, text))
 
 
+def test_tune_tmax_beyond_the_smallest_double_is_a_config_error(tmp_path, capsys):
+    # 2^-1074 is the smallest positive double; 2^-1075 underflows to a zero step
+    text = MINI_CFG.format(out=tmp_path / "tm_out")
+    ok = _write_cfg(tmp_path, text + "tune_tmin = 1074\ntune_tmax = 1074\n", "ok.cfg")
+    assert parse_config(ok).tune_tmax == 1074
+    assert cli.main(["tune", str(ok), "--method", "GTA3", "--nc", "1"]) == 0
+    bad = _write_cfg(tmp_path, text + "tune_tmax = 1075\n", "bad.cfg")
+    with pytest.raises(ConfigError, match="tune_tmax must be <= 1074"):
+        parse_config(bad)
+    assert cli.main(["run", str(bad)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_parse_rejects_duplicates_and_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(_write_cfg(tmp_path, "n = 2\nn = 3\n"))
@@ -188,7 +201,7 @@ def test_every_sweep_candidate_matches_its_single_run(problem, method, nc, ng, s
 
 def test_all_candidates_diverging_raises_with_diagnostics():
     # an unstable rig: large quadratic curvature with a forced huge step range
-    suite = gt.quadratic_suite([[[1e9]]], [[1.0]])
+    suite = gt.QuadraticSuite([[[1e9]]], [[1.0]])
     w = gt.metropolis_weights(gt.build_graph("complete", 1))
     strat = gt.strategy_for("GTA1", w, 1)
     with pytest.raises(TuningError) as err:
@@ -372,6 +385,56 @@ def test_run_experiment_custom_method(tmp_path):
     """.format(d=tmp_path)))
     outdir = run_experiment(cfg)
     assert (outdir / "custom_nc1_ng1.csv").exists()
+
+
+def _custom_cfg(tmp_path, slots, methods="custom"):
+    """A 4-cycle config whose custom slots are W or I (by letter)."""
+    w = gt.metropolis_weights(gt.build_graph("cycle", 4))
+    gt.topology.write_matrix_csv(w.w, tmp_path / "W.csv")
+    gt.topology.write_matrix_csv(np.eye(4), tmp_path / "I.csv")
+    lines = [f"custom_w{i} = {tmp_path / (k + '.csv')}" for i, k in enumerate(slots, 1)]
+    return parse_config(_write_cfg(tmp_path, "\n".join(lines) + f"""
+        problem = quadratic
+        n = 4
+        d = 2
+        kappa_target = 5
+        seed = 2
+        graph = cycle
+        methods = {methods}
+        budget = 50
+        tune_budget = 10
+        outdir = {tmp_path / 'out'}
+    """))
+
+
+def test_summary_beta_skips_identity_slots_for_every_method(tmp_path):
+    # custom (W, I, W, I) is GTA1: the same traces and the same beta column,
+    # the largest beta over the slots that exchange anything
+    cfg = _custom_cfg(tmp_path, "WIWI", methods="GTA1,custom")
+    outdir = run_experiment(cfg)
+    rows = [line.split(",") for line in (outdir / "summary.csv").read_text().splitlines()]
+    beta = {row[0]: row[4] for row in rows[1:]}
+    w = gt.metropolis_weights(gt.build_graph("cycle", 4))
+    assert beta["custom"] == beta["GTA1"] == "%.17g" % w.beta
+    assert ((outdir / "custom_nc1_ng1.csv").read_bytes()
+            == (outdir / "GTA1_nc1_ng1.csv").read_bytes())
+
+
+def test_summary_beta_of_an_all_identity_strategy_is_one(tmp_path):
+    outdir = run_experiment(_custom_cfg(tmp_path, "IIII"))
+    rows = (outdir / "summary.csv").read_text().splitlines()
+    assert rows[1].split(",")[4] == "1"
+
+
+def test_cli_rejects_a_non_finite_custom_matrix(tmp_path, capsys):
+    # NaN passes every tolerance check; the eigensolver then failed on it
+    # with a message that named nothing
+    _custom_cfg(tmp_path, "WWWW")
+    w = gt.topology.read_matrix_csv(tmp_path / "W.csv")
+    w[0, 1] = w[1, 0] = np.nan
+    gt.topology.write_matrix_csv(w, tmp_path / "W.csv")
+    assert cli.main(["run", str(tmp_path / "exp.cfg")]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_manifest_does_not_depend_on_where_files_live(tmp_path):

@@ -5,17 +5,16 @@ from hypothesis import strategies as st
 
 import gradtrack as gt
 from gradtrack.problems import (DataFormatError, LogisticSuite, LogRegDataset,
-                                QuadraticSpec, compute_reference_optimum,
-                                generate_quadratic, load_libsvm, logreg_suite,
-                                quadratic_suite)
+                                QuadraticSpec, QuadraticSuite, compute_reference_optimum,
+                                generate_quadratic, load_libsvm, logreg_suite)
 
-from conftest import central_diff
+from conftest import central_diff, global_value
 
 
 # --------------------------------------------------------------- quadratics
 
 def test_scalar_quadratic():
-    s = quadratic_suite([[[2.0]]], [[-4.0]])
+    s = QuadraticSuite([[[2.0]]], [[-4.0]])
     assert s.x_star == pytest.approx([2.0])
     assert s.L == 2.0 and s.mu == 2.0
 
@@ -53,7 +52,7 @@ def test_quadratic_gradients_are_exact(small_quadratic):
 
 def test_generated_suite_hits_kappa_window():
     suite = generate_quadratic(QuadraticSpec(n=16, d=10, kappa_target=1e4, seed=0))
-    assert 9e3 <= suite.kappa <= 1.1e4
+    assert 9e3 <= suite.L / suite.mu <= 1.1e4
     cond = np.linalg.cond(suite.hessian)
     assert abs(cond - 1e4) <= 0.1 * 1e4
 
@@ -86,8 +85,8 @@ def test_assumption_inequalities_hold(small_quadratic):
     for _ in range(100):
         a = rng.normal(size=s.d)
         b = rng.normal(size=s.d)
-        lhs = s.global_value(b)
-        rhs = (s.global_value(a) + s.global_grad(a) @ (b - a)
+        lhs = global_value(s, b)
+        rhs = (global_value(s, a) + s.global_grad(a) @ (b - a)
                + 0.5 * s.mu * np.linalg.norm(b - a) ** 2)
         assert lhs >= rhs - 1e-9 * (1 + abs(lhs))
         i = int(rng.integers(s.n))
@@ -146,18 +145,9 @@ def test_normalize_scales_features_to_unit_interval(tmp_path):
     assert col.min() == 0.0 and col.max() == 1.0
 
 
-def test_shuffle_is_seeded(tmp_path):
-    p = _write(tmp_path, "\n".join(f"1 1:{i}" for i in range(8)) + "\n")
-    a = load_libsvm(p, 2, shuffle_seed=5)
-    b = load_libsvm(p, 2, shuffle_seed=5)
-    c = load_libsvm(p, 2, shuffle_seed=6)
-    assert np.array_equal(a.features[0], b.features[0])
-    assert not np.array_equal(a.features[0], c.features[0])
-
-
 def test_bundled_dataset_loads():
     ds = load_libsvm("data/synth_binary.libsvm", 8)
-    assert ds.total_samples == 240
+    assert sum(len(y) for y in ds.labels) == 240
     assert ds.d == 8
     assert all(set(np.unique(y)) <= {-1.0, 1.0} for y in ds.labels)
 
@@ -243,7 +233,7 @@ def test_bundled_suite_constants_and_gradients():
 # ------------------------------------------------------- reference optimum
 
 def test_reference_optimum_scalar():
-    s = quadratic_suite([[[2.0]]], [[-4.0]])
+    s = QuadraticSuite([[[2.0]]], [[-4.0]])
     assert compute_reference_optimum(s) == pytest.approx([2.0])
 
 

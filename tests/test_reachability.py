@@ -1,0 +1,194 @@
+"""Every function in src/gradtrack is called from a shipped entry point.
+
+Tiny configs go through every CLI verb (and so through the harness) under
+sys.setprofile: each method and a custom strategy, z1_mode = exact, an
+edge_list graph, a complete graph (the fully connected theory route),
+logistic regression, a tuning sweep whose candidates all diverge and a
+run that diverges after tuning.  A function that none of them calls is
+dead code or test-only API: it belongs in tests/ or nowhere, unless KEEP
+names it with the reason it stays.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+import gradtrack
+from gradtrack import cli
+
+PKG = Path(gradtrack.__file__).resolve().parent
+DATASET = Path(__file__).resolve().parent.parent / "data" / "synth_binary.libsvm"
+
+# (module file, qualified name) -> why it stays although no entry point calls it
+KEEP = {
+    ("problems.py", "ObjectiveSuite.local_value"): "abstract interface stub",
+    ("problems.py", "ObjectiveSuite.local_grad"): "abstract interface stub",
+    ("problems.py", "ObjectiveSuite.grad_stack"): "abstract interface stub",
+    ("problems.py", "ObjectiveSuite.grad_stack_batch"): "abstract interface stub",
+    ("problems.py", "QuadraticSuite.local_value"):
+        "per-node reference the tests check the batched kernel against",
+    ("problems.py", "QuadraticSuite.local_grad"):
+        "per-node reference the tests check the batched kernel against",
+    ("problems.py", "LogisticSuite.local_value"):
+        "per-node reference the tests check the batched kernel against",
+    ("problems.py", "LogisticSuite.local_grad"):
+        "per-node reference the tests check the batched kernel against",
+    ("problems.py", "QuadraticSuite.grad_stack"):
+        "global_grad's gradient for quadratic suites; the benchmark's tracer hooks it",
+    ("theory.py", "recursion_matrix_for_method"): "checks a printed claim of the paper",
+    ("theory.py", "step_size_bound_for_method"): "checks a printed claim of the paper",
+    ("theory.py", "rate_upper_bound_for_method"): "checks a printed claim of the paper",
+    ("theory.py", "monotonicity_report"): "checks a printed claim of the paper",
+    ("theory.py", "MonotonicityReport.ok"): "the verdict of monotonicity_report",
+    ("theory.py", "MonotonicityReport.__str__"): "the message of monotonicity_report",
+    ("tracking.py", "RunTrace.comm_vectors"):
+        "per-vector communication cost, for the planned theory-vs-measurement columns",
+}
+
+
+def _functions():
+    """{code object key: (module file, qualified name)} for every function
+    defined in the package's source (lambdas and comprehensions excluded)."""
+    found = {}
+
+    def walk(code, prefix, fname):
+        for const in code.co_consts:
+            if not inspect.iscode(const) or const.co_name.startswith("<"):
+                continue
+            if const.co_flags & inspect.CO_NEWLOCALS:      # a function body
+                found[fname, const.co_firstlineno, const.co_name] = (
+                    fname, prefix + const.co_name)
+                walk(const, prefix + const.co_name + ".<locals>.", fname)
+            else:                                          # a class body
+                walk(const, prefix + const.co_name + ".", fname)
+
+    for path in sorted(PKG.glob("*.py")):
+        walk(compile(path.read_text(), str(path), "exec"), "", path.name)
+    return found
+
+
+def _key(code):
+    return Path(code.co_filename).name, code.co_firstlineno, code.co_name
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _entry_points(tmp):
+    """Every CLI verb on tiny configs; returns the exit codes."""
+    w_csv = tmp / "w.csv"
+    codes = [cli.main(["beta", "--graph", "edge_list", "--n", "4", "--edges", "0-1,1-2,2-3,3-0",
+                       "--nc", "2", "--matrix-out", str(w_csv)])]
+    eye_csv = _write(tmp / "eye.csv", "\n".join(
+        ",".join("1" if i == j else "0" for j in range(4)) for i in range(4)) + "\n")
+    quad = _write(tmp / "quad.cfg", f"""
+        problem = quadratic
+        n = 4
+        d = 2
+        kappa_target = 10
+        graph = edge_list
+        edges = 0-1,1-2,2-3,3-0
+        methods = GTA1,GTA2,GTA3,custom
+        nc_grid = 1,2
+        ng_grid = 1,2
+        budget = 30
+        tune_budget = 10
+        tune_tmin = 8
+        tune_tmax = 9
+        stop_tol = 1e-12
+        z1_mode = exact
+        custom_w1 = {w_csv}
+        custom_w2 = {eye_csv}
+        custom_w3 = {w_csv}
+        custom_w4 = {w_csv}
+        outdir = {tmp / 'quad'}
+    """)
+    complete = _write(tmp / "complete.cfg", f"""
+        problem = quadratic
+        n = 3
+        d = 2
+        kappa_target = 10
+        graph = complete
+        methods = GTA2,GTA3
+        ng_grid = 1,2
+        budget = 20
+        tune_budget = 5
+        outdir = {tmp / 'complete'}
+    """)
+    logreg = _write(tmp / "logreg.cfg", f"""
+        problem = logreg
+        dataset = {DATASET}
+        n = 4
+        normalize = true
+        graph = star
+        laziness = 0.2
+        methods = GTA3
+        budget = 10
+        tune_budget = 5
+        tune_tmax = 4
+        outdir = {tmp / 'logreg'}
+    """)
+    # every 2^-t candidate diverges at L ~ 1e9, so tuning fails
+    no_step = _write(tmp / "no_step.cfg", f"""
+        n = 2
+        d = 2
+        kappa_target = 1e9
+        graph = complete
+        methods = GTA1
+        budget = 20
+        tune_tmax = 2
+        outdir = {tmp / 'no_step'}
+    """)
+    # one tuning iteration admits a step that diverges within the run
+    late = _write(tmp / "late.cfg", f"""
+        n = 4
+        d = 2
+        kappa_target = 10
+        graph = cycle
+        methods = GTA1
+        budget = 300
+        tune_budget = 1
+        outdir = {tmp / 'late'}
+    """)
+    codes += [cli.main(["run", quad]), cli.main(["theory", quad]),
+              cli.main(["tune", quad, "--method", "custom", "--nc", "2", "--ng", "2"]),
+              cli.main(["run", complete]), cli.main(["run", logreg]),
+              cli.main(["run", no_step]), cli.main(["run", late])]
+    return codes
+
+
+def test_every_package_function_is_reached(tmp_path, capsys):
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        codes = _entry_points(tmp_path)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0, 0, 0, 4, 4]
+
+    functions = _functions()
+    called = {functions[_key(c)] for c in seen
+              if Path(c.co_filename).resolve().parent == PKG and _key(c) in functions}
+    unreached = sorted(set(functions.values()) - called - set(KEEP))
+    assert not unreached, f"never called from an entry point: {unreached}"
+    # a kept name must still exist and still be unreached, or leave KEEP
+    stale = sorted(set(KEEP) - (set(functions.values()) - called))
+    assert not stale, f"KEEP entries that are reached or gone: {stale}"
+
+
+def test_the_audit_sees_every_function():
+    # the walk finds methods, properties and module functions alike
+    names = set(_functions().values())
+    assert {("tracking.py", "run"), ("tracking.py", "RunTrace.comms"),
+            ("topology.py", "MixingMatrix.power"), ("harness.py", "config_values"),
+            ("cli.py", "_cmd_beta")} <= names
+    assert not any(part.startswith("<") and part != "<locals>"
+                   for _, name in names for part in name.split("."))

@@ -530,14 +530,10 @@ def test_random_grid_has_no_violations():
     assert len(rep.rows) == 30 * 3 * 3
 
 
-def test_report_csv_and_str(tmp_path):
+def test_report_rows_and_str():
     rep = monotonicity_report([GridPoint(beta=0.5, alpha=1e-2, L=1.0, mu=0.2, n=4)],
                               nc_values=(1, 2))
-    out = tmp_path / "report.csv"
-    rep.write_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "point,method,n_c,rho"
-    assert len(lines) == 1 + 6
+    assert len(rep.rows) == 6
     assert "0 violation" in str(rep)
 
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import gradtrack as gt
 from gradtrack.topology import (METHOD_NAMES, build_graph, compute_beta, matrix_power,
-                                metropolis_weights, mixing_matrix, read_matrix_csv,
-                                strategy_for, validate_communication_matrix,
+                                metropolis_weights, read_matrix_csv, strategy_for,
+                                validate_communication_matrix, validate_mixing_matrix,
                                 write_matrix_csv)
 
 from conftest import eig_beta, eig_matrix_power
@@ -166,7 +166,7 @@ def test_gta1_beta_assignment(cycle8_mixing):
     assert s.betas[0] == pytest.approx(cycle8_mixing.beta)
     assert s.betas[2] == pytest.approx(cycle8_mixing.beta)
     assert s.betas[1] == 1.0 and s.betas[3] == 1.0
-    assert np.array_equal(s.w2, np.eye(8))
+    assert np.array_equal(s.matrices[1], np.eye(8))
 
 
 def test_gta3_over_averaging_matrix_has_zero_betas():
@@ -196,7 +196,7 @@ def test_custom_strategy_leaves_caller_arrays_writeable():
     assert eye.flags.writeable and mine.flags.writeable
     assert not any(m.flags.writeable for m in s.matrices + s.powered)
     mine[0, 0] = 7.0            # the strategy keeps its own copy
-    assert s.w1[0, 0] == w.w[0, 0]
+    assert s.matrices[0][0, 0] == w.w[0, 0]
 
 
 def test_equal_custom_slots_share_one_matrix_power_and_beta(monkeypatch):
@@ -225,6 +225,18 @@ def test_custom_strategy_rejects_off_graph_entries():
     bad = np.full((4, 4), 0.25)  # complete-graph support, not a cycle subgraph
     with pytest.raises(ValueError, match="outside the graph"):
         strategy_for("custom", w, 1, custom=(bad, bad, bad, bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_communication_matrix_rejects_non_finite_entries(bad):
+    # NaN passes every "deviation > tol" check, so finiteness comes first
+    g = build_graph("cycle", 4)
+    w = metropolis_weights(g).w.copy()
+    w[0, 1] = w[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_communication_matrix(w, g)
+    with pytest.raises(ValueError, match="non-finite"):
+        strategy_for("custom", metropolis_weights(g), 1, custom=(w, w, w, w))
 
 
 def test_powered_matrices_cached(cycle8_mixing):
@@ -298,7 +310,7 @@ def test_mixing_matrix_rejects_zero_edge_weight():
     w[0, 0] += 1 / 3
     w[1, 1] += 1 / 3
     with pytest.raises(ValueError, match="zero weight"):
-        mixing_matrix(w, g)
+        validate_mixing_matrix(w, g)
 
 
 # ------------------------------------------------------------------- csv

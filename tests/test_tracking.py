@@ -25,8 +25,8 @@ def _strategy(method, n, n_c=1, kind="cycle", laziness=0.0):
 def test_initialize_sets_trackers_to_gradients(small_quadratic):
     s = small_quadratic
     st = initialize(s, np.zeros(s.n * s.d))
-    assert np.array_equal(st.y, s.bs)       # grad at zero is b_i
-    assert st.k == 0 and st.j == 1
+    assert np.array_equal(st.y[:, :, 0], s.bs)       # grad at zero is b_i
+    assert st.k == 0
 
 
 def test_initialize_at_consensual_optimum_has_zero_mean_tracker(small_quadratic):
@@ -42,12 +42,15 @@ def test_initialize_logistic_matches_finite_differences():
     st = initialize(suite, np.zeros(4 * suite.d))
     for i in range(4):
         fd = central_diff(lambda z: suite.local_value(i, z), np.zeros(suite.d))
-        assert np.linalg.norm(st.y[i] - fd) <= 1e-5 * (1 + np.linalg.norm(st.y[i]))
+        y_i = st.y[i, :, 0]
+        assert np.linalg.norm(y_i - fd) <= 1e-5 * (1 + np.linalg.norm(y_i))
 
 
 def test_initialize_rejects_wrong_length(small_quadratic):
-    with pytest.raises(ValueError, match="expected n\\*d"):
-        initialize(small_quadratic, np.zeros(3))
+    # a flat x0 is one column: 2*n*d entries are not two
+    for size in (3, 2 * 8 * 4):
+        with pytest.raises(ValueError, match="expected n\\*d"):
+            initialize(small_quadratic, np.zeros(size))
 
 
 # ---------------------------------------------------------------- inner step
@@ -129,9 +132,9 @@ def test_outer_step_matches_dense_kronecker_oracle(two_node_suite):
 
 
 def _sweep_or_run_state(suite, c, seed):
-    """A random state: (n, d) stacks when c is None, else (n, d, c)."""
+    """A random state: a run's (n, d, 1) stacks when c is None, else (n, d, c)."""
     rng = np.random.default_rng(seed)
-    shape = (suite.n, suite.d) if c is None else (suite.n, suite.d, c)
+    shape = (suite.n, suite.d, 1 if c is None else c)
     x, y = rng.normal(size=shape), rng.normal(size=shape)
     return GtaState(suite, x=x, y=y, grads=rng.normal(size=shape))
 
@@ -169,7 +172,7 @@ def test_gta1_outer_step_keeps_the_unfactored_bits(c, small_quadratic):
     p, alpha = strat.powered[0], _alpha(c)
     mix = lambda v: (p @ v.reshape(s.n, -1)).reshape(v.shape)
     x = mix(st.x) - alpha * st.y
-    g = s.grad_stack(x) if c is None else s.grad_stack_batch(x)
+    g = s.grad_stack_batch(x)
     y = mix(st.y) + (g - st.grads)
     outer_step(st, GtaConfig(strategy=strat, alpha=alpha))
     assert np.array_equal(st.x, x) and np.array_equal(st.y, y)
@@ -198,7 +201,7 @@ def test_factored_outer_step_equals_the_four_slot_formula(n, d, n_c, c, slots, k
     alpha = _alpha(c)
     z = [lambda v, p=p: np.einsum("ij,j...->i...", p, v) for p in strat.powered]
     x_ref = z[0](st.x) - alpha * z[1](st.y)
-    g_ref = suite.grad_stack(x_ref) if c is None else suite.grad_stack_batch(x_ref)
+    g_ref = suite.grad_stack_batch(x_ref)
     y_ref = z[2](st.y) + z[3](g_ref - st.grads)
     scale_x = np.max(np.abs(st.x)) + np.max(np.abs(alpha * st.y))
     scale_y = np.max(np.abs(st.y)) + np.max(np.abs(g_ref - st.grads))
@@ -221,10 +224,10 @@ def test_fully_connected_gta3_contracts_like_gradient_descent(small_quadratic):
     strat = gt.strategy_for("GTA3", w, 1)
     alpha = 0.9 / s.L
     st = initialize(s, np.zeros(s.n * s.d))
-    prev = np.linalg.norm(st.x.mean(axis=0) - s.x_star)
+    prev = np.linalg.norm(st.x[:, :, 0].mean(axis=0) - s.x_star)
     for _ in range(20):
         outer_step(st, GtaConfig(strategy=strat, alpha=alpha))
-        cur = np.linalg.norm(st.x.mean(axis=0) - s.x_star)
+        cur = np.linalg.norm(st.x[:, :, 0].mean(axis=0) - s.x_star)
         assert cur <= (1 - alpha * s.mu) * prev + 1e-12
         prev = cur
 
@@ -254,10 +257,10 @@ def test_first_step_from_consensual_optimum_keeps_the_average(method, small_quad
     alpha = 1.0 / (3 * s.L)
     st = initialize(s, np.tile(s.x_star, s.n))
     inner_step(st, alpha)
-    assert np.linalg.norm(st.x.mean(axis=0) - s.x_star) <= 1e-12
+    assert np.linalg.norm(st.x[:, :, 0].mean(axis=0) - s.x_star) <= 1e-12
     st = initialize(s, np.tile(s.x_star, s.n))
     outer_step(st, GtaConfig(strategy=strat, alpha=alpha))
-    assert np.linalg.norm(st.x.mean(axis=0) - s.x_star) <= 1e-12
+    assert np.linalg.norm(st.x[:, :, 0].mean(axis=0) - s.x_star) <= 1e-12
 
 
 # -------------------------------------------------------------- error vector
@@ -275,7 +278,7 @@ def test_error_vector_mean_cancellation(two_node_suite):
     s = two_node_suite
     st = initialize(s, np.zeros(4))
     e = np.array([0.3, -1.2])
-    st.x = np.stack([e, -e])
+    st.x = np.stack([e, -e])[:, :, None]
     ev = error_vector(st, s)
     # x* is (1, 0), xbar is 0
     assert ev.opt_err == pytest.approx(np.linalg.norm(s.x_star))
@@ -286,13 +289,14 @@ def test_error_vector_matches_recomputation(small_quadratic):
     s = small_quadratic
     rng = np.random.default_rng(9)
     st = initialize(s, rng.normal(size=s.n * s.d))
-    st.y = rng.normal(size=(s.n, s.d))
+    st.y = rng.normal(size=(s.n, s.d, 1))
     ev = error_vector(st, s)
-    xb = st.x.mean(axis=0)
-    yb = st.y.mean(axis=0)
+    x, y = st.x[:, :, 0], st.y[:, :, 0]
+    xb = x.mean(axis=0)
+    yb = y.mean(axis=0)
     assert ev.opt_err == np.linalg.norm(xb - s.x_star)
-    assert ev.x_consensus == np.linalg.norm(st.x - xb)
-    assert ev.y_consensus == np.linalg.norm(st.y - yb)
+    assert ev.x_consensus == np.linalg.norm(x - xb)
+    assert ev.y_consensus == np.linalg.norm(y - yb)
 
 
 # ----------------------------------------------------------------------- run
@@ -472,8 +476,8 @@ def test_tracking_identity_along_a_run(small_quadratic):
         for _ in range(cfg.n_g - 1):
             inner_step(st, cfg.alpha)
         outer_step(st, cfg)
-        h = s.grad_stack(st.x).mean(axis=0)
-        dev = np.linalg.norm(st.y.mean(axis=0) - h)
+        h = s.grad_stack(st.x[:, :, 0]).mean(axis=0)
+        dev = np.linalg.norm(st.y[:, :, 0].mean(axis=0) - h)
         assert dev <= 1e-9 * (1 + np.linalg.norm(h))
 
 
