@@ -29,8 +29,8 @@ from . import theory
 from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_quadratic,
                        load_libsvm, logreg_suite)
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
-                       MixingMatrix, build_graph, metropolis_weights, read_matrix_csv,
-                       strategy_for)
+                       MixingMatrix, build_graph, communication_matrices, metropolis_weights,
+                       read_matrix_csv, strategy_for)
 from .tracking import (DivergenceError, ErrorVector, GtaConfig, RunTrace, advance,
                        diverged, error_vector, initialize, run, surely_bounded)
 
@@ -280,15 +280,25 @@ def build_mixing(cfg: ExperimentConfig) -> MixingMatrix:
         return metropolis_weights(graph, laziness=cfg.laziness)
 
 
-def build_strategy(cfg: ExperimentConfig, method: str, w: MixingMatrix,
-                   n_c: int) -> CommunicationStrategy:
+def build_custom(cfg: ExperimentConfig, w: MixingMatrix) -> tuple[MixingMatrix, ...]:
+    """The four custom matrices of a grid: each distinct file read once and
+    each distinct matrix wrapped once, so that its powers, beta and
+    neighbour table are computed once per grid."""
+    if cfg.custom_matrices is None:
+        raise ConfigError("method custom requires custom_w1..custom_w4 matrix paths")
     with config_values():
-        if method != "custom":
-            return strategy_for(method, w, n_c)
-        if cfg.custom_matrices is None:
-            raise ConfigError("method custom requires custom_w1..custom_w4 matrix paths")
-        mats = tuple(read_matrix_csv(p) for p in cfg.custom_matrices)
-        return strategy_for("custom", w, n_c, custom=mats)
+        read = {p: read_matrix_csv(p) for p in dict.fromkeys(cfg.custom_matrices)}
+        return communication_matrices([read[p] for p in cfg.custom_matrices], w.graph)
+
+
+def build_strategy(cfg: ExperimentConfig, method: str, w: MixingMatrix, n_c: int,
+                   custom: tuple[MixingMatrix, ...] | None = None) -> CommunicationStrategy:
+    """The strategy of one cell; `custom` is the grid's `build_custom`
+    result, built here when a custom cell does not pass it."""
+    if method == "custom" and custom is None:
+        custom = build_custom(cfg, w)
+    with config_values():
+        return strategy_for(method, w, n_c, custom=custom)
 
 
 def _sweep(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int, budget: int,
@@ -431,8 +441,10 @@ class GridResult:
 def _execute_cells(cfg: ExperimentConfig, suite, w):
     """Tune and run every grid cell; yields one record dict per cell."""
     x0 = np.zeros(suite.n * suite.d)
+    # custom_matrices is set exactly when the grid has custom cells
+    custom = None if cfg.custom_matrices is None else build_custom(cfg, w)
     for method, n_c, n_g in cfg.cells():
-        strategy = build_strategy(cfg, method, w, n_c)
+        strategy = build_strategy(cfg, method, w, n_c, custom)
         try:
             alpha = tune_step_size(suite, strategy, n_g, cfg.tune_budget,
                                    t_range=(cfg.tune_tmin, cfg.tune_tmax))

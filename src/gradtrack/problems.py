@@ -68,9 +68,9 @@ class QuadraticSuite(ObjectiveSuite):
         if bs.shape != qs.shape[:2]:
             raise ValueError(f"b shape {bs.shape} does not match Q shape {qs.shape}")
         self.n, self.d = bs.shape
-        for i in range(self.n):
-            if np.max(np.abs(qs[i] - qs[i].T)) > 1e-12:
-                raise ValueError(f"Q_{i} is not symmetric")
+        asym = np.max(np.abs(qs - qs.transpose(0, 2, 1)), axis=(1, 2)) > 1e-12
+        if np.any(asym):
+            raise ValueError(f"Q_{int(np.argmax(asym))} is not symmetric")
         self.qs = qs
         self.bs = bs
         self.hessian = qs.mean(axis=0)
@@ -79,7 +79,7 @@ class QuadraticSuite(ObjectiveSuite):
         if h_eigs[0] <= 0:
             raise ValueError("global Hessian is not positive definite")
         self.mu = float(h_eigs[0])
-        self.L = float(max(np.linalg.eigvalsh(qs[i])[-1] for i in range(self.n)))
+        self.L = float(np.linalg.eigvalsh(qs)[:, -1].max())
         self.x_star = np.linalg.solve(self.hessian, -b_bar)
 
     def local_value(self, i, x):
@@ -130,13 +130,17 @@ def generate_quadratic(spec: QuadraticSpec) -> QuadraticSuite:
     if spec.d == 1 and spec.kappa_target > 1.0:
         raise ValueError("d = 1 forces a global condition number of exactly 1")
     rng = np.random.default_rng(spec.seed)
-    qs = np.empty((spec.n, spec.d, spec.d))
+    # the draws stay per node, in the order (Gaussian block, log-spectrum)
+    # of node 0, node 1, ...; the factorizations and products are stacked
+    gauss = np.empty((spec.n, spec.d, spec.d))
+    log_lam = np.zeros((spec.n, spec.d))
     for i in range(spec.n):
-        u, _ = np.linalg.qr(rng.normal(size=(spec.d, spec.d)))
-        lam = np.exp(rng.uniform(0.0, np.log(spec.kappa_target), size=spec.d)) \
-            if spec.kappa_target > 1 else np.ones(spec.d)
-        q = (u * lam) @ u.T
-        qs[i] = 0.5 * (q + q.T)
+        gauss[i] = rng.normal(size=(spec.d, spec.d))
+        if spec.kappa_target > 1:
+            log_lam[i] = rng.uniform(0.0, np.log(spec.kappa_target), size=spec.d)
+    u, _ = np.linalg.qr(gauss)
+    q = (u * np.exp(log_lam)[:, None, :]) @ u.transpose(0, 2, 1)
+    qs = 0.5 * (q + q.transpose(0, 2, 1))
     bs = rng.normal(size=(spec.n, spec.d))
 
     if spec.d > 1:

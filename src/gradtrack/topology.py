@@ -6,11 +6,17 @@ consensus (averaging) step across neighbors.  A communication strategy is a
 tuple of four such matrices (identity allowed) plus a number of consensus
 steps per iteration; the classic gradient tracking variants GTA-1, GTA-2 and
 GTA-3 are particular assignments of the four slots.
+
+A matrix with few nonzeros per row also gets a neighbour table, and W^n_c
+is then applied as n_c gather rounds (one consensus round each, the
+paper's cost unit) where that is cheaper than one dense product with the
+cached power; see ROUND_COST.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +33,15 @@ _POWERED_ATOL = 1e-9
 # 0 for smaller betas (eigensolver noise), and the theory takes the fully
 # connected reduction.
 EXACT_AVERAGING_TOL = 1e-12
+
+# One gather round costs about ROUND_COST times a dense product's work per
+# matrix entry it reads (measured crossover in README.md, with margin).  So
+# an n x n matrix whose densest row holds m nonzeros gets a neighbour table
+# when m * ROUND_COST <= n, and W^n_c is applied as n_c rounds when
+# n_c * m * ROUND_COST <= n; otherwise as one dense product with the power.
+ROUND_COST = 64
+# floats in the gather temporary of one row block of a round
+_GATHER_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,61 @@ def build_graph(kind: str, n: int, edges=None) -> Graph:
     return Graph(n=n, edges=frozenset(es))
 
 
+@dataclass(frozen=True)
+class NeighbourTable:
+    """The nonzeros of a square matrix by row: entry (i, nbr[j, i]) holds
+    wt[j, i] for j < m, the largest row count; a shorter row is padded
+    with weight 0 on its own column."""
+
+    nbr: np.ndarray     # (m, n) column indices
+    wt: np.ndarray      # (m, n) weights
+
+    def apply(self, v: np.ndarray, rounds: int) -> np.ndarray:
+        """matrix^rounds v for an (n, k) array v, as `rounds` gather rounds:
+        out[i] = sum_j wt[j, i] * v[nbr[j, i]], summed in order j = 0, 1, ...
+        Always a new array.
+
+        A round runs in row blocks whose gather temporary holds about
+        _GATHER_FLOATS floats.  Laid out as (m, rows, k), the gather keeps
+        einsum's sum in j order at every k and block size (a (rows, m, k)
+        layout does not at k = 1), so a column's bits depend neither on the
+        other columns nor on the blocking.
+        """
+        m, n = self.nbr.shape
+        k = v.shape[1]
+        step = max(1, _GATHER_FLOATS // (m * k))
+        gather = np.empty(m * min(step, n) * k)
+        bufs = [np.empty(v.shape) for _ in range(min(rounds, 2))]
+        src = v
+        for r in range(rounds):
+            dst = bufs[r % 2]
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                g = gather[:m * (hi - lo) * k].reshape(m, hi - lo, k)
+                np.take(src, self.nbr[:, lo:hi], axis=0, out=g, mode="clip")
+                np.einsum("ji,jik->ik", self.wt[:, lo:hi], g, out=dst[lo:hi])
+            src = dst
+        return src if rounds else v.copy()
+
+
+def neighbour_table(w: np.ndarray) -> NeighbourTable | None:
+    """The neighbour table of a square matrix, read off its nonzeros with
+    no n x n temporary beyond a boolean mask; None when its densest row
+    holds m nonzeros and m * ROUND_COST > n (rounds never pay)."""
+    n = len(w)
+    counts = np.count_nonzero(w, axis=1)
+    m = int(counts.max())
+    if m * ROUND_COST > n:
+        return None
+    rows, cols = np.nonzero(w)                      # row-major: rows ascend
+    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    nbr = np.tile(np.arange(n), (m, 1))             # padding: own column, weight 0
+    wt = np.zeros((m, n))
+    nbr[slot, rows] = cols
+    wt[slot, rows] = w[rows, cols]
+    return NeighbourTable(nbr=nbr, wt=wt)
+
+
 def _readonly(w: np.ndarray) -> np.ndarray:
     w = np.ascontiguousarray(w, dtype=float)
     w.flags.writeable = False
@@ -131,11 +201,14 @@ def _readonly(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Symmetric doubly stochastic matrix respecting a connected graph.
+    """Symmetric doubly stochastic matrix respecting a graph: a Metropolis
+    mixing matrix, or a custom communication matrix (`communication_matrices`).
 
     ``beta`` is the spectral norm of ``w - ones/n``: the magnitude of the
     second-largest eigenvalue of ``w``. Smaller beta means faster mixing;
-    beta < 1 exactly when the graph is connected.
+    beta < 1 exactly when the matrix mixes over a connected graph.  Powers
+    and the neighbour table are computed once, on first use, and shared by
+    every strategy built from this matrix.
     """
 
     w: np.ndarray
@@ -144,13 +217,26 @@ class MixingMatrix:
     _powers: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False,
                                            compare=False)
 
+    @cached_property
+    def table(self) -> NeighbourTable | None:
+        """`neighbour_table(w)`."""
+        return neighbour_table(self.w)
+
+    def rounds(self, n_c: int) -> NeighbourTable | None:
+        """The table when n_c rounds cost less than one dense product with
+        W^n_c (ROUND_COST), else None."""
+        table = self.table
+        if table is None or n_c * len(table.nbr) * ROUND_COST > len(self.w):
+            return None
+        return table
+
     def power(self, p: int) -> np.ndarray:
-        """Read-only ``matrix_power(w, p)``, computed on the first request
-        for each p and shared by every later caller; power(0) is the
-        identity."""
+        """Read-only ``matrix_power(w, p, table)``, computed on the first
+        request for each p and shared by every later caller; power(0) is
+        the identity."""
         out = self._powers.get(p)
         if out is None:
-            out = self._powers[p] = _readonly(matrix_power(self.w, p))
+            out = self._powers[p] = _readonly(matrix_power(self.w, p, self.table))
         return out
 
 
@@ -217,9 +303,10 @@ def compute_beta(w: np.ndarray) -> float:
     return min(beta, 1.0)   # clamp eigensolver noise; beta <= 1 holds exactly
 
 
-def matrix_power(w: np.ndarray, p: int) -> np.ndarray:
-    """p-fold matrix product by iterated multiplication, (..((w @ w) @ w)..);
-    w^0 is the identity.  Always a new array."""
+def matrix_power(w: np.ndarray, p: int, table: NeighbourTable | None = None) -> np.ndarray:
+    """p-fold matrix product by iterated multiplication, (..((w @ w) @ w)..),
+    or, given w's neighbour table, as p - 1 gather rounds on w; w^0 is the
+    identity.  Always a new array."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
@@ -227,6 +314,8 @@ def matrix_power(w: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"power must be a nonnegative integer, got {p}")
     if p == 0:
         return np.eye(w.shape[0])
+    if table is not None:
+        return table.apply(w, int(p) - 1)
     out = w.copy()
     for _ in range(int(p) - 1):
         out = out @ w
@@ -262,16 +351,20 @@ def metropolis_weights(graph: Graph, laziness: float = 0.0) -> MixingMatrix:
 class CommunicationStrategy:
     """Four communication matrices plus the consensus-step count per iteration.
 
-    ``powered`` holds each matrix raised to the n_c-th power (these are what
-    the runtime applies); ``betas`` holds the deflated spectral norm of each
-    base matrix (1.0 for the identity); ``identity`` marks the slots that
-    exchange nothing.  Slots holding the same matrix share one array.
+    ``powered`` holds each matrix raised to the n_c-th power; ``rounds``
+    holds, for each slot that the runtime applies as n_c gather rounds, its
+    neighbour table, and None for a slot applied as one dense product with
+    its power (`MixingMatrix.rounds`); ``betas`` holds the deflated spectral
+    norm of each base matrix (1.0 for the identity); ``identity`` marks the
+    slots that exchange nothing.  Slots holding the same matrix share one
+    array, table and beta.
     """
 
     name: str
     n_c: int
     matrices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     powered: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(compare=False)
+    rounds: tuple[NeighbourTable | None, ...] = field(compare=False)
     betas: tuple[float, float, float, float]
     identity: tuple[bool, bool, bool, bool] = field(compare=False)
 
@@ -285,44 +378,57 @@ class CommunicationStrategy:
         return self.identity.count(False)
 
 
+def communication_matrices(mats, graph: Graph) -> tuple[MixingMatrix, ...]:
+    """Validate and wrap custom communication matrices against `graph`
+    (no relation among them is imposed; subsets of the edge set are
+    allowed).  Equal matrices share one wrapper, and so one frozen copy,
+    power, beta and neighbour table."""
+    out = []
+    for m in mats:
+        same = next((c for c in out if np.array_equal(c.w, m)), None)
+        if same is None:
+            # a copy: freezing must not touch the caller's array
+            m = _readonly(np.array(m, dtype=float))
+            validate_communication_matrix(m, graph)
+            same = MixingMatrix(w=m, beta=compute_beta(m), graph=graph)
+        out.append(same)
+    return tuple(out)
+
+
 def strategy_for(method: str, w: MixingMatrix, n_c: int, custom=None) -> CommunicationStrategy:
     """Build the communication strategy for one of the named methods.
 
     GTA1 -> (W, I, W, I); GTA2 -> (W, W, W, I); GTA3 -> (W, W, W, W).
-    The W slots share ``w.power(n_c)`` and ``w.beta``, and the identity
-    slots share ``w.power(0)``, so each power of W is computed once per
-    mixing matrix however many strategies use it.
-    method="custom" takes four explicit matrices, each validated
-    independently against the graph of ``w`` (no relation among the four is
-    imposed; subsets of the edge set are allowed).  Equal custom matrices
-    share one slot entry: one frozen matrix, power, beta and identity flag.
+    Each slot takes its power, beta and neighbour table from a MixingMatrix,
+    so each is computed once per matrix however many strategies use it; the
+    identity slots share ``w.power(0)``.  method="custom" takes four
+    matrices: the `communication_matrices` wrappers of a grid, or four arrays,
+    which are wrapped here against the graph of ``w``.
     """
     if n_c < 1 or int(n_c) != n_c:
         raise ValueError(f"n_c must be an integer >= 1, got {n_c}")
     n_c = int(n_c)
     eye = w.power(0)
+    identity_slot = (eye, eye, None, 1.0, True)
+
+    def slot(m: MixingMatrix, is_eye: bool):
+        # (matrix, its n_c-th power, its rounds table, beta, identity?)
+        return (m.w, m.power(n_c), m.rounds(n_c), m.beta, is_eye)
+
     if method in SLOT_PATTERNS:
-        # (matrix, its n_c-th power, beta, identity?) for "W" and "I" slots
-        kinds = {"W": (w.w, w.power(n_c), w.beta, False), "I": (eye, eye, 1.0, True)}
-        slots = [kinds[k] for k in SLOT_PATTERNS[method]]
+        w_slot = slot(w, False)
+        slots = [w_slot if k == "W" else identity_slot for k in SLOT_PATTERNS[method]]
     elif method == "custom":
         if custom is None or len(custom) != 4:
             raise ValueError("custom strategy requires four matrices")
-        slots = []
-        for m in custom:
-            same = next((s for s in slots if np.array_equal(s[0], m)), None)
-            if same is None:
-                # a copy: freezing must not touch the caller's array
-                m = _readonly(np.array(m, dtype=float))
-                validate_communication_matrix(m, w.graph)
-                same = (m, _readonly(matrix_power(m, n_c)), compute_beta(m),
-                        np.array_equal(m, eye))
-            slots.append(same)
+        if not all(isinstance(m, MixingMatrix) for m in custom):
+            custom = communication_matrices(custom, w.graph)
+        slots = [slot(m, np.array_equal(m.w, eye)) for m in custom]
     else:
         raise ValueError(f"unknown method {method!r}")
-    mats, powered, betas, identity = zip(*slots)
+    mats, powered, rounds, betas, identity = zip(*slots)
     return CommunicationStrategy(name=method, n_c=n_c, matrices=mats, powered=powered,
-                                 betas=betas, identity=identity)
+                                 rounds=rounds, betas=betas, identity=identity)
 
 
 def write_matrix_csv(w: np.ndarray, path) -> None:

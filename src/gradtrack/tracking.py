@@ -13,12 +13,15 @@ four communication matrices:
 Each update is applied as a pair Z_a u + Z_b v: as the single product
 Z (u + v) when both slots hold the same matrix, so GTA-3 (all four slots
 W^nc) runs x' = W^nc (x - alpha y) and y' = W^nc (y + grad(x') - grad(x)),
-two dense products per outer iteration.
+two mixing applies per outer iteration.
 
 The state is an (n, d, c) stack: one column per step size, so a run is the
-step-size sweep with c = 1, and both go through one kernel.  Mixing is one
-(n, n) by (n, d*c) product per non-identity matrix applied, never
-materializing the (nd, nd) Kronecker form.
+step-size sweep with c = 1, and both go through one kernel.  Mixing treats
+the stack as an (n, d*c) array, never materializing the (nd, nd) Kronecker
+form: a slot whose strategy carries a neighbour table runs n_c gather
+rounds, any other slot one dense product with its precomputed power.  The
+choice depends only on the matrix and n_c, so a sweep column and its run
+take the same path.
 """
 
 from __future__ import annotations
@@ -110,10 +113,13 @@ def _mix(strategy: CommunicationStrategy, slot: int, v: np.ndarray) -> np.ndarra
     """W_slot^n_c applied to every column of v; identity slots return v."""
     if strategy.identity[slot]:
         return v
-    p = strategy.powered[slot]
+    flat = v.reshape(len(v), -1)
+    table = strategy.rounds[slot]
+    if table is not None:
+        return table.apply(flat, strategy.n_c).reshape(v.shape)
     # ndarray.dot makes matmul's BLAS call (same bits) without its ufunc
     # dispatch, which a run's small products would notice
-    return p.dot(v.reshape(len(p), -1)).reshape(v.shape)
+    return strategy.powered[slot].dot(flat).reshape(v.shape)
 
 
 def inner_step(state: GtaState, alpha) -> GtaState:
@@ -141,7 +147,8 @@ def _pair(strategy: CommunicationStrategy, a: int, b: int, u: np.ndarray,
 
 def outer_step(state: GtaState, cfg: GtaConfig) -> GtaState:
     """Communication update: n_c consensus steps through each slot, applied
-    as precomputed matrix powers; one new gradient evaluation per node."""
+    as gather rounds or precomputed matrix powers (`_mix`); one new
+    gradient evaluation per node."""
     # state.x is replaced at once (as in inner_step): holding the old x
     # through the gradient and y updates would add a stack to a sweep's peak
     state.x = _pair(cfg.strategy, 0, 1, state.x, -cfg.alpha * state.y)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -385,6 +386,96 @@ def test_run_experiment_custom_method(tmp_path):
     """.format(d=tmp_path)))
     outdir = run_experiment(cfg)
     assert (outdir / "custom_nc1_ng1.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["GTA1", "GTA3"])
+def test_sweep_columns_match_single_runs_on_gather_rounds(method):
+    # a 192-cycle: 3 nonzeros per row, so W^1 runs as gather rounds
+    suite = gt.generate_quadratic(gt.QuadraticSpec(n=192, d=3, kappa_target=30.0, seed=4))
+    w = gt.metropolis_weights(gt.build_graph("cycle", 192))
+    strat = gt.strategy_for(method, w, 1)
+    assert strat.rounds[0] is w.table is not None
+    alphas = 2.0 ** -np.arange(21.0)
+    budget = 30
+    record = harness._sweep(suite, strat, 1, budget, alphas)
+    x0 = np.zeros(suite.n * suite.d)
+    finished = 0
+    for alpha, rec in zip(alphas, record):
+        cfg = gt.GtaConfig(strategy=strat, alpha=alpha, max_outer_iters=budget)
+        if isinstance(rec, int):
+            with pytest.raises(gt.DivergenceError) as err:
+                gt.run(suite, cfg, x0)
+            assert err.value.k == rec
+            continue
+        final = gt.run(suite, cfg, x0).final().as_array()
+        # the same tolerances as on dense products: the mixing bits agree,
+        # the batched gradient's need not
+        assert rec.opt_err == pytest.approx(final[0], rel=1e-12, abs=0.0)
+        assert rec.as_array()[1:] == pytest.approx(final[1:], rel=1e-12, abs=1e-14)
+        finished += 1
+    assert finished >= 10
+
+
+# Largest difference between a trace column on gather rounds and on dense
+# products, relative to the column's largest value (measured: up to 1.6e-14)
+_ROUNDS_TRACE_RTOL = 1e-13
+
+
+def test_an_18x18_torus_grid_tunes_and_traces_alike_on_rounds_and_dense(tmp_path, monkeypatch):
+    side = 18
+    edges = [(r * side + c, r * side + (c + 1) % side) for r in range(side) for c in range(side)]
+    edges += [(r * side + c, ((r + 1) % side) * side + c)
+              for r in range(side) for c in range(side)]
+    cfg = parse_config(_write_cfg(tmp_path, f"""
+        problem = quadratic
+        n = {side * side}
+        d = 4
+        kappa_target = 100
+        seed = 0
+        graph = edge_list
+        edges = {",".join(f"{i}-{j}" for i, j in edges)}
+        methods = GTA1,GTA3
+        nc_grid = 1,10
+        budget = 40
+        tune_budget = 20
+        outdir = {tmp_path / 'out'}
+    """))
+    rounds = harness.execute_grid(cfg)
+    assert rounds.w.table is not None
+    monkeypatch.setattr(gt.topology, "ROUND_COST", math.inf)     # dense products only
+    dense = harness.execute_grid(cfg)
+    assert dense.w.table is None
+    assert len(rounds.records) == len(dense.records) == 4
+    for a, b in zip(rounds.records, dense.records):
+        assert a["alpha"] == b["alpha"]
+        ea, eb = a["trace"].error_matrix(), b["trace"].error_matrix()
+        assert ea.shape == eb.shape
+        assert np.all(np.abs(ea - eb) <= _ROUNDS_TRACE_RTOL * np.max(np.abs(eb), axis=0))
+
+
+def test_custom_matrices_are_read_powered_and_eigensolved_once_per_grid(tmp_path,
+                                                                        monkeypatch):
+    # three files, two of them repeated; n_c in {1, 5} and two n_g values
+    tree = gt.metropolis_weights(gt.build_graph("edge_list", 4, edges=[(0, 1), (1, 2),
+                                                                       (2, 3)])).w
+    gt.topology.write_matrix_csv(tree, tmp_path / "T.csv")
+    cfg = _custom_cfg(tmp_path, "WITW")
+    cfg = dataclasses.replace(cfg, grids=(("custom", (1, 5), (1, 2)),))
+    calls = {"read_matrix_csv": 0, "matrix_power": 0, "compute_beta": 0}
+    for owner, name in ((harness, "read_matrix_csv"), (gt.topology, "matrix_power"),
+                        (gt.topology, "compute_beta")):
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    result = harness.execute_grid(cfg)
+    assert len(result.records) == 4
+    # W's beta and identity; each of the three distinct matrices: one
+    # beta, and one power per n_c
+    assert calls == {"read_matrix_csv": 3, "matrix_power": 1 + 3 * 2,
+                     "compute_beta": 1 + 3}
 
 
 def _custom_cfg(tmp_path, slots, methods="custom"):

@@ -65,6 +65,54 @@ def test_generated_suite_is_positive_definite_and_deterministic():
         assert np.linalg.eigvalsh(q)[0] > 0
 
 
+def _per_node_quadratic(spec):
+    """The generator and the suite constants one node at a time: the
+    reference for the stacked factorizations and products."""
+    rng = np.random.default_rng(spec.seed)
+    qs = np.empty((spec.n, spec.d, spec.d))
+    for i in range(spec.n):
+        u, _ = np.linalg.qr(rng.normal(size=(spec.d, spec.d)))
+        lam = np.exp(rng.uniform(0.0, np.log(spec.kappa_target), size=spec.d)) \
+            if spec.kappa_target > 1 else np.ones(spec.d)
+        q = (u * lam) @ u.T
+        qs[i] = 0.5 * (q + q.T)
+    bs = rng.normal(size=(spec.n, spec.d))
+    if spec.d > 1:
+        h = qs.mean(axis=0)
+        evals, evecs = np.linalg.eigh(h)
+        lo, hi = evals[0], evals[-1]
+        if hi / lo <= spec.kappa_target:
+            v, gamma = evecs[:, -1], spec.kappa_target * lo - hi
+        else:
+            v, gamma = evecs[:, 0], hi / spec.kappa_target - lo
+        qs = qs + gamma * np.outer(v, v)
+        qs = 0.5 * (qs + qs.transpose(0, 2, 1))
+        qs /= np.linalg.eigvalsh(qs.mean(axis=0))[0]
+    hessian = qs.mean(axis=0)
+    L = float(max(np.linalg.eigvalsh(qs[i])[-1] for i in range(spec.n)))
+    mu = float(np.linalg.eigvalsh(hessian)[0])
+    return qs, bs, L, mu, np.linalg.solve(hessian, -bs.mean(axis=0))
+
+
+@pytest.mark.parametrize("n,d,kappa,seed", [
+    (1, 1, 1.0, 0), (5, 1, 1.0, 3), (4, 3, 1.0, 1), (16, 10, 1e4, 7), (3, 2, 10.0, 5),
+    (64, 10, 1e2, 0), (7, 25, 1e6, 11), (1024, 10, 1e2, 0)])
+def test_stacked_generator_is_bit_identical_to_the_per_node_loop(n, d, kappa, seed):
+    spec = QuadraticSpec(n=n, d=d, kappa_target=kappa, seed=seed)
+    suite = generate_quadratic(spec)
+    qs, bs, L, mu, x_star = _per_node_quadratic(spec)
+    assert np.array_equal(suite.qs, qs) and np.array_equal(suite.bs, bs)
+    assert suite.L == L and suite.mu == mu
+    assert np.array_equal(suite.x_star, x_star)
+
+
+def test_suite_names_the_first_asymmetric_matrix():
+    qs = np.stack([np.eye(2)] * 3)
+    qs[1, 0, 1] = qs[2, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match="Q_1 is not symmetric"):
+        QuadraticSuite(qs, np.zeros((3, 2)))
+
+
 def test_generator_rejects_bad_targets():
     with pytest.raises(ValueError):
         QuadraticSpec(n=2, d=3, kappa_target=0.5)

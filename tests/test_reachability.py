@@ -3,6 +3,7 @@
 Tiny configs go through every CLI verb (and so through the harness) under
 sys.setprofile: each method and a custom strategy, z1_mode = exact, an
 edge_list graph, a complete graph (the fully connected theory route),
+a cycle large enough for gather rounds and sparse-built powers,
 logistic regression, a tuning sweep whose candidates all diverge and a
 run that diverges after tuning.  A function that none of them calls is
 dead code or test-only API: it belongs in tests/ or nowhere, unless KEEP
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import gradtrack
 from gradtrack import cli
+from gradtrack.topology import ROUND_COST
 
 PKG = Path(gradtrack.__file__).resolve().parent
 DATASET = Path(__file__).resolve().parent.parent / "data" / "synth_binary.libsvm"
@@ -130,6 +132,20 @@ def _entry_points(tmp):
         tune_tmax = 4
         outdir = {tmp / 'logreg'}
     """)
+    # 3 nonzeros per row and n = 3 * ROUND_COST: W^1 runs as gather
+    # rounds, and W^2 is one dense product with a power built by rounds
+    sparse = _write(tmp / "sparse.cfg", f"""
+        n = {3 * ROUND_COST}
+        d = 2
+        kappa_target = 10
+        graph = cycle
+        methods = GTA1,GTA3
+        nc_grid = 1,2
+        budget = 3
+        tune_budget = 3
+        tune_tmax = 4
+        outdir = {tmp / 'sparse'}
+    """)
     # every 2^-t candidate diverges at L ~ 1e9, so tuning fails
     no_step = _write(tmp / "no_step.cfg", f"""
         n = 2
@@ -155,7 +171,7 @@ def _entry_points(tmp):
     codes += [cli.main(["run", quad]), cli.main(["theory", quad]),
               cli.main(["tune", quad, "--method", "custom", "--nc", "2", "--ng", "2"]),
               cli.main(["run", complete]), cli.main(["run", logreg]),
-              cli.main(["run", no_step]), cli.main(["run", late])]
+              cli.main(["run", sparse]), cli.main(["run", no_step]), cli.main(["run", late])]
     return codes
 
 
@@ -172,7 +188,7 @@ def test_every_package_function_is_reached(tmp_path, capsys):
     finally:
         sys.setprofile(None)
     capsys.readouterr()
-    assert codes == [0, 0, 0, 0, 0, 0, 4, 4]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 4, 4]
 
     functions = _functions()
     called = {functions[_key(c)] for c in seen

@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradtrack as gt
-from gradtrack.topology import (METHOD_NAMES, build_graph, compute_beta, matrix_power,
-                                metropolis_weights, read_matrix_csv, strategy_for,
+from gradtrack import harness, topology
+from gradtrack.topology import (_POWERED_ATOL, METHOD_NAMES, ROUND_COST, build_graph,
+                                compute_beta, matrix_power, metropolis_weights,
+                                neighbour_table, read_matrix_csv, strategy_for,
                                 validate_communication_matrix, validate_mixing_matrix,
                                 write_matrix_csv)
 
@@ -290,6 +294,101 @@ def test_strategies_share_one_power_per_mixing_matrix(graph, n_c):
                                             if np.max(np.abs(m - eye)) > 0)
     assert [s.vectors_per_round() for s in named] == [2, 3, 4]
     assert custom.vectors_per_round() == 2
+
+
+# --------------------------------------------------------- gather rounds
+
+def _random_connected(n, extra, rng):
+    """A random spanning tree on n nodes plus up to `extra` random chords."""
+    edges = {(int(rng.integers(i)), i) for i in range(1, n)}
+    for _ in range(extra):
+        i, j = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        edges.add((i, j))
+    return build_graph("edge_list", n, edges=sorted(edges))
+
+
+@st.composite
+def _round_graphs(draw):
+    kind = draw(st.sampled_from(["cycle", "star", "complete", "random"]))
+    n = draw(st.integers(min_value=3, max_value=400))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        return _random_connected(n, draw(st.integers(min_value=0, max_value=2 * n)), rng)
+    return build_graph(kind, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=_round_graphs(), k=st.integers(min_value=1, max_value=64),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_gather_round_matches_the_dense_product(graph, k, seed):
+    w = metropolis_weights(graph).w
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "ROUND_COST", 0)       # a table for every matrix
+        table = neighbour_table(w)
+    # the table holds every nonzero exactly once, and nothing else
+    rebuilt = np.zeros_like(w)
+    np.add.at(rebuilt, (np.broadcast_to(np.arange(graph.n), table.nbr.shape), table.nbr),
+              table.wt)
+    assert np.array_equal(rebuilt, w)
+    assert table.nbr.shape[0] == np.count_nonzero(w, axis=1).max()
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(graph.n, k)) * np.exp(rng.normal(scale=3.0, size=(graph.n, 1)))
+    # row scale: the largest |v| that the row reads
+    scale = np.max(np.abs(v)[table.nbr], axis=0)
+    assert np.all(np.abs(table.apply(v, 1) - w @ v) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("gather_floats", [1, 7, 1000, topology._GATHER_FLOATS])
+def test_a_columns_rounds_depend_on_neither_width_nor_blocking(monkeypatch, gather_floats):
+    table = metropolis_weights(_torus(18)).table
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(324, 40)) * np.exp(rng.normal(scale=3.0, size=(324, 40)))
+    alone = [table.apply(v[:, j:j + 1], 3) for j in range(40)]
+    monkeypatch.setattr(topology, "_GATHER_FLOATS", gather_floats)
+    for width in (1, 2, 3, 17, 40):
+        out = table.apply(np.ascontiguousarray(v[:, :width]), 3)
+        for j in range(width):
+            assert np.array_equal(out[:, j], alone[j][:, 0])
+
+
+def test_shipped_configs_apply_dense_products():
+    # n <= 16 < ROUND_COST: no table, so their artifacts keep their bits
+    paths = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.cfg"))
+    assert paths
+    for path in paths:
+        cfg = harness.parse_config(path)
+        w = harness.build_mixing(cfg)
+        assert w.table is None
+        for method, n_c, _ in cfg.cells():
+            assert harness.build_strategy(cfg, method, w, n_c).rounds == (None,) * 4
+
+
+def test_an_18x18_torus_runs_one_round_sparse_and_ten_dense():
+    w = metropolis_weights(_torus(18))
+    assert w.table.nbr.shape == (5, 324) and 5 * ROUND_COST <= 324 < 2 * 5 * ROUND_COST
+    s1, s10 = strategy_for("GTA1", w, 1), strategy_for("GTA1", w, 10)
+    assert s1.rounds == (w.table, None, w.table, None)
+    assert s10.rounds == (None,) * 4
+    # a dense star never gets a table, whatever n
+    assert metropolis_weights(build_graph("star", 400)).table is None
+
+
+# a 320-cycle with some antipodal chords: degrees 2 and 3, so rows are padded
+_CHORDED = build_graph("edge_list", 320, edges=[(i, (i + 1) % 320) for i in range(320)]
+                       + [(i, i + 160) for i in range(0, 160, 7)])
+
+
+@pytest.mark.parametrize("graph", [_torus(18), _CHORDED], ids=["torus18", "chorded320"])
+@pytest.mark.parametrize("p", [1, 2, 10, 37])
+def test_sparse_built_powers_match_dense_products(graph, p):
+    w = metropolis_weights(graph)
+    assert w.table is not None
+    built, dense = w.power(p), matrix_power(w.w, p)
+    assert np.max(np.abs(built - dense)) <= 1e-15
+    assert np.max(np.abs(built - built.T)) <= _POWERED_ATOL
+    for axis in (0, 1):
+        assert np.max(np.abs(built.sum(axis=axis) - 1.0)) <= _POWERED_ATOL
+    assert np.array_equal(matrix_power(w.w, p, w.table), built)
 
 
 def test_strategy_requires_positive_nc(cycle8_mixing):
