@@ -5,7 +5,10 @@ For each torus size and column count it prints the best-of-5 time of one
 round (`NeighbourTable.apply`) and of one dense product with a power of W,
 their ratio (the n_c below which n_c rounds beat the dense product), and
 the time to build W^10 by dense products and by gather rounds.  This is the
-measurement behind `topology.ROUND_COST`.
+measurement behind `topology.ROUND_COST`.  It also prints the time of
+`compute_beta` by the dense eigensolve and by the Lanczos route on the
+neighbour table, the Lanczos steps (gather rounds) it took, and the two
+betas' difference.
 
 Usage: python scripts/mixing_crossover.py [SIDE ...]     (default: 16 32 48)
 """
@@ -15,7 +18,7 @@ import time
 
 import numpy as np
 
-from gradtrack import build_graph, matrix_power, metropolis_weights
+from gradtrack import build_graph, compute_beta, matrix_power, metropolis_weights
 
 
 def torus(side):
@@ -37,9 +40,21 @@ def best_of(fn, repeats=5):
     return best
 
 
+class CountedTable:
+    """A neighbour table that counts the gather rounds run through it."""
+
+    def __init__(self, table):
+        self.nbr, self.rounds, self._table = table.nbr, 0, table
+
+    def apply(self, v, rounds):
+        self.rounds += rounds
+        return self._table.apply(v, rounds)
+
+
 def main(sides):
     rng = np.random.default_rng(0)
-    print("n,columns,round_ms,dense_ms,break_even_nc,w10_dense_ms,w10_rounds_ms")
+    print("n,columns,round_ms,dense_ms,break_even_nc,w10_dense_ms,w10_rounds_ms,"
+          "beta_dense_ms,beta_krylov_ms,krylov_steps,beta_abs_diff")
     for side in sides:
         w = metropolis_weights(torus(side))
         table = w.table
@@ -49,12 +64,20 @@ def main(sides):
         power = w.power(2)
         w10_dense = best_of(lambda: matrix_power(w.w, 10), repeats=3)
         w10_rounds = best_of(lambda: matrix_power(w.w, 10, table), repeats=3)
+        beta_dense = best_of(lambda: compute_beta(w.w), repeats=3)
+        beta_krylov = best_of(lambda: compute_beta(w.w, table), repeats=3)
+        counted = CountedTable(table)
+        # a run that reaches KRYLOV_CAP steps also pays the dense solve
+        diff = abs(compute_beta(w.w, counted) - compute_beta(w.w))
+        beta_cols = (f"{beta_dense * 1e3:.1f},{beta_krylov * 1e3:.1f},{counted.rounds},"
+                     f"{diff:.1e}")
         for columns in (10, 210):
             v = rng.normal(size=(side * side, columns))
             one_round = best_of(lambda: table.apply(v, 1))
             dense = best_of(lambda: power.dot(v))
             print(f"{side * side},{columns},{one_round * 1e3:.3f},{dense * 1e3:.3f},"
-                  f"{dense / one_round:.1f},{w10_dense * 1e3:.1f},{w10_rounds * 1e3:.1f}")
+                  f"{dense / one_round:.1f},{w10_dense * 1e3:.1f},{w10_rounds * 1e3:.1f},"
+                  f"{beta_cols}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -495,9 +495,8 @@ def run_experiment(cfg: ExperimentConfig, result: GridResult | None = None) -> P
         ]))
     (outdir / "summary.csv").write_text("\n".join(summary) + "\n")
     # the manifest sits in outdir and names input files by content, so it
-    # does not depend on where the checkout lives
-    config = {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(cfg).items()
-              if k != "outdir"}
+    # does not depend on where the checkout lives; json writes tuples as lists
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "outdir"}
     if cfg.dataset is not None:
         config["dataset"] = _file_record(cfg.dataset)
     if cfg.custom_matrices is not None:

@@ -10,7 +10,9 @@ GTA-3 are particular assignments of the four slots.
 A matrix with few nonzeros per row also gets a neighbour table, and W^n_c
 is then applied as n_c gather rounds (one consensus round each, the
 paper's cost unit) where that is cheaper than one dense product with the
-cached power; see ROUND_COST.
+cached power; see ROUND_COST.  Such a matrix's beta comes from a Lanczos
+iteration whose steps are gather rounds, not from a dense eigensolve; see
+KRYLOV_CAP.
 """
 
 from __future__ import annotations
@@ -43,6 +45,17 @@ ROUND_COST = 64
 # floats in the gather temporary of one row block of a round
 _GATHER_FLOATS = 1 << 16
 
+# Largest Krylov dimension of compute_beta's Lanczos route.  A matrix whose
+# extreme Ritz values have not converged by then takes the dense eigensolve:
+# a slow-mixing ring needs about n/2 steps, and at n = 1024 those cost more
+# than the dense solve.
+KRYLOV_CAP = 256
+# a Ritz value whose residual bound |b_k s_k| is at most this has converged
+_RITZ_TOL = 1e-13
+# the Lanczos route looks at its Ritz values every this many steps (a dense
+# eigh of T_k each time), and at breakdown and at its last step
+_RITZ_CHECK_EVERY = 16
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -60,18 +73,13 @@ class Graph:
             if not (0 <= i < j < self.n):
                 raise ValueError(f"edge ({i},{j}) out of range or unordered for n={self.n}")
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a sorted (E, 2) integer array, i < j in each row."""
+        return np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2)
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
-        return a
+    def degrees(self) -> np.ndarray:
+        return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
     def is_connected(self) -> bool:
         """BFS reachability from node 0."""
@@ -206,21 +214,18 @@ class MixingMatrix:
 
     ``beta`` is the spectral norm of ``w - ones/n``: the magnitude of the
     second-largest eigenvalue of ``w``. Smaller beta means faster mixing;
-    beta < 1 exactly when the matrix mixes over a connected graph.  Powers
-    and the neighbour table are computed once, on first use, and shared by
-    every strategy built from this matrix.
+    beta < 1 exactly when the matrix mixes over a connected graph.
+    ``table`` is `neighbour_table(w)`, built once with beta.  Powers are
+    computed once, on first use, and shared by every strategy built from
+    this matrix.
     """
 
     w: np.ndarray
     beta: float
     graph: Graph = field(compare=False)
+    table: NeighbourTable | None = field(compare=False, repr=False)
     _powers: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False,
                                            compare=False)
-
-    @cached_property
-    def table(self) -> NeighbourTable | None:
-        """`neighbour_table(w)`."""
-        return neighbour_table(self.w)
 
     def rounds(self, n_c: int) -> NeighbourTable | None:
         """The table when n_c rounds cost less than one dense product with
@@ -233,10 +238,11 @@ class MixingMatrix:
     def power(self, p: int) -> np.ndarray:
         """Read-only ``matrix_power(w, p, table)``, computed on the first
         request for each p and shared by every later caller; power(0) is
-        the identity."""
+        the identity and power(1) is ``w`` itself."""
         out = self._powers.get(p)
         if out is None:
-            out = self._powers[p] = _readonly(matrix_power(self.w, p, self.table))
+            out = self.w if p == 1 else _readonly(matrix_power(self.w, p, self.table))
+            self._powers[p] = out
         return out
 
 
@@ -254,7 +260,10 @@ def validate_communication_matrix(w: np.ndarray, graph: Graph) -> None:
     # every check below has the form "deviation > tol", which NaN passes
     if not np.all(np.isfinite(w)):
         raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(w - w.T)) > _STOCHASTIC_ATOL:
+    # every nonzero of w is in (rows, cols), so the symmetry check there
+    # covers every pair that could break it
+    rows, cols = np.nonzero(w)
+    if _asymmetry(w, rows, cols) > _STOCHASTIC_ATOL:
         raise ValueError("matrix is not symmetric")
     if np.max(np.abs(w.sum(axis=1) - 1.0)) > _STOCHASTIC_ATOL:
         raise ValueError("rows do not sum to 1")
@@ -264,8 +273,10 @@ def validate_communication_matrix(w: np.ndarray, graph: Graph) -> None:
         raise ValueError("negative entries")
     if np.any(np.diag(w) <= 0):
         raise ValueError("diagonal entries must be positive")
-    allowed = graph.adjacency() + np.eye(n)
-    if np.any((w > 0) & (allowed == 0)):
+    # with a positive diagonal, w holds len(rows) - n off-diagonal nonzeros,
+    # and each edge's two entries account for at most two of them
+    i, j = graph.edge_array.T
+    if len(rows) - n > np.count_nonzero(w[i, j]) + np.count_nonzero(w[j, i]):
         raise ValueError("nonzero entry outside the graph's edge set")
 
 
@@ -273,34 +284,88 @@ def validate_mixing_matrix(w: np.ndarray, graph: Graph) -> None:
     """Strict mixing-matrix invariants: communication-matrix rules plus
     strictly positive weights on every edge."""
     validate_communication_matrix(w, graph)
-    for i, j in graph.edges:
-        if w[i, j] <= 0:
-            raise ValueError(f"edge ({i},{j}) carries zero weight")
+    i, j = graph.edge_array.T
+    zero = np.flatnonzero(w[i, j] <= 0)
+    if len(zero):
+        raise ValueError(f"edge ({i[zero[0]]},{j[zero[0]]}) carries zero weight")
 
 
-def compute_beta(w: np.ndarray) -> float:
+def _asymmetry(w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """max |w[i, j] - w[j, i]| over the index pairs (rows, cols); 0 for none."""
+    return float(np.max(np.abs(w[rows, cols] - w[cols, rows]), initial=0.0))
+
+
+def compute_beta(w: np.ndarray, table: NeighbourTable | None = None) -> float:
     """Spectral norm of ``w - ones/n`` for a symmetric doubly stochastic w.
 
     Equals the second-largest eigenvalue magnitude of w, and lies in [0, 1];
-    values at or below EXACT_AVERAGING_TOL are returned as exactly 0.
+    values at or below EXACT_AVERAGING_TOL are returned as exactly 0.  Given
+    w's neighbour table, it comes from `_lanczos_beta`, whose products with
+    w are gather rounds on the table; without one, or when Lanczos reaches
+    KRYLOV_CAP steps, from a dense eigensolve.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
     n = w.shape[0]
-    if np.max(np.abs(w - w.T)) > _POWERED_ATOL:
+    if table is None:
+        asymmetry = np.max(np.abs(w - w.T))
+    else:
+        # the table holds every nonzero, padded with diagonal entries
+        asymmetry = _asymmetry(w, np.broadcast_to(np.arange(n), table.nbr.shape), table.nbr)
+    if asymmetry > _POWERED_ATOL:
         raise ValueError("matrix is not symmetric")
     if (np.max(np.abs(w.sum(axis=1) - 1.0)) > _POWERED_ATOL
             or np.max(np.abs(w.sum(axis=0) - 1.0)) > _POWERED_ATOL):
         raise ValueError("matrix is not doubly stochastic")
-    deflated = w - np.full((n, n), 1.0 / n)
-    eigs = np.linalg.eigvalsh(deflated)
-    beta = float(np.max(np.abs(eigs)))
+    beta = None if table is None else _lanczos_beta(table)
+    if beta is None:
+        beta = float(np.max(np.abs(np.linalg.eigvalsh(w - np.full((n, n), 1.0 / n)))))
     if beta > 1.0 + 1e-8:
         raise ValueError(f"beta = {beta} > 1: input cannot be doubly stochastic")
     if beta <= EXACT_AVERAGING_TOL:
         return 0.0          # eigensolver noise around an exact average
     return min(beta, 1.0)   # clamp eigensolver noise; beta <= 1 holds exactly
+
+
+def _lanczos_beta(table: NeighbourTable) -> float | None:
+    """The largest eigenvalue magnitude of v -> W v - mean(v) on vectors
+    orthogonal to the ones vector, for the symmetric matrix W of `table`:
+    beta of W.  None when KRYLOV_CAP steps do not settle it.
+
+    Lanczos with full reorthogonalisation (two classical Gram-Schmidt
+    passes per step) from a fixed-seed start vector orthogonal to the ones
+    vector, one gather round per step.  It stops when both extreme Ritz
+    values of the tridiagonal T_k have residual bound |b_k s_k| <=
+    _RITZ_TOL (s_k: the last entry of the Ritz vector in T_k's basis), or
+    on breakdown (b_k <= _RITZ_TOL: the Krylov space is invariant).  Ritz
+    values lie inside the spectrum, and each is within its residual bound
+    of an eigenvalue.
+    """
+    n = table.nbr.shape[1]
+    steps = min(KRYLOV_CAP, n - 1)
+    q = np.random.default_rng(0).standard_normal(n)
+    q -= q.mean()
+    q /= np.linalg.norm(q)
+    basis = np.empty((steps, n))
+    alpha, b = np.zeros(steps), np.empty(steps)
+    for k in range(steps):
+        basis[k] = q
+        v = table.apply(q[:, None], 1)[:, 0]
+        v -= v.mean()
+        done = basis[:k + 1]
+        for _ in range(2):
+            coef = done @ v
+            v -= coef @ done
+            alpha[k] += coef[k]
+        b[k] = np.linalg.norm(v)
+        if (k + 1) % _RITZ_CHECK_EVERY == 0 or k + 1 == steps or b[k] <= _RITZ_TOL:
+            t = np.diag(alpha[:k + 1]) + np.diag(b[:k], 1) + np.diag(b[:k], -1)
+            theta, s = np.linalg.eigh(t)
+            if b[k] * max(abs(s[-1, 0]), abs(s[-1, -1])) <= _RITZ_TOL:
+                return float(max(-theta[0], theta[-1]))
+        q = v / b[k]
+    return None
 
 
 def matrix_power(w: np.ndarray, p: int, table: NeighbourTable | None = None) -> np.ndarray:
@@ -336,15 +401,16 @@ def metropolis_weights(graph: Graph, laziness: float = 0.0) -> MixingMatrix:
         raise ValueError("graph is disconnected: mixing matrix would have beta = 1")
     n = graph.n
     deg = graph.degrees()
+    i, j = graph.edge_array.T
     w = np.zeros((n, n))
-    for i, j in graph.edges:
-        w[i, j] = w[j, i] = (1.0 - laziness) / (1.0 + max(deg[i], deg[j]))
-    for i in range(n):
-        w[i, i] = 1.0 - (w[i].sum() - w[i, i])
+    w[i, j] = w[j, i] = (1.0 - laziness) / (1.0 + np.maximum(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))        # each row sum reads a zero diagonal
     validate_mixing_matrix(w, graph)
-    beta = compute_beta(w)
+    w = _readonly(w)
+    table = neighbour_table(w)
+    beta = compute_beta(w, table)
     assert beta < 1.0, "connected graph must yield beta < 1"
-    return MixingMatrix(w=_readonly(w), beta=beta, graph=graph)
+    return MixingMatrix(w=w, beta=beta, graph=graph, table=table)
 
 
 @dataclass(frozen=True)
@@ -390,7 +456,8 @@ def communication_matrices(mats, graph: Graph) -> tuple[MixingMatrix, ...]:
             # a copy: freezing must not touch the caller's array
             m = _readonly(np.array(m, dtype=float))
             validate_communication_matrix(m, graph)
-            same = MixingMatrix(w=m, beta=compute_beta(m), graph=graph)
+            table = neighbour_table(m)
+            same = MixingMatrix(w=m, beta=compute_beta(m, table), graph=graph, table=table)
         out.append(same)
     return tuple(out)
 

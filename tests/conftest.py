@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: finite
 differences for gradients, dense eigendecompositions for spectral
-quantities, and an explicit Kronecker-product reference for the blockwise
-mixing update.
+quantities, per-edge loops for graph matrices, and an explicit
+Kronecker-product reference for the blockwise mixing update.
 """
 
 import numpy as np
@@ -29,6 +29,30 @@ def eig_beta(w):
     """Deflated spectral norm via a dense symmetric eigensolver."""
     n = w.shape[0]
     return float(np.max(np.abs(np.linalg.eigvalsh(w - np.ones((n, n)) / n))))
+
+
+def adjacency(graph):
+    """Dense 0/1 adjacency matrix, one edge at a time."""
+    a = np.zeros((graph.n, graph.n))
+    for i, j in graph.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def loop_metropolis(graph, laziness=0.0):
+    """Metropolis-Hastings weights one edge and one row at a time: the
+    reference for the vectorised `metropolis_weights`."""
+    n = graph.n
+    deg = np.zeros(n, dtype=int)
+    for i, j in graph.edges:
+        deg[i] += 1
+        deg[j] += 1
+    w = np.zeros((n, n))
+    for i, j in graph.edges:
+        w[i, j] = w[j, i] = (1.0 - laziness) / (1.0 + max(deg[i], deg[j]))
+    for i in range(n):
+        w[i, i] = 1.0 - (w[i].sum() - w[i, i])
+    return w
 
 
 def eig_matrix_power(w, p):

@@ -473,8 +473,8 @@ def test_custom_matrices_are_read_powered_and_eigensolved_once_per_grid(tmp_path
     result = harness.execute_grid(cfg)
     assert len(result.records) == 4
     # W's beta and identity; each of the three distinct matrices: one
-    # beta, and one power per n_c
-    assert calls == {"read_matrix_csv": 3, "matrix_power": 1 + 3 * 2,
+    # beta, and one power for n_c = 5 (its first power is the matrix itself)
+    assert calls == {"read_matrix_csv": 3, "matrix_power": 1 + 3,
                      "compute_beta": 1 + 3}
 
 
@@ -550,6 +550,35 @@ def test_manifest_does_not_depend_on_where_files_live(tmp_path):
     assert "outdir" not in config
     assert config["dataset"] == {"name": "synth_binary.libsvm",
                                  "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def test_manifest_echoes_an_edge_list_config_as_asdict_did(tmp_path):
+    # the echo reads the config's fields as they are; the reference is the
+    # recursive dataclasses.asdict copy it replaced
+    cfg = parse_config(_write_cfg(tmp_path, f"""
+        problem = quadratic
+        n = 5
+        d = 2
+        kappa_target = 5
+        seed = 3
+        graph = edge_list
+        edges = 0-1,1-2,2-3,3-4,0-4,1-3
+        methods = GTA1,GTA3
+        nc_grid = 1,2
+        GTA3.ng_grid = 1,3
+        budget = 20
+        tune_budget = 10
+        stop_tol = 1e-9
+        outdir = {tmp_path / 'out'}
+    """))
+    written = (run_experiment(cfg) / "manifest.json").read_bytes()
+    config = {k: (list(v) if isinstance(v, tuple) else v)
+              for k, v in dataclasses.asdict(cfg).items() if k != "outdir"}
+    manifest = {"seed": cfg.seed, "config": config,
+                "versions": json.loads(written)["versions"]}
+    assert written == (json.dumps(manifest, indent=2, sort_keys=True, default=str)
+                       + "\n").encode()
+    assert json.loads(written)["config"]["edges"][:2] == [[0, 1], [1, 2]]
 
 
 # ----------------------------------------------------------------------- cli

@@ -3,9 +3,9 @@
 Tiny configs go through every CLI verb (and so through the harness) under
 sys.setprofile: each method and a custom strategy, z1_mode = exact, an
 edge_list graph, a complete graph (the fully connected theory route),
-a cycle large enough for gather rounds and sparse-built powers,
-logistic regression, a tuning sweep whose candidates all diverge and a
-run that diverges after tuning.  A function that none of them calls is
+a cycle large enough for gather rounds, sparse-built powers and a Lanczos
+beta, logistic regression, a tuning sweep whose candidates all diverge and
+a run that diverges after tuning.  A function that none of them calls is
 dead code or test-only API: it belongs in tests/ or nowhere, unless KEEP
 names it with the reason it stays.
 """

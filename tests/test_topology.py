@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import gradtrack as gt
 from gradtrack import harness, topology
-from gradtrack.topology import (_POWERED_ATOL, METHOD_NAMES, ROUND_COST, build_graph,
-                                compute_beta, matrix_power, metropolis_weights,
-                                neighbour_table, read_matrix_csv, strategy_for,
-                                validate_communication_matrix, validate_mixing_matrix,
-                                write_matrix_csv)
+from gradtrack.topology import (_POWERED_ATOL, KRYLOV_CAP, METHOD_NAMES, ROUND_COST,
+                                _lanczos_beta, build_graph, compute_beta, matrix_power,
+                                metropolis_weights, neighbour_table, read_matrix_csv,
+                                strategy_for, validate_communication_matrix,
+                                validate_mixing_matrix, write_matrix_csv)
 
-from conftest import eig_beta, eig_matrix_power
+from conftest import adjacency, eig_beta, eig_matrix_power, loop_metropolis
 
 
 # ---------------------------------------------------------------- graphs
@@ -104,10 +104,58 @@ def test_metropolis_invariants(n, kind, laziness):
     assert np.max(np.abs(w.w.sum(axis=0) - 1.0)) <= 1e-12
     assert np.all(w.w >= 0)
     assert np.all(np.diag(w.w) > 0)
-    adj = g.adjacency()
+    adj = adjacency(g)
     off = w.w - np.diag(np.diag(w.w))
     assert np.all((off > 0) == (adj > 0))
     assert 0.0 <= w.beta < 1.0
+
+
+def _torus(side):
+    edges = [(r * side + c, r * side + (c + 1) % side) for r in range(side) for c in range(side)]
+    edges += [(r * side + c, ((r + 1) % side) * side + c) for r in range(side) for c in range(side)]
+    return build_graph("edge_list", side * side, edges=edges)
+
+
+def _random_connected(n, extra, rng):
+    """A random spanning tree on n nodes plus up to `extra` random chords."""
+    edges = {(int(rng.integers(i)), i) for i in range(1, n)}
+    for _ in range(extra):
+        i, j = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        edges.add((i, j))
+    return build_graph("edge_list", n, edges=sorted(edges))
+
+
+def _random_low_degree(n, chords, rng):
+    """A ring through a random node order plus `chords` random chords, at
+    most one per node: connected, degrees 2 and 3."""
+    order = rng.permutation(n)
+    edges = {tuple(sorted((int(order[i]), int(order[(i + 1) % n])))) for i in range(n)}
+    ends = rng.permutation(n)[:2 * chords].reshape(-1, 2)
+    edges |= {tuple(sorted((int(i), int(j)))) for i, j in ends}
+    return build_graph("edge_list", n, edges=sorted(edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=st.one_of(
+           st.builds(_torus, st.integers(min_value=3, max_value=12)),
+           st.builds(_random_connected, st.integers(min_value=2, max_value=60),
+                     st.integers(min_value=0, max_value=60),
+                     st.builds(np.random.default_rng, st.integers(0, 2**32 - 1))),
+           st.builds(build_graph, st.sampled_from(["cycle", "star", "complete"]),
+                     st.integers(min_value=3, max_value=40))),
+       laziness=st.sampled_from([0.0, 0.25, 0.5]))
+def test_metropolis_weights_equal_the_per_edge_loop_bit_for_bit(graph, laziness):
+    assert np.array_equal(metropolis_weights(graph, laziness).w,
+                          loop_metropolis(graph, laziness))
+
+
+@pytest.mark.parametrize("laziness", [0.0, 0.25])
+@pytest.mark.parametrize("graph", [_torus(32), build_graph("cycle", 1024),
+                                   build_graph("star", 400), build_graph("complete", 300)],
+                         ids=["torus1024", "cycle1024", "star400", "complete300"])
+def test_large_metropolis_weights_equal_the_per_edge_loop_bit_for_bit(graph, laziness):
+    assert np.array_equal(metropolis_weights(graph, laziness).w,
+                          loop_metropolis(graph, laziness))
 
 
 # -------------------------------------------------------------- compute_beta
@@ -128,6 +176,68 @@ def test_beta_rejects_bad_inputs():
         compute_beta(np.array([[0.5, 0.2], [0.2, 0.5]]))
     with pytest.raises(ValueError, match="symmetric"):
         compute_beta(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]))
+
+
+@st.composite
+def _krylov_graphs(draw):
+    """(graph, settles) for graphs whose Metropolis matrix has a neighbour
+    table; settles: the Lanczos route always settles its beta within
+    KRYLOV_CAP steps (a torus's and a ring's top eigenvalues stand apart).
+    A random cubic-ish graph's top eigenvalues crowd together, and some of
+    them need more steps than the cap."""
+    kind = draw(st.sampled_from(["torus", "cycle", "random"]))
+    if kind == "torus":
+        return _torus(draw(st.integers(min_value=18, max_value=40))), True
+    if kind == "cycle":
+        return build_graph("cycle", draw(st.integers(min_value=192, max_value=400))), True
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=320, max_value=640))
+    return _random_low_degree(n, draw(st.integers(min_value=n // 4, max_value=n // 2)),
+                              rng), False
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_krylov_graphs(), laziness=st.floats(min_value=0.0, max_value=0.9,
+                                                 exclude_max=True))
+def test_krylov_beta_matches_the_eigensolver_oracle(case, laziness):
+    graph, settles = case
+    w = metropolis_weights(graph, laziness=laziness)
+    assert w.table is not None
+    oracle = eig_beta(w.w)
+    assert abs(w.beta - oracle) <= 1e-12 * oracle
+    krylov = _lanczos_beta(w.table)
+    if settles:
+        assert krylov is not None
+    if krylov is not None:
+        assert w.beta == min(krylov, 1.0)
+
+
+def test_a_slow_ring_reaches_the_krylov_cap_and_takes_the_dense_solve():
+    # a 1024-cycle's start vector spans 513 eigenvalues: far beyond the cap
+    w = metropolis_weights(build_graph("cycle", 1024))
+    assert w.table is not None and KRYLOV_CAP < 513
+    assert _lanczos_beta(w.table) is None
+    assert w.beta == compute_beta(w.w)              # no table: the dense route
+
+
+def test_krylov_beta_repeats_its_bits():
+    w = metropolis_weights(_torus(32))
+    assert compute_beta(w.w, w.table) == compute_beta(w.w, w.table) == w.beta
+
+
+@pytest.mark.parametrize("n", [64, 100, 256, 1000])
+def test_krylov_beta_of_the_identity_is_one(n):
+    # a custom identity slot of a large grid takes the Krylov route
+    eye = np.eye(n)
+    assert compute_beta(eye, neighbour_table(eye)) == 1.0
+
+
+def test_krylov_route_checks_symmetry_through_the_table():
+    w = metropolis_weights(_torus(18)).w.copy()
+    w[0, 1] += 1e-6                 # a stored entry
+    w[0, 0] -= 1e-6                 # rows still sum to one
+    with pytest.raises(ValueError, match="symmetric"):
+        compute_beta(w, neighbour_table(w))
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 10])
@@ -224,6 +334,24 @@ def test_equal_custom_slots_share_one_matrix_power_and_beta(monkeypatch):
     assert s.powered[0] is not s.powered[1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=3, max_value=40), extra=st.integers(min_value=0, max_value=3),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_off_graph_entries_are_found_where_the_dense_adjacency_finds_them(n, extra, seed):
+    # weights over the graph plus up to `extra` random edges, checked
+    # against the graph itself
+    rng = np.random.default_rng(seed)
+    graph = _random_connected(n, n // 2, rng)
+    chords = {tuple(sorted(int(v) for v in rng.choice(n, size=2, replace=False)))
+              for _ in range(extra)}
+    w = metropolis_weights(build_graph("edge_list", n, edges=sorted(graph.edges | chords))).w
+    if np.any((w > 0) & (adjacency(graph) + np.eye(n) == 0)):
+        with pytest.raises(ValueError, match="outside the graph"):
+            validate_communication_matrix(w, graph)
+    else:
+        validate_communication_matrix(w, graph)
+
+
 def test_custom_strategy_rejects_off_graph_entries():
     w = metropolis_weights(build_graph("cycle", 4))
     bad = np.full((4, 4), 0.25)  # complete-graph support, not a cycle subgraph
@@ -259,10 +387,12 @@ def test_mixing_power_is_computed_once_and_read_only(cycle8_mixing):
     assert np.array_equal(w.power(0), np.eye(8))
 
 
-def _torus(side):
-    edges = [(r * side + c, r * side + (c + 1) % side) for r in range(side) for c in range(side)]
-    edges += [(r * side + c, ((r + 1) % side) * side + c) for r in range(side) for c in range(side)]
-    return build_graph("edge_list", side * side, edges=edges)
+@pytest.mark.parametrize("graph", [build_graph("cycle", 8), build_graph("cycle", 192)],
+                         ids=["dense", "table"])
+def test_first_power_is_the_matrix_itself(graph):
+    w = metropolis_weights(graph)
+    assert w.power(1) is w.w
+    assert np.array_equal(w.power(1), matrix_power(w.w, 1, w.table))
 
 
 @st.composite
@@ -297,15 +427,6 @@ def test_strategies_share_one_power_per_mixing_matrix(graph, n_c):
 
 
 # --------------------------------------------------------- gather rounds
-
-def _random_connected(n, extra, rng):
-    """A random spanning tree on n nodes plus up to `extra` random chords."""
-    edges = {(int(rng.integers(i)), i) for i in range(1, n)}
-    for _ in range(extra):
-        i, j = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
-        edges.add((i, j))
-    return build_graph("edge_list", n, edges=sorted(edges))
-
 
 @st.composite
 def _round_graphs(draw):
