@@ -24,7 +24,7 @@ import sys
 
 from . import harness
 from .problems import DataFormatError, ReferenceOptimumError
-from .topology import build_graph, compute_beta, metropolis_weights, write_matrix_csv
+from .topology import build_graph, metropolis_weights, write_matrix_csv
 from .tracking import DivergenceError
 
 EXIT_OK = 0
@@ -90,6 +90,8 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_beta(args) -> int:
+    if args.nc < 1:
+        raise harness.ConfigError(f"--nc must be >= 1, got {args.nc}")
     with harness.config_values():
         edges = None
         if args.edges:
@@ -99,10 +101,10 @@ def _cmd_beta(args) -> int:
                 edges.append((int(a), int(b)))
         graph = build_graph(args.graph, args.n, edges=edges)
         w = metropolis_weights(graph, laziness=args.laziness)
-        w_nc = w.power(args.nc)
     print(f"beta = {w.beta:.17g}")
     if args.nc != 1:
-        print(f"beta^{args.nc} = {compute_beta(w_nc):.17g}")
+        # beta of W^nc is beta^nc, the value the theory columns use
+        print(f"beta^{args.nc} = {w.beta ** args.nc:.17g}")
     if args.matrix_out:
         write_matrix_csv(w.w, args.matrix_out)
         print(f"wrote {args.matrix_out}")

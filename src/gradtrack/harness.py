@@ -396,8 +396,7 @@ def _theory_columns(cfg, suite, strategy, method, n_c, n_g, alpha):
     p = theory.params_from_strategy(strategy, alpha=alpha, L=suite.L, mu=suite.mu,
                                     n_g=n_g, z1_mode=cfg.z1_mode)
     # the slowest mixing matrix that exchanges anything; 1 if none does
-    beta = max((b for b, eye in zip(strategy.betas, strategy.identity) if not eye),
-               default=1.0)
+    beta = max((m.beta for m in strategy.slots if m is not None), default=1.0)
     route = "general"
     rho = float("nan")
     admissible = alpha <= 1.0 / (n_g * suite.L)

@@ -101,8 +101,12 @@ def params_for_method(method: str, beta: float, *, n_c: int, n_g: int, alpha: fl
 
 def exact_z1_deviation(strategy: CommunicationStrategy) -> float:
     """Measured ||W1^nc - I||_2 (largest |1 - eigenvalue| of the powered
-    first slot), for use instead of the worst-case bound 2."""
-    eigs = np.linalg.eigvalsh(strategy.powered[0])
+    first slot; 0 for an identity slot), for use instead of the worst-case
+    bound 2."""
+    w1 = strategy.slots[0]
+    if w1 is None:
+        return 0.0
+    eigs = np.linalg.eigvalsh(w1.power(strategy.n_c))
     return float(np.max(np.abs(1.0 - eigs)))
 
 

@@ -7,12 +7,12 @@ tuple of four such matrices (identity allowed) plus a number of consensus
 steps per iteration; the classic gradient tracking variants GTA-1, GTA-2 and
 GTA-3 are particular assignments of the four slots.
 
-A matrix with few nonzeros per row also gets a neighbour table, and W^n_c
-is then applied as n_c gather rounds (one consensus round each, the
-paper's cost unit) where that is cheaper than one dense product with the
-cached power; see ROUND_COST.  Such a matrix's beta comes from a Lanczos
-iteration whose steps are gather rounds, not from a dense eigensolve; see
-KRYLOV_CAP.
+A mixing matrix with few nonzeros per row also gets a neighbour table, and
+`MixingMatrix.apply` runs W^n_c as n_c gather rounds (one consensus round
+each, the paper's cost unit) where that is cheaper than one dense product
+with the power, which is built on first use; see ROUND_COST.  Such a
+matrix's beta comes from a Lanczos iteration whose steps are gather rounds,
+not from a dense eigensolve; see KRYLOV_CAP.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ EXACT_AVERAGING_TOL = 1e-12
 ROUND_COST = 64
 # floats in the gather temporary of one row block of a round
 _GATHER_FLOATS = 1 << 16
+# columns per block of a power built from rounds: the block and its round buffers
+# hold 3 * n * 128 floats, not two more n x n arrays (a lazy power is built mid-sweep)
+_POWER_COLUMNS = 128
 
 # Largest Krylov dimension of compute_beta's Lanczos route.  A matrix whose
 # extreme Ritz values have not converged by then takes the dense eigensolve:
@@ -215,9 +218,9 @@ class MixingMatrix:
     ``beta`` is the spectral norm of ``w - ones/n``: the magnitude of the
     second-largest eigenvalue of ``w``. Smaller beta means faster mixing;
     beta < 1 exactly when the matrix mixes over a connected graph.
-    ``table`` is `neighbour_table(w)`, built once with beta.  Powers are
-    computed once, on first use, and shared by every strategy built from
-    this matrix.
+    ``table`` is `neighbour_table(w)`, built once with beta.  `apply` applies
+    W^n_c; powers are computed on first use and shared by every strategy
+    built from this matrix.
     """
 
     w: np.ndarray
@@ -227,13 +230,17 @@ class MixingMatrix:
     _powers: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False,
                                            compare=False)
 
-    def rounds(self, n_c: int) -> NeighbourTable | None:
-        """The table when n_c rounds cost less than one dense product with
-        W^n_c (ROUND_COST), else None."""
+    def apply(self, v: np.ndarray, n_c: int) -> np.ndarray:
+        """W^n_c v for an (n, k) array v, always a new array: n_c gather
+        rounds on the table when they cost less than one dense product
+        (ROUND_COST), else one product with ``power(n_c)``."""
         table = self.table
-        if table is None or n_c * len(table.nbr) * ROUND_COST > len(self.w):
-            return None
-        return table
+        if table is not None and n_c * len(table.nbr) * ROUND_COST <= len(self.w):
+            return table.apply(v, n_c)
+        # ndarray.dot: matmul's BLAS call (same bits) without its ufunc dispatch,
+        # and a cached power without a call to `power`; a run's products notice
+        power = self._powers.get(n_c)
+        return (self.power(n_c) if power is None else power).dot(v)
 
     def power(self, p: int) -> np.ndarray:
         """Read-only ``matrix_power(w, p, table)``, computed on the first
@@ -370,7 +377,8 @@ def _lanczos_beta(table: NeighbourTable) -> float | None:
 
 def matrix_power(w: np.ndarray, p: int, table: NeighbourTable | None = None) -> np.ndarray:
     """p-fold matrix product by iterated multiplication, (..((w @ w) @ w)..),
-    or, given w's neighbour table, as p - 1 gather rounds on w; w^0 is the
+    or, given w's neighbour table, as p - 1 gather rounds on w by column
+    blocks (a column's rounds do not depend on the others); w^0 is the
     identity.  Always a new array."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -380,7 +388,11 @@ def matrix_power(w: np.ndarray, p: int, table: NeighbourTable | None = None) -> 
     if p == 0:
         return np.eye(w.shape[0])
     if table is not None:
-        return table.apply(w, int(p) - 1)
+        out = np.empty_like(w)
+        for lo in range(0, len(w), _POWER_COLUMNS):
+            block = np.ascontiguousarray(w[:, lo:lo + _POWER_COLUMNS])
+            out[:, lo:lo + _POWER_COLUMNS] = table.apply(block, int(p) - 1)
+        return out
     out = w.copy()
     for _ in range(int(p) - 1):
         out = out @ w
@@ -415,33 +427,32 @@ def metropolis_weights(graph: Graph, laziness: float = 0.0) -> MixingMatrix:
 
 @dataclass(frozen=True)
 class CommunicationStrategy:
-    """Four communication matrices plus the consensus-step count per iteration.
+    """Four communication slots plus the consensus-step count per iteration.
 
-    ``powered`` holds each matrix raised to the n_c-th power; ``rounds``
-    holds, for each slot that the runtime applies as n_c gather rounds, its
-    neighbour table, and None for a slot applied as one dense product with
-    its power (`MixingMatrix.rounds`); ``betas`` holds the deflated spectral
-    norm of each base matrix (1.0 for the identity); ``identity`` marks the
-    slots that exchange nothing.  Slots holding the same matrix share one
-    array, table and beta.
+    ``slots`` holds the MixingMatrix of each slot, None for a slot that
+    exchanges nothing (the identity); slots holding the same matrix hold
+    one wrapper, so they share its table, beta and powers.  ``matrices``
+    holds each slot's n x n matrix, the identity for a None slot.
     """
 
     name: str
     n_c: int
     matrices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    powered: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(compare=False)
-    rounds: tuple[NeighbourTable | None, ...] = field(compare=False)
-    betas: tuple[float, float, float, float]
-    identity: tuple[bool, bool, bool, bool] = field(compare=False)
+    slots: tuple[MixingMatrix | None, ...] = field(compare=False)
 
     @property
     def n(self) -> int:
         return self.matrices[0].shape[0]
 
+    @property
+    def betas(self) -> tuple[float, ...]:
+        """Each slot's beta (1.0 for the identity)."""
+        return tuple(1.0 if m is None else m.beta for m in self.slots)
+
     def vectors_per_round(self) -> int:
         """Number of non-identity communication slots (vectors exchanged per
         consensus round)."""
-        return self.identity.count(False)
+        return sum(m is not None for m in self.slots)
 
 
 def communication_matrices(mats, graph: Graph) -> tuple[MixingMatrix, ...]:
@@ -466,36 +477,25 @@ def strategy_for(method: str, w: MixingMatrix, n_c: int, custom=None) -> Communi
     """Build the communication strategy for one of the named methods.
 
     GTA1 -> (W, I, W, I); GTA2 -> (W, W, W, I); GTA3 -> (W, W, W, W).
-    Each slot takes its power, beta and neighbour table from a MixingMatrix,
-    so each is computed once per matrix however many strategies use it; the
-    identity slots share ``w.power(0)``.  method="custom" takes four
-    matrices: the `communication_matrices` wrappers of a grid, or four arrays,
-    which are wrapped here against the graph of ``w``.
+    Each slot holds a MixingMatrix, so its powers, beta and neighbour table
+    are computed once per matrix however many strategies use it; no power
+    is computed here.  method="custom" takes the four
+    `communication_matrices` wrappers of a grid; one equal to the identity
+    becomes an identity slot.
     """
     if n_c < 1 or int(n_c) != n_c:
         raise ValueError(f"n_c must be an integer >= 1, got {n_c}")
-    n_c = int(n_c)
-    eye = w.power(0)
-    identity_slot = (eye, eye, None, 1.0, True)
-
-    def slot(m: MixingMatrix, is_eye: bool):
-        # (matrix, its n_c-th power, its rounds table, beta, identity?)
-        return (m.w, m.power(n_c), m.rounds(n_c), m.beta, is_eye)
-
     if method in SLOT_PATTERNS:
-        w_slot = slot(w, False)
-        slots = [w_slot if k == "W" else identity_slot for k in SLOT_PATTERNS[method]]
+        slots = tuple(w if k == "W" else None for k in SLOT_PATTERNS[method])
     elif method == "custom":
         if custom is None or len(custom) != 4:
             raise ValueError("custom strategy requires four matrices")
-        if not all(isinstance(m, MixingMatrix) for m in custom):
-            custom = communication_matrices(custom, w.graph)
-        slots = [slot(m, np.array_equal(m.w, eye)) for m in custom]
+        slots = tuple(None if np.array_equal(m.w, w.power(0)) else m for m in custom)
     else:
         raise ValueError(f"unknown method {method!r}")
-    mats, powered, rounds, betas, identity = zip(*slots)
-    return CommunicationStrategy(name=method, n_c=n_c, matrices=mats, powered=powered,
-                                 rounds=rounds, betas=betas, identity=identity)
+    # the identity only where a slot needs it: a strategy keeps w's powers alive
+    return CommunicationStrategy(name=method, n_c=int(n_c), slots=slots,
+                                 matrices=tuple(w.power(0) if m is None else m.w for m in slots))
 
 
 def write_matrix_csv(w: np.ndarray, path) -> None:

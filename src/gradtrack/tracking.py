@@ -18,10 +18,9 @@ two mixing applies per outer iteration.
 The state is an (n, d, c) stack: one column per step size, so a run is the
 step-size sweep with c = 1, and both go through one kernel.  Mixing treats
 the stack as an (n, d*c) array, never materializing the (nd, nd) Kronecker
-form: a slot whose strategy carries a neighbour table runs n_c gather
-rounds, any other slot one dense product with its precomputed power.  The
-choice depends only on the matrix and n_c, so a sweep column and its run
-take the same path.
+form: each slot's `MixingMatrix.apply` runs n_c gather rounds or one
+dense product with W^n_c.  The choice depends only on the matrix and n_c,
+so a sweep column and its run take the same path.
 """
 
 from __future__ import annotations
@@ -111,15 +110,10 @@ def initialize(suite: ObjectiveSuite, x0: np.ndarray) -> GtaState:
 
 def _mix(strategy: CommunicationStrategy, slot: int, v: np.ndarray) -> np.ndarray:
     """W_slot^n_c applied to every column of v; identity slots return v."""
-    if strategy.identity[slot]:
+    m = strategy.slots[slot]
+    if m is None:
         return v
-    flat = v.reshape(len(v), -1)
-    table = strategy.rounds[slot]
-    if table is not None:
-        return table.apply(flat, strategy.n_c).reshape(v.shape)
-    # ndarray.dot makes matmul's BLAS call (same bits) without its ufunc
-    # dispatch, which a run's small products would notice
-    return strategy.powered[slot].dot(flat).reshape(v.shape)
+    return m.apply(v.reshape(len(v), -1), strategy.n_c).reshape(v.shape)
 
 
 def inner_step(state: GtaState, alpha) -> GtaState:
@@ -135,9 +129,9 @@ def inner_step(state: GtaState, alpha) -> GtaState:
 def _pair(strategy: CommunicationStrategy, a: int, b: int, u: np.ndarray,
           v: np.ndarray) -> np.ndarray:
     """Z_a u + Z_b v, as the one product Z (u + v) when slots a and b hold
-    the same array.  v must be a temporary of the caller: the sum is formed
-    in place in v (or in its product), so a sweep's peak holds no extra stack."""
-    if strategy.powered[a] is strategy.powered[b]:
+    the same matrix (or None).  v must be a temporary of the caller: the sum is
+    formed in place in v (or in its product), so a sweep's peak holds no extra stack."""
+    if strategy.slots[a] is strategy.slots[b]:
         v += u
         return _mix(strategy, a, v)
     out = _mix(strategy, b, v)
@@ -146,9 +140,8 @@ def _pair(strategy: CommunicationStrategy, a: int, b: int, u: np.ndarray,
 
 
 def outer_step(state: GtaState, cfg: GtaConfig) -> GtaState:
-    """Communication update: n_c consensus steps through each slot, applied
-    as gather rounds or precomputed matrix powers (`_mix`); one new
-    gradient evaluation per node."""
+    """Communication update: n_c consensus steps through each slot
+    (`MixingMatrix.apply`); one new gradient evaluation per node."""
     # state.x is replaced at once (as in inner_step): holding the old x
     # through the gradient and y updates would add a stack to a sweep's peak
     state.x = _pair(cfg.strategy, 0, 1, state.x, -cfg.alpha * state.y)

@@ -66,6 +66,38 @@ def global_value(suite, x):
     return sum(suite.local_value(i, x) for i in range(suite.n)) / suite.n
 
 
+def custom_strategy(w, n_c, mats):
+    """strategy_for("custom") on four arrays, wrapped against w's graph the
+    way a grid wraps its custom matrices."""
+    return gt.strategy_for("custom", w, n_c,
+                           custom=gt.topology.communication_matrices(mats, w.graph))
+
+
+def slot_powers(strategy):
+    """W^n_c of each slot from its MixingMatrix's shared powers (the
+    identity for an identity slot): the matrices of the dense route."""
+    eye = np.eye(strategy.n)
+    return [eye if m is None else m.power(strategy.n_c) for m in strategy.slots]
+
+
+def apply_counting_rounds(m, v, n_c):
+    """m.apply(v, n_c) and the round counts of the `NeighbourTable.apply`
+    calls that read v itself: [n_c] on the rounds route, [] on the dense
+    route (whose first product may build the power from rounds on W)."""
+    rounds = []
+    real = gt.topology.NeighbourTable.apply
+
+    def counting(table, src, k):
+        if src is v:
+            rounds.append(k)
+        return real(table, src, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gt.topology.NeighbourTable, "apply", counting)
+        out = m.apply(v, n_c)
+    return out, rounds
+
+
 def kron_outer_step(state_x, state_y, grads, suite, strategy, alpha):
     """Dense Kronecker reference for the communication update.
 
@@ -74,7 +106,7 @@ def kron_outer_step(state_x, state_y, grads, suite, strategy, alpha):
     """
     n, d, _ = state_x.shape
     eye_d = np.eye(d)
-    z = [np.kron(p, eye_d) for p in strategy.powered]
+    z = [np.kron(p, eye_d) for p in slot_powers(strategy)]
     x_flat = state_x.reshape(-1)
     y_flat = state_y.reshape(-1)
     x_next = z[0] @ x_flat - alpha * (z[1] @ y_flat)
@@ -104,7 +136,7 @@ def mirrored_pair():
     suite = gt.QuadraticSuite([[[3.0]], [[3.0]]], [[1.0], [-1.0]])
     w = gt.metropolis_weights(gt.build_graph("complete", 2))
     eye = np.eye(2)
-    return suite, gt.strategy_for("custom", w, 1, custom=(eye, eye, eye, eye))
+    return suite, custom_strategy(w, 1, (eye, eye, eye, eye))
 
 
 @pytest.fixture

@@ -17,6 +17,8 @@ from gradtrack.harness import (ConfigError, TuningError, measured_contraction,
                                tune_step_size)
 from gradtrack.tracking import RunTrace
 
+from conftest import apply_counting_rounds
+
 
 def _write_cfg(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
@@ -394,7 +396,8 @@ def test_sweep_columns_match_single_runs_on_gather_rounds(method):
     suite = gt.generate_quadratic(gt.QuadraticSpec(n=192, d=3, kappa_target=30.0, seed=4))
     w = gt.metropolis_weights(gt.build_graph("cycle", 192))
     strat = gt.strategy_for(method, w, 1)
-    assert strat.rounds[0] is w.table is not None
+    assert strat.slots[0] is w
+    assert apply_counting_rounds(w, np.ones((192, 1)), 1)[1] == [1]
     alphas = 2.0 ** -np.arange(21.0)
     budget = 30
     record = harness._sweep(suite, strat, 1, budget, alphas)
@@ -473,8 +476,10 @@ def test_custom_matrices_are_read_powered_and_eigensolved_once_per_grid(tmp_path
     result = harness.execute_grid(cfg)
     assert len(result.records) == 4
     # W's beta and identity; each of the three distinct matrices: one
-    # beta, and one power for n_c = 5 (its first power is the matrix itself)
-    assert calls == {"read_matrix_csv": 3, "matrix_power": 1 + 3,
+    # beta, and each of the two that exchange anything one power for
+    # n_c = 5 (its first power is the matrix itself; the identity slot
+    # takes no product)
+    assert calls == {"read_matrix_csv": 3, "matrix_power": 1 + 2,
                      "compute_beta": 1 + 3}
 
 
@@ -606,6 +611,19 @@ def test_cli_tune_and_beta(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "beta = 0.9375" in out
     assert "beta^2" in out
+
+
+def test_cli_beta_nc_prints_the_power_of_beta(capsys):
+    # beta^nc as the theory columns take it (SpectralParams.b1c): an 8-star
+    # has beta = 7/8, whose square 0.765625 is exact; an eigensolve of
+    # W^2 read 0.76562500000000067
+    assert cli.main(["beta", "--graph", "star", "--n", "8", "--nc", "2"]) == 0
+    assert capsys.readouterr().out == "beta = 0.875\nbeta^2 = 0.765625\n"
+
+
+def test_cli_beta_rejects_nc_below_one(capsys):
+    assert cli.main(["beta", "--graph", "cycle", "--n", "8", "--nc", "0"]) == 2
+    assert "--nc must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_beta_matrix_dump(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from gradtrack.topology import (_POWERED_ATOL, KRYLOV_CAP, METHOD_NAMES, ROUND_C
                                 strategy_for, validate_communication_matrix,
                                 validate_mixing_matrix, write_matrix_csv)
 
-from conftest import adjacency, eig_beta, eig_matrix_power, loop_metropolis
+from conftest import (adjacency, apply_counting_rounds, custom_strategy, eig_beta,
+                      eig_matrix_power, loop_metropolis)
 
 
 # ---------------------------------------------------------------- graphs
@@ -298,7 +300,7 @@ def test_custom_strategy_on_edge_subset_accepted():
     # the path's edges are a subset of the cycle's, so it is a valid
     # communication matrix for the cycle as well
     validate_communication_matrix(w_tree, g)
-    s = strategy_for("custom", w, 2, custom=(w.w, w_tree, w.w, w_tree))
+    s = custom_strategy(w, 2, (w.w, w_tree, w.w, w_tree))
     assert s.name == "custom"
     assert s.betas[1] == pytest.approx(eig_beta(w_tree), abs=1e-12)
 
@@ -306,9 +308,9 @@ def test_custom_strategy_on_edge_subset_accepted():
 def test_custom_strategy_leaves_caller_arrays_writeable():
     w = metropolis_weights(build_graph("cycle", 4))
     eye, mine = np.eye(4), w.w.copy()
-    s = strategy_for("custom", w, 2, custom=(mine, eye, mine, eye))
+    s = custom_strategy(w, 2, (mine, eye, mine, eye))
     assert eye.flags.writeable and mine.flags.writeable
-    assert not any(m.flags.writeable for m in s.matrices + s.powered)
+    assert not any(m.flags.writeable for m in s.matrices + (s.slots[0].power(2),))
     mine[0, 0] = 7.0            # the strategy keeps its own copy
     assert s.matrices[0][0, 0] == w.w[0, 0]
 
@@ -324,14 +326,17 @@ def test_equal_custom_slots_share_one_matrix_power_and_beta(monkeypatch):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(gt.topology, name, counted)
-    # equal by value, not by identity: two copies of W and two identities
-    s = strategy_for("custom", w, 3, custom=(w.w.copy(), np.eye(5), w.w.copy(), np.eye(5)))
-    assert calls == {"matrix_power": 2, "compute_beta": 2}
+    # equal by value, not by identity: two copies of W and two identities;
+    # one beta each, and no power before a dense product needs one
+    s = custom_strategy(w, 3, (w.w.copy(), np.eye(5), w.w.copy(), np.eye(5)))
+    assert calls == {"matrix_power": 0, "compute_beta": 2}
+    assert s.slots[0] is s.slots[2] is not None and s.slots[1] is s.slots[3] is None
     for a, b in ((0, 2), (1, 3)):
-        assert s.matrices[a] is s.matrices[b] and s.powered[a] is s.powered[b]
-        assert s.betas[a] == s.betas[b] and s.identity[a] == s.identity[b]
-    assert s.identity == (False, True, False, True)
-    assert s.powered[0] is not s.powered[1]
+        assert s.matrices[a] is s.matrices[b] and s.betas[a] == s.betas[b]
+    v = np.ones((5, 1))
+    for m in (s.slots[0], s.slots[2]):
+        m.apply(v, s.n_c)
+    assert calls == {"matrix_power": 1, "compute_beta": 2}
 
 
 @settings(max_examples=40, deadline=None)
@@ -356,7 +361,7 @@ def test_custom_strategy_rejects_off_graph_entries():
     w = metropolis_weights(build_graph("cycle", 4))
     bad = np.full((4, 4), 0.25)  # complete-graph support, not a cycle subgraph
     with pytest.raises(ValueError, match="outside the graph"):
-        strategy_for("custom", w, 1, custom=(bad, bad, bad, bad))
+        custom_strategy(w, 1, (bad, bad, bad, bad))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -368,13 +373,14 @@ def test_communication_matrix_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="non-finite"):
         validate_communication_matrix(w, g)
     with pytest.raises(ValueError, match="non-finite"):
-        strategy_for("custom", metropolis_weights(g), 1, custom=(w, w, w, w))
+        custom_strategy(metropolis_weights(g), 1, (w, w, w, w))
 
 
 def test_powered_matrices_cached(cycle8_mixing):
     s = strategy_for("GTA2", cycle8_mixing, 3)
-    assert np.max(np.abs(s.powered[0] - matrix_power(cycle8_mixing.w, 3))) == 0.0
-    assert np.array_equal(s.powered[3], np.eye(8))
+    assert s.slots[:3] == (cycle8_mixing,) * 3 and s.slots[3] is None
+    assert np.max(np.abs(s.slots[0].power(3) - matrix_power(cycle8_mixing.w, 3))) == 0.0
+    assert np.array_equal(s.matrices[3], np.eye(8))
     assert s.vectors_per_round() == 3
 
 
@@ -409,10 +415,12 @@ def test_strategies_share_one_power_per_mixing_matrix(graph, n_c):
     w = metropolis_weights(graph)
     eye = np.eye(graph.n)
     named = [strategy_for(m, w, n_c) for m in METHOD_NAMES]
-    custom = strategy_for("custom", w, n_c, custom=(w.w, eye, w.w, np.eye(graph.n)))
-    w_power = named[0].powered[0]
+    custom = custom_strategy(w, n_c, (w.w, eye, w.w, np.eye(graph.n)))
+    w_power = named[0].slots[0].power(n_c)
     for s in named + [custom]:
-        for m, wp, beta, is_eye in zip(s.matrices, s.powered, s.betas, s.identity):
+        for m, slot, beta in zip(s.matrices, s.slots, s.betas):
+            is_eye = slot is None
+            wp = eye if is_eye else slot.power(n_c)
             assert np.array_equal(wp, matrix_power(m, n_c))
             assert np.max(np.abs(wp - eig_matrix_power(m, n_c))) <= 1e-10
             assert beta == compute_beta(m)
@@ -481,17 +489,93 @@ def test_shipped_configs_apply_dense_products():
         w = harness.build_mixing(cfg)
         assert w.table is None
         for method, n_c, _ in cfg.cells():
-            assert harness.build_strategy(cfg, method, w, n_c).rounds == (None,) * 4
+            slots = harness.build_strategy(cfg, method, w, n_c).slots
+            assert all(m is None or m.table is None for m in slots)
 
 
 def test_an_18x18_torus_runs_one_round_sparse_and_ten_dense():
     w = metropolis_weights(_torus(18))
     assert w.table.nbr.shape == (5, 324) and 5 * ROUND_COST <= 324 < 2 * 5 * ROUND_COST
     s1, s10 = strategy_for("GTA1", w, 1), strategy_for("GTA1", w, 10)
-    assert s1.rounds == (w.table, None, w.table, None)
-    assert s10.rounds == (None,) * 4
+    assert s1.slots == s10.slots == (w, None, w, None)
+    v = np.ones((324, 1))
+    assert apply_counting_rounds(w, v, 1)[1] == [1]
+    assert apply_counting_rounds(w, v, 10)[1] == []
     # a dense star never gets a table, whatever n
     assert metropolis_weights(build_graph("star", 400)).table is None
+
+
+@functools.lru_cache(maxsize=None)
+def _apply_mixing(kind, size):
+    return metropolis_weights(_torus(size) if kind == "torus" else build_graph("cycle", size))
+
+
+@st.composite
+def _apply_cases(draw):
+    kind = draw(st.sampled_from(["torus", "cycle"]))
+    size = draw(st.integers(min_value=18, max_value=30) if kind == "torus"
+                else st.integers(min_value=192, max_value=400))
+    return _apply_mixing(kind, size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=_apply_cases(), n_c=st.integers(min_value=1, max_value=12),
+       k=st.integers(min_value=1, max_value=25), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_apply_matches_the_matrix_power_on_both_routes(w, n_c, k, seed):
+    # tori of side 18-30 and 192-400 cycles take rounds up to n_c = 1 or 2
+    # and dense products beyond, so both routes occur
+    v = np.random.default_rng(seed).normal(size=(w.graph.n, k))
+    out, rounds = apply_counting_rounds(w, v, n_c)
+    ref = np.linalg.matrix_power(w.w, n_c) @ v
+    assert np.all(np.abs(out - ref) <= 1e-14 * np.max(np.abs(ref), axis=0))
+    m, n = w.table.nbr.shape
+    assert rounds == ([n_c] if n_c * m * ROUND_COST <= n else [])
+
+
+def _torus26_run(method, n_c):
+    """A 26x26 torus (m = 5, n = 676: n_c <= 2 runs as rounds), its
+    strategy, and a quadratic suite on it."""
+    w = metropolis_weights(_torus(26))
+    suite = gt.generate_quadratic(gt.QuadraticSpec(n=676, d=2, kappa_target=10.0, seed=1))
+    return w, strategy_for(method, w, n_c), suite
+
+
+def test_a_rounds_slot_builds_no_power():
+    w, strat, suite = _torus26_run("GTA3", 2)
+    alpha = harness.tune_step_size(suite, strat, 1, budget=10, t_range=(0, 6))
+    gt.run(suite, gt.GtaConfig(strategy=strat, alpha=alpha, max_outer_iters=10),
+           np.zeros(676 * 2))
+    assert 2 not in w._powers
+
+
+def test_a_dense_slot_builds_its_power_once_at_its_first_apply(monkeypatch):
+    w, gta1, suite = _torus26_run("GTA1", 10)
+    gta3 = strategy_for("GTA3", w, 10)
+    built = []
+    real = topology.matrix_power
+    monkeypatch.setattr(topology, "matrix_power",
+                        lambda m, p, table=None: built.append(p) or real(m, p, table))
+    assert 10 not in w._powers
+    for strat in (gta1, gta3, gta1):
+        gt.run(suite, gt.GtaConfig(strategy=strat, alpha=0.1, max_outer_iters=3),
+               np.zeros(676 * 2))
+        assert built == [10]
+    assert gta1.slots[0] is gta3.slots[0] is w and 10 in w._powers
+
+
+@pytest.mark.parametrize("graph", [build_graph("cycle", 8), _torus(26)], ids=["dense", "table"])
+@pytest.mark.parametrize("method", [*METHOD_NAMES, "custom"])
+def test_strategy_for_computes_no_power(graph, method, monkeypatch):
+    w = metropolis_weights(graph)
+    custom = topology.communication_matrices((w.w, np.eye(graph.n), w.w, w.w), graph)
+    asked = []
+    real = topology.MixingMatrix.power
+    monkeypatch.setattr(topology.MixingMatrix, "power",
+                        lambda self, p: asked.append(p) or real(self, p))
+    for n_c in (1, 2, 10):
+        strategy_for(method, w, n_c, custom=custom if method == "custom" else None)
+    assert set(asked) <= {0}
+    assert set(w._powers) <= {0} and not custom[0]._powers
 
 
 # a 320-cycle with some antipodal chords: degrees 2 and 3, so rows are padded
@@ -510,6 +594,8 @@ def test_sparse_built_powers_match_dense_products(graph, p):
     for axis in (0, 1):
         assert np.max(np.abs(built.sum(axis=axis) - 1.0)) <= _POWERED_ATOL
     assert np.array_equal(matrix_power(w.w, p, w.table), built)
+    # built in column blocks, with the bits of one call on every column
+    assert np.array_equal(w.table.apply(w.w, p - 1), built)
 
 
 def test_strategy_requires_positive_nc(cycle8_mixing):

@@ -11,7 +11,7 @@ from gradtrack.tracking import (DIVERGENCE_LIMIT, DivergenceError, GtaConfig, Gt
                                 diverged, error_vector, initialize, inner_step, outer_step,
                                 run, surely_bounded)
 
-from conftest import kron_outer_step
+from conftest import custom_strategy, kron_outer_step, slot_powers
 
 
 def _strategy(method, n, n_c=1, kind="cycle", laziness=0.0):
@@ -109,7 +109,7 @@ def test_all_identity_outer_step_equals_inner_step(small_quadratic):
     s = small_quadratic
     w = gt.metropolis_weights(gt.build_graph("cycle", s.n))
     eye = np.eye(s.n)
-    strat = gt.strategy_for("custom", w, 7, custom=(eye, eye, eye, eye))
+    strat = custom_strategy(w, 7, (eye, eye, eye, eye))
     rng = np.random.default_rng(7)
     x0 = rng.normal(size=s.n * s.d)
     st_a = initialize(s, x0)
@@ -150,12 +150,13 @@ def test_outer_step_does_two_dense_products(method, c, small_quadratic, monkeypa
     # operands, so every method (custom (W,W,W,W) too) mixes twice per step
     s = small_quadratic
     w = gt.metropolis_weights(gt.build_graph("cycle", s.n))
-    strat = gt.strategy_for(method, w, 3, custom=(w.w,) * 4 if method == "custom" else None)
+    strat = (custom_strategy(w, 3, (w.w,) * 4) if method == "custom"
+             else gt.strategy_for(method, w, 3))
     real = gt.tracking._mix
     products = []
 
     def counting(strategy, slot, v):
-        if not strategy.identity[slot]:
+        if strategy.slots[slot] is not None:
             products.append(slot)
         return real(strategy, slot, v)
 
@@ -169,7 +170,7 @@ def test_gta1_outer_step_keeps_the_unfactored_bits(c, small_quadratic):
     s = small_quadratic
     strat = _strategy("GTA1", s.n, n_c=4)
     st = _sweep_or_run_state(s, c, 1)
-    p, alpha = strat.powered[0], _alpha(c)
+    p, alpha = strat.slots[0].power(strat.n_c), _alpha(c)
     mix = lambda v: (p @ v.reshape(s.n, -1)).reshape(v.shape)
     x = mix(st.x) - alpha * st.y
     g = s.grad_stack_batch(x)
@@ -196,10 +197,10 @@ def test_factored_outer_step_equals_the_four_slot_formula(n, d, n_c, c, slots, k
     else:
         by_letter = {"W": w.w, "L": gt.metropolis_weights(graph, laziness=0.3).w,
                      "I": np.eye(n)}
-        strat = gt.strategy_for("custom", w, n_c, custom=[by_letter[k] for k in slots])
+        strat = custom_strategy(w, n_c, [by_letter[k] for k in slots])
     st = _sweep_or_run_state(suite, c, seed)
     alpha = _alpha(c)
-    z = [lambda v, p=p: np.einsum("ij,j...->i...", p, v) for p in strat.powered]
+    z = [lambda v, p=p: np.einsum("ij,j...->i...", p, v) for p in slot_powers(strat)]
     x_ref = z[0](st.x) - alpha * z[1](st.y)
     g_ref = suite.grad_stack_batch(x_ref)
     y_ref = z[2](st.y) + z[3](g_ref - st.grads)
@@ -312,7 +313,7 @@ def test_methods_coincide_when_strategies_coincide(small_quadratic):
     s = small_quadratic
     w = gt.metropolis_weights(gt.build_graph("cycle", s.n))
     a = gt.strategy_for("GTA3", w, 2)
-    b = gt.strategy_for("custom", w, 2, custom=(w.w, w.w, w.w, w.w))
+    b = custom_strategy(w, 2, (w.w, w.w, w.w, w.w))
     x0 = np.zeros(s.n * s.d)
     tr_a = run(s, GtaConfig(strategy=a, alpha=0.01, max_outer_iters=50), x0)
     tr_b = run(s, GtaConfig(strategy=b, alpha=0.01, max_outer_iters=50), x0)
