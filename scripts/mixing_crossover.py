@@ -15,10 +15,12 @@ Usage: python scripts/mixing_crossover.py [SIDE ...]     (default: 16 32 48)
 
 import sys
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from gradtrack import build_graph, compute_beta, matrix_power, metropolis_weights
+from gradtrack.topology import NeighbourTable
 
 
 def torus(side):
@@ -40,15 +42,15 @@ def best_of(fn, repeats=5):
     return best
 
 
-class CountedTable:
+@dataclass(frozen=True)
+class CountedTable(NeighbourTable):
     """A neighbour table that counts the gather rounds run through it."""
 
-    def __init__(self, table):
-        self.nbr, self.rounds, self._table = table.nbr, 0, table
+    rounds: list = field(default_factory=lambda: [0])
 
     def apply(self, v, rounds):
-        self.rounds += rounds
-        return self._table.apply(v, rounds)
+        self.rounds[0] += rounds
+        return super().apply(v, rounds)
 
 
 def main(sides):
@@ -61,15 +63,15 @@ def main(sides):
         if table is None:
             print(f"{side * side}: no neighbour table (n too small for ROUND_COST)")
             continue
-        power = w.power(2)
-        w10_dense = best_of(lambda: matrix_power(w.w, 10), repeats=3)
-        w10_rounds = best_of(lambda: matrix_power(w.w, 10, table), repeats=3)
-        beta_dense = best_of(lambda: compute_beta(w.w), repeats=3)
-        beta_krylov = best_of(lambda: compute_beta(w.w, table), repeats=3)
-        counted = CountedTable(table)
+        power, dense = w.power(2), w.w
+        w10_dense = best_of(lambda: matrix_power(dense, 10), repeats=3)
+        w10_rounds = best_of(lambda: matrix_power(table, 10), repeats=3)
+        beta_dense = best_of(lambda: compute_beta(dense), repeats=3)
+        beta_krylov = best_of(lambda: compute_beta(table), repeats=3)
+        counted = CountedTable(table.nbr, table.wt)
         # a run that reaches KRYLOV_CAP steps also pays the dense solve
-        diff = abs(compute_beta(w.w, counted) - compute_beta(w.w))
-        beta_cols = (f"{beta_dense * 1e3:.1f},{beta_krylov * 1e3:.1f},{counted.rounds},"
+        diff = abs(compute_beta(counted) - compute_beta(dense))
+        beta_cols = (f"{beta_dense * 1e3:.1f},{beta_krylov * 1e3:.1f},{counted.rounds[0]},"
                      f"{diff:.1e}")
         for columns in (10, 210):
             v = rng.normal(size=(side * side, columns))

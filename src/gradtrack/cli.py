@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_theory.add_argument("config")
 
     p_beta = sub.add_parser("beta", help="compute beta for a generated mixing matrix")
-    p_beta.add_argument("--graph", required=True, choices=["cycle", "star", "complete", "edge_list"])
+    p_beta.add_argument("--graph", required=True,
+                        choices=["cycle", "star", "complete", "torus", "edge_list"])
     p_beta.add_argument("--n", required=True, type=int)
     p_beta.add_argument("--laziness", type=float, default=0.0)
     p_beta.add_argument("--edges", help="comma list like 0-1,1-2 for edge_list")

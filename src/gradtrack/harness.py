@@ -142,7 +142,7 @@ def parse_config(path) -> ExperimentConfig:
         seed          RNG seed [0]
         dataset       LIBSVM file path, logreg only
         normalize     scale features to [0,1], logreg only [false]
-        graph         cycle | star | complete | edge_list
+        graph         cycle | star | complete | torus | edge_list
         edges         "0-1,1-2,...", edge_list only
         laziness      lazy Metropolis weight in [0,1) [0]
         methods       comma list out of GTA1,GTA2,GTA3,custom

@@ -7,18 +7,23 @@ tuple of four such matrices (identity allowed) plus a number of consensus
 steps per iteration; the classic gradient tracking variants GTA-1, GTA-2 and
 GTA-3 are particular assignments of the four slots.
 
-A mixing matrix with few nonzeros per row also gets a neighbour table, and
-`MixingMatrix.apply` runs W^n_c as n_c gather rounds (one consensus round
-each, the paper's cost unit) where that is cheaper than one dense product
-with the power, which is built on first use; see ROUND_COST.  Such a
-matrix's beta comes from a Lanczos iteration whose steps are gather rounds,
-not from a dense eigensolve; see KRYLOV_CAP.
+A `MixingMatrix` holds exactly one representation of W.  A matrix with few
+nonzeros per row (see ROUND_COST) holds its neighbour table, built without
+an n x n array: a Metropolis matrix reads it off the graph's edge list.
+`MixingMatrix.apply` runs W^n_c on it as n_c gather rounds (one consensus
+round each, the paper's cost unit) where that is cheaper than one dense
+product with the power, which is built from rounds on first use; its beta
+comes from a Lanczos iteration whose steps are gather rounds (see
+KRYLOV_CAP).  Any other matrix holds its dense array.  An n x n array of a
+table matrix exists only while a dense product, a dense eigensolve or a
+caller of `MixingMatrix.w` needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +52,8 @@ _GATHER_FLOATS = 1 << 16
 # columns per block of a power built from rounds: the block and its round buffers
 # hold 3 * n * 128 floats, not two more n x n arrays (a lazy power is built mid-sweep)
 _POWER_COLUMNS = 128
+# rows per block of the dense row sums behind a table-built Metropolis diagonal
+_SUM_ROWS = 128
 
 # Largest Krylov dimension of compute_beta's Lanczos route.  A matrix whose
 # extreme Ritz values have not converged by then takes the dense eigensolve:
@@ -114,7 +121,9 @@ def build_graph(kind: str, n: int, edges=None) -> Graph:
 
     Args:
         kind: one of "cycle" (n >= 3), "star" (n >= 2, node 0 is the hub),
-            "complete" (n >= 1) or "edge_list".
+            "complete" (n >= 1), "torus" (n = side^2 with side >= 3: node
+            r*side + c links to its right and down neighbours, wrapping) or
+            "edge_list".
         n: node count.
         edges: iterable of (i, j) pairs, required for kind="edge_list".
             Self-loops and duplicate edges (in either orientation) are
@@ -132,6 +141,13 @@ def build_graph(kind: str, n: int, edges=None) -> Graph:
         es = {(0, i) for i in range(1, n)}
     elif kind == "complete":
         es = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    elif kind == "torus":
+        side = math.isqrt(n)
+        if side * side != n or side < 3:
+            raise ValueError(f"torus requires n = side^2 with side >= 3, got {n}")
+        es = {_normalize_edge(r * side + c, nb)
+              for r in range(side) for c in range(side)
+              for nb in (r * side + (c + 1) % side, (r + 1) % side * side + c)}
     elif kind == "edge_list":
         if edges is None:
             raise ValueError("edge_list requires an explicit edge list")
@@ -152,8 +168,9 @@ def build_graph(kind: str, n: int, edges=None) -> Graph:
 @dataclass(frozen=True)
 class NeighbourTable:
     """The nonzeros of a square matrix by row: entry (i, nbr[j, i]) holds
-    wt[j, i] for j < m, the largest row count; a shorter row is padded
-    with weight 0 on its own column."""
+    wt[j, i] for j < m, the largest row count; each row lists its entries
+    in ascending column order, and a shorter row is padded with weight 0 on
+    its own column."""
 
     nbr: np.ndarray     # (m, n) column indices
     wt: np.ndarray      # (m, n) weights
@@ -185,6 +202,26 @@ class NeighbourTable:
             src = dst
         return src if rounds else v.copy()
 
+    def densify(self) -> np.ndarray:
+        """The n x n matrix the table holds, as a new array."""
+        m, n = self.nbr.shape
+        out = np.zeros((n, n))
+        # a padding entry adds 0 to its row's diagonal entry
+        np.add.at(out, (np.broadcast_to(np.arange(n), (m, n)), self.nbr), self.wt)
+        return out
+
+
+def _pack(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+          counts: np.ndarray) -> NeighbourTable:
+    """The table of the entries (rows, cols, vals), sorted by row and then
+    by column; row i holds counts[i] of them."""
+    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    nbr = np.tile(np.arange(n), (int(counts.max()), 1))    # padding: own column, weight 0
+    wt = np.zeros(nbr.shape)
+    nbr[slot, rows] = cols
+    wt[slot, rows] = vals
+    return NeighbourTable(nbr=nbr, wt=wt)
+
 
 def neighbour_table(w: np.ndarray) -> NeighbourTable | None:
     """The neighbour table of a square matrix, read off its nonzeros with
@@ -192,16 +229,10 @@ def neighbour_table(w: np.ndarray) -> NeighbourTable | None:
     holds m nonzeros and m * ROUND_COST > n (rounds never pay)."""
     n = len(w)
     counts = np.count_nonzero(w, axis=1)
-    m = int(counts.max())
-    if m * ROUND_COST > n:
+    if int(counts.max()) * ROUND_COST > n:
         return None
     rows, cols = np.nonzero(w)                      # row-major: rows ascend
-    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-    nbr = np.tile(np.arange(n), (m, 1))             # padding: own column, weight 0
-    wt = np.zeros((m, n))
-    nbr[slot, rows] = cols
-    wt[slot, rows] = w[rows, cols]
-    return NeighbourTable(nbr=nbr, wt=wt)
+    return _pack(n, rows, cols, w[rows, cols], counts)
 
 
 def _readonly(w: np.ndarray) -> np.ndarray:
@@ -210,7 +241,7 @@ def _readonly(w: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Symmetric doubly stochastic matrix respecting a graph: a Metropolis
     mixing matrix, or a custom communication matrix (`communication_matrices`).
@@ -218,24 +249,52 @@ class MixingMatrix:
     ``beta`` is the spectral norm of ``w - ones/n``: the magnitude of the
     second-largest eigenvalue of ``w``. Smaller beta means faster mixing;
     beta < 1 exactly when the matrix mixes over a connected graph.
-    ``table`` is `neighbour_table(w)`, built once with beta.  `apply` applies
+
+    The matrix has one representation: ``table``, its neighbour table,
+    when gather rounds can pay (m * ROUND_COST <= n), else ``dense``, its
+    read-only n x n array; the other field is None.  `apply` applies
     W^n_c; powers are computed on first use and shared by every strategy
-    built from this matrix.
+    built from this matrix.  Wrappers compare and hash by identity.
     """
 
-    w: np.ndarray
     beta: float
-    graph: Graph = field(compare=False)
-    table: NeighbourTable | None = field(compare=False, repr=False)
-    _powers: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False,
-                                           compare=False)
+    graph: Graph = field(repr=False)
+    table: NeighbourTable | None = field(repr=False)
+    dense: np.ndarray | None = field(repr=False)
+    _powers: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if (self.table is None) == (self.dense is None):
+            raise ValueError("a MixingMatrix holds exactly one of a table and a dense array")
+
+    @property
+    def w(self) -> np.ndarray:
+        """The n x n matrix: ``dense`` itself, or, for a table matrix, a new
+        array densified from the table on every access (nothing keeps it)."""
+        return self.dense if self.table is None else self.table.densify()
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """W's eigenvalues in ascending order, from one dense eigensolve on
+        first use; those of W^p are their p-th powers."""
+        return np.linalg.eigvalsh(self.w)
+
+    @cached_property
+    def is_identity(self) -> bool:
+        """Whether W is exactly the identity (a slot that exchanges nothing)."""
+        if self.table is None:
+            return (np.count_nonzero(self.dense) == self.graph.n
+                    and bool(np.all(np.diagonal(self.dense) == 1.0)))
+        # each row lists its nonzeros, so only the identity's list just the diagonal
+        return bool(np.all(self.table.nbr == np.arange(self.graph.n))
+                    and np.all(self.table.wt == 1.0))
 
     def apply(self, v: np.ndarray, n_c: int) -> np.ndarray:
         """W^n_c v for an (n, k) array v, always a new array: n_c gather
         rounds on the table when they cost less than one dense product
         (ROUND_COST), else one product with ``power(n_c)``."""
         table = self.table
-        if table is not None and n_c * len(table.nbr) * ROUND_COST <= len(self.w):
+        if table is not None and n_c * len(table.nbr) * ROUND_COST <= self.graph.n:
             return table.apply(v, n_c)
         # ndarray.dot: matmul's BLAS call (same bits) without its ufunc dispatch,
         # and a cached power without a call to `power`; a run's products notice
@@ -243,12 +302,16 @@ class MixingMatrix:
         return (self.power(n_c) if power is None else power).dot(v)
 
     def power(self, p: int) -> np.ndarray:
-        """Read-only ``matrix_power(w, p, table)``, computed on the first
-        request for each p and shared by every later caller; power(0) is
-        the identity and power(1) is ``w`` itself."""
+        """Read-only ``matrix_power`` of the table or the dense array,
+        computed on the first request for each p and shared by every later
+        caller; power(0) is the identity and a dense matrix's power(1) is
+        ``dense`` itself."""
         out = self._powers.get(p)
         if out is None:
-            out = self.w if p == 1 else _readonly(matrix_power(self.w, p, self.table))
+            if self.table is None:
+                out = self.dense if p == 1 else _readonly(matrix_power(self.dense, p))
+            else:
+                out = _readonly(matrix_power(self.table, p))
             self._powers[p] = out
         return out
 
@@ -297,37 +360,92 @@ def validate_mixing_matrix(w: np.ndarray, graph: Graph) -> None:
         raise ValueError(f"edge ({i[zero[0]]},{j[zero[0]]}) carries zero weight")
 
 
+def _validate_table(table: NeighbourTable, graph: Graph) -> None:
+    """`validate_mixing_matrix` on the matrix a table holds, evaluated on
+    the table's entries."""
+    m, n = table.nbr.shape
+    wt = table.wt
+    if not np.all(np.isfinite(wt)):
+        raise ValueError("matrix has non-finite entries")
+    asymmetry, row_dev, col_dev = _stochastic_defects(table)
+    if asymmetry > _STOCHASTIC_ATOL:
+        raise ValueError("matrix is not symmetric")
+    if row_dev > _STOCHASTIC_ATOL:
+        raise ValueError("rows do not sum to 1")
+    if col_dev > _STOCHASTIC_ATOL:
+        raise ValueError("columns do not sum to 1")
+    if np.any(wt < 0):
+        raise ValueError("negative entries")
+    rows = np.broadcast_to(np.arange(n), (m, n))
+    on_diagonal = table.nbr == rows                 # the diagonal entry and the padding
+    if np.any(np.sum(wt, axis=0, where=on_diagonal) <= 0):
+        raise ValueError("diagonal entries must be positive")
+    off = ~on_diagonal & (wt != 0)
+    i, j = rows[off], table.nbr[off]
+    keys = np.minimum(i, j) * n + np.maximum(i, j)
+    edges = graph.edge_array
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    if not np.all(np.isin(keys, edge_keys)):
+        raise ValueError("nonzero entry outside the graph's edge set")
+    zero = np.flatnonzero(~np.isin(edge_keys, keys[i < j]))
+    if len(zero):
+        raise ValueError(f"edge ({edges[zero[0], 0]},{edges[zero[0], 1]}) carries zero weight")
+
+
 def _asymmetry(w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     """max |w[i, j] - w[j, i]| over the index pairs (rows, cols); 0 for none."""
     return float(np.max(np.abs(w[rows, cols] - w[cols, rows]), initial=0.0))
 
 
-def compute_beta(w: np.ndarray, table: NeighbourTable | None = None) -> float:
-    """Spectral norm of ``w - ones/n`` for a symmetric doubly stochastic w.
+def _stochastic_defects(w: np.ndarray | NeighbourTable) -> tuple[float, float, float]:
+    """(max |w_ij - w_ji|, max |row sum - 1|, max |column sum - 1|) of a
+    square array, or of the matrix a neighbour table holds."""
+    if not isinstance(w, NeighbourTable):
+        return (float(np.max(np.abs(w - w.T))), float(np.max(np.abs(w.sum(axis=1) - 1.0))),
+                float(np.max(np.abs(w.sum(axis=0) - 1.0))))
+    m, n = w.nbr.shape
+    rows = np.broadcast_to(np.arange(n), (m, n)).ravel()
+    cols, wt = w.nbr.ravel(), w.wt.ravel()
+    col_sums = np.bincount(cols, weights=wt, minlength=n)
+    # an off-diagonal entry's mirror, looked up by its key (a table holds
+    # each entry once); the diagonal and the padding mirror themselves
+    off = rows != cols
+    rows, cols, wt = rows[off], cols[off], wt[off]
+    keys = rows * n + cols
+    order = np.argsort(keys)
+    mirror_keys = cols * n + rows
+    found = order[np.minimum(np.searchsorted(keys, mirror_keys, sorter=order), len(keys) - 1)]
+    mirror = np.where(keys[found] == mirror_keys, wt[found], 0.0)
+    return (float(np.max(np.abs(wt - mirror), initial=0.0)),
+            float(np.max(np.abs(w.wt.sum(axis=0) - 1.0))), float(np.max(np.abs(col_sums - 1.0))))
+
+
+def compute_beta(w: np.ndarray | NeighbourTable) -> float:
+    """Spectral norm of ``w - ones/n`` for a symmetric doubly stochastic
+    matrix, given as a square array or as its neighbour table.
 
     Equals the second-largest eigenvalue magnitude of w, and lies in [0, 1];
-    values at or below EXACT_AVERAGING_TOL are returned as exactly 0.  Given
-    w's neighbour table, it comes from `_lanczos_beta`, whose products with
-    w are gather rounds on the table; without one, or when Lanczos reaches
-    KRYLOV_CAP steps, from a dense eigensolve.
+    values at or below EXACT_AVERAGING_TOL are returned as exactly 0.  For
+    a table, symmetry and stochasticity are checked on its entries and beta
+    comes from `_lanczos_beta`, whose products with w are gather rounds;
+    for an array, or when Lanczos reaches KRYLOV_CAP steps, from a dense
+    eigensolve (of an array densified from the table for this call only).
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    n = w.shape[0]
+    table = w if isinstance(w, NeighbourTable) else None
     if table is None:
-        asymmetry = np.max(np.abs(w - w.T))
-    else:
-        # the table holds every nonzero, padded with diagonal entries
-        asymmetry = _asymmetry(w, np.broadcast_to(np.arange(n), table.nbr.shape), table.nbr)
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {w.shape}")
+    asymmetry, row_dev, col_dev = _stochastic_defects(w)
     if asymmetry > _POWERED_ATOL:
         raise ValueError("matrix is not symmetric")
-    if (np.max(np.abs(w.sum(axis=1) - 1.0)) > _POWERED_ATOL
-            or np.max(np.abs(w.sum(axis=0) - 1.0)) > _POWERED_ATOL):
+    if row_dev > _POWERED_ATOL or col_dev > _POWERED_ATOL:
         raise ValueError("matrix is not doubly stochastic")
     beta = None if table is None else _lanczos_beta(table)
     if beta is None:
-        beta = float(np.max(np.abs(np.linalg.eigvalsh(w - np.full((n, n), 1.0 / n)))))
+        dense = w if table is None else table.densify()
+        n = len(dense)
+        beta = float(np.max(np.abs(np.linalg.eigvalsh(dense - np.full((n, n), 1.0 / n)))))
     if beta > 1.0 + 1e-8:
         raise ValueError(f"beta = {beta} > 1: input cannot be doubly stochastic")
     if beta <= EXACT_AVERAGING_TOL:
@@ -375,11 +493,21 @@ def _lanczos_beta(table: NeighbourTable) -> float | None:
     return None
 
 
-def matrix_power(w: np.ndarray, p: int, table: NeighbourTable | None = None) -> np.ndarray:
-    """p-fold matrix product by iterated multiplication, (..((w @ w) @ w)..),
-    or, given w's neighbour table, as p - 1 gather rounds on w by column
-    blocks (a column's rounds do not depend on the others); w^0 is the
-    identity.  Always a new array."""
+def matrix_power(w: np.ndarray | NeighbourTable, p: int) -> np.ndarray:
+    """p-fold matrix product of a square array by iterated multiplication,
+    (..((w @ w) @ w)..), or of the matrix a neighbour table holds as p
+    gather rounds on the identity's columns in blocks of _POWER_COLUMNS (a
+    column's rounds do not depend on the others; the first round gives
+    W's columns exactly); w^0 is the identity.  Always a new array."""
+    if isinstance(w, NeighbourTable):
+        if p < 0 or int(p) != p:
+            raise ValueError(f"power must be a nonnegative integer, got {p}")
+        n = w.nbr.shape[1]
+        out = np.empty((n, n))
+        for lo in range(0, n, _POWER_COLUMNS):
+            eye_block = np.eye(n, min(_POWER_COLUMNS, n - lo), -lo)
+            out[:, lo:lo + _POWER_COLUMNS] = w.apply(eye_block, int(p))
+        return out
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
@@ -387,16 +515,35 @@ def matrix_power(w: np.ndarray, p: int, table: NeighbourTable | None = None) -> 
         raise ValueError(f"power must be a nonnegative integer, got {p}")
     if p == 0:
         return np.eye(w.shape[0])
-    if table is not None:
-        out = np.empty_like(w)
-        for lo in range(0, len(w), _POWER_COLUMNS):
-            block = np.ascontiguousarray(w[:, lo:lo + _POWER_COLUMNS])
-            out[:, lo:lo + _POWER_COLUMNS] = table.apply(block, int(p) - 1)
-        return out
     out = w.copy()
     for _ in range(int(p) - 1):
         out = out @ w
     return out
+
+
+def _metropolis_table(graph: Graph, weight: np.ndarray) -> NeighbourTable:
+    """The neighbour table of the Metropolis matrix whose edge_array rows
+    carry `weight`, read off the edge list.  The diagonal is 1 minus each
+    row's dense pairwise sum, taken over row blocks of a zeroed buffer, so
+    it has the bits of the dense construction's ``w.sum(axis=1)``."""
+    n = graph.n
+    i, j = graph.edge_array.T
+    node = np.arange(n)
+    rows, cols = np.concatenate([i, j, node]), np.concatenate([j, i, node])
+    order = np.lexsort((cols, rows))                # by row, then by column
+    rows, cols = rows[order], cols[order]
+    vals = np.concatenate([weight, weight, np.zeros(n)])[order]
+    diagonal = np.empty(n)
+    buf = np.empty((min(_SUM_ROWS, n), n))
+    for lo in range(0, n, _SUM_ROWS):
+        hi = min(lo + _SUM_ROWS, n)
+        a, b = np.searchsorted(rows, (lo, hi))
+        block = buf[:hi - lo]
+        block.fill(0.0)
+        block[rows[a:b] - lo, cols[a:b]] = vals[a:b]
+        diagonal[lo:hi] = 1.0 - block.sum(axis=1)
+    vals[rows == cols] = diagonal                   # one diagonal entry per row, in row order
+    return _pack(n, rows, cols, vals, np.bincount(rows, minlength=n))
 
 
 def metropolis_weights(graph: Graph, laziness: float = 0.0) -> MixingMatrix:
@@ -405,7 +552,9 @@ def metropolis_weights(graph: Graph, laziness: float = 0.0) -> MixingMatrix:
     Edge weight: (1 - laziness) / (1 + max(deg_i, deg_j)); the diagonal
     absorbs the remainder so rows sum to one exactly.  laziness=0 is the
     plain Metropolis-Hastings scheme.  Requires a connected graph, which
-    guarantees beta < 1.
+    guarantees beta < 1.  A graph whose rows hold m = max degree + 1
+    nonzeros with m * ROUND_COST <= n gets a matrix built as its neighbour
+    table, with no n x n array; any other graph, a dense one.
     """
     if not (0.0 <= laziness < 1.0):
         raise ValueError(f"laziness must be in [0, 1), got {laziness}")
@@ -414,35 +563,52 @@ def metropolis_weights(graph: Graph, laziness: float = 0.0) -> MixingMatrix:
     n = graph.n
     deg = graph.degrees()
     i, j = graph.edge_array.T
-    w = np.zeros((n, n))
-    w[i, j] = w[j, i] = (1.0 - laziness) / (1.0 + np.maximum(deg[i], deg[j]))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))        # each row sum reads a zero diagonal
-    validate_mixing_matrix(w, graph)
-    w = _readonly(w)
-    table = neighbour_table(w)
-    beta = compute_beta(w, table)
-    assert beta < 1.0, "connected graph must yield beta < 1"
-    return MixingMatrix(w=w, beta=beta, graph=graph, table=table)
+    weight = (1.0 - laziness) / (1.0 + np.maximum(deg[i], deg[j]))
+    if (int(deg.max()) + 1) * ROUND_COST <= n:
+        table = _metropolis_table(graph, weight)
+        _validate_table(table, graph)
+        mixing = MixingMatrix(beta=compute_beta(table), graph=graph, table=table, dense=None)
+    else:
+        w = np.zeros((n, n))
+        w[i, j] = w[j, i] = weight
+        np.fill_diagonal(w, 1.0 - w.sum(axis=1))    # each row sum reads a zero diagonal
+        validate_mixing_matrix(w, graph)
+        w = _readonly(w)
+        mixing = MixingMatrix(beta=compute_beta(w), graph=graph, table=None, dense=w)
+    assert mixing.beta < 1.0, "connected graph must yield beta < 1"
+    return mixing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommunicationStrategy:
     """Four communication slots plus the consensus-step count per iteration.
 
     ``slots`` holds the MixingMatrix of each slot, None for a slot that
     exchanges nothing (the identity); slots holding the same matrix hold
-    one wrapper, so they share its table, beta and powers.  ``matrices``
-    holds each slot's n x n matrix, the identity for a None slot.
+    one wrapper, so they share its table, beta and powers.  ``graph`` is
+    the network they communicate over.  Strategies compare and hash by
+    identity.
     """
 
     name: str
     n_c: int
-    matrices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    slots: tuple[MixingMatrix | None, ...] = field(compare=False)
+    slots: tuple[MixingMatrix | None, ...]
+    graph: Graph = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.graph.n
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """Each slot's n x n matrix, the identity for a None slot, built on
+        every access (`MixingMatrix.w`); slots that hold one wrapper, or the
+        identity, share one array."""
+        built = {}
+        for m in self.slots:
+            if m not in built:
+                built[m] = np.eye(self.n) if m is None else m.w
+        return tuple(built[m] for m in self.slots)
 
     @property
     def betas(self) -> tuple[float, ...]:
@@ -458,17 +624,21 @@ class CommunicationStrategy:
 def communication_matrices(mats, graph: Graph) -> tuple[MixingMatrix, ...]:
     """Validate and wrap custom communication matrices against `graph`
     (no relation among them is imposed; subsets of the edge set are
-    allowed).  Equal matrices share one wrapper, and so one frozen copy,
-    power, beta and neighbour table."""
-    out = []
+    allowed).  Equal matrices share one wrapper, and so one power, beta and
+    neighbour table.  A wrapper holds a frozen copy of its matrix, or only
+    its table when it gets one."""
+    out, read = [], []
     for m in mats:
-        same = next((c for c in out if np.array_equal(c.w, m)), None)
+        same = next((c for a, c in read if np.array_equal(a, m)), None)
         if same is None:
             # a copy: freezing must not touch the caller's array
-            m = _readonly(np.array(m, dtype=float))
-            validate_communication_matrix(m, graph)
-            table = neighbour_table(m)
-            same = MixingMatrix(w=m, beta=compute_beta(m, table), graph=graph, table=table)
+            a = _readonly(np.array(m, dtype=float))
+            validate_communication_matrix(a, graph)
+            table = neighbour_table(a)
+            same = (MixingMatrix(beta=compute_beta(a), graph=graph, table=None, dense=a)
+                    if table is None else
+                    MixingMatrix(beta=compute_beta(table), graph=graph, table=table, dense=None))
+            read.append((a, same))
         out.append(same)
     return tuple(out)
 
@@ -479,9 +649,9 @@ def strategy_for(method: str, w: MixingMatrix, n_c: int, custom=None) -> Communi
     GTA1 -> (W, I, W, I); GTA2 -> (W, W, W, I); GTA3 -> (W, W, W, W).
     Each slot holds a MixingMatrix, so its powers, beta and neighbour table
     are computed once per matrix however many strategies use it; no power
-    is computed here.  method="custom" takes the four
-    `communication_matrices` wrappers of a grid; one equal to the identity
-    becomes an identity slot.
+    and no identity matrix is computed here.  method="custom" takes the
+    four `communication_matrices` wrappers of a grid; one that is exactly
+    the identity becomes an identity slot.
     """
     if n_c < 1 or int(n_c) != n_c:
         raise ValueError(f"n_c must be an integer >= 1, got {n_c}")
@@ -490,12 +660,10 @@ def strategy_for(method: str, w: MixingMatrix, n_c: int, custom=None) -> Communi
     elif method == "custom":
         if custom is None or len(custom) != 4:
             raise ValueError("custom strategy requires four matrices")
-        slots = tuple(None if np.array_equal(m.w, w.power(0)) else m for m in custom)
+        slots = tuple(None if m.is_identity else m for m in custom)
     else:
         raise ValueError(f"unknown method {method!r}")
-    # the identity only where a slot needs it: a strategy keeps w's powers alive
-    return CommunicationStrategy(name=method, n_c=int(n_c), slots=slots,
-                                 matrices=tuple(w.power(0) if m is None else m.w for m in slots))
+    return CommunicationStrategy(name=method, n_c=int(n_c), slots=slots, graph=w.graph)
 
 
 def write_matrix_csv(w: np.ndarray, path) -> None:

@@ -444,7 +444,9 @@ def test_an_18x18_torus_grid_tunes_and_traces_alike_on_rounds_and_dense(tmp_path
         outdir = {tmp_path / 'out'}
     """))
     rounds = harness.execute_grid(cfg)
-    assert rounds.w.table is not None
+    # the table and the n_c = 10 power only: no dense W and no identity
+    assert rounds.w.table is not None and rounds.w.dense is None
+    assert set(rounds.w._powers) == {10}
     monkeypatch.setattr(gt.topology, "ROUND_COST", math.inf)     # dense products only
     dense = harness.execute_grid(cfg)
     assert dense.w.table is None
@@ -475,11 +477,11 @@ def test_custom_matrices_are_read_powered_and_eigensolved_once_per_grid(tmp_path
         monkeypatch.setattr(owner, name, counted)
     result = harness.execute_grid(cfg)
     assert len(result.records) == 4
-    # W's beta and identity; each of the three distinct matrices: one
-    # beta, and each of the two that exchange anything one power for
-    # n_c = 5 (its first power is the matrix itself; the identity slot
-    # takes no product)
-    assert calls == {"read_matrix_csv": 3, "matrix_power": 1 + 2,
+    # W's beta (no identity matrix is built); each of the three distinct
+    # matrices: one beta, and each of the two that exchange anything one
+    # power for n_c = 5 (its first power is the matrix itself; the identity
+    # slot takes no product)
+    assert calls == {"read_matrix_csv": 3, "matrix_power": 2,
                      "compute_beta": 1 + 3}
 
 
@@ -624,6 +626,39 @@ def test_cli_beta_nc_prints_the_power_of_beta(capsys):
 def test_cli_beta_rejects_nc_below_one(capsys):
     assert cli.main(["beta", "--graph", "cycle", "--n", "8", "--nc", "0"]) == 2
     assert "--nc must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_beta_and_configs_reject_a_torus_that_is_not_a_square(tmp_path, capsys):
+    for n in ("4", "15"):
+        assert cli.main(["beta", "--graph", "torus", "--n", n]) == 2
+        assert "torus requires" in capsys.readouterr().err
+    cfg_path = _write_cfg(tmp_path, MINI_CFG.replace("graph = complete", "graph = torus")
+                          .format(out=tmp_path / "torus_out"))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert "torus requires" in capsys.readouterr().err
+    assert cli.main(["beta", "--graph", "torus", "--n", "9"]) == 0
+
+
+def test_a_rounds_slot_with_exact_deviation_builds_no_power(tmp_path):
+    # an 18 x 18 torus runs n_c = 1 as gather rounds; z1_mode = exact reads
+    # W's eigenvalues, not an eigensolve of a power
+    cfg = parse_config(_write_cfg(tmp_path, f"""
+        problem = quadratic
+        n = 324
+        d = 2
+        kappa_target = 10
+        graph = torus
+        methods = GTA1,GTA3
+        budget = 5
+        tune_budget = 5
+        tune_tmax = 6
+        z1_mode = exact
+        outdir = {tmp_path / 'out'}
+    """))
+    result = harness.execute_grid(cfg)
+    assert result.w.table is not None and result.w.dense is None
+    assert not result.w._powers
+    assert all(r["params"].z1_dev < 2.0 for r in result.records)
 
 
 def test_cli_beta_matrix_dump(tmp_path, capsys):

@@ -3,9 +3,10 @@
 Tiny configs go through every CLI verb (and so through the harness) under
 sys.setprofile: each method and a custom strategy, z1_mode = exact, an
 edge_list graph, a complete graph (the fully connected theory route),
-a cycle large enough for gather rounds, sparse-built powers and a Lanczos
-beta, logistic regression, a tuning sweep whose candidates all diverge and
-a run that diverges after tuning.  A function that none of them calls is
+a cycle large enough for gather rounds, sparse-built powers, a Lanczos
+beta and the eigenvalues of a table-held matrix, logistic regression, a
+tuning sweep whose candidates all diverge and a run that diverges after
+tuning.  A function that none of them calls is
 dead code or test-only API: it belongs in tests/ or nowhere, unless KEEP
 names it with the reason it stays.
 """
@@ -43,6 +44,8 @@ KEEP = {
     ("theory.py", "monotonicity_report"): "checks a printed claim of the paper",
     ("theory.py", "MonotonicityReport.ok"): "the verdict of monotonicity_report",
     ("theory.py", "MonotonicityReport.__str__"): "the message of monotonicity_report",
+    ("topology.py", "CommunicationStrategy.matrices"):
+        "the benchmark's tracer reads slot 0's matrix (perfbench/tracer.py)",
     ("tracking.py", "RunTrace.comm_vectors"):
         "per-vector communication cost, for the planned theory-vs-measurement columns",
 }
@@ -133,7 +136,8 @@ def _entry_points(tmp):
         outdir = {tmp / 'logreg'}
     """)
     # 3 nonzeros per row and n = 3 * ROUND_COST: W^1 runs as gather
-    # rounds, and W^2 is one dense product with a power built by rounds
+    # rounds, and W^2 is one dense product with a power built by rounds;
+    # z1_mode = exact densifies the table for one eigensolve
     sparse = _write(tmp / "sparse.cfg", f"""
         n = {3 * ROUND_COST}
         d = 2
@@ -144,6 +148,7 @@ def _entry_points(tmp):
         budget = 3
         tune_budget = 3
         tune_tmax = 4
+        z1_mode = exact
         outdir = {tmp / 'sparse'}
     """)
     # every 2^-t candidate diverges at L ~ 1e9, so tuning fails

@@ -562,3 +562,19 @@ def test_exact_deviation_mode_tightens_the_matrix(cycle8_mixing):
     tight = params_from_strategy(strat, alpha=1e-3, L=1.0, mu=0.1, z1_mode="exact")
     assert tight.z1_dev <= loose.z1_dev == 2.0
     assert np.all(recursion_matrix(tight).m <= recursion_matrix(loose).m + 1e-15)
+
+
+@pytest.mark.parametrize("graph", [gt.build_graph("cycle", 9), gt.build_graph("star", 7),
+                                   gt.build_graph("torus", 16), gt.build_graph("torus", 324)],
+                         ids=["cycle9", "star7", "torus16", "torus324"])
+def test_exact_deviation_takes_powers_of_one_eigensolve(graph):
+    # the eigenvalues of W^nc are those of W raised to nc: one eigensolve
+    # per matrix, and no power of W
+    w = gt.metropolis_weights(graph)
+    w_dense = w.w
+    for n_c in range(1, 13):
+        strat = gt.strategy_for("GTA1", w, n_c)
+        eigs = np.linalg.eigvalsh(np.linalg.matrix_power(w_dense, n_c))
+        want = np.max(np.abs(1.0 - eigs))
+        assert abs(theory.exact_z1_deviation(strat) - want) <= 1e-13
+    assert not w._powers

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 import gradtrack as gt
 from gradtrack import harness, topology
 from gradtrack.topology import (_POWERED_ATOL, KRYLOV_CAP, METHOD_NAMES, ROUND_COST,
-                                _lanczos_beta, build_graph, compute_beta, matrix_power,
+                                NeighbourTable, _lanczos_beta, build_graph, compute_beta,
+                                matrix_power,
                                 metropolis_weights, neighbour_table, read_matrix_csv,
                                 strategy_for, validate_communication_matrix,
                                 validate_mixing_matrix, write_matrix_csv)
@@ -56,6 +58,26 @@ def test_edge_list_rejects_self_loops_and_duplicates():
 def test_generators_yield_connected_graphs():
     for kind, n in [("cycle", 3), ("cycle", 9), ("star", 2), ("star", 7), ("complete", 1)]:
         assert build_graph(kind, n).is_connected()
+
+
+@pytest.mark.parametrize("side", [3, 4, 7, 18])
+def test_a_torus_links_each_node_right_and_down_wrapping(side):
+    want = set()
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c
+            for j in (r * side + (c + 1) % side, ((r + 1) % side) * side + c):
+                want.add((min(i, j), max(i, j)))
+    g = build_graph("torus", side * side)
+    assert g.edges == want
+    assert np.all(g.degrees() == 4) and g.is_connected()
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 15, 17, 323])
+def test_a_torus_needs_a_square_of_a_side_of_at_least_three(n):
+    # n = 4 is the 2 x 2 square, whose right and down links coincide
+    with pytest.raises(ValueError, match="torus requires"):
+        build_graph("torus", n)
 
 
 # ------------------------------------------------------- metropolis weights
@@ -151,6 +173,51 @@ def test_metropolis_weights_equal_the_per_edge_loop_bit_for_bit(graph, laziness)
                           loop_metropolis(graph, laziness))
 
 
+def _random_degree_2_to_6(n, chords, rng):
+    """A ring through a random node order plus up to `chords` random
+    chords between nodes of degree below 6: connected, degrees 2 to 6."""
+    order = rng.permutation(n)
+    edges = {tuple(sorted((int(order[i]), int(order[(i + 1) % n])))) for i in range(n)}
+    deg = np.full(n, 2)
+    for i, j in rng.integers(n, size=(chords, 2)):
+        e = (int(min(i, j)), int(max(i, j)))
+        if i != j and e not in edges and deg[i] < 6 and deg[j] < 6:
+            edges.add(e)
+            deg[[i, j]] += 1
+    return build_graph("edge_list", n, edges=sorted(edges))
+
+
+@st.composite
+def _table_graphs(draw):
+    """Graphs whose Metropolis matrix is built as a neighbour table."""
+    kind = draw(st.sampled_from(["cycle", "torus", "random"]))
+    if kind == "cycle":
+        return build_graph("cycle", draw(st.integers(min_value=192, max_value=600)))
+    if kind == "torus":
+        return build_graph("torus", draw(st.integers(min_value=18, max_value=26)) ** 2)
+    # degree <= 6: m <= 7 nonzeros per row, and 7 * ROUND_COST <= 448
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=448, max_value=640))
+    return _random_degree_2_to_6(n, draw(st.integers(min_value=0, max_value=3 * n)), rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=_table_graphs(), laziness=st.sampled_from([0.0, 0.3]))
+def test_a_table_built_metropolis_matrix_equals_the_per_edge_loop_bit_for_bit(graph,
+                                                                              laziness):
+    w = metropolis_weights(graph, laziness)
+    assert w.table is not None and w.dense is None
+    # rows list their entries in ascending column order, padded at the end
+    m, n = w.table.nbr.shape
+    assert m == graph.degrees().max() + 1
+    counts = graph.degrees() + 1
+    listed = np.arange(m)[:, None] < counts
+    assert np.all(np.diff(np.where(listed, w.table.nbr, n), axis=0)[listed[1:]] > 0)
+    assert np.all(w.table.wt[~listed] == 0)
+    assert np.all(w.table.nbr[~listed] == np.broadcast_to(np.arange(n), (m, n))[~listed])
+    assert np.array_equal(w.w, loop_metropolis(graph, laziness))
+
+
 @pytest.mark.parametrize("laziness", [0.0, 0.25])
 @pytest.mark.parametrize("graph", [_torus(32), build_graph("cycle", 1024),
                                    build_graph("star", 400), build_graph("complete", 300)],
@@ -224,14 +291,14 @@ def test_a_slow_ring_reaches_the_krylov_cap_and_takes_the_dense_solve():
 
 def test_krylov_beta_repeats_its_bits():
     w = metropolis_weights(_torus(32))
-    assert compute_beta(w.w, w.table) == compute_beta(w.w, w.table) == w.beta
+    assert compute_beta(w.table) == compute_beta(w.table) == w.beta
 
 
 @pytest.mark.parametrize("n", [64, 100, 256, 1000])
 def test_krylov_beta_of_the_identity_is_one(n):
     # a custom identity slot of a large grid takes the Krylov route
     eye = np.eye(n)
-    assert compute_beta(eye, neighbour_table(eye)) == 1.0
+    assert compute_beta(neighbour_table(eye)) == 1.0
 
 
 def test_krylov_route_checks_symmetry_through_the_table():
@@ -239,7 +306,7 @@ def test_krylov_route_checks_symmetry_through_the_table():
     w[0, 1] += 1e-6                 # a stored entry
     w[0, 0] -= 1e-6                 # rows still sum to one
     with pytest.raises(ValueError, match="symmetric"):
-        compute_beta(w, neighbour_table(w))
+        compute_beta(neighbour_table(w))
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 10])
@@ -310,14 +377,15 @@ def test_custom_strategy_leaves_caller_arrays_writeable():
     eye, mine = np.eye(4), w.w.copy()
     s = custom_strategy(w, 2, (mine, eye, mine, eye))
     assert eye.flags.writeable and mine.flags.writeable
-    assert not any(m.flags.writeable for m in s.matrices + (s.slots[0].power(2),))
+    # the identity slots hold no matrix; the W slots' array and power are frozen
+    assert s.slots[1] is s.slots[3] is None
+    assert not any(m.flags.writeable for m in (s.slots[0].dense, s.slots[0].power(2)))
     mine[0, 0] = 7.0            # the strategy keeps its own copy
-    assert s.matrices[0][0, 0] == w.w[0, 0]
+    assert s.slots[0].w[0, 0] == w.w[0, 0]
 
 
 def test_equal_custom_slots_share_one_matrix_power_and_beta(monkeypatch):
     w = metropolis_weights(build_graph("cycle", 5))
-    w.power(0)                  # the shared identity is not the strategy's cost
     calls = {"matrix_power": 0, "compute_beta": 0}
     for name in calls:
         real = getattr(gt.topology, name)
@@ -327,12 +395,14 @@ def test_equal_custom_slots_share_one_matrix_power_and_beta(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(gt.topology, name, counted)
     # equal by value, not by identity: two copies of W and two identities;
-    # one beta each, and no power before a dense product needs one
+    # one beta each, and no power (nor identity matrix) before a dense
+    # product needs one
     s = custom_strategy(w, 3, (w.w.copy(), np.eye(5), w.w.copy(), np.eye(5)))
     assert calls == {"matrix_power": 0, "compute_beta": 2}
     assert s.slots[0] is s.slots[2] is not None and s.slots[1] is s.slots[3] is None
+    mats = s.matrices
     for a, b in ((0, 2), (1, 3)):
-        assert s.matrices[a] is s.matrices[b] and s.betas[a] == s.betas[b]
+        assert mats[a] is mats[b] and s.betas[a] == s.betas[b]
     v = np.ones((5, 1))
     for m in (s.slots[0], s.slots[2]):
         m.apply(v, s.n_c)
@@ -396,9 +466,14 @@ def test_mixing_power_is_computed_once_and_read_only(cycle8_mixing):
 @pytest.mark.parametrize("graph", [build_graph("cycle", 8), build_graph("cycle", 192)],
                          ids=["dense", "table"])
 def test_first_power_is_the_matrix_itself(graph):
+    # one representation: a dense matrix's first power is its array, and a
+    # table matrix's is one round on the identity's columns, cached like any
     w = metropolis_weights(graph)
-    assert w.power(1) is w.w
-    assert np.array_equal(w.power(1), matrix_power(w.w, 1, w.table))
+    assert (w.table is None) != (w.dense is None)
+    assert np.array_equal(w.power(1), w.w) and w.power(1) is w.power(1)
+    assert np.array_equal(w.power(1), matrix_power(w.dense if w.table is None else w.table, 1))
+    if w.table is None:
+        assert w.power(1) is w.dense is w.w
 
 
 @st.composite
@@ -554,7 +629,7 @@ def test_a_dense_slot_builds_its_power_once_at_its_first_apply(monkeypatch):
     built = []
     real = topology.matrix_power
     monkeypatch.setattr(topology, "matrix_power",
-                        lambda m, p, table=None: built.append(p) or real(m, p, table))
+                        lambda m, p: built.append(p) or real(m, p))
     assert 10 not in w._powers
     for strat in (gta1, gta3, gta1):
         gt.run(suite, gt.GtaConfig(strategy=strat, alpha=0.1, max_outer_iters=3),
@@ -587,15 +662,127 @@ _CHORDED = build_graph("edge_list", 320, edges=[(i, (i + 1) % 320) for i in rang
 @pytest.mark.parametrize("p", [1, 2, 10, 37])
 def test_sparse_built_powers_match_dense_products(graph, p):
     w = metropolis_weights(graph)
-    assert w.table is not None
-    built, dense = w.power(p), matrix_power(w.w, p)
+    assert w.table is not None and w.dense is None
+    w_dense = w.w
+    built, dense = w.power(p), matrix_power(w_dense, p)
     assert np.max(np.abs(built - dense)) <= 1e-15
     assert np.max(np.abs(built - built.T)) <= _POWERED_ATOL
     for axis in (0, 1):
         assert np.max(np.abs(built.sum(axis=axis) - 1.0)) <= _POWERED_ATOL
-    assert np.array_equal(matrix_power(w.w, p, w.table), built)
-    # built in column blocks, with the bits of one call on every column
-    assert np.array_equal(w.table.apply(w.w, p - 1), built)
+    assert np.array_equal(matrix_power(w.table, p), built)
+    # built from the identity's columns with the bits of W's columns and
+    # p - 1 rounds, whatever the block width (here 100, not _POWER_COLUMNS)
+    for lo in range(0, graph.n, 100):
+        block = np.ascontiguousarray(w_dense[:, lo:lo + 100])
+        assert np.array_equal(w.table.apply(block, p - 1), built[:, lo:lo + 100])
+
+
+def _slot(table, i, j):
+    """The slot of row i's entry in column j (its diagonal entry for j = i)."""
+    return np.flatnonzero(table.nbr[:, i] == j)[0]
+
+
+def _corrupt_nan(t):
+    t.wt[0, 0] = np.nan
+
+
+def _corrupt_symmetry(t):
+    t.wt[_slot(t, 0, 1), 0] += 1e-6
+    t.wt[_slot(t, 0, 0), 0] -= 1e-6            # row 0 still sums to one
+
+
+def _corrupt_row_sum(t):
+    t.wt[_slot(t, 0, 0), 0] += 1e-6
+
+
+def _move(t, i, j, x):
+    """Add x to entry (i, j) and (j, i) and take it off both diagonals."""
+    for a, b in ((i, j), (j, i)):
+        t.wt[_slot(t, a, b), a] += x
+        t.wt[_slot(t, a, a), a] -= x
+
+
+def _corrupt_sign(t):
+    _move(t, 0, 1, -2 * t.wt[_slot(t, 0, 1), 0])
+
+
+def _corrupt_diagonal(t):
+    _move(t, 0, 1, t.wt[_slot(t, 0, 0), 0])     # equal diagonals: both reach 0
+
+
+def _corrupt_zero_edge(t):
+    _move(t, 0, 1, -t.wt[_slot(t, 0, 1), 0])
+
+
+def _corrupt_off_graph(t):
+    # a padded slot of two non-adjacent degree-2 nodes of the chorded ring
+    for a, b in ((1, 3), (3, 1)):
+        t.nbr[-1, a] = b
+    _move(t, 1, 3, 0.01)
+
+
+@pytest.mark.parametrize("graph,corrupt,match", [
+    (_torus(18), _corrupt_nan, "non-finite"),
+    (_torus(18), _corrupt_symmetry, "not symmetric"),
+    (_torus(18), _corrupt_row_sum, "rows do not sum"),
+    (_torus(18), _corrupt_sign, "negative"),
+    (_torus(18), _corrupt_diagonal, "diagonal entries must be positive"),
+    (_torus(18), _corrupt_zero_edge, r"edge \(0,1\) carries zero weight"),
+    (_CHORDED, _corrupt_off_graph, "outside the graph"),
+], ids=["nan", "symmetry", "row-sum", "sign", "diagonal", "zero-edge", "off-graph"])
+def test_the_table_self_check_rejects_what_the_dense_check_rejects(graph, corrupt, match):
+    table = metropolis_weights(graph).table
+    broken = NeighbourTable(nbr=table.nbr.copy(), wt=table.wt.copy())
+    topology._validate_table(broken, graph)
+    corrupt(broken)
+    with pytest.raises(ValueError, match=match):
+        topology._validate_table(broken, graph)
+    with pytest.raises(ValueError, match=match):
+        validate_mixing_matrix(broken.densify(), graph)
+
+
+@pytest.mark.parametrize("graph", [build_graph("cycle", 8), _torus(18)], ids=["dense", "table"])
+def test_mixing_matrices_and_strategies_compare_and_hash_by_identity(graph):
+    # two builds of one matrix: equal betas, and a dense array that a
+    # generated __eq__ would compare (raising) or no array at all (equal)
+    a, b = metropolis_weights(graph), metropolis_weights(graph)
+    s, t = strategy_for("GTA3", a, 1), strategy_for("GTA3", a, 1)
+    assert a.beta == b.beta and s.slots == t.slots
+    for x, y in ((a, b), (s, t)):
+        assert x == x and x != y and not x == y
+        assert x in [y, x] and x not in [y]
+        assert hash(x) == hash(x) and len({x, y, x}) == 2
+
+
+@pytest.mark.parametrize("graph", [build_graph("cycle", 8), _torus(18)], ids=["dense", "table"])
+def test_only_the_exact_identity_becomes_an_identity_slot(graph):
+    n = graph.n
+    w = metropolis_weights(graph)
+    near = np.eye(n)
+    near[0, 0] -= 1e-13             # a valid communication matrix, but not I
+    mats = topology.communication_matrices((np.eye(n), near, w.w, np.eye(n)), graph)
+    assert all((m.table is None) == (w.table is None) for m in mats)
+    s = strategy_for("custom", w, 1, custom=mats)
+    assert s.slots[0] is s.slots[3] is None
+    assert s.slots[1] is mats[1] and s.slots[2] is mats[2]
+
+
+def test_a_64x64_torus_mixes_and_sweeps_without_a_dense_array():
+    # one dense 4096 x 4096 array is 128 MiB; a table matrix, two strategies
+    # at n_c = 1 (gather rounds) and a 21-candidate sweep stay far below it
+    n, d = 64 * 64, 2
+    graph = build_graph("torus", n)
+    suite = gt.generate_quadratic(gt.QuadraticSpec(n=n, d=d, kappa_target=10.0, seed=1))
+    tracemalloc.start()
+    try:
+        w = metropolis_weights(graph)
+        for method in ("GTA1", "GTA3"):
+            harness.tune_step_size(suite, strategy_for(method, w, 1), 1, budget=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.table is not None and w.dense is None and not w._powers
+    assert peak < n * n * 8 / 4
 
 
 def test_strategy_requires_positive_nc(cycle8_mixing):
