@@ -460,12 +460,15 @@ def _lanczos_beta(table: NeighbourTable) -> float | None:
 
     Lanczos with full reorthogonalisation (two classical Gram-Schmidt
     passes per step) from a fixed-seed start vector orthogonal to the ones
-    vector, one gather round per step.  It stops when both extreme Ritz
-    values of the tridiagonal T_k have residual bound |b_k s_k| <=
-    _RITZ_TOL (s_k: the last entry of the Ritz vector in T_k's basis), or
-    on breakdown (b_k <= _RITZ_TOL: the Krylov space is invariant).  Ritz
-    values lie inside the spectrum, and each is within its residual bound
-    of an eigenvalue.
+    vector, one gather round per step.  It stops when the extreme Ritz
+    value of the tridiagonal T_k of larger magnitude has residual bound
+    |b_k s_k| <= _RITZ_TOL (s_k: the last entry of the Ritz vector in T_k's
+    basis) and the other extreme has too, or lies below it in magnitude by
+    more than its own bound; or on breakdown (b_k <= _RITZ_TOL: the Krylov
+    space is invariant).  Ritz values lie inside the spectrum, and each is
+    within its residual bound of an eigenvalue.  (Roundoff lets the ones
+    vector back into the basis once the Krylov space is nearly invariant;
+    it shows as a Ritz value near 0 whose bound need not settle.)
     """
     n = table.nbr.shape[1]
     steps = min(KRYLOV_CAP, n - 1)
@@ -487,8 +490,12 @@ def _lanczos_beta(table: NeighbourTable) -> float | None:
         if (k + 1) % _RITZ_CHECK_EVERY == 0 or k + 1 == steps or b[k] <= _RITZ_TOL:
             t = np.diag(alpha[:k + 1]) + np.diag(b[:k], 1) + np.diag(b[:k], -1)
             theta, s = np.linalg.eigh(t)
-            if b[k] * max(abs(s[-1, 0]), abs(s[-1, -1])) <= _RITZ_TOL:
-                return float(max(-theta[0], theta[-1]))
+            mag, bound = np.abs(theta[[0, -1]]), b[k] * np.abs(s[-1, [0, -1]])
+            top = int(np.argmax(mag))
+            other = 1 - top
+            if bound[top] <= _RITZ_TOL and (bound[other] <= _RITZ_TOL
+                                            or mag[other] + bound[other] <= mag[top]):
+                return float(mag[top])
         q = v / b[k]
     return None
 

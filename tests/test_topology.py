@@ -281,6 +281,18 @@ def test_krylov_beta_matches_the_eigensolver_oracle(case, laziness):
         assert w.beta == min(krylov, 1.0)
 
 
+@pytest.mark.parametrize("n", [193, 219])
+def test_krylov_beta_settles_past_a_spurious_ritz_value_near_zero(n):
+    # the ring's smallest eigenvalue lies near 0, beside the Ritz value the
+    # roundoff-borne ones vector brings in once the Krylov space is nearly
+    # invariant; only the dominant end has to settle
+    w = metropolis_weights(build_graph("cycle", n), laziness=0.25390625)
+    krylov = _lanczos_beta(w.table)
+    assert krylov is not None
+    oracle = eig_beta(w.w)
+    assert abs(krylov - oracle) <= 1e-12 * oracle
+
+
 def test_a_slow_ring_reaches_the_krylov_cap_and_takes_the_dense_solve():
     # a 1024-cycle's start vector spans 513 eigenvalues: far beyond the cap
     w = metropolis_weights(build_graph("cycle", 1024))
