@@ -94,12 +94,7 @@ def _cmd_beta(args) -> int:
     if args.nc < 1:
         raise harness.ConfigError(f"--nc must be >= 1, got {args.nc}")
     with harness.config_values():
-        edges = None
-        if args.edges:
-            edges = []
-            for tok in args.edges.replace(",", " ").split():
-                a, _, b = tok.partition("-")
-                edges.append((int(a), int(b)))
+        edges = harness.parse_edges(args.edges) if args.edges else None
         graph = build_graph(args.graph, args.n, edges=edges)
         w = metropolis_weights(graph, laziness=args.laziness)
     print(f"beta = {w.beta:.17g}")

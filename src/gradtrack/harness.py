@@ -114,11 +114,31 @@ class ExperimentConfig:
                     yield method, n_c, n_g
 
 
+def _reject_duplicates(vals: tuple, raw: str) -> None:
+    """A method or grid value listed twice would run its cells twice and
+    overwrite their traces."""
+    dup = next((v for k, v in enumerate(vals) if v in vals[:k]), None)
+    if dup is not None:
+        raise ConfigError(f"duplicate value {dup!r} in {raw!r}")
+
+
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     vals = tuple(int(tok) for tok in raw.replace(",", " ").split())
     if not vals or any(v < 1 for v in vals):
         raise ConfigError(f"expected positive integers, got {raw!r}")
+    _reject_duplicates(vals, raw)
     return vals
+
+
+def parse_edges(raw: str) -> tuple[tuple[int, int], ...]:
+    """An edge list written "0-1,1-2,..." (commas or spaces between edges),
+    as a config's `edges` and `gradtrack beta --edges` give it; a malformed
+    pair raises ValueError."""
+    pairs = []
+    for tok in raw.replace(",", " ").split():
+        a, _, b = tok.partition("-")
+        pairs.append((int(a), int(b)))
+    return tuple(pairs)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -184,12 +204,12 @@ def parse_config(path) -> ExperimentConfig:
         if problem not in ("quadratic", "logreg"):
             raise ConfigError(f"problem must be quadratic or logreg, got {problem!r}")
         n = int(base["n"]) if "n" in base else 16
-        methods = tuple(tok.strip() for tok in base.get("methods", "GTA1,GTA2,GTA3").split(","))
+        raw_methods = base.get("methods", "GTA1,GTA2,GTA3")
+        methods = tuple(tok.strip() for tok in raw_methods.split(","))
         for m in methods:
             if m not in _VALID_METHODS:
                 raise ConfigError(f"unknown method {m!r} (expected one of {_VALID_METHODS})")
-        if not methods:
-            raise ConfigError("methods list is empty")
+        _reject_duplicates(methods, raw_methods)
         nc_default = _parse_int_list(base.get("nc_grid", "1"))
         ng_default = _parse_int_list(base.get("ng_grid", "1"))
         grids = []
@@ -202,13 +222,7 @@ def parse_config(path) -> ExperimentConfig:
             if stem not in methods or field_name not in ("nc_grid", "ng_grid"):
                 raise ConfigError(f"unknown override key {key!r}")
 
-        edges = None
-        if "edges" in base:
-            pairs = []
-            for tok in base["edges"].replace(",", " ").split():
-                a, _, b = tok.partition("-")
-                pairs.append((int(a), int(b)))
-            edges = tuple(pairs)
+        edges = parse_edges(base["edges"]) if "edges" in base else None
 
         budget = int(base.get("budget", 10000))
         if budget < 1:

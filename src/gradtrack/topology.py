@@ -7,16 +7,23 @@ tuple of four such matrices (identity allowed) plus a number of consensus
 steps per iteration; the classic gradient tracking variants GTA-1, GTA-2 and
 GTA-3 are particular assignments of the four slots.
 
-A `MixingMatrix` holds exactly one representation of W.  A matrix with few
-nonzeros per row (see ROUND_COST) holds its neighbour table, built without
-an n x n array: a Metropolis matrix reads it off the graph's edge list.
-`MixingMatrix.apply` runs W^n_c on it as n_c gather rounds (one consensus
-round each, the paper's cost unit) where that is cheaper than one dense
-product with the power, which is built from rounds on first use; its beta
-comes from a Lanczos iteration whose steps are gather rounds (see
-KRYLOV_CAP).  Any other matrix holds its dense array.  An n x n array of a
-table matrix exists only while a dense product, a dense eigensolve or a
-caller of `MixingMatrix.w` needs it.
+Every `MixingMatrix` is built by `_from_entries` out of W's nonzero entries
+(rows, cols, vals), sorted by row and then by column: a Metropolis matrix
+reads them off the graph's edge list, a custom matrix off its validated
+array.  That one function chooses the one representation W gets.  A matrix
+with few nonzeros per row (see ROUND_COST) holds its neighbour table, with
+no n x n array; `MixingMatrix.apply` runs W^n_c on it as n_c gather rounds
+(one consensus round each, the paper's cost unit) where that is cheaper
+than one dense product with the power, which is built from rounds on first
+use; its beta comes from a Lanczos iteration whose steps are gather rounds
+(see KRYLOV_CAP).  Any other matrix holds its dense array, scattered from
+the entries.  An n x n array of a table matrix exists only while a dense
+product, a dense eigensolve or a caller of `MixingMatrix.w` needs it.
+
+Matrices are checked where input enters: `validate_communication_matrix`
+checks a custom matrix, and `compute_beta` checks an array it is given.  A
+Metropolis matrix is symmetric, doubly stochastic and positive on its
+diagonal and edges by construction; the tests check that, not the runtime.
 """
 
 from __future__ import annotations
@@ -223,18 +230,6 @@ def _pack(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return NeighbourTable(nbr=nbr, wt=wt)
 
 
-def neighbour_table(w: np.ndarray) -> NeighbourTable | None:
-    """The neighbour table of a square matrix, read off its nonzeros with
-    no n x n temporary beyond a boolean mask; None when its densest row
-    holds m nonzeros and m * ROUND_COST > n (rounds never pay)."""
-    n = len(w)
-    counts = np.count_nonzero(w, axis=1)
-    if int(counts.max()) * ROUND_COST > n:
-        return None
-    rows, cols = np.nonzero(w)                      # row-major: rows ascend
-    return _pack(n, rows, cols, w[rows, cols], counts)
-
-
 def _readonly(w: np.ndarray) -> np.ndarray:
     w = np.ascontiguousarray(w, dtype=float)
     w.flags.writeable = False
@@ -250,9 +245,10 @@ class MixingMatrix:
     second-largest eigenvalue of ``w``. Smaller beta means faster mixing;
     beta < 1 exactly when the matrix mixes over a connected graph.
 
-    The matrix has one representation: ``table``, its neighbour table,
-    when gather rounds can pay (m * ROUND_COST <= n), else ``dense``, its
-    read-only n x n array; the other field is None.  `apply` applies
+    The matrix has one representation, chosen by `_from_entries`:
+    ``table``, its neighbour table, when gather rounds can pay
+    (m * ROUND_COST <= n), else ``dense``, its read-only n x n array; the
+    other field is None.  `apply` applies
     W^n_c; powers are computed on first use and shared by every strategy
     built from this matrix.  Wrappers compare and hash by identity.
     """
@@ -316,6 +312,24 @@ class MixingMatrix:
         return out
 
 
+def _from_entries(graph: Graph, rows: np.ndarray, cols: np.ndarray,
+                  vals: np.ndarray) -> MixingMatrix:
+    """The MixingMatrix over `graph` whose nonzeros are (rows, cols, vals),
+    sorted by row and then by column.  When the densest row holds m of them
+    and m * ROUND_COST <= n, it holds their neighbour table and the
+    Lanczos beta; otherwise the dense array they scatter into and its dense
+    beta.  No padded table is built for a matrix that gets a dense array."""
+    n = graph.n
+    counts = np.bincount(rows, minlength=n)
+    if int(counts.max()) * ROUND_COST <= n:
+        table = _pack(n, rows, cols, vals, counts)
+        return MixingMatrix(beta=compute_beta(table), graph=graph, table=table, dense=None)
+    dense = np.zeros((n, n))
+    dense[rows, cols] = vals
+    dense = _readonly(dense)
+    return MixingMatrix(beta=compute_beta(dense), graph=graph, table=None, dense=dense)
+
+
 def validate_communication_matrix(w: np.ndarray, graph: Graph) -> None:
     """Check the relaxed (communication-matrix) invariants.
 
@@ -333,7 +347,7 @@ def validate_communication_matrix(w: np.ndarray, graph: Graph) -> None:
     # every nonzero of w is in (rows, cols), so the symmetry check there
     # covers every pair that could break it
     rows, cols = np.nonzero(w)
-    if _asymmetry(w, rows, cols) > _STOCHASTIC_ATOL:
+    if np.max(np.abs(w[rows, cols] - w[cols, rows]), initial=0.0) > _STOCHASTIC_ATOL:
         raise ValueError("matrix is not symmetric")
     if np.max(np.abs(w.sum(axis=1) - 1.0)) > _STOCHASTIC_ATOL:
         raise ValueError("rows do not sum to 1")
@@ -350,100 +364,33 @@ def validate_communication_matrix(w: np.ndarray, graph: Graph) -> None:
         raise ValueError("nonzero entry outside the graph's edge set")
 
 
-def validate_mixing_matrix(w: np.ndarray, graph: Graph) -> None:
-    """Strict mixing-matrix invariants: communication-matrix rules plus
-    strictly positive weights on every edge."""
-    validate_communication_matrix(w, graph)
-    i, j = graph.edge_array.T
-    zero = np.flatnonzero(w[i, j] <= 0)
-    if len(zero):
-        raise ValueError(f"edge ({i[zero[0]]},{j[zero[0]]}) carries zero weight")
-
-
-def _validate_table(table: NeighbourTable, graph: Graph) -> None:
-    """`validate_mixing_matrix` on the matrix a table holds, evaluated on
-    the table's entries."""
-    m, n = table.nbr.shape
-    wt = table.wt
-    if not np.all(np.isfinite(wt)):
-        raise ValueError("matrix has non-finite entries")
-    asymmetry, row_dev, col_dev = _stochastic_defects(table)
-    if asymmetry > _STOCHASTIC_ATOL:
-        raise ValueError("matrix is not symmetric")
-    if row_dev > _STOCHASTIC_ATOL:
-        raise ValueError("rows do not sum to 1")
-    if col_dev > _STOCHASTIC_ATOL:
-        raise ValueError("columns do not sum to 1")
-    if np.any(wt < 0):
-        raise ValueError("negative entries")
-    rows = np.broadcast_to(np.arange(n), (m, n))
-    on_diagonal = table.nbr == rows                 # the diagonal entry and the padding
-    if np.any(np.sum(wt, axis=0, where=on_diagonal) <= 0):
-        raise ValueError("diagonal entries must be positive")
-    off = ~on_diagonal & (wt != 0)
-    i, j = rows[off], table.nbr[off]
-    keys = np.minimum(i, j) * n + np.maximum(i, j)
-    edges = graph.edge_array
-    edge_keys = edges[:, 0] * n + edges[:, 1]
-    if not np.all(np.isin(keys, edge_keys)):
-        raise ValueError("nonzero entry outside the graph's edge set")
-    zero = np.flatnonzero(~np.isin(edge_keys, keys[i < j]))
-    if len(zero):
-        raise ValueError(f"edge ({edges[zero[0], 0]},{edges[zero[0], 1]}) carries zero weight")
-
-
-def _asymmetry(w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
-    """max |w[i, j] - w[j, i]| over the index pairs (rows, cols); 0 for none."""
-    return float(np.max(np.abs(w[rows, cols] - w[cols, rows]), initial=0.0))
-
-
-def _stochastic_defects(w: np.ndarray | NeighbourTable) -> tuple[float, float, float]:
-    """(max |w_ij - w_ji|, max |row sum - 1|, max |column sum - 1|) of a
-    square array, or of the matrix a neighbour table holds."""
-    if not isinstance(w, NeighbourTable):
-        return (float(np.max(np.abs(w - w.T))), float(np.max(np.abs(w.sum(axis=1) - 1.0))),
-                float(np.max(np.abs(w.sum(axis=0) - 1.0))))
-    m, n = w.nbr.shape
-    rows = np.broadcast_to(np.arange(n), (m, n)).ravel()
-    cols, wt = w.nbr.ravel(), w.wt.ravel()
-    col_sums = np.bincount(cols, weights=wt, minlength=n)
-    # an off-diagonal entry's mirror, looked up by its key (a table holds
-    # each entry once); the diagonal and the padding mirror themselves
-    off = rows != cols
-    rows, cols, wt = rows[off], cols[off], wt[off]
-    keys = rows * n + cols
-    order = np.argsort(keys)
-    mirror_keys = cols * n + rows
-    found = order[np.minimum(np.searchsorted(keys, mirror_keys, sorter=order), len(keys) - 1)]
-    mirror = np.where(keys[found] == mirror_keys, wt[found], 0.0)
-    return (float(np.max(np.abs(wt - mirror), initial=0.0)),
-            float(np.max(np.abs(w.wt.sum(axis=0) - 1.0))), float(np.max(np.abs(col_sums - 1.0))))
-
-
 def compute_beta(w: np.ndarray | NeighbourTable) -> float:
     """Spectral norm of ``w - ones/n`` for a symmetric doubly stochastic
     matrix, given as a square array or as its neighbour table.
 
     Equals the second-largest eigenvalue magnitude of w, and lies in [0, 1];
-    values at or below EXACT_AVERAGING_TOL are returned as exactly 0.  For
-    a table, symmetry and stochasticity are checked on its entries and beta
-    comes from `_lanczos_beta`, whose products with w are gather rounds;
-    for an array, or when Lanczos reaches KRYLOV_CAP steps, from a dense
-    eigensolve (of an array densified from the table for this call only).
+    values at or below EXACT_AVERAGING_TOL are returned as exactly 0.  An
+    array is public input: it is checked for symmetry and double
+    stochasticity (within _POWERED_ATOL), and beta comes from a dense
+    eigensolve.  A table is not checked, since only `_from_entries` builds
+    one, from a validated array or the Metropolis formula; its beta comes
+    from `_lanczos_beta`, whose products with w are gather rounds, or, when
+    Lanczos reaches KRYLOV_CAP steps, from the dense eigensolve of an array
+    densified from the table for this call only.
     """
-    table = w if isinstance(w, NeighbourTable) else None
-    if table is None:
-        w = np.asarray(w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    asymmetry, row_dev, col_dev = _stochastic_defects(w)
-    if asymmetry > _POWERED_ATOL:
-        raise ValueError("matrix is not symmetric")
-    if row_dev > _POWERED_ATOL or col_dev > _POWERED_ATOL:
-        raise ValueError("matrix is not doubly stochastic")
-    beta = None if table is None else _lanczos_beta(table)
+    if isinstance(w, NeighbourTable):
+        beta = _lanczos_beta(w)
+        dense = None if beta is not None else w.densify()
+    else:
+        beta, dense = None, np.asarray(w, dtype=float)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {dense.shape}")
+        if np.max(np.abs(dense - dense.T)) > _POWERED_ATOL:
+            raise ValueError("matrix is not symmetric")
+        if max(np.max(np.abs(dense.sum(axis=1) - 1.0)),
+               np.max(np.abs(dense.sum(axis=0) - 1.0))) > _POWERED_ATOL:
+            raise ValueError("matrix is not doubly stochastic")
     if beta is None:
-        dense = w if table is None else table.densify()
         n = len(dense)
         beta = float(np.max(np.abs(np.linalg.eigvalsh(dense - np.full((n, n), 1.0 / n)))))
     if beta > 1.0 + 1e-8:
@@ -528,16 +475,20 @@ def matrix_power(w: np.ndarray | NeighbourTable, p: int) -> np.ndarray:
     return out
 
 
-def _metropolis_table(graph: Graph, weight: np.ndarray) -> NeighbourTable:
-    """The neighbour table of the Metropolis matrix whose edge_array rows
-    carry `weight`, read off the edge list.  The diagonal is 1 minus each
-    row's dense pairwise sum, taken over row blocks of a zeroed buffer, so
-    it has the bits of the dense construction's ``w.sum(axis=1)``."""
+def _metropolis_entries(graph: Graph, laziness: float
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros (rows, cols, vals) of the Metropolis matrix of `graph`,
+    sorted by row and then by column, read off the edge list.  The diagonal
+    is 1 minus each row's dense pairwise sum, taken over row blocks of a
+    zeroed buffer, so it has the bits of the dense construction's
+    ``w.sum(axis=1)``."""
     n = graph.n
+    deg = graph.degrees()
     i, j = graph.edge_array.T
+    weight = (1.0 - laziness) / (1.0 + np.maximum(deg[i], deg[j]))
     node = np.arange(n)
     rows, cols = np.concatenate([i, j, node]), np.concatenate([j, i, node])
-    order = np.lexsort((cols, rows))                # by row, then by column
+    order = np.argsort(rows * n + cols)             # by row, then by column: unique keys
     rows, cols = rows[order], cols[order]
     vals = np.concatenate([weight, weight, np.zeros(n)])[order]
     diagonal = np.empty(n)
@@ -550,7 +501,7 @@ def _metropolis_table(graph: Graph, weight: np.ndarray) -> NeighbourTable:
         block[rows[a:b] - lo, cols[a:b]] = vals[a:b]
         diagonal[lo:hi] = 1.0 - block.sum(axis=1)
     vals[rows == cols] = diagonal                   # one diagonal entry per row, in row order
-    return _pack(n, rows, cols, vals, np.bincount(rows, minlength=n))
+    return rows, cols, vals
 
 
 def metropolis_weights(graph: Graph, laziness: float = 0.0) -> MixingMatrix:
@@ -559,29 +510,18 @@ def metropolis_weights(graph: Graph, laziness: float = 0.0) -> MixingMatrix:
     Edge weight: (1 - laziness) / (1 + max(deg_i, deg_j)); the diagonal
     absorbs the remainder so rows sum to one exactly.  laziness=0 is the
     plain Metropolis-Hastings scheme.  Requires a connected graph, which
-    guarantees beta < 1.  A graph whose rows hold m = max degree + 1
-    nonzeros with m * ROUND_COST <= n gets a matrix built as its neighbour
-    table, with no n x n array; any other graph, a dense one.
+    guarantees beta < 1.  The entries, read off the edge list, go to
+    `_from_entries`: a graph whose rows hold m = max degree + 1 nonzeros
+    with m * ROUND_COST <= n gets its neighbour table, with no n x n array,
+    and any other graph a dense array.  The formula makes the matrix
+    symmetric, doubly stochastic and positive on its diagonal and on every
+    edge, so nothing checks it here (the tests do).
     """
     if not (0.0 <= laziness < 1.0):
         raise ValueError(f"laziness must be in [0, 1), got {laziness}")
     if not graph.is_connected():
         raise ValueError("graph is disconnected: mixing matrix would have beta = 1")
-    n = graph.n
-    deg = graph.degrees()
-    i, j = graph.edge_array.T
-    weight = (1.0 - laziness) / (1.0 + np.maximum(deg[i], deg[j]))
-    if (int(deg.max()) + 1) * ROUND_COST <= n:
-        table = _metropolis_table(graph, weight)
-        _validate_table(table, graph)
-        mixing = MixingMatrix(beta=compute_beta(table), graph=graph, table=table, dense=None)
-    else:
-        w = np.zeros((n, n))
-        w[i, j] = w[j, i] = weight
-        np.fill_diagonal(w, 1.0 - w.sum(axis=1))    # each row sum reads a zero diagonal
-        validate_mixing_matrix(w, graph)
-        w = _readonly(w)
-        mixing = MixingMatrix(beta=compute_beta(w), graph=graph, table=None, dense=w)
+    mixing = _from_entries(graph, *_metropolis_entries(graph, laziness))
     assert mixing.beta < 1.0, "connected graph must yield beta < 1"
     return mixing
 
@@ -631,20 +571,19 @@ class CommunicationStrategy:
 def communication_matrices(mats, graph: Graph) -> tuple[MixingMatrix, ...]:
     """Validate and wrap custom communication matrices against `graph`
     (no relation among them is imposed; subsets of the edge set are
-    allowed).  Equal matrices share one wrapper, and so one power, beta and
-    neighbour table.  A wrapper holds a frozen copy of its matrix, or only
-    its table when it gets one."""
+    allowed).  Each distinct matrix is checked by
+    `validate_communication_matrix`, and its nonzeros go to `_from_entries`,
+    which builds its own table or array: the caller's arrays are neither
+    kept nor changed.  Equal matrices share one wrapper, and so one power,
+    beta and neighbour table."""
     out, read = [], []
     for m in mats:
         same = next((c for a, c in read if np.array_equal(a, m)), None)
         if same is None:
-            # a copy: freezing must not touch the caller's array
-            a = _readonly(np.array(m, dtype=float))
+            a = np.asarray(m, dtype=float)
             validate_communication_matrix(a, graph)
-            table = neighbour_table(a)
-            same = (MixingMatrix(beta=compute_beta(a), graph=graph, table=None, dense=a)
-                    if table is None else
-                    MixingMatrix(beta=compute_beta(table), graph=graph, table=table, dense=None))
+            rows, cols = np.nonzero(a)              # row-major: sorted by row, then column
+            same = _from_entries(graph, rows, cols, a[rows, cols])
             read.append((a, same))
         out.append(same)
     return tuple(out)

@@ -55,7 +55,7 @@ class GtaConfig:
     computation steps, budgets."""
 
     strategy: CommunicationStrategy
-    alpha: float
+    alpha: float | np.ndarray          # a float, or a (c,) array in a sweep
     n_g: int = 1
     max_outer_iters: int = 1000
     stop_tol: float | None = None

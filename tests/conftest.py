@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: finite
 differences for gradients, dense eigendecompositions for spectral
 quantities, per-edge loops for graph matrices, and an explicit
-Kronecker-product reference for the blockwise mixing update.
+Kronecker-product reference for the blockwise mixing update.  The strict
+mixing-matrix check lives here too: the library checks custom input
+(`validate_communication_matrix`) but not the Metropolis matrices it builds.
 """
 
 import numpy as np
@@ -53,6 +55,24 @@ def loop_metropolis(graph, laziness=0.0):
     for i in range(n):
         w[i, i] = 1.0 - (w[i].sum() - w[i, i])
     return w
+
+
+def validate_mixing_matrix(w, graph):
+    """Strict mixing-matrix invariants of a dense array: the
+    communication-matrix rules plus strictly positive weights on every edge."""
+    gt.topology.validate_communication_matrix(w, graph)
+    i, j = graph.edge_array.T
+    zero = np.flatnonzero(w[i, j] <= 0)
+    if len(zero):
+        raise ValueError(f"edge ({i[zero[0]]},{j[zero[0]]}) carries zero weight")
+
+
+def neighbour_table(w):
+    """The neighbour table of a square array, packed from its nonzeros
+    whatever their count per row."""
+    rows, cols = np.nonzero(w)
+    return gt.topology._pack(len(w), rows, cols, w[rows, cols],
+                             np.bincount(rows, minlength=len(w)))
 
 
 def eig_matrix_power(w, p):

@@ -100,6 +100,29 @@ def test_parse_rejects_bad_values(tmp_path, override, match):
         parse_config(_write_cfg(tmp_path, text))
 
 
+@pytest.mark.parametrize("override,match", [
+    ({"methods": "GTA1,GTA1"}, r"duplicate value 'GTA1' in 'GTA1,GTA1'"),
+    ({"methods": "GTA1, GTA3 ,GTA1"}, "duplicate value 'GTA1'"),
+    ({"nc_grid": "1,1"}, r"duplicate value 1 in '1,1'"),
+    ({"ng_grid": "2 5 2"}, "duplicate value 2"),
+    ({"GTA1.nc_grid": "5,1,5"}, "duplicate value 5"),
+    ({"GTA1.ng_grid": "3,3"}, "duplicate value 3"),
+])
+def test_a_method_or_grid_value_listed_twice_is_a_config_error(tmp_path, capsys, override,
+                                                               match):
+    # a repeated cell would run again, overwrite its trace and repeat its summary row
+    text = MINI_CFG.replace("methods = GTA3", "methods = GTA1").format(out=tmp_path / "dup")
+    for key, val in override.items():
+        text = "\n".join(ln for ln in text.splitlines() if not ln.startswith(key + " "))
+        text += f"\n{key} = {val}\n"
+    path = _write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(path)
+    assert cli.main(["run", str(path)]) == 2
+    assert "duplicate value" in capsys.readouterr().err
+    assert not (tmp_path / "dup").exists()
+
+
 def test_tune_tmax_beyond_the_smallest_double_is_a_config_error(tmp_path, capsys):
     # 2^-1074 is the smallest positive double; 2^-1075 underflows to a zero step
     text = MINI_CFG.format(out=tmp_path / "tm_out")

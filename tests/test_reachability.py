@@ -37,7 +37,8 @@ KEEP = {
     ("problems.py", "LogisticSuite.local_grad"):
         "per-node reference the tests check the batched kernel against",
     ("problems.py", "QuadraticSuite.grad_stack"):
-        "global_grad's gradient for quadratic suites; the benchmark's tracer hooks it",
+        "the benchmark's tracer hooks it (perfbench/tracer.py); global_grad never runs on a "
+        "quadratic suite, whose reference optimum is solved analytically",
     ("theory.py", "recursion_matrix_for_method"): "checks a printed claim of the paper",
     ("theory.py", "step_size_bound_for_method"): "checks a printed claim of the paper",
     ("theory.py", "rate_upper_bound_for_method"): "checks a printed claim of the paper",

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 import gradtrack as gt
 from gradtrack import harness, topology
 from gradtrack.topology import (_POWERED_ATOL, KRYLOV_CAP, METHOD_NAMES, ROUND_COST,
-                                NeighbourTable, _lanczos_beta, build_graph, compute_beta,
-                                matrix_power,
-                                metropolis_weights, neighbour_table, read_matrix_csv,
-                                strategy_for, validate_communication_matrix,
-                                validate_mixing_matrix, write_matrix_csv)
+                                NeighbourTable, _lanczos_beta, build_graph,
+                                communication_matrices, compute_beta, matrix_power,
+                                metropolis_weights, read_matrix_csv, strategy_for,
+                                validate_communication_matrix, write_matrix_csv)
 
 from conftest import (adjacency, apply_counting_rounds, custom_strategy, eig_beta,
-                      eig_matrix_power, loop_metropolis)
+                      eig_matrix_power, loop_metropolis, neighbour_table,
+                      validate_mixing_matrix)
 
 
 # ---------------------------------------------------------------- graphs
@@ -167,10 +167,11 @@ def _random_low_degree(n, chords, rng):
                      st.builds(np.random.default_rng, st.integers(0, 2**32 - 1))),
            st.builds(build_graph, st.sampled_from(["cycle", "star", "complete"]),
                      st.integers(min_value=3, max_value=40))),
-       laziness=st.sampled_from([0.0, 0.25, 0.5]))
+       laziness=st.sampled_from([0.0, 0.25, 0.5, 0.9]))
 def test_metropolis_weights_equal_the_per_edge_loop_bit_for_bit(graph, laziness):
-    assert np.array_equal(metropolis_weights(graph, laziness).w,
-                          loop_metropolis(graph, laziness))
+    w = metropolis_weights(graph, laziness).w
+    assert np.array_equal(w, loop_metropolis(graph, laziness))
+    validate_mixing_matrix(w, graph)
 
 
 def _random_degree_2_to_6(n, chords, rng):
@@ -202,7 +203,7 @@ def _table_graphs(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(graph=_table_graphs(), laziness=st.sampled_from([0.0, 0.3]))
+@given(graph=_table_graphs(), laziness=st.sampled_from([0.0, 0.3, 0.9]))
 def test_a_table_built_metropolis_matrix_equals_the_per_edge_loop_bit_for_bit(graph,
                                                                               laziness):
     w = metropolis_weights(graph, laziness)
@@ -215,7 +216,9 @@ def test_a_table_built_metropolis_matrix_equals_the_per_edge_loop_bit_for_bit(gr
     assert np.all(np.diff(np.where(listed, w.table.nbr, n), axis=0)[listed[1:]] > 0)
     assert np.all(w.table.wt[~listed] == 0)
     assert np.all(w.table.nbr[~listed] == np.broadcast_to(np.arange(n), (m, n))[~listed])
-    assert np.array_equal(w.w, loop_metropolis(graph, laziness))
+    dense = w.w
+    assert np.array_equal(dense, loop_metropolis(graph, laziness))
+    validate_mixing_matrix(dense, graph)
 
 
 @pytest.mark.parametrize("laziness", [0.0, 0.25])
@@ -309,16 +312,17 @@ def test_krylov_beta_repeats_its_bits():
 @pytest.mark.parametrize("n", [64, 100, 256, 1000])
 def test_krylov_beta_of_the_identity_is_one(n):
     # a custom identity slot of a large grid takes the Krylov route
-    eye = np.eye(n)
-    assert compute_beta(neighbour_table(eye)) == 1.0
+    eye, = communication_matrices((np.eye(n),), build_graph("cycle", n))
+    assert eye.table is not None and eye.beta == 1.0
 
 
-def test_krylov_route_checks_symmetry_through_the_table():
-    w = metropolis_weights(_torus(18)).w.copy()
+def test_communication_matrices_reject_an_asymmetric_matrix_of_table_size():
+    graph = _torus(18)
+    w = metropolis_weights(graph).w.copy()
     w[0, 1] += 1e-6                 # a stored entry
     w[0, 0] -= 1e-6                 # rows still sum to one
     with pytest.raises(ValueError, match="symmetric"):
-        compute_beta(neighbour_table(w))
+        communication_matrices((w,), graph)
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 10])
@@ -538,9 +542,7 @@ def _round_graphs(draw):
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_a_gather_round_matches_the_dense_product(graph, k, seed):
     w = metropolis_weights(graph).w
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(topology, "ROUND_COST", 0)       # a table for every matrix
-        table = neighbour_table(w)
+    table = neighbour_table(w)                      # whatever the rows' counts
     # the table holds every nonzero exactly once, and nothing else
     rebuilt = np.zeros_like(w)
     np.add.at(rebuilt, (np.broadcast_to(np.arange(graph.n), table.nbr.shape), table.nbr),
@@ -743,14 +745,18 @@ def _corrupt_off_graph(t):
     (_CHORDED, _corrupt_off_graph, "outside the graph"),
 ], ids=["nan", "symmetry", "row-sum", "sign", "diagonal", "zero-edge", "off-graph"])
 def test_the_table_self_check_rejects_what_the_dense_check_rejects(graph, corrupt, match):
+    # the self-check of a table-built Metropolis matrix is the tests' strict
+    # dense check of it; custom input meets `validate_communication_matrix`
     table = metropolis_weights(graph).table
     broken = NeighbourTable(nbr=table.nbr.copy(), wt=table.wt.copy())
-    topology._validate_table(broken, graph)
+    validate_mixing_matrix(broken.densify(), graph)
     corrupt(broken)
     with pytest.raises(ValueError, match=match):
-        topology._validate_table(broken, graph)
-    with pytest.raises(ValueError, match=match):
         validate_mixing_matrix(broken.densify(), graph)
+    # custom input may leave an edge out, and is rejected for anything else
+    if corrupt is not _corrupt_zero_edge:
+        with pytest.raises(ValueError, match=match):
+            communication_matrices((broken.densify(),), graph)
 
 
 @pytest.mark.parametrize("graph", [build_graph("cycle", 8), _torus(18)], ids=["dense", "table"])
