@@ -35,9 +35,6 @@ from .tracking import (DivergenceError, ErrorVector, GtaConfig, RunTrace, advanc
                        diverged, error_vector, initialize, run, surely_bounded)
 
 
-_ORDER_SLACK = 1e-10   # float slack for the spectral-radius ordering check
-
-
 class ConfigError(ValueError):
     """Raised for unknown keys, missing keys or unusable values."""
 
@@ -563,13 +560,9 @@ def theory_report(cfg: ExperimentConfig, result: GridResult | None = None,
             if a_chk <= 0 or w.beta ** n_c <= EXACT_AVERAGING_TOL:
                 ordering_ok[n_c, n_g] = True   # degenerate regime, nothing to rank
                 continue
-            radii = []
-            for method in METHOD_NAMES:
-                p = theory.params_for_method(method, w.beta, n_c=n_c, n_g=n_g,
-                                             alpha=a_chk, L=suite.L, mu=suite.mu, n=suite.n)
-                radii.append(theory.spectral_radius(theory.recursion_matrix_multi(p)))
-            ordering_ok[n_c, n_g] = (radii[0] >= radii[1] - _ORDER_SLACK
-                                     and radii[1] >= radii[2] - _ORDER_SLACK)
+            point = theory.GridPoint(beta=w.beta, alpha=a_chk, L=suite.L, mu=suite.mu,
+                                     n=suite.n, n_g=n_g)
+            ordering_ok[n_c, n_g] = theory.monotonicity_report([point], nc_values=(n_c,)).ok
 
     lines = [_THEORY_HEADER]
     for rec in records:

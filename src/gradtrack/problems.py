@@ -111,8 +111,8 @@ class QuadraticSpec:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be >= 1")
-        if self.kappa_target < 1:
-            raise ValueError(f"kappa_target must be >= 1, got {self.kappa_target}")
+        if not 1 <= self.kappa_target < np.inf:    # NaN fails both comparisons
+            raise ValueError(f"kappa_target must be a finite number >= 1, got {self.kappa_target}")
 
 
 def generate_quadratic(spec: QuadraticSpec) -> QuadraticSuite:

@@ -7,6 +7,10 @@ tuple of four such matrices (identity allowed) plus a number of consensus
 steps per iteration; the classic gradient tracking variants GTA-1, GTA-2 and
 GTA-3 are particular assignments of the four slots.
 
+A `Graph` holds one thing, its sorted edge array; its constructor is the
+one place edges are checked, and `is_connected` is a numpy pass over the
+array.  Graphs, like mixing matrices and strategies, compare by identity.
+
 Every `MixingMatrix` is built by `_from_entries` out of W's nonzero entries
 (rows, cols, vals), sorted by row and then by column: a Metropolis matrix
 reads them off the graph's edge list, a custom matrix off its validated
@@ -74,57 +78,63 @@ _RITZ_TOL = 1e-13
 _RITZ_CHECK_EVERY = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph on nodes 0..n-1 with a set of unordered edges."""
+    """Undirected graph on nodes 0..n-1, held as one array: ``edges``, its
+    read-only (E, 2) np.intp edge list, i < j in each row, rows sorted and
+    distinct.  The constructor is the one place edges are checked: it takes
+    integer pairs in any order and either orientation, rejects self-loops,
+    nodes outside 0..n-1 and duplicates, and stores its own array (the
+    caller's is neither kept nor changed).  Graphs compare by identity."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"node count must be >= 1, got {self.n}")
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop ({i},{j}) not allowed")
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range or unordered for n={self.n}")
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a sorted (E, 2) integer array, i < j in each row."""
-        return np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2)
+        pairs = np.asarray(self.edges) if len(self.edges) else np.empty((0, 2), np.intp)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError(f"edges must be (E, 2) integer node pairs, got {pairs.shape}")
+        pairs = pairs.astype(np.intp, copy=False)
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= self.n))
+        if len(bad):
+            i, j = pairs[bad[0]]
+            raise ValueError(f"self-loop ({i},{j}) not allowed" if i == j else
+                             f"edge ({i},{j}) references invalid node for n={self.n}")
+        order = np.lexsort((hi, lo))            # by i, then by j
+        i, j = lo[order], hi[order]
+        dup = np.flatnonzero((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
+        if len(dup):
+            raise ValueError(f"duplicate edge ({i[dup[0]]},{j[dup[0]]}) in edge list")
+        edges = np.column_stack([i, j])
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_array.ravel(), minlength=self.n)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def is_connected(self) -> bool:
-        """BFS reachability from node 0."""
-        if self.n == 1:
-            return True
-        seen = {0}
-        frontier = [0]
-        adj = {i: [] for i in range(self.n)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return len(seen) == self.n
-
-
-def _normalize_edge(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
+        """Whether every node reaches node 0, by min-label propagation with
+        pointer jumping: each round gives a node the least label of itself
+        and its neighbours, then that label's label.  Labels stay inside
+        their component and move at least one hop a round, so each component
+        settles on its least node within diameter + 1 rounds of O(|E|) work."""
+        ends, others = self.edges.ravel(), self.edges[:, ::-1].ravel()
+        label = np.arange(self.n)
+        while True:
+            new = label.copy()
+            np.minimum.at(new, ends, label[others])
+            new = new[new]
+            if (new == label).all():
+                return not label.any()
+            label = new
 
 
 def build_graph(kind: str, n: int, edges=None) -> Graph:
-    """Construct a named graph or one from an explicit edge list.
+    """Construct a named graph, its pairs made in numpy, or one from an
+    explicit edge list; `Graph` checks, orients and sorts the pairs.
 
     Args:
         kind: one of "cycle" (n >= 3), "star" (n >= 2, node 0 is the hub),
@@ -132,44 +142,35 @@ def build_graph(kind: str, n: int, edges=None) -> Graph:
             r*side + c links to its right and down neighbours, wrapping) or
             "edge_list".
         n: node count.
-        edges: iterable of (i, j) pairs, required for kind="edge_list".
-            Self-loops and duplicate edges (in either orientation) are
-            rejected.
+        edges: (E, 2) array-like of (i, j) node pairs, required for
+            kind="edge_list".  Self-loops and duplicate edges (in either
+            orientation) are rejected.
     """
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    if kind == "edge_list":
+        if edges is None:
+            raise ValueError("edge_list requires an explicit edge list")
+        return Graph(n=n, edges=edges)
+    node = np.arange(n)
     if kind == "cycle":
         if n < 3:
             raise ValueError(f"cycle requires n >= 3, got {n}")
-        es = {_normalize_edge(i, (i + 1) % n) for i in range(n)}
+        i, j = node, (node + 1) % n
     elif kind == "star":
         if n < 2:
             raise ValueError(f"star requires n >= 2, got {n}")
-        es = {(0, i) for i in range(1, n)}
+        i, j = np.zeros_like(node[1:]), node[1:]
     elif kind == "complete":
-        es = {(i, j) for i in range(n) for j in range(i + 1, n)}
+        i, j = np.triu_indices(n, 1)
     elif kind == "torus":
         side = math.isqrt(n)
         if side * side != n or side < 3:
             raise ValueError(f"torus requires n = side^2 with side >= 3, got {n}")
-        es = {_normalize_edge(r * side + c, nb)
-              for r in range(side) for c in range(side)
-              for nb in (r * side + (c + 1) % side, (r + 1) % side * side + c)}
-    elif kind == "edge_list":
-        if edges is None:
-            raise ValueError("edge_list requires an explicit edge list")
-        raw = [tuple(e) for e in edges]
-        for i, j in raw:
-            if i == j:
-                raise ValueError(f"self-loop ({i},{j}) not allowed")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) references invalid node for n={n}")
-        es = {_normalize_edge(i, j) for i, j in raw}
-        if len(es) != len(raw):
-            raise ValueError("duplicate edges in edge list")
+        r, c = divmod(node, side)
+        i, j = np.tile(node, 2), np.concatenate([r * side + (c + 1) % side,
+                                                 (r + 1) % side * side + c])
     else:
         raise ValueError(f"unknown graph kind {kind!r}")
-    return Graph(n=n, edges=frozenset(es))
+    return Graph(n=n, edges=np.column_stack([i, j]))
 
 
 @dataclass(frozen=True)
@@ -359,7 +360,7 @@ def validate_communication_matrix(w: np.ndarray, graph: Graph) -> None:
         raise ValueError("diagonal entries must be positive")
     # with a positive diagonal, w holds len(rows) - n off-diagonal nonzeros,
     # and each edge's two entries account for at most two of them
-    i, j = graph.edge_array.T
+    i, j = graph.edges.T
     if len(rows) - n > np.count_nonzero(w[i, j]) + np.count_nonzero(w[j, i]):
         raise ValueError("nonzero entry outside the graph's edge set")
 
@@ -484,7 +485,7 @@ def _metropolis_entries(graph: Graph, laziness: float
     ``w.sum(axis=1)``."""
     n = graph.n
     deg = graph.degrees()
-    i, j = graph.edge_array.T
+    i, j = graph.edges.T
     weight = (1.0 - laziness) / (1.0 + np.maximum(deg[i], deg[j]))
     node = np.arange(n)
     rows, cols = np.concatenate([i, j, node]), np.concatenate([j, i, node])

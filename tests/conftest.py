@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: finite
 differences for gradients, dense eigendecompositions for spectral
-quantities, per-edge loops for graph matrices, and an explicit
-Kronecker-product reference for the blockwise mixing update.  The strict
+quantities, per-edge loops for graph matrices, a breadth-first search for
+connectivity, and an explicit Kronecker-product reference for the blockwise
+mixing update.  The strict
 mixing-matrix check lives here too: the library checks custom input
 (`validate_communication_matrix`) but not the Metropolis matrices it builds.
 """
@@ -31,6 +32,30 @@ def eig_beta(w):
     """Deflated spectral norm via a dense symmetric eigensolver."""
     n = w.shape[0]
     return float(np.max(np.abs(np.linalg.eigvalsh(w - np.ones((n, n)) / n))))
+
+
+def edge_set(graph):
+    """The graph's edges as a set of (i, j) tuples, i < j."""
+    return frozenset((int(i), int(j)) for i, j in graph.edges)
+
+
+def bfs_connected(graph):
+    """Breadth-first reachability from node 0 over adjacency lists: the
+    reference for the vectorised `Graph.is_connected`."""
+    adj = {i: [] for i in range(graph.n)}
+    for i, j in graph.edges:
+        adj[int(i)].append(int(j))
+        adj[int(j)].append(int(i))
+    seen, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return len(seen) == graph.n
 
 
 def adjacency(graph):
@@ -61,7 +86,7 @@ def validate_mixing_matrix(w, graph):
     """Strict mixing-matrix invariants of a dense array: the
     communication-matrix rules plus strictly positive weights on every edge."""
     gt.topology.validate_communication_matrix(w, graph)
-    i, j = graph.edge_array.T
+    i, j = graph.edges.T
     zero = np.flatnonzero(w[i, j] <= 0)
     if len(zero):
         raise ValueError(f"edge ({i[zero[0]]},{j[zero[0]]}) carries zero weight")

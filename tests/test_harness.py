@@ -789,6 +789,17 @@ def test_value_errors_from_config_values_are_config_errors(build, change, tmp_pa
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_a_kappa_target_that_is_not_a_finite_number_is_a_config_error(kappa, tmp_path, capsys):
+    with pytest.raises(ValueError, match="finite number"):
+        gt.QuadraticSpec(n=2, d=2, kappa_target=float(kappa))
+    text = MINI_CFG.format(out=tmp_path / "kt_out")
+    cfg_path = _write_cfg(tmp_path, text.replace("d = 1\nkappa_target = 1",
+                                                 f"d = 2\nkappa_target = {kappa}"))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_value_error_on_computed_numbers_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     # a computed L below the computed mu: SpectralParams rejects the numbers
     # the suite produced, not a config value

@@ -42,8 +42,6 @@ KEEP = {
     ("theory.py", "recursion_matrix_for_method"): "checks a printed claim of the paper",
     ("theory.py", "step_size_bound_for_method"): "checks a printed claim of the paper",
     ("theory.py", "rate_upper_bound_for_method"): "checks a printed claim of the paper",
-    ("theory.py", "monotonicity_report"): "checks a printed claim of the paper",
-    ("theory.py", "MonotonicityReport.ok"): "the verdict of monotonicity_report",
     ("theory.py", "MonotonicityReport.__str__"): "the message of monotonicity_report",
     ("topology.py", "CommunicationStrategy.matrices"):
         "the benchmark's tracer reads slot 0's matrix (perfbench/tracer.py)",

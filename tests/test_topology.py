@@ -15,21 +15,21 @@ from gradtrack.topology import (_POWERED_ATOL, KRYLOV_CAP, METHOD_NAMES, ROUND_C
                                 metropolis_weights, read_matrix_csv, strategy_for,
                                 validate_communication_matrix, write_matrix_csv)
 
-from conftest import (adjacency, apply_counting_rounds, custom_strategy, eig_beta,
-                      eig_matrix_power, loop_metropolis, neighbour_table,
-                      validate_mixing_matrix)
+from conftest import (adjacency, apply_counting_rounds, bfs_connected, custom_strategy,
+                      edge_set, eig_beta, eig_matrix_power, loop_metropolis,
+                      neighbour_table, validate_mixing_matrix)
 
 
 # ---------------------------------------------------------------- graphs
 
 def test_complete_two_nodes_has_the_only_edge():
     g = build_graph("complete", 2)
-    assert g.edges == frozenset({(0, 1)})
+    assert edge_set(g) == frozenset({(0, 1)})
 
 
 def test_cycle_four_nodes():
     g = build_graph("cycle", 4)
-    assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+    assert edge_set(g) == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
     assert g.is_connected()
 
 
@@ -69,7 +69,7 @@ def test_a_torus_links_each_node_right_and_down_wrapping(side):
             for j in (r * side + (c + 1) % side, ((r + 1) % side) * side + c):
                 want.add((min(i, j), max(i, j)))
     g = build_graph("torus", side * side)
-    assert g.edges == want
+    assert edge_set(g) == want
     assert np.all(g.degrees() == 4) and g.is_connected()
 
 
@@ -78,6 +78,82 @@ def test_a_torus_needs_a_square_of_a_side_of_at_least_three(n):
     # n = 4 is the 2 x 2 square, whose right and down links coincide
     with pytest.raises(ValueError, match="torus requires"):
         build_graph("torus", n)
+
+
+def _loop_edges(kind, n):
+    """A named graph's edges one at a time, each as (min, max), sorted."""
+    if kind == "cycle":
+        es = [(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)]
+    elif kind == "star":
+        es = [(0, i) for i in range(1, n)]
+    else:
+        es = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return sorted(es)
+
+
+@pytest.mark.parametrize("kind,n", [("cycle", 3), ("cycle", 4), ("cycle", 37), ("star", 2),
+                                    ("star", 3), ("star", 40), ("complete", 1),
+                                    ("complete", 2), ("complete", 23)])
+def test_named_graphs_equal_a_per_kind_loop_in_order(kind, n):
+    g = build_graph(kind, n)
+    assert g.edges.dtype == np.intp and g.edges.shape == (len(_loop_edges(kind, n)), 2)
+    assert [tuple(e) for e in g.edges.tolist()] == _loop_edges(kind, n)
+
+
+@pytest.mark.parametrize("edges,match", [
+    ([(1, 1)], "self-loop"),
+    ([(0, 1), (2, 2)], "self-loop"),
+    ([(0, 3)], "invalid node"),
+    ([(-1, 2)], "invalid node"),
+    ([(2, 0), (0, 2)], "duplicate"),
+    ([(0, 2), (1, 2), (0, 2)], "duplicate"),
+    ([(0, 1, 2)], "integer node pairs"),
+    ([0, 1], "integer node pairs"),
+    ([[[0, 1]]], "integer node pairs"),
+    ([(0.0, 1.0)], "integer node pairs"),
+])
+def test_graph_rejects_each_bad_edge_list(edges, match):
+    with pytest.raises(ValueError, match=match):
+        topology.Graph(3, edges)
+    with pytest.raises(ValueError, match=match):
+        build_graph("edge_list", 3, edges=edges)
+
+
+def test_graph_stores_its_own_read_only_sorted_array():
+    given_edges = np.array([[3, 1], [0, 2], [1, 0], [2, 3]], dtype=np.int32)
+    g = topology.Graph(4, given_edges)
+    assert g.edges.dtype == np.intp and not g.edges.flags.writeable
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+    assert given_edges.flags.writeable
+    assert given_edges.tolist() == [[3, 1], [0, 2], [1, 0], [2, 3]]
+    single = build_graph("edge_list", 1, edges=[])
+    assert single.edges.shape == (0, 2) and single.is_connected()
+    # graphs compare and hash by identity
+    assert g != topology.Graph(4, given_edges) and len({g, g}) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=60), density=st.floats(min_value=0.0, max_value=0.3),
+       shape=st.sampled_from(["random", "path", "cut path", "empty"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_is_connected_agrees_with_breadth_first_search(n, density, shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "random":
+        pairs = np.stack(np.triu_indices(n, 1), axis=1)
+        pairs = pairs[rng.random(len(pairs)) < density]
+    elif shape == "empty":
+        pairs = []
+    else:
+        # a long path through shuffled labels, whole or cut into two
+        n *= 40
+        order = rng.permutation(n)
+        pairs = np.stack([order[:-1], order[1:]], axis=1)
+        if shape == "cut path":
+            pairs = np.delete(pairs, rng.integers(n - 1), axis=0)
+    g = topology.Graph(n, pairs)
+    assert g.is_connected() == bfs_connected(g)
+    if shape != "random":
+        assert g.is_connected() == (shape == "path" or n == 1)
 
 
 # ------------------------------------------------------- metropolis weights
@@ -435,7 +511,7 @@ def test_off_graph_entries_are_found_where_the_dense_adjacency_finds_them(n, ext
     graph = _random_connected(n, n // 2, rng)
     chords = {tuple(sorted(int(v) for v in rng.choice(n, size=2, replace=False)))
               for _ in range(extra)}
-    w = metropolis_weights(build_graph("edge_list", n, edges=sorted(graph.edges | chords))).w
+    w = metropolis_weights(build_graph("edge_list", n, edges=sorted(edge_set(graph) | chords))).w
     if np.any((w > 0) & (adjacency(graph) + np.eye(n) == 0)):
         with pytest.raises(ValueError, match="outside the graph"):
             validate_communication_matrix(w, graph)
