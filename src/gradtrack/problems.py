@@ -52,6 +52,15 @@ class ObjectiveSuite:
         """
         raise NotImplementedError
 
+    def local_steps(self, alpha, m: int):
+        """m local steps x <- x - alpha*y, y <- y + grad(x') - grad(x) in
+        closed form: a function of y, an (n, d, c) stack, that returns x's
+        total move x_0 - x_m (alpha a scalar or one per column).  The
+        trackers' update telescopes to y_m = y_0 + grad(x_m) - grad(x_0).
+        None when the suite has no closed form; the steps then evaluate one
+        gradient each."""
+        return None
+
     def global_grad(self, x: np.ndarray) -> np.ndarray:
         xs = np.broadcast_to(x, (self.n, self.d))
         return self.grad_stack(np.ascontiguousarray(xs)).mean(axis=0)
@@ -81,6 +90,7 @@ class QuadraticSuite(ObjectiveSuite):
         self.mu = float(h_eigs[0])
         self.L = float(np.linalg.eigvalsh(qs)[:, -1].max())
         self.x_star = np.linalg.solve(self.hessian, -b_bar)
+        self._eig = None       # (lam, V, V') of the Q_i, on first use by local_steps
 
     def local_value(self, i, x):
         return float(0.5 * x @ self.qs[i] @ x + self.bs[i] @ x)
@@ -96,6 +106,35 @@ class QuadraticSuite(ObjectiveSuite):
 
     def _grads(self, xs):
         return np.matmul(self.qs, xs) + self.bs[:, :, None]
+
+    def local_steps(self, alpha, m):
+        """A local step is linear here: y' = (I - alpha Q_i) y and
+        x' = x - alpha y.  With Q_i = V diag(lam) V', m steps move x by
+        alpha V (sigma_m * V'y), sigma_m = sum_{j<m} (1 - alpha*lam)^j.
+        The factor is built here, once per (alpha, m); the eigensolve once
+        per suite."""
+        if self._eig is None:
+            lam, v = np.linalg.eigh(self.qs)
+            self._eig = lam, v, np.ascontiguousarray(v.transpose(0, 2, 1))
+        lam, v, vt = self._eig
+        step = alpha * _geometric_sum(lam[:, :, None] * alpha, m)
+        return lambda y: np.matmul(v, step * np.matmul(vt, y))
+
+
+def _geometric_sum(a: np.ndarray, m: int) -> np.ndarray:
+    """sigma_m = sum_{j<m} rho^j = (1 - rho^m) / a for rho = 1 - a,
+    entrywise, m >= 1.
+
+    For a < 1 it is -expm1(m*log1p(-a)) / a, within a few ulps however
+    small a is (the direct (1 - rho^m) / a is off by 4e-13 relative at
+    a = 2^-20, m = 99).  For a >= 1 (rho <= 0, where log1p is undefined)
+    rho^m is a direct power; a = 0 gives m.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        below = a < 1
+        sigma_m = np.where(below, -np.expm1(m * np.log1p(-np.where(below, a, 0.0))),
+                           1.0 - (1.0 - a) ** m) / a
+    return np.where(a == 0, float(m), sigma_m)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ four communication matrices:
     outer:  x' = W1^nc x - alpha W2^nc y
             y' = W3^nc y + W4^nc (grad(x') - grad(x))
 
+On a quadratic suite the n_g - 1 inner steps are linear in (x, y), and
+`advance` applies them at once in the suite's eigenbasis
+(`ObjectiveSuite.local_steps`), then evaluates one gradient; a suite
+without a closed form (logistic) steps them one `inner_step` at a time.
+
 Each update is applied as a pair Z_a u + Z_b v: as the single product
 Z (u + v) when both slots hold the same matrix, so GTA-3 (all four slots
 W^nc) runs x' = W^nc (x - alpha y) and y' = W^nc (y + grad(x') - grad(x)),
@@ -61,8 +66,9 @@ class GtaConfig:
     stop_tol: float | None = None
 
     def __post_init__(self):
-        if np.any(np.asarray(self.alpha) <= 0):
-            raise ValueError(f"step size must be positive, got {self.alpha}")
+        alpha = np.asarray(self.alpha, dtype=float)
+        if not np.all(np.isfinite(alpha) & (alpha > 0)):
+            raise ValueError(f"step size must be a positive finite number, got {self.alpha}")
         if self.n_g < 1 or int(self.n_g) != self.n_g:
             raise ValueError(f"n_g must be an integer >= 1, got {self.n_g}")
         if self.max_outer_iters < 0:
@@ -95,6 +101,9 @@ class GtaState:
     y: np.ndarray
     grads: np.ndarray
     k: int = 0
+    # (cfg, its suite.local_steps or None) for the cfg last advanced: a run
+    # builds the closed form once, a sweep once per live-candidate set
+    local: tuple | None = None
 
 
 def initialize(suite: ObjectiveSuite, x0: np.ndarray) -> GtaState:
@@ -118,8 +127,14 @@ def _mix(strategy: CommunicationStrategy, slot: int, v: np.ndarray) -> np.ndarra
 
 def inner_step(state: GtaState, alpha) -> GtaState:
     """One local computation step (no mixing): exactly one new gradient
-    evaluation per node."""
-    state.x = state.x - alpha * state.y
+    evaluation per node.  `advance` takes it only for a suite without a
+    closed-form local phase (`ObjectiveSuite.local_steps` is None)."""
+    return _move(state, alpha * state.y)
+
+
+def _move(state: GtaState, dx: np.ndarray) -> GtaState:
+    """x <- x - dx, and the trackers take the change of the local gradients."""
+    state.x = state.x - dx
     g_new = state.suite.grad_stack_batch(state.x)
     state.y = state.y + (g_new - state.grads)
     state.grads = g_new
@@ -153,9 +168,24 @@ def outer_step(state: GtaState, cfg: GtaConfig) -> GtaState:
 
 
 def advance(state: GtaState, cfg: GtaConfig) -> GtaState:
-    """One outer iteration: n_g - 1 local steps, then the communication step."""
-    for _ in range(cfg.n_g - 1):
-        inner_step(state, cfg.alpha)
+    """One outer iteration: n_g - 1 local steps, then the communication step.
+
+    The local steps run as the suite's closed form when it has one (a
+    quadratic: x moves by its total over the n_g - 1 steps, and the trackers
+    take the gradient change, as in one step: a few array operations and one
+    gradient, whatever n_g is), else as n_g - 1 `inner_step` calls.  The
+    closed form is built on the first advance with a new cfg and held in
+    the state.
+    """
+    if cfg.n_g > 1:
+        if state.local is None or state.local[0] is not cfg:
+            state.local = (cfg, state.suite.local_steps(cfg.alpha, cfg.n_g - 1))
+        steps = state.local[1]
+        if steps is None:
+            for _ in range(cfg.n_g - 1):
+                inner_step(state, cfg.alpha)
+        else:
+            _move(state, steps(state.y))
     return outer_step(state, cfg)
 
 
@@ -217,8 +247,10 @@ class RunTrace:
     """Per-outer-iteration error vectors plus cost counters.
 
     Row k reports the state at the boundary (k, 1); the cumulative counters
-    are exact: comms = k * n_c consensus rounds and grads = k * n_g * n local
-    gradient evaluations.
+    are the algorithm's exact costs: comms = k * n_c consensus rounds and
+    grads = k * n_g * n local gradient evaluations, whether or not the
+    program evaluates each one (a quadratic's closed-form local steps
+    evaluate one gradient per node for all n_g - 1 of them).
     """
 
     k: np.ndarray

@@ -185,6 +185,39 @@ def test_batched_sweep_matches_candidate_by_candidate_runs(method, nc, ng, small
     assert picked == best
 
 
+class _StepwiseQuadratic(gt.QuadraticSuite):
+    """A quadratic suite that hides its closed form: advance steps it."""
+
+    def local_steps(self, alpha, m):
+        return None
+
+
+def test_closed_form_and_stepwise_sweeps_agree_on_the_shipped_cyclic_grid():
+    # every n_g > 1 cell of configs/quadratic_cyclic.cfg at a short tuning
+    # budget: the same winner and the same step of death for each candidate
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs"
+                       / "quadratic_cyclic.cfg")
+    closed = harness.build_suite(cfg)
+    stepwise = _StepwiseQuadratic(closed.qs, closed.bs)
+    w = harness.build_mixing(cfg)
+    alphas = 2.0 ** -np.arange(cfg.tune_tmin, cfg.tune_tmax + 1.0)
+    died = 0
+    for method, nc_grid, ng_grid in cfg.grids:
+        for n_c in nc_grid:
+            strategy = harness.build_strategy(cfg, method, w, n_c)
+            for n_g in (g for g in ng_grid if g > 1):
+                a = harness._sweep(closed, strategy, n_g, 20, alphas)
+                b = harness._sweep(stepwise, strategy, n_g, 20, alphas)
+                assert [r if isinstance(r, int) else None for r in a] == \
+                       [r if isinstance(r, int) else None for r in b], (method, n_c, n_g)
+                died += sum(isinstance(r, int) for r in a)
+                errs = [[math.inf if isinstance(r, int) else r.opt_err for r in rec]
+                        for rec in (a, b)]
+                assert np.argmin(errs[0]) == np.argmin(errs[1]), (method, n_c, n_g)
+                assert errs[0] == pytest.approx(errs[1], rel=1e-9)
+    assert died > 0
+
+
 def test_sweep_drops_candidates_whose_consensus_diverges(mirrored_pair):
     # every candidate keeps opt_err at exactly 0, but alpha = 1 drives the
     # two nodes apart, so the tie goes to the largest step that stays bounded

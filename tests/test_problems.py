@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 
 import gradtrack as gt
 from gradtrack.problems import (DataFormatError, LogisticSuite, LogRegDataset,
-                                QuadraticSpec, QuadraticSuite, compute_reference_optimum,
-                                generate_quadratic, load_libsvm, logreg_suite)
+                                QuadraticSpec, QuadraticSuite, _geometric_sum,
+                                compute_reference_optimum, generate_quadratic, load_libsvm,
+                                logreg_suite)
+from gradtrack.tracking import advance
 
 from conftest import central_diff, global_value
 
@@ -140,6 +144,83 @@ def test_assumption_inequalities_hold(small_quadratic):
         i = int(rng.integers(s.n))
         gdiff = np.linalg.norm(s.local_grad(i, a) - s.local_grad(i, b))
         assert gdiff <= s.L * np.linalg.norm(a - b) * (1 + 1e-12)
+
+
+# ------------------------------------------------- closed-form local steps
+
+EPS = np.finfo(float).eps
+
+# a = alpha * lambda of one eigenvalue at the largest step size, one draw per
+# regime of rho = 1 - a: growth, the identity, decay, annihilation,
+# alternating decay and alternating growth
+_A_REGIMES = st.one_of(
+    st.floats(-0.5, 0.0, exclude_max=True), st.just(0.0),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(1.0),
+    st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    st.floats(2.0, 3.0, exclude_min=True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=st.integers(1, 4), a=st.lists(_A_REGIMES, min_size=8, max_size=8),
+       t=st.integers(0, 40), m=st.integers(1, 100), columns=st.sampled_from([1, 21]),
+       rotate=st.booleans(), x_scale=st.sampled_from([0.0, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_local_steps_match_the_step_loop(d, a, t, m, columns, rotate, x_scale,
+                                                     seed):
+    # two nodes with eigenvalues a / alpha_max, each in one regime of rho,
+    # plus a node at 1.5 / alpha_max that keeps the mean Hessian positive
+    # definite; diagonal Q_i (rotate False) keep a = 0 and a = 1 exact
+    rng = np.random.default_rng(seed)
+    alpha_max = 2.0 ** -t
+    lam = np.vstack([np.reshape(a[:2 * d], (2, d)), np.full(d, 1.5)]) / alpha_max
+    u = np.linalg.qr(rng.normal(size=(3, d, d)))[0] if rotate else np.tile(np.eye(d), (3, 1, 1))
+    q = (u * lam[:, None, :]) @ np.swapaxes(u, 1, 2)
+    suite = QuadraticSuite(0.5 * (q + np.swapaxes(q, 1, 2)), rng.normal(size=(3, d)))
+    alpha = alpha_max if columns == 1 else alpha_max * np.r_[1.0, rng.uniform(2**-10, 1, 20)]
+    x = x_scale * rng.normal(size=(3, d, columns))
+    y = rng.normal(size=(3, d, columns))
+
+    # with identity slots the communication step is one more local step, so
+    # an outer iteration at n_g = m + 1 is m closed-form steps and one step
+    nothing = gt.CommunicationStrategy("identity", 1, (None,) * 4, gt.build_graph("complete", 3))
+    closed = gt.GtaState(suite, x=x, y=y, grads=suite.grad_stack_batch(x))
+    advance(closed, gt.GtaConfig(strategy=nothing, alpha=alpha, n_g=m + 1))
+    assert closed.local[1] is not None
+    loop = gt.GtaState(suite, x=x, y=y, grads=suite.grad_stack_batch(x))
+    for _ in range(m + 1):
+        gt.inner_step(loop, alpha)
+
+    # both sides round on the scale of the loop's operands: per column, the
+    # largest growth |rho|^(m+1) times y, the gradient terms Q x and b, and
+    # x's displacement alpha * (m + 1) * y
+    norm = lambda v: np.linalg.norm(v, axis=(0, 1))          # noqa: E731
+    alphas = np.broadcast_to(alpha, columns)
+    q_norm = np.abs(lam).max()
+    rho = np.abs(1.0 - np.multiply.outer(alphas, lam.ravel())).max(axis=1)
+    growth = np.maximum(1.0, rho) ** (m + 1)
+    scale_y = growth * (norm(y) * (1 + alphas * q_norm * (m + 1)) + q_norm * norm(x)
+                        + np.linalg.norm(suite.bs))
+    scale_x = norm(x) + alphas * (m + 1) * scale_y
+    tol = 32 * d * (m + 2) * EPS
+    assert np.all(norm(closed.y - loop.y) <= tol * scale_y)
+    assert np.all(norm(closed.x - loop.x) <= tol * scale_x)
+    assert np.array_equal(closed.grads, suite.grad_stack_batch(closed.x))
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.3, 3.7, 9.5])
+@pytest.mark.parametrize("m", [1, 4, 19, 99])
+def test_closed_form_factor_keeps_full_precision_for_small_steps(lam, m):
+    # against the exact rational sum: the direct (1 - rho^m) / a is off by
+    # 4e-13 relative at a = 2^-20, m = 99, and by 1.6e-10 at a = 0.3 * 2^-20
+    a = 2.0**-20 * lam
+    exact = sum((1 - Fraction(a))**j for j in range(m))
+    sigma_m = _geometric_sum(np.array([a]), m)[0]
+    assert abs(Fraction(float(sigma_m)) - exact) <= 4 * EPS * exact
+
+
+def test_a_suite_without_a_closed_form_says_so():
+    suite = gt.logreg_suite(load_libsvm("data/synth_binary.libsvm", 4))
+    assert suite.local_steps(0.1, 3) is None
 
 
 # ------------------------------------------------------------------ libsvm

@@ -4,11 +4,12 @@ Tiny configs go through every CLI verb (and so through the harness) under
 sys.setprofile: each method and a custom strategy, z1_mode = exact, an
 edge_list graph, a complete graph (the fully connected theory route),
 a cycle large enough for gather rounds, sparse-built powers, a Lanczos
-beta and the eigenvalues of a table-held matrix, logistic regression, a
-tuning sweep whose candidates all diverge and a run that diverges after
-tuning.  A function that none of them calls is
-dead code or test-only API: it belongs in tests/ or nowhere, unless KEEP
-names it with the reason it stays.
+beta and the eigenvalues of a table-held matrix, logistic regression (with
+n_g = 2: quadratics take their closed-form local steps, so only a suite
+without one steps through inner_step), a tuning sweep whose candidates all
+diverge and a run that diverges after tuning.  A function that none of
+them calls is dead code or test-only API: it belongs in tests/ or nowhere,
+unless KEEP names it with the reason it stays.
 """
 
 import inspect
@@ -129,6 +130,7 @@ def _entry_points(tmp):
         graph = star
         laziness = 0.2
         methods = GTA3
+        ng_grid = 1,2
         budget = 10
         tune_budget = 5
         tune_tmax = 4

@@ -8,8 +8,8 @@ from hypothesis import strategies as hst
 
 import gradtrack as gt
 from gradtrack.tracking import (DIVERGENCE_LIMIT, DivergenceError, GtaConfig, GtaState,
-                                diverged, error_vector, initialize, inner_step, outer_step,
-                                run, surely_bounded)
+                                advance, diverged, error_vector, initialize, inner_step,
+                                outer_step, run, surely_bounded)
 
 from conftest import custom_strategy, kron_outer_step, slot_powers
 
@@ -51,6 +51,16 @@ def test_initialize_rejects_wrong_length(small_quadratic):
     for size in (3, 2 * 8 * 4):
         with pytest.raises(ValueError, match="expected n\\*d"):
             initialize(small_quadratic, np.zeros(size))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -0.5,
+                                   np.array([0.5, math.nan]), np.array([math.inf, 0.5]),
+                                   np.array([0.5, 0.0])])
+def test_a_step_size_that_is_not_a_positive_finite_number_is_rejected(alpha):
+    # NaN compares false with 0, so a bare `alpha <= 0` let it through and a
+    # run reported a divergence at k = 1
+    with pytest.raises(ValueError, match="positive finite"):
+        GtaConfig(strategy=_strategy("GTA1", 4), alpha=alpha)
 
 
 # ---------------------------------------------------------------- inner step
@@ -480,6 +490,21 @@ def test_tracking_identity_along_a_run(small_quadratic):
         h = s.grad_stack(st.x[:, :, 0]).mean(axis=0)
         dev = np.linalg.norm(st.y[:, :, 0].mean(axis=0) - h)
         assert dev <= 1e-9 * (1 + np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("n_g", [2, 5, 100])
+def test_tracking_identity_along_a_closed_form_run(n_g, small_quadratic):
+    # advance takes the quadratic's closed-form local phase: x moves by the
+    # total of n_g - 1 steps at once, y by the gradient change of that move
+    s = small_quadratic
+    cfg = GtaConfig(strategy=_strategy("GTA3", s.n, n_c=2), alpha=0.5 / (n_g * s.L), n_g=n_g)
+    st = initialize(s, np.random.default_rng(11).normal(size=s.n * s.d))
+    for _ in range(60):
+        advance(st, cfg)
+        h = s.grad_stack(st.x[:, :, 0]).mean(axis=0)
+        dev = np.linalg.norm(st.y[:, :, 0].mean(axis=0) - h)
+        assert dev <= 1e-9 * (1 + np.linalg.norm(h))
+    assert st.local[0] is cfg and st.local[1] is not None
 
 
 def test_trace_csv_schema(tmp_path, scalar_suite):
