@@ -3,8 +3,10 @@ CSV/report emission.
 
 Config files are flat "key = value" text (see parse_config for the schema).
 A run sweeps methods over an (n_c, n_g) grid, tunes the step size for each
-cell over {2^-t}, writes one trace CSV per cell plus a summary.csv and a
-manifest.json, all byte-reproducible for a fixed config and seed.
+cell over {2^-t}, runs the cells that share n_g as the columns of one stack
+(`tracking.run_stack`), and writes one trace CSV per cell plus a
+summary.csv and a manifest.json, all byte-reproducible for a fixed config
+and seed.
 
 The 2^-t sweep steps all live candidates as the columns of one (n, d, c)
 state.  After each outer iteration two stack norms either clear every
@@ -31,8 +33,10 @@ from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
                        MixingMatrix, build_graph, communication_matrices, metropolis_weights,
                        read_matrix_csv, strategy_for)
-from .tracking import (DivergenceError, ErrorVector, GtaConfig, RunTrace, advance,
-                       diverged, error_vector, initialize, run, surely_bounded)
+# the grid runs its cells through run_stack and never calls run, but
+# perfbench/tracer.py patches the name `run` here, so it stays bound
+from .tracking import (DivergenceError, ErrorVector, GtaConfig, RunTrace, advance,  # noqa: F401
+                       diverged, error_vector, initialize, run, run_stack, surely_bounded)
 
 
 class ConfigError(ValueError):
@@ -170,7 +174,8 @@ def parse_config(path) -> ExperimentConfig:
         tune_budget   outer iterations per tuning run [budget // 4]
         tune_tmin / tune_tmax   exponent range of the 2^-t sweep [0 / 20];
                       tune_tmax <= 1074, where 2^-t is still positive
-        stop_tol      optional early-stop threshold on the optimization error
+        stop_tol      optional early-stop threshold on the optimization error,
+                      a finite number >= 0
         outdir        artifact directory [results]
         z1_mode       bound | exact deviation norm in theory matrices [bound]
         custom_w1..custom_w4   matrix CSV paths, method "custom" only
@@ -234,6 +239,10 @@ def parse_config(path) -> ExperimentConfig:
         if tune_tmax > _TMAX_LIMIT:
             raise ConfigError(f"tune_tmax must be <= {_TMAX_LIMIT}: beyond it the step "
                               f"size 2^-tune_tmax underflows to 0, got {tune_tmax}")
+        stop_tol = float(base["stop_tol"]) if "stop_tol" in base else None
+        # NaN fails both comparisons
+        if stop_tol is not None and not 0 <= stop_tol < math.inf:
+            raise ConfigError(f"stop_tol must be a finite number >= 0, got {base['stop_tol']!r}")
         z1_mode = base.get("z1_mode", "bound")
         if z1_mode not in ("bound", "exact"):
             raise ConfigError(f"z1_mode must be bound or exact, got {z1_mode!r}")
@@ -262,7 +271,7 @@ def parse_config(path) -> ExperimentConfig:
             tune_budget=tune_budget,
             tune_tmin=tune_tmin,
             tune_tmax=tune_tmax,
-            stop_tol=float(base["stop_tol"]) if "stop_tol" in base else None,
+            stop_tol=stop_tol,
             outdir=base.get("outdir", "results"),
             z1_mode=z1_mode,
             custom_matrices=custom,
@@ -343,12 +352,7 @@ def _sweep(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int, bud
             if np.any(dead):
                 keep = ~dead
                 live = live[keep]
-                # one stack at a time, so at most one old stack is held;
-                # compress keeps the stacks C-ordered (a boolean index
-                # would not), so mixing reshapes them without a copy
-                state.x = state.x.compress(keep, axis=2)
-                state.y = state.y.compress(keep, axis=2)
-                state.grads = state.grads.compress(keep, axis=2)
+                state.keep(keep)
                 cfg = replace(cfg, alpha=cfg.alpha[keep])
         final = np.reshape(error_vector(state, suite).as_array(), (3, -1))
     for j, i in enumerate(live):
@@ -448,22 +452,46 @@ class GridResult:
     records: tuple[dict, ...]
 
 
+def _in_cell(exc: Exception, method: str, n_c: int, n_g: int) -> Exception:
+    exc.args = (f"cell ({method}, n_c={n_c}, n_g={n_g}): {exc}",)
+    return exc
+
+
 def _execute_cells(cfg: ExperimentConfig, suite, w):
-    """Tune and run every grid cell; yields one record dict per cell."""
+    """Tune every grid cell, run the cells that share n_g as the columns of
+    one stack (`tracking.run_stack`), and yield one record dict per cell, in
+    cell order.
+
+    Failures surface as if the cells ran one by one: tuning stops at the
+    first cell whose strategy or tuning fails, only the cells before it
+    run, and the first of them that diverged is raised ahead of it.
+    """
     x0 = np.zeros(suite.n * suite.d)
     # custom_matrices is set exactly when the grid has custom cells
     custom = None if cfg.custom_matrices is None else build_custom(cfg, w)
+    tuned, failure = [], None
     for method, n_c, n_g in cfg.cells():
-        strategy = build_strategy(cfg, method, w, n_c, custom)
         try:
+            strategy = build_strategy(cfg, method, w, n_c, custom)
             alpha = tune_step_size(suite, strategy, n_g, cfg.tune_budget,
                                    t_range=(cfg.tune_tmin, cfg.tune_tmax))
-            trace = run(suite, GtaConfig(strategy=strategy, alpha=alpha, n_g=n_g,
-                                         max_outer_iters=cfg.budget,
-                                         stop_tol=cfg.stop_tol), x0)
-        except (DivergenceError, TuningError) as exc:
-            exc.args = (f"cell ({method}, n_c={n_c}, n_g={n_g}): {exc}",)
-            raise
+        except ConfigError as exc:
+            failure = exc
+            break
+        except TuningError as exc:
+            failure = _in_cell(exc, method, n_c, n_g)
+            break
+        tuned.append((method, n_c, n_g, strategy, alpha))
+    traces = {}
+    for n_g in dict.fromkeys(cell[2] for cell in tuned):
+        group = [i for i, cell in enumerate(tuned) if cell[2] == n_g]
+        stack = [GtaConfig(strategy=tuned[i][3], alpha=tuned[i][4], n_g=n_g,
+                           max_outer_iters=cfg.budget, stop_tol=cfg.stop_tol) for i in group]
+        traces.update(zip(group, run_stack(suite, stack, x0)))
+    for i, (method, n_c, n_g, strategy, alpha) in enumerate(tuned):
+        trace = traces[i]
+        if isinstance(trace, DivergenceError):
+            raise _in_cell(trace, method, n_c, n_g)
         p, beta, route, rho, lam_u, bound, admissible = _theory_columns(
             cfg, suite, strategy, method, n_c, n_g, alpha)
         yield {
@@ -473,6 +501,8 @@ def _execute_cells(cfg: ExperimentConfig, suite, w):
             "rho": rho, "lambda_u": lam_u, "step_bound": bound,
             "admissible": admissible, "params": p,
         }
+    if failure is not None:
+        raise failure
 
 
 def execute_grid(cfg: ExperimentConfig) -> GridResult:

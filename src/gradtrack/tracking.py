@@ -20,19 +20,33 @@ Z (u + v) when both slots hold the same matrix, so GTA-3 (all four slots
 W^nc) runs x' = W^nc (x - alpha y) and y' = W^nc (y + grad(x') - grad(x)),
 two mixing applies per outer iteration.
 
-The state is an (n, d, c) stack: one column per step size, so a run is the
-step-size sweep with c = 1, and both go through one kernel.  Mixing treats
-the stack as an (n, d*c) array, never materializing the (nd, nd) Kronecker
-form: each slot's `MixingMatrix.apply` runs n_c gather rounds or one
-dense product with W^n_c.  The choice depends only on the matrix and n_c,
-so a sweep column and its run take the same path.
+The state is an (n, d, c) stack, and everything goes through one kernel:
+a step-size sweep steps one column per step size, and `run_stack` steps
+one column per grid cell, each with its own strategy, step size, budget
+and stop_tol (the cells must share n_g, the kernel's step count).  `run` is
+`run_stack` on one cell.  Mixing treats the stack as an (n, d*c) array,
+never materializing the (nd, nd) Kronecker form: each slot's
+`MixingMatrix.apply` runs n_c gather rounds or one dense product with
+W^n_c.  The choice depends only on the matrix and n_c, so a sweep column
+and its run take the same path.  Consecutive columns that hold one
+strategy object mix as one block; a stack that is one block (a sweep, a
+single run) mixes whole, without a copy, and a stack of several blocks
+mixes each block apart.
+
+A column leaves the stack at the first row that meets the divergence
+rule, reaches its budget, or has an optimization error at or below its
+stop_tol, as a dead sweep candidate leaves its sweep; the other columns go
+on.  A stacked column takes the iterations of its own run: only the
+rounding of the stacked gradient and norm operations can differ.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +68,20 @@ class DivergenceError(RuntimeError):
         self.errors = errors
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """A count must be an integer (range() takes neither 2.5 nor 2.0) >= least."""
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GtaConfig:
-    """Run parameters: strategy, step size (a sweep's: one per column),
-    computation steps, budgets."""
+    """Run parameters of one cell: strategy, step size (a sweep's: one per
+    column), computation steps, budgets."""
 
     strategy: CommunicationStrategy
     alpha: float | np.ndarray          # a float, or a (c,) array in a sweep
@@ -69,10 +93,41 @@ class GtaConfig:
         alpha = np.asarray(self.alpha, dtype=float)
         if not np.all(np.isfinite(alpha) & (alpha > 0)):
             raise ValueError(f"step size must be a positive finite number, got {self.alpha}")
-        if self.n_g < 1 or int(self.n_g) != self.n_g:
-            raise ValueError(f"n_g must be an integer >= 1, got {self.n_g}")
-        if self.max_outer_iters < 0:
-            raise ValueError("max_outer_iters must be nonnegative")
+        _check_count("n_g", self.n_g, 1)
+        _check_count("max_outer_iters", self.max_outer_iters, 0)
+        # NaN fails both comparisons; a NaN or negative stop_tol never stops
+        # a run, and inf stops it at k = 0
+        if self.stop_tol is not None and not 0 <= self.stop_tol < math.inf:
+            raise ValueError(f"stop_tol must be a finite number >= 0, got {self.stop_tol}")
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The mixing blocks of `_pair`: every column mixes through `strategy`."""
+        return ((self.strategy, slice(None)),)
+
+
+@dataclass(frozen=True, eq=False)
+class _Stack:
+    """The kernel's parameters for the columns of `run_stack`: one step size
+    per column and the mixing blocks of `_pair`, (strategy, column slice)
+    in column order."""
+
+    alpha: np.ndarray
+    n_g: int
+    blocks: tuple
+
+
+def _stack(cfgs: list[GtaConfig]) -> GtaConfig | _Stack:
+    """The kernel's parameters for one column per cfg: a lone cfg itself, so
+    a single run steps with its scalar step size, as it always has."""
+    if len(cfgs) == 1:
+        return cfgs[0]
+    blocks, lo = [], 0
+    for hi in range(1, len(cfgs) + 1):
+        if hi == len(cfgs) or cfgs[hi].strategy is not cfgs[lo].strategy:
+            blocks.append((cfgs[lo].strategy, slice(lo, hi)))
+            lo = hi
+    return _Stack(np.array([cfg.alpha for cfg in cfgs]), cfgs[0].n_g, tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -90,10 +145,11 @@ class ErrorVector:
 
 @dataclass(slots=True)
 class GtaState:
-    """Mutable iteration state owned by a single run or sweep.
+    """Mutable iteration state owned by a single run, sweep or stack.
 
     x, y and grads are (n, d, c) stacks of the local copies, one column per
-    step size (c = 1 for a run); k is the outer iteration.
+    step size of a sweep or per cell of a stack (c = 1 for a run); k is the
+    outer iteration.
     """
 
     suite: ObjectiveSuite
@@ -102,17 +158,28 @@ class GtaState:
     grads: np.ndarray
     k: int = 0
     # (cfg, its suite.local_steps or None) for the cfg last advanced: a run
-    # builds the closed form once, a sweep once per live-candidate set
+    # builds the closed form once, a sweep or a stack once per set of columns
     local: tuple | None = None
+
+    def keep(self, cols: np.ndarray) -> None:
+        """Drop the columns where the (c,) mask `cols` is False."""
+        # one stack at a time, so at most one old stack is held; compress
+        # keeps the stacks C-ordered (a boolean index would not), so mixing
+        # reshapes them without a copy
+        self.x = self.x.compress(cols, axis=2)
+        self.y = self.y.compress(cols, axis=2)
+        self.grads = self.grads.compress(cols, axis=2)
 
 
 def initialize(suite: ObjectiveSuite, x0: np.ndarray) -> GtaState:
     """State at k = 0: trackers start at the local gradients of x0, an
     (n, d, c) stack, or n*d entries for one column."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim < 3 and x0.size != suite.n * suite.d:
-        raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")
-    x = x0.reshape(suite.n, suite.d, -1).copy()
+    n, d = suite.n, suite.d
+    if (x0.shape[:2] != (n, d)) if x0.ndim == 3 else (x0.size != n * d):
+        raise ValueError(f"x0 has shape {x0.shape}, expected n*d = {n * d} entries or an "
+                         f"(n, d, c) = ({n}, {d}, c) stack")
+    x = x0.reshape(n, d, -1).copy()
     grads = suite.grad_stack_batch(x)
     return GtaState(suite, x=x, y=grads.copy(), grads=grads)
 
@@ -141,11 +208,19 @@ def _move(state: GtaState, dx: np.ndarray) -> GtaState:
     return state
 
 
-def _pair(strategy: CommunicationStrategy, a: int, b: int, u: np.ndarray,
-          v: np.ndarray) -> np.ndarray:
-    """Z_a u + Z_b v, as the one product Z (u + v) when slots a and b hold
-    the same matrix (or None).  v must be a temporary of the caller: the sum is
-    formed in place in v (or in its product), so a sweep's peak holds no extra stack."""
+def _pair(blocks: tuple, a: int, b: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Z_a u + Z_b v, each column through the slots of its block's strategy
+    (`GtaConfig.blocks`, `_Stack.blocks`).  v must be a temporary of the
+    caller: the sum is formed in place in v (or in its product), so a sweep's
+    peak holds no extra stack.  Several blocks mix their column slices apart,
+    each result written back into v; one block mixes the whole stack, as the
+    one product Z (u + v) when slots a and b hold the same matrix (or None)."""
+    if len(blocks) > 1:
+        for block in blocks:
+            cols = block[1]
+            v[:, :, cols] = _pair((block,), a, b, u[:, :, cols], v[:, :, cols])
+        return v
+    strategy = blocks[0][0]
     if strategy.slots[a] is strategy.slots[b]:
         v += u
         return _mix(strategy, a, v)
@@ -154,20 +229,20 @@ def _pair(strategy: CommunicationStrategy, a: int, b: int, u: np.ndarray,
     return out
 
 
-def outer_step(state: GtaState, cfg: GtaConfig) -> GtaState:
+def outer_step(state: GtaState, cfg: GtaConfig | _Stack) -> GtaState:
     """Communication update: n_c consensus steps through each slot
     (`MixingMatrix.apply`); one new gradient evaluation per node."""
     # state.x is replaced at once (as in inner_step): holding the old x
     # through the gradient and y updates would add a stack to a sweep's peak
-    state.x = _pair(cfg.strategy, 0, 1, state.x, -cfg.alpha * state.y)
+    state.x = _pair(cfg.blocks, 0, 1, state.x, -cfg.alpha * state.y)
     g_new = state.suite.grad_stack_batch(state.x)
-    state.y = _pair(cfg.strategy, 2, 3, state.y, g_new - state.grads)
+    state.y = _pair(cfg.blocks, 2, 3, state.y, g_new - state.grads)
     state.grads = g_new
     state.k += 1
     return state
 
 
-def advance(state: GtaState, cfg: GtaConfig) -> GtaState:
+def advance(state: GtaState, cfg: GtaConfig | _Stack) -> GtaState:
     """One outer iteration: n_g - 1 local steps, then the communication step.
 
     The local steps run as the suite's closed form when it has one (a
@@ -250,7 +325,10 @@ class RunTrace:
     are the algorithm's exact costs: comms = k * n_c consensus rounds and
     grads = k * n_g * n local gradient evaluations, whether or not the
     program evaluates each one (a quadratic's closed-form local steps
-    evaluate one gradient per node for all n_g - 1 of them).
+    evaluate one gradient per node for all n_g - 1 of them).  wall_time is
+    the seconds from the start of the run until its column left the stack:
+    for a column of a `run_stack` of several cells, the stack's elapsed time
+    until then, which covers the other columns' work as well.
     """
 
     k: np.ndarray
@@ -286,39 +364,122 @@ class RunTrace:
         return np.column_stack([self.opt_err, self.x_consensus_err, self.y_consensus_err])
 
     def to_csv(self, path) -> None:
-        comms = self.comms
-        grads = self.grad_evals
+        # Python ints and floats format as the numpy scalars do, without a
+        # numpy scalar per element
+        columns = (self.k, self.comms, self.grad_evals, self.opt_err, self.x_consensus_err,
+                   self.y_consensus_err)
         lines = ["k,comms_cumulative,grads_cumulative,opt_err,x_consensus_err,y_consensus_err"]
-        for i in range(len(self.k)):
-            lines.append("%d,%d,%d,%.17g,%.17g,%.17g" % (
-                self.k[i], comms[i], grads[i], self.opt_err[i],
-                self.x_consensus_err[i], self.y_consensus_err[i]))
+        lines += ["%d,%d,%d,%.17g,%.17g,%.17g" % row
+                  for row in zip(*(col.tolist() for col in columns))]
         Path(path).write_text("\n".join(lines) + "\n")
 
 
 def run(suite: ObjectiveSuite, cfg: GtaConfig, x0: np.ndarray) -> RunTrace:
     """Execute outer iterations until the budget or stop_tol is reached:
-    x0 (n*d entries) and the scalar cfg.alpha make a one-column stack.
+    `run_stack` on the one cell cfg, from x0 (n*d entries).
 
     Deterministic for fixed inputs.  Raises DivergenceError when the errors
     meet the divergence rule (`diverged`).
     """
-    if cfg.strategy.n != suite.n:
-        raise ValueError(f"strategy has n={cfg.strategy.n} but suite has n={suite.n}")
+    trace, = run_stack(suite, [cfg], x0)
+    if isinstance(trace, DivergenceError):
+        raise trace
+    return trace
+
+
+def run_stack(suite: ObjectiveSuite, cfgs: list[GtaConfig],
+              x0: np.ndarray) -> list[RunTrace | DivergenceError]:
+    """Run the cells `cfgs`, which share n_g, as the columns of one stack,
+    each from x0 (n*d entries) with its own strategy, scalar step size,
+    budget and stop_tol.  Returns, in cfgs order, each cell's RunTrace, or
+    the DivergenceError of a cell whose errors met the divergence rule.
+
+    Every column's error row is recorded at every outer iteration.  A column
+    leaves the stack at the first row (k >= 1) that meets the divergence
+    rule, or else at the first row at its budget or with opt_err <= its
+    stop_tol, that row included in its trace, as `run` ends it.
+    Deterministic for fixed inputs.
+    """
+    if len({cfg.n_g for cfg in cfgs}) != 1:
+        raise ValueError(f"the cells of a stack share one n_g, got {[c.n_g for c in cfgs]}")
+    for cfg in cfgs:
+        if cfg.strategy.n != suite.n:
+            raise ValueError(f"strategy has n={cfg.strategy.n} but suite has n={suite.n}")
+        if np.ndim(cfg.alpha) != 0:
+            raise ValueError(f"a cell of a stack has one step size, got {cfg.alpha}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size != suite.n * suite.d:
+        raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")
     t0 = time.perf_counter()
-    state = initialize(suite, x0)
-    errs = [error_vector(state, suite)]
+    state = initialize(suite, np.repeat(x0.reshape(suite.n, suite.d, 1), len(cfgs), axis=2))
+    # per-cell values as Python numbers: the per-column tests run only when a
+    # column may leave, and a run's one column would pay a numpy call per test
+    tols = [-math.inf if cfg.stop_tol is None else cfg.stop_tol for cfg in cfgs]
+    live = list(range(len(cfgs)))         # the cell of each column
+    # per cell: (its last k, its wall time) once it left, or its DivergenceError
+    ends: list = [None] * len(cfgs)
+    ev = error_vector(state, suite)
+    rows = [ev]
+    # (the cells of the columns, their error rows) for each set of live columns
+    segments = [(live, rows)]
+    step = _stack(cfgs)
+    k_end, tol_max = min(cfg.max_outer_iters for cfg in cfgs), max(tols)
     # overflow on the way past the divergence guard is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.max_outer_iters):
-            if cfg.stop_tol is not None and errs[-1].opt_err <= cfg.stop_tol:
-                break
-            advance(state, cfg)
-            errs.append(error_vector(state, suite))
-            if diverged(errs[-1]):
-                raise DivergenceError(state.k, errs[-1])
-    opt_err, x_consensus, y_consensus = np.array([e.as_array() for e in errs]).T
-    return RunTrace(k=np.arange(len(errs)), opt_err=opt_err, x_consensus_err=x_consensus,
-                    y_consensus_err=y_consensus, n_c=cfg.strategy.n_c, n_g=cfg.n_g, n=suite.n,
-                    vectors_per_round=cfg.strategy.vectors_per_round(),
-                    wall_time=time.perf_counter() - t0)
+        while True:
+            k = state.k
+            # cheap pre-checks; the per-column tests only when a column may leave
+            if k >= k_end or _any(ev.opt_err <= tol_max) or (k and _any(diverged(ev))):
+                errs = np.reshape(ev.as_array(), (3, -1)).T.tolist()
+                dead = np.reshape(diverged(ev), -1).tolist()
+                now = time.perf_counter() - t0
+                for p, j in enumerate(live):
+                    if k and dead[p]:
+                        ends[j] = DivergenceError(k, ErrorVector(*errs[p]))
+                    elif k >= cfgs[j].max_outer_iters or errs[p][0] <= tols[j]:
+                        ends[j] = (k, now)
+                keep = [ends[j] is None for j in live]
+                if not any(keep):
+                    break
+                if not all(keep):
+                    state.keep(np.array(keep))
+                    live, rows = [j for j in live if ends[j] is None], []
+                    segments.append((live, rows))
+                    step = _stack([cfgs[j] for j in live])
+                    k_end = min(cfgs[j].max_outer_iters for j in live)
+                    tol_max = max(tols[j] for j in live)
+            advance(state, step)
+            ev = error_vector(state, suite)
+            rows.append(ev)
+    return _traces(suite, cfgs, segments, ends)
+
+
+def _any(mask) -> bool:
+    """Whether a per-column test holds in any column: for one column the
+    test is a bool or np.bool_ (an ErrorVector holds floats), whose any()
+    costs ten times its truth value."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _traces(suite: ObjectiveSuite, cfgs: list[GtaConfig], segments: list,
+            ends: list) -> list[RunTrace | DivergenceError]:
+    """Split `run_stack`'s error rows back into one RunTrace per cell."""
+    parts = [[] for _ in cfgs]
+    for cells, rows in segments:
+        # (rows, 3, columns); one column's ErrorVector holds floats, hence the reshape
+        block = np.array([(ev.opt_err, ev.x_consensus, ev.y_consensus)
+                          for ev in rows]).reshape(len(rows), 3, -1)
+        for p, j in enumerate(cells):
+            parts[j].append(block[:, :, p])
+    out = []
+    for cfg, part, end in zip(cfgs, parts, ends):
+        if isinstance(end, DivergenceError):
+            out.append(end)
+            continue
+        opt_err, x_consensus, y_consensus = np.concatenate(part).T
+        out.append(RunTrace(k=np.arange(end[0] + 1), opt_err=opt_err,
+                            x_consensus_err=x_consensus, y_consensus_err=y_consensus,
+                            n_c=cfg.strategy.n_c, n_g=cfg.n_g, n=suite.n,
+                            vectors_per_round=cfg.strategy.vectors_per_round(),
+                            wall_time=end[1]))
+    return out

@@ -90,6 +90,11 @@ def test_parse_edge_list_config(tmp_path):
     ({"z1_mode": "maybe"}, "z1_mode"),
     ({"nc_grid": "0"}, "positive integers"),
     ({"GTA2.nc_grid": "2"}, "unknown override"),
+    # a NaN or negative stop_tol never stopped a run, inf stopped it at k = 0
+    ({"stop_tol": "nan"}, "stop_tol"),
+    ({"stop_tol": "inf"}, "stop_tol"),
+    ({"stop_tol": "-inf"}, "stop_tol"),
+    ({"stop_tol": "-1e-6"}, "stop_tol"),
 ])
 def test_parse_rejects_bad_values(tmp_path, override, match):
     base = {"problem": "quadratic", "n": "4", "graph": "complete",
@@ -267,6 +272,50 @@ def test_all_candidates_diverging_raises_with_diagnostics():
         tune_step_size(suite, strat, 1, budget=4000, t_range=(0, 5))
     assert len(err.value.diagnostics) == 6
     assert all("diverged" in msg for _, msg in err.value.diagnostics)
+
+
+_PRECEDENCE_CFG = """
+problem = quadratic
+n = 4
+d = 2
+kappa_target = 100
+graph = cycle
+methods = GTA1,GTA2
+ng_grid = 1,5
+budget = 200
+tune_budget = 5
+outdir = {out}
+"""
+
+
+@pytest.mark.parametrize("plan,raised,cell", [
+    # cells run in the order (GTA1, 1), (GTA1, 5), (GTA2, 1), (GTA2, 5); the
+    # n_g = 1 stack runs first, yet the first failing cell in that order wins
+    ({("GTA1", 5): "diverge", ("GTA2", 1): "tune"}, gt.DivergenceError, ("GTA1", 5)),
+    ({("GTA1", 5): "tune", ("GTA2", 1): "diverge"}, TuningError, ("GTA1", 5)),
+    ({("GTA1", 5): "diverge", ("GTA2", 1): "diverge"}, gt.DivergenceError, ("GTA1", 5)),
+    ({("GTA2", 1): "diverge", ("GTA2", 5): "tune"}, gt.DivergenceError, ("GTA2", 1)),
+])
+def test_the_first_failing_cell_in_cell_order_is_reported(plan, raised, cell, tmp_path,
+                                                          monkeypatch):
+    tuned = []
+
+    def tune(suite, strategy, n_g, budget, t_range):
+        tuned.append((strategy.name, n_g))
+        action = plan.get((strategy.name, n_g))
+        if action == "tune":
+            raise TuningError([(0, "diverged at k=1")])
+        # a unit step diverges on this suite (L ~ 100) within a few iterations
+        return 1.0 if action == "diverge" else 2.0 ** -10
+
+    monkeypatch.setattr(harness, "tune_step_size", tune)
+    cfg = parse_config(_write_cfg(tmp_path, _PRECEDENCE_CFG.format(out=tmp_path / "out")))
+    with pytest.raises(raised, match=rf"^cell \({cell[0]}, n_c=1, n_g={cell[1]}\): "):
+        harness.execute_grid(cfg)
+    # tuning stops at the first cell that fails it
+    order = [("GTA1", 1), ("GTA1", 5), ("GTA2", 1), ("GTA2", 5)]
+    stop = next((i for i, c in enumerate(order) if plan.get(c) == "tune"), len(order) - 1)
+    assert tuned == order[:stop + 1]
 
 
 def test_measured_contraction_recovers_geometric_rate():

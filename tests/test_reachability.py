@@ -7,9 +7,9 @@ a cycle large enough for gather rounds, sparse-built powers, a Lanczos
 beta and the eigenvalues of a table-held matrix, logistic regression (with
 n_g = 2: quadratics take their closed-form local steps, so only a suite
 without one steps through inner_step), a tuning sweep whose candidates all
-diverge and a run that diverges after tuning.  A function that none of
-them calls is dead code or test-only API: it belongs in tests/ or nowhere,
-unless KEEP names it with the reason it stays.
+diverge and a run that diverges after tuning while another cell's run goes
+on.  A function that none of them calls is dead code or test-only API: it
+belongs in tests/ or nowhere, unless KEEP names it with the reason it stays.
 """
 
 import inspect
@@ -46,6 +46,9 @@ KEEP = {
     ("theory.py", "MonotonicityReport.__str__"): "the message of monotonicity_report",
     ("topology.py", "CommunicationStrategy.matrices"):
         "the benchmark's tracer reads slot 0's matrix (perfbench/tracer.py)",
+    ("tracking.py", "run"):
+        "the benchmark's solve cell and tracer use it (perfbench/); the grid runs its cells "
+        "through run_stack",
     ("tracking.py", "RunTrace.comm_vectors"):
         "per-vector communication cost, for the planned theory-vs-measurement columns",
 }
@@ -163,13 +166,14 @@ def _entry_points(tmp):
         tune_tmax = 2
         outdir = {tmp / 'no_step'}
     """)
-    # one tuning iteration admits a step that diverges within the run
+    # one tuning iteration admits a step that diverges within the run: GTA1's
+    # column leaves the grid's stack while GTA3's goes on
     late = _write(tmp / "late.cfg", f"""
         n = 4
         d = 2
         kappa_target = 10
         graph = cycle
-        methods = GTA1
+        methods = GTA1,GTA3
         budget = 300
         tune_budget = 1
         outdir = {tmp / 'late'}

@@ -8,8 +8,8 @@ from hypothesis import strategies as hst
 
 import gradtrack as gt
 from gradtrack.tracking import (DIVERGENCE_LIMIT, DivergenceError, GtaConfig, GtaState,
-                                advance, diverged, error_vector, initialize, inner_step,
-                                outer_step, run, surely_bounded)
+                                RunTrace, advance, diverged, error_vector, initialize,
+                                inner_step, outer_step, run, run_stack, surely_bounded)
 
 from conftest import custom_strategy, kron_outer_step, slot_powers
 
@@ -53,6 +53,15 @@ def test_initialize_rejects_wrong_length(small_quadratic):
             initialize(small_quadratic, np.zeros(size))
 
 
+@pytest.mark.parametrize("shape", [(4, 8, 2), (8, 2, 4), (8, 4, 1, 2)])
+def test_initialize_rejects_a_stack_of_the_wrong_shape(shape, small_quadratic):
+    # n = 8, d = 4: a (d, n, c) stack has n*d*c entries and was reshaped
+    # into (n, d, c), mixing the nodes' coordinates; a 4-D array is one
+    # column only if it holds n*d entries
+    with pytest.raises(ValueError, match="expected n\\*d"):
+        initialize(small_quadratic, np.zeros(shape))
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -0.5,
                                    np.array([0.5, math.nan]), np.array([math.inf, 0.5]),
                                    np.array([0.5, 0.0])])
@@ -61,6 +70,23 @@ def test_a_step_size_that_is_not_a_positive_finite_number_is_rejected(alpha):
     # run reported a divergence at k = 1
     with pytest.raises(ValueError, match="positive finite"):
         GtaConfig(strategy=_strategy("GTA1", 4), alpha=alpha)
+
+
+@pytest.mark.parametrize("stop_tol", [math.nan, math.inf, -math.inf, -1e-3])
+def test_a_stop_tol_that_is_not_a_finite_nonnegative_number_is_rejected(stop_tol):
+    # NaN and a negative stop_tol never stopped a run, inf stopped it at k = 0
+    with pytest.raises(ValueError, match="stop_tol"):
+        GtaConfig(strategy=_strategy("GTA1", 4), alpha=0.1, stop_tol=stop_tol)
+    GtaConfig(strategy=_strategy("GTA1", 4), alpha=0.1, stop_tol=0.0)
+
+
+@pytest.mark.parametrize("field,value", [("max_outer_iters", 2.5), ("max_outer_iters", 2.0),
+                                         ("max_outer_iters", -1), ("n_g", 2.0), ("n_g", 0)])
+def test_a_count_that_is_not_an_integer_is_rejected(field, value):
+    # range() takes neither 2.5 nor 2.0: the run failed with a TypeError
+    with pytest.raises(ValueError, match=field):
+        GtaConfig(strategy=_strategy("GTA1", 4), alpha=0.1, **{field: value})
+    GtaConfig(strategy=_strategy("GTA1", 4), alpha=0.1, **{field: np.int64(3)})
 
 
 # ---------------------------------------------------------------- inner step
@@ -517,3 +543,167 @@ def test_trace_csv_schema(tmp_path, scalar_suite):
     assert lines[0] == "k,comms_cumulative,grads_cumulative,opt_err,x_consensus_err,y_consensus_err"
     assert lines[1].startswith("0,0,0,1,")
     assert len(lines) == 4
+
+
+def test_trace_csv_matches_per_element_formatting(tmp_path):
+    # to_csv formats Python numbers from tolist(); the per-element numpy
+    # formatting it replaced is the reference, byte for byte
+    rng = np.random.default_rng(3)
+    k = np.arange(60)
+    errs = rng.lognormal(size=(3, 60)) * 10.0 ** rng.integers(-300, 300, size=(3, 60))
+    errs[0, 5], errs[1, 7], errs[2, 9], errs[0, 11] = math.nan, math.inf, 0.0, 5e-324
+    tr = RunTrace(k=k, opt_err=errs[0], x_consensus_err=errs[1], y_consensus_err=errs[2],
+                  n_c=7, n_g=100, n=1024, vectors_per_round=3, wall_time=0.0)
+    lines = ["k,comms_cumulative,grads_cumulative,opt_err,x_consensus_err,y_consensus_err"]
+    for i in range(len(k)):
+        lines.append("%d,%d,%d,%.17g,%.17g,%.17g" % (
+            tr.k[i], tr.comms[i], tr.grad_evals[i], tr.opt_err[i], tr.x_consensus_err[i],
+            tr.y_consensus_err[i]))
+    tr.to_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text() == "\n".join(lines) + "\n"
+
+
+# -------------------------------------------------------------- stacked runs
+
+# A stacked column may round differently from its run (the stacked
+# gradient products and per-column norms), never by more than this
+# fraction of the column's largest value.
+STACK_RTOL = 1e-12
+
+
+def _loop_run(suite, cfg, x0):
+    """The run loop written out step by step: the (k+1, 3) error rows up to
+    the budget or stop_tol, or the k at which the errors met the
+    divergence rule."""
+    st = initialize(suite, x0)
+    rows = [error_vector(st, suite).as_array()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while st.k < cfg.max_outer_iters and not (cfg.stop_tol is not None
+                                                 and rows[-1][0] <= cfg.stop_tol):
+            advance(st, cfg)
+            ev = error_vector(st, suite)
+            rows.append(ev.as_array())
+            if diverged(ev):
+                return st.k
+    return np.array(rows)
+
+
+def _assert_column_agrees(got, want):
+    """A stacked column's outcome against `_loop_run`'s."""
+    if isinstance(want, int):
+        assert isinstance(got, DivergenceError) and got.k == want
+        return
+    assert isinstance(got, RunTrace)
+    assert np.array_equal(got.k, np.arange(len(want)))
+    for col, ref in zip(got.error_matrix().T, want.T):
+        assert np.max(np.abs(col - ref)) <= STACK_RTOL * np.max(np.abs(ref))
+
+
+_STACK_SUITES = {}
+
+
+def _stack_suite(kind):
+    """(suite, W, lazy W) of the stacked-run tests, built once each: 8-node
+    quadratic and logistic suites on a cycle, and a quadratic on a
+    256-cycle, whose Metropolis matrix is held as a neighbour table."""
+    if kind not in _STACK_SUITES:
+        if kind == "quadratic":
+            suite = gt.generate_quadratic(gt.QuadraticSpec(n=8, d=3, kappa_target=30.0, seed=5))
+        elif kind == "logistic":
+            suite = gt.logreg_suite(gt.load_libsvm("data/synth_binary.libsvm", 8))
+        else:
+            suite = gt.generate_quadratic(gt.QuadraticSpec(n=256, d=2, kappa_target=10.0, seed=6))
+        graph = gt.build_graph("cycle", suite.n)
+        _STACK_SUITES[kind] = (suite, gt.metropolis_weights(graph),
+                               gt.metropolis_weights(graph, laziness=0.5))
+    return _STACK_SUITES[kind]
+
+
+# (method or custom slot pattern over W, I and lazy W, n_c, step 2^-t / (n_g L),
+# stop_tol as a fraction of ||x*||, budget)
+_CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3", "WIWW", "LWLI", "IWWL"]),
+                    hst.sampled_from([1, 5]), hst.integers(-1, 4),
+                    hst.sampled_from([None, 0.3, 1e-2, 1e-4]), hst.sampled_from([0, 4, 30]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=hst.sampled_from(["quadratic", "logistic", "cycle256"]),
+       n_g=hst.sampled_from([1, 2, 5]), cells=hst.lists(_CELLS, min_size=1, max_size=6))
+def test_a_stacked_run_matches_its_one_cell_runs(kind, n_g, cells):
+    # cells of one (method, n_c) share a strategy object, so consecutive
+    # ones mix as one block; columns leave at different k on their budgets,
+    # their stop_tol or a divergence, and the others go on
+    suite, w, lazy = _stack_suite(kind)
+    if kind == "cycle256":
+        assert w.table is not None
+    mats = {"W": w.w, "I": np.eye(suite.n), "L": lazy.w}
+    strategies, cfgs = {}, []
+    x_star_norm = float(np.linalg.norm(suite.x_star))
+    for method, n_c, t, rel_tol, budget in cells:
+        if (method, n_c) not in strategies:
+            strategies[method, n_c] = (
+                gt.strategy_for(method, w, n_c) if method.startswith("GTA")
+                else custom_strategy(w, n_c, [mats[m] for m in method]))
+        cfgs.append(GtaConfig(strategy=strategies[method, n_c], alpha=2.0 ** -t / (n_g * suite.L),
+                              n_g=n_g, max_outer_iters=budget,
+                              stop_tol=None if rel_tol is None else rel_tol * x_star_norm))
+    x0 = np.zeros(suite.n * suite.d)
+    stacked = run_stack(suite, cfgs, x0)
+    assert len(stacked) == len(cfgs)
+    for cfg, got in zip(cfgs, stacked):
+        want = _loop_run(suite, cfg, x0)
+        _assert_column_agrees(got, want)
+        # a one-cell run is the loop itself, bit for bit
+        if isinstance(want, int):
+            with pytest.raises(DivergenceError) as err:
+                run(suite, cfg, x0)
+            assert err.value.k == want
+        else:
+            assert np.array_equal(run(suite, cfg, x0).error_matrix(), want)
+
+
+def test_a_diverging_column_leaves_the_stack_at_its_single_run_k(small_quadratic):
+    s = small_quadratic
+    strat = _strategy("GTA3", s.n, n_c=2)
+    cfgs = [GtaConfig(strategy=strat, alpha=a, n_g=2, max_outer_iters=200)
+            for a in (1e-3, 4.0 / s.L, 2e-2, 8.0 / s.L)]
+    x0 = np.zeros(s.n * s.d)
+    out = run_stack(s, cfgs, x0)
+    for cfg, got in zip(cfgs, out):
+        _assert_column_agrees(got, _loop_run(s, cfg, x0))
+    dead = [got.k for got in out if isinstance(got, DivergenceError)]
+    assert len(dead) == 2 and dead[1] < dead[0] < 200
+    assert [len(got.k) for got in out if isinstance(got, RunTrace)] == [201, 201]
+
+
+def test_a_stack_of_one_strategy_mixes_whole(small_quadratic, monkeypatch):
+    # consecutive columns of one strategy object are one block: each pair
+    # mixes the whole stack, as a sweep does; other strategies mix apart
+    s = small_quadratic
+    a, b = _strategy("GTA2", s.n, n_c=2), _strategy("GTA2", s.n, n_c=2)
+    widths = []
+    real = gt.tracking._mix
+
+    def counting(strategy, slot, v):
+        widths.append(v.shape[2])
+        return real(strategy, slot, v)
+
+    monkeypatch.setattr(gt.tracking, "_mix", counting)
+    x0 = np.zeros(s.n * s.d)
+    # GTA2 = (W, W, W, I): one product for x, two for y
+    run_stack(s, [GtaConfig(strategy=a, alpha=1e-3, max_outer_iters=1)] * 3, x0)
+    assert widths == [3, 3, 3]
+    widths.clear()
+    run_stack(s, [GtaConfig(strategy=st, alpha=1e-3, max_outer_iters=1) for st in (a, a, b)],
+              x0)
+    assert widths == [2, 1, 2, 2, 1, 1]
+
+
+def test_a_stack_rejects_cells_it_cannot_step_together(small_quadratic):
+    strat = _strategy("GTA1", small_quadratic.n)
+    x0 = np.zeros(32)
+    with pytest.raises(ValueError, match="share one n_g"):
+        run_stack(small_quadratic, [GtaConfig(strategy=strat, alpha=0.1, n_g=g) for g in (1, 2)],
+                  x0)
+    with pytest.raises(ValueError, match="one step size"):
+        run(small_quadratic, GtaConfig(strategy=strat, alpha=np.array([0.1, 0.2])), x0)
