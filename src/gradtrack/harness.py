@@ -4,9 +4,9 @@ CSV/report emission.
 Config files are flat "key = value" text (see parse_config for the schema).
 A run sweeps methods over an (n_c, n_g) grid, tunes the step size for each
 cell over {2^-t}, runs the cells that share n_g as the columns of one stack
-(`tracking.run_stack`), and writes one trace CSV per cell plus a
-summary.csv and a manifest.json, all byte-reproducible for a fixed config
-and seed.
+(`tracking.RunStack`) when their columns are small, and writes one trace
+CSV per cell plus a summary.csv and a manifest.json, all byte-reproducible
+for a fixed config and seed.
 
 The 2^-t sweep steps all live candidates as the columns of one (n, d, c)
 state.  After each outer iteration two stack norms either clear every
@@ -33,10 +33,9 @@ from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
                        MixingMatrix, build_graph, communication_matrices, metropolis_weights,
                        read_matrix_csv, strategy_for)
-# the grid runs its cells through run_stack and never calls run, but
-# perfbench/tracer.py patches the name `run` here, so it stays bound
-from .tracking import (DivergenceError, ErrorVector, GtaConfig, RunTrace, advance,  # noqa: F401
-                       diverged, error_vector, initialize, run, run_stack, surely_bounded)
+from .tracking import (STACK_MAX_ENTRIES, DivergenceError, ErrorVector, GtaConfig, RunStack,
+                       RunTrace, advance, diverged, error_vector, initialize, run,
+                       surely_bounded)
 
 
 class ConfigError(ValueError):
@@ -458,9 +457,11 @@ def _in_cell(exc: Exception, method: str, n_c: int, n_g: int) -> Exception:
 
 
 def _execute_cells(cfg: ExperimentConfig, suite, w):
-    """Tune every grid cell, run the cells that share n_g as the columns of
-    one stack (`tracking.run_stack`), and yield one record dict per cell, in
-    cell order.
+    """Tune every grid cell, then run the cells in cell order and yield one
+    record dict per cell.  When a column holds at most STACK_MAX_ENTRIES
+    entries, the cells that share n_g run as the columns of one
+    `tracking.RunStack`, which each cell's `run` advances until its column
+    has left; larger columns run one cell at a time.
 
     Failures surface as if the cells ran one by one: tuning stops at the
     first cell whose strategy or tuning fails, only the cells before it
@@ -482,16 +483,16 @@ def _execute_cells(cfg: ExperimentConfig, suite, w):
             failure = _in_cell(exc, method, n_c, n_g)
             break
         tuned.append((method, n_c, n_g, strategy, alpha))
-    traces = {}
-    for n_g in dict.fromkeys(cell[2] for cell in tuned):
-        group = [i for i, cell in enumerate(tuned) if cell[2] == n_g]
-        stack = [GtaConfig(strategy=tuned[i][3], alpha=tuned[i][4], n_g=n_g,
-                           max_outer_iters=cfg.budget, stop_tol=cfg.stop_tol) for i in group]
-        traces.update(zip(group, run_stack(suite, stack, x0)))
-    for i, (method, n_c, n_g, strategy, alpha) in enumerate(tuned):
-        trace = traces[i]
-        if isinstance(trace, DivergenceError):
-            raise _in_cell(trace, method, n_c, n_g)
+    runs = [GtaConfig(strategy=strategy, alpha=alpha, n_g=n_g, max_outer_iters=cfg.budget,
+                      stop_tol=cfg.stop_tol) for _, _, n_g, strategy, alpha in tuned]
+    stacks = {} if suite.n * suite.d > STACK_MAX_ENTRIES else {
+        n_g: RunStack(suite, [r for r in runs if r.n_g == n_g], x0)
+        for n_g in dict.fromkeys(r.n_g for r in runs)}
+    for (method, n_c, n_g, strategy, alpha), cell in zip(tuned, runs):
+        try:
+            trace = run(suite, cell, x0, stacks.get(n_g))
+        except DivergenceError as exc:
+            raise _in_cell(exc, method, n_c, n_g)
         p, beta, route, rho, lam_u, bound, admissible = _theory_columns(
             cfg, suite, strategy, method, n_c, n_g, alpha)
         yield {

@@ -21,17 +21,17 @@ W^nc) runs x' = W^nc (x - alpha y) and y' = W^nc (y + grad(x') - grad(x)),
 two mixing applies per outer iteration.
 
 The state is an (n, d, c) stack, and everything goes through one kernel:
-a step-size sweep steps one column per step size, and `run_stack` steps
+a step-size sweep steps one column per step size, and a `RunStack` steps
 one column per grid cell, each with its own strategy, step size, budget
-and stop_tol (the cells must share n_g, the kernel's step count).  `run` is
-`run_stack` on one cell.  Mixing treats the stack as an (n, d*c) array,
-never materializing the (nd, nd) Kronecker form: each slot's
-`MixingMatrix.apply` runs n_c gather rounds or one dense product with
-W^n_c.  The choice depends only on the matrix and n_c, so a sweep column
-and its run take the same path.  Consecutive columns that hold one
-strategy object mix as one block; a stack that is one block (a sweep, a
-single run) mixes whole, without a copy, and a stack of several blocks
-mixes each block apart.
+and stop_tol (the cells must share n_g, the kernel's step count).  `run`
+returns one cell's trace: from a one-cell RunStack, or as its column of a
+stack, which it advances until that column has left.  Mixing treats the
+stack as an (n, d*c) array, never materializing the (nd, nd) Kronecker
+form: each slot's `MixingMatrix.apply` runs n_c gather rounds or one dense
+product with W^n_c.  The choice depends only on the matrix and n_c, so a
+sweep column and its run take the same path.  A sweep or a one-cell run
+mixes its whole stack through its one strategy, without a copy; a stack of
+several cells mixes each column apart, through its cell's strategy.
 
 A column leaves the stack at the first row that meets the divergence
 rule, reaches its budget, or has an optimization error at or below its
@@ -55,6 +55,13 @@ from .problems import ObjectiveSuite
 from .topology import CommunicationStrategy
 
 DIVERGENCE_LIMIT = 1e12
+
+# A grid stacks its cells only when a column holds at most this many
+# entries (n*d).  A stack saves each cell's per-call overhead, but every
+# column of a stack of several cells mixes as a strided slice, whose copies
+# grow with n*d: on 2-D tori with 4 cells the stack broke even at
+# n*d = 640 and lost from 1440 on (README "Stacked runs").
+STACK_MAX_ENTRIES = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -108,9 +115,9 @@ class GtaConfig:
 
 @dataclass(frozen=True, eq=False)
 class _Stack:
-    """The kernel's parameters for the columns of `run_stack`: one step size
-    per column and the mixing blocks of `_pair`, (strategy, column slice)
-    in column order."""
+    """The kernel's parameters for the columns of a `RunStack`: one step
+    size per column and the mixing blocks of `_pair`, one (strategy, column
+    slice) per column."""
 
     alpha: np.ndarray
     n_g: int
@@ -119,15 +126,12 @@ class _Stack:
 
 def _stack(cfgs: list[GtaConfig]) -> GtaConfig | _Stack:
     """The kernel's parameters for one column per cfg: a lone cfg itself, so
-    a single run steps with its scalar step size, as it always has."""
+    a single run steps with its scalar step size and mixes its one column
+    whole, as it always has."""
     if len(cfgs) == 1:
         return cfgs[0]
-    blocks, lo = [], 0
-    for hi in range(1, len(cfgs) + 1):
-        if hi == len(cfgs) or cfgs[hi].strategy is not cfgs[lo].strategy:
-            blocks.append((cfgs[lo].strategy, slice(lo, hi)))
-            lo = hi
-    return _Stack(np.array([cfg.alpha for cfg in cfgs]), cfgs[0].n_g, tuple(blocks))
+    return _Stack(np.array([cfg.alpha for cfg in cfgs]), cfgs[0].n_g,
+                  tuple((cfg.strategy, slice(p, p + 1)) for p, cfg in enumerate(cfgs)))
 
 
 @dataclass(frozen=True)
@@ -327,8 +331,8 @@ class RunTrace:
     program evaluates each one (a quadratic's closed-form local steps
     evaluate one gradient per node for all n_g - 1 of them).  wall_time is
     the seconds from the start of the run until its column left the stack:
-    for a column of a `run_stack` of several cells, the stack's elapsed time
-    until then, which covers the other columns' work as well.
+    for a column of a `RunStack` of several cells, the time the stack spent
+    stepping until then, which covers the other columns' work as well.
     """
 
     k: np.ndarray
@@ -374,112 +378,154 @@ class RunTrace:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run(suite: ObjectiveSuite, cfg: GtaConfig, x0: np.ndarray) -> RunTrace:
-    """Execute outer iterations until the budget or stop_tol is reached:
-    `run_stack` on the one cell cfg, from x0 (n*d entries).
+class RunStack:
+    """Cells that share n_g, run as the columns of one (n, d, c) state, each
+    from x0 (n*d entries) with its own strategy, scalar step size, budget
+    and stop_tol.
+
+    The stack advances on demand: `run(suite, cfg, x0, stack)` steps every
+    live column until cfg's has left, then returns cfg's trace, so a grid
+    asks for its cells one by one, in cell order, while their columns step
+    together.  Every column's error row is recorded at every outer
+    iteration.  A column leaves at the first row (k >= 1) that meets the
+    divergence rule, or else at the first row at its budget or with opt_err
+    <= its stop_tol, that row included in its trace, as a one-cell run ends.
+    Deterministic for fixed inputs.
+    """
+
+    def __init__(self, suite: ObjectiveSuite, cfgs: list[GtaConfig], x0: np.ndarray):
+        if len({cfg.n_g for cfg in cfgs}) != 1:
+            raise ValueError(f"the cells of a stack share one n_g, got {[c.n_g for c in cfgs]}")
+        for cfg in cfgs:
+            if cfg.strategy.n != suite.n:
+                raise ValueError(f"strategy has n={cfg.strategy.n} but suite has n={suite.n}")
+            if np.ndim(cfg.alpha) != 0:
+                raise ValueError(f"a cell of a stack has one step size, got {cfg.alpha}")
+        x0 = np.asarray(x0, dtype=float)
+        if x0.size != suite.n * suite.d:
+            raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")
+        self.suite, self.cfgs, self.x0 = suite, list(cfgs), x0.ravel()
+        # per-cell values as Python numbers: the per-column tests run only
+        # when a column may leave
+        self._tols = [-math.inf if cfg.stop_tol is None else cfg.stop_tol for cfg in cfgs]
+        # per cell: (its last k, its wall time) once it left, or its DivergenceError
+        self._ends: list = [None] * len(cfgs)
+        # (the cells of the columns, their error rows) for each set of live
+        # columns, in order; a set's rows become one array when first read
+        self._segments: list = []
+        self._arrays: dict = {}
+        self._live = list(range(len(cfgs)))
+        self.state: GtaState | None = None
+        self._elapsed = 0.0
+
+    def _begin(self) -> ErrorVector:
+        """Build the state at k = 0, every column at x0, on the first request
+        for a cell; returns its error row."""
+        n, d, c = self.suite.n, self.suite.d, len(self.cfgs)
+        self.state = initialize(self.suite, self.x0 if c == 1 else
+                                np.broadcast_to(self.x0.reshape(n, d, 1), (n, d, c)))
+        self._start_segment()
+        ev = error_vector(self.state, self.suite)
+        self._rows.append(ev)
+        return ev
+
+    def _start_segment(self) -> None:
+        """Step the live columns from here on: their kernel parameters and
+        the pre-check bounds, the smallest budget and the largest stop_tol."""
+        cfgs = [self.cfgs[j] for j in self._live]
+        self._rows = []
+        self._segments.append((self._live, self._rows))
+        self._step = _stack(cfgs)
+        self._k_end = min(cfg.max_outer_iters for cfg in cfgs)
+        self._tol_max = max(self._tols[j] for j in self._live)
+        # whether a per-column test holds in any column: one column's
+        # ErrorVector holds floats, whose tests are a bool or np.bool_
+        self._any = bool if len(cfgs) == 1 else np.ndarray.any
+
+    def _leave(self, ev: ErrorVector, now: float) -> None:
+        """End the live columns that leave at error row ev, drop them from
+        the state and start a segment for the rest."""
+        k = self.state.k
+        errs = np.reshape(ev.as_array(), (3, -1)).T.tolist()
+        dead = np.reshape(diverged(ev), -1).tolist()
+        for p, j in enumerate(self._live):
+            if k and dead[p]:
+                self._ends[j] = DivergenceError(k, ErrorVector(*errs[p]))
+            elif k >= self.cfgs[j].max_outer_iters or errs[p][0] <= self._tols[j]:
+                self._ends[j] = (k, now)
+        keep = [self._ends[j] is None for j in self._live]
+        if all(keep):
+            return
+        self._live = [j for j in self._live if self._ends[j] is None]
+        if self._live:
+            self.state.keep(np.array(keep))
+            self._start_segment()
+
+    def _outcome(self, j: int) -> RunTrace | DivergenceError:
+        """Cell j's RunTrace, or its DivergenceError, advancing the stack
+        until its column has left."""
+        if self._ends[j] is None:
+            t0 = time.perf_counter()
+            if self.state is None:
+                ev = self._begin()
+                # divergence is not tested at k = 0
+                if self._k_end <= 0 or self._any(ev.opt_err <= self._tol_max):
+                    self._leave(ev, time.perf_counter() - t0)
+            state, suite = self.state, self.suite
+            # overflow on the way past the divergence guard is expected, not a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                while self._ends[j] is None:
+                    step, rows, any_ = self._step, self._rows, self._any
+                    k_end, tol_max = self._k_end, self._tol_max
+                    # cheap pre-checks; the per-column tests only when a column may leave
+                    while True:
+                        advance(state, step)
+                        ev = error_vector(state, suite)
+                        rows.append(ev)
+                        if (state.k >= k_end or any_(ev.opt_err <= tol_max)
+                                or any_(diverged(ev))):
+                            break
+                    self._leave(ev, self._elapsed + time.perf_counter() - t0)
+            self._elapsed += time.perf_counter() - t0
+        end = self._ends[j]
+        if isinstance(end, DivergenceError):
+            return end
+        parts = []
+        for i, (cells, rows) in enumerate(self._segments):
+            if j in cells:
+                if i not in self._arrays:
+                    # (rows, 3, columns); one column's ErrorVector holds floats
+                    self._arrays[i] = np.array(
+                        [(ev.opt_err, ev.x_consensus, ev.y_consensus)
+                         for ev in rows]).reshape(len(rows), 3, -1)
+                parts.append(self._arrays[i][:, :, cells.index(j)])
+        opt_err, x_consensus, y_consensus = (parts[0] if len(parts) == 1
+                                             else np.concatenate(parts)).T
+        cfg = self.cfgs[j]
+        return RunTrace(k=np.arange(end[0] + 1), opt_err=opt_err,
+                        x_consensus_err=x_consensus, y_consensus_err=y_consensus,
+                        n_c=cfg.strategy.n_c, n_g=cfg.n_g, n=self.suite.n,
+                        vectors_per_round=cfg.strategy.vectors_per_round(), wall_time=end[1])
+
+
+def run(suite: ObjectiveSuite, cfg: GtaConfig, x0: np.ndarray,
+        stack: RunStack | None = None) -> RunTrace:
+    """Execute outer iterations of cell cfg from x0 (n*d entries) until its
+    budget or stop_tol is reached: as a one-cell `RunStack`, or as its
+    column of `stack`, a RunStack of suite's cells from x0 that holds this
+    cfg object, advanced until that column has left.
 
     Deterministic for fixed inputs.  Raises DivergenceError when the errors
     meet the divergence rule (`diverged`).
     """
-    trace, = run_stack(suite, [cfg], x0)
-    if isinstance(trace, DivergenceError):
-        raise trace
-    return trace
-
-
-def run_stack(suite: ObjectiveSuite, cfgs: list[GtaConfig],
-              x0: np.ndarray) -> list[RunTrace | DivergenceError]:
-    """Run the cells `cfgs`, which share n_g, as the columns of one stack,
-    each from x0 (n*d entries) with its own strategy, scalar step size,
-    budget and stop_tol.  Returns, in cfgs order, each cell's RunTrace, or
-    the DivergenceError of a cell whose errors met the divergence rule.
-
-    Every column's error row is recorded at every outer iteration.  A column
-    leaves the stack at the first row (k >= 1) that meets the divergence
-    rule, or else at the first row at its budget or with opt_err <= its
-    stop_tol, that row included in its trace, as `run` ends it.
-    Deterministic for fixed inputs.
-    """
-    if len({cfg.n_g for cfg in cfgs}) != 1:
-        raise ValueError(f"the cells of a stack share one n_g, got {[c.n_g for c in cfgs]}")
-    for cfg in cfgs:
-        if cfg.strategy.n != suite.n:
-            raise ValueError(f"strategy has n={cfg.strategy.n} but suite has n={suite.n}")
-        if np.ndim(cfg.alpha) != 0:
-            raise ValueError(f"a cell of a stack has one step size, got {cfg.alpha}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size != suite.n * suite.d:
-        raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")
-    t0 = time.perf_counter()
-    state = initialize(suite, np.repeat(x0.reshape(suite.n, suite.d, 1), len(cfgs), axis=2))
-    # per-cell values as Python numbers: the per-column tests run only when a
-    # column may leave, and a run's one column would pay a numpy call per test
-    tols = [-math.inf if cfg.stop_tol is None else cfg.stop_tol for cfg in cfgs]
-    live = list(range(len(cfgs)))         # the cell of each column
-    # per cell: (its last k, its wall time) once it left, or its DivergenceError
-    ends: list = [None] * len(cfgs)
-    ev = error_vector(state, suite)
-    rows = [ev]
-    # (the cells of the columns, their error rows) for each set of live columns
-    segments = [(live, rows)]
-    step = _stack(cfgs)
-    k_end, tol_max = min(cfg.max_outer_iters for cfg in cfgs), max(tols)
-    # overflow on the way past the divergence guard is expected, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            k = state.k
-            # cheap pre-checks; the per-column tests only when a column may leave
-            if k >= k_end or _any(ev.opt_err <= tol_max) or (k and _any(diverged(ev))):
-                errs = np.reshape(ev.as_array(), (3, -1)).T.tolist()
-                dead = np.reshape(diverged(ev), -1).tolist()
-                now = time.perf_counter() - t0
-                for p, j in enumerate(live):
-                    if k and dead[p]:
-                        ends[j] = DivergenceError(k, ErrorVector(*errs[p]))
-                    elif k >= cfgs[j].max_outer_iters or errs[p][0] <= tols[j]:
-                        ends[j] = (k, now)
-                keep = [ends[j] is None for j in live]
-                if not any(keep):
-                    break
-                if not all(keep):
-                    state.keep(np.array(keep))
-                    live, rows = [j for j in live if ends[j] is None], []
-                    segments.append((live, rows))
-                    step = _stack([cfgs[j] for j in live])
-                    k_end = min(cfgs[j].max_outer_iters for j in live)
-                    tol_max = max(tols[j] for j in live)
-            advance(state, step)
-            ev = error_vector(state, suite)
-            rows.append(ev)
-    return _traces(suite, cfgs, segments, ends)
-
-
-def _any(mask) -> bool:
-    """Whether a per-column test holds in any column: for one column the
-    test is a bool or np.bool_ (an ErrorVector holds floats), whose any()
-    costs ten times its truth value."""
-    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _traces(suite: ObjectiveSuite, cfgs: list[GtaConfig], segments: list,
-            ends: list) -> list[RunTrace | DivergenceError]:
-    """Split `run_stack`'s error rows back into one RunTrace per cell."""
-    parts = [[] for _ in cfgs]
-    for cells, rows in segments:
-        # (rows, 3, columns); one column's ErrorVector holds floats, hence the reshape
-        block = np.array([(ev.opt_err, ev.x_consensus, ev.y_consensus)
-                          for ev in rows]).reshape(len(rows), 3, -1)
-        for p, j in enumerate(cells):
-            parts[j].append(block[:, :, p])
-    out = []
-    for cfg, part, end in zip(cfgs, parts, ends):
-        if isinstance(end, DivergenceError):
-            out.append(end)
-            continue
-        opt_err, x_consensus, y_consensus = np.concatenate(part).T
-        out.append(RunTrace(k=np.arange(end[0] + 1), opt_err=opt_err,
-                            x_consensus_err=x_consensus, y_consensus_err=y_consensus,
-                            n_c=cfg.strategy.n_c, n_g=cfg.n_g, n=suite.n,
-                            vectors_per_round=cfg.strategy.vectors_per_round(),
-                            wall_time=end[1]))
-    return out
+    if stack is None:
+        stack = RunStack(suite, [cfg], x0)
+    elif stack.suite is not suite or not np.array_equal(stack.x0, np.ravel(x0)):
+        raise ValueError("the stack runs another suite or x0")
+    column = next((j for j, c in enumerate(stack.cfgs) if c is cfg), None)
+    if column is None:
+        raise ValueError("cfg is not a cell of the stack")
+    outcome = stack._outcome(column)
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome

@@ -318,6 +318,31 @@ def test_the_first_failing_cell_in_cell_order_is_reported(plan, raised, cell, tm
     assert tuned == order[:stop + 1]
 
 
+def test_the_grid_stacks_small_columns_and_runs_large_ones_alone(tmp_path, monkeypatch):
+    text = _PRECEDENCE_CFG.format(out=tmp_path / "out").replace("tune_budget = 5", "tune_budget = 50")
+    cfg = parse_config(_write_cfg(tmp_path, text))
+    stacks = []
+    real = harness.RunStack
+
+    def counting(suite, cfgs, x0):
+        stacks.append([(c.strategy.name, c.n_g) for c in cfgs])
+        return real(suite, cfgs, x0)
+
+    monkeypatch.setattr(harness, "RunStack", counting)
+    stacked = harness.execute_grid(cfg)
+    # n*d = 8 entries: one stack per n_g, its cells in cell order
+    assert stacks == [[("GTA1", 1), ("GTA2", 1)], [("GTA1", 5), ("GTA2", 5)]]
+    stacks.clear()
+    monkeypatch.setattr(harness, "STACK_MAX_ENTRIES", 7)
+    alone = harness.execute_grid(cfg)
+    assert stacks == []
+    for a, b in zip(stacked.records, alone.records):
+        assert a["alpha"] == b["alpha"]
+        for col, ref in zip(a["trace"].error_matrix().T, b["trace"].error_matrix().T):
+            assert len(col) == len(ref)
+            assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_measured_contraction_recovers_geometric_rate():
     k = np.arange(60)
     errs = 0.9**k

@@ -46,9 +46,6 @@ KEEP = {
     ("theory.py", "MonotonicityReport.__str__"): "the message of monotonicity_report",
     ("topology.py", "CommunicationStrategy.matrices"):
         "the benchmark's tracer reads slot 0's matrix (perfbench/tracer.py)",
-    ("tracking.py", "run"):
-        "the benchmark's solve cell and tracer use it (perfbench/); the grid runs its cells "
-        "through run_stack",
     ("tracking.py", "RunTrace.comm_vectors"):
         "per-vector communication cost, for the planned theory-vs-measurement columns",
 }

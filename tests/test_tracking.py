@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 import gradtrack as gt
 from gradtrack.tracking import (DIVERGENCE_LIMIT, DivergenceError, GtaConfig, GtaState,
                                 RunTrace, advance, diverged, error_vector, initialize,
-                                inner_step, outer_step, run, run_stack, surely_bounded)
+                                inner_step, outer_step, run, surely_bounded)
 
 from conftest import custom_strategy, kron_outer_step, slot_powers
 
@@ -588,6 +588,19 @@ def _loop_run(suite, cfg, x0):
     return np.array(rows)
 
 
+def _stacked(suite, cfgs, x0):
+    """Each cell's RunTrace or DivergenceError, asked for in cfgs order of
+    one RunStack."""
+    stack = gt.tracking.RunStack(suite, cfgs, x0)
+    out = []
+    for cfg in cfgs:
+        try:
+            out.append(run(suite, cfg, x0, stack))
+        except DivergenceError as exc:
+            out.append(exc)
+    return out
+
+
 def _assert_column_agrees(got, want):
     """A stacked column's outcome against `_loop_run`'s."""
     if isinstance(want, int):
@@ -648,7 +661,7 @@ def test_a_stacked_run_matches_its_one_cell_runs(kind, n_g, cells):
                               n_g=n_g, max_outer_iters=budget,
                               stop_tol=None if rel_tol is None else rel_tol * x_star_norm))
     x0 = np.zeros(suite.n * suite.d)
-    stacked = run_stack(suite, cfgs, x0)
+    stacked = _stacked(suite, cfgs, x0)
     assert len(stacked) == len(cfgs)
     for cfg, got in zip(cfgs, stacked):
         want = _loop_run(suite, cfg, x0)
@@ -668,7 +681,7 @@ def test_a_diverging_column_leaves_the_stack_at_its_single_run_k(small_quadratic
     cfgs = [GtaConfig(strategy=strat, alpha=a, n_g=2, max_outer_iters=200)
             for a in (1e-3, 4.0 / s.L, 2e-2, 8.0 / s.L)]
     x0 = np.zeros(s.n * s.d)
-    out = run_stack(s, cfgs, x0)
+    out = _stacked(s, cfgs, x0)
     for cfg, got in zip(cfgs, out):
         _assert_column_agrees(got, _loop_run(s, cfg, x0))
     dead = [got.k for got in out if isinstance(got, DivergenceError)]
@@ -676,34 +689,58 @@ def test_a_diverging_column_leaves_the_stack_at_its_single_run_k(small_quadratic
     assert [len(got.k) for got in out if isinstance(got, RunTrace)] == [201, 201]
 
 
-def test_a_stack_of_one_strategy_mixes_whole(small_quadratic, monkeypatch):
-    # consecutive columns of one strategy object are one block: each pair
-    # mixes the whole stack, as a sweep does; other strategies mix apart
+def test_a_stack_mixes_each_column_apart_and_a_run_mixes_whole(small_quadratic, monkeypatch):
+    # a column of a stack mixes through its own cell's strategy, as a slice
+    # of the stack; a one-cell run mixes its one column whole
     s = small_quadratic
-    a, b = _strategy("GTA2", s.n, n_c=2), _strategy("GTA2", s.n, n_c=2)
+    a, b = _strategy("GTA2", s.n, n_c=2), _strategy("GTA1", s.n, n_c=2)
     widths = []
     real = gt.tracking._mix
 
     def counting(strategy, slot, v):
-        widths.append(v.shape[2])
+        widths.append((strategy.name, v.shape[2], v.flags.c_contiguous))
         return real(strategy, slot, v)
 
     monkeypatch.setattr(gt.tracking, "_mix", counting)
     x0 = np.zeros(s.n * s.d)
-    # GTA2 = (W, W, W, I): one product for x, two for y
-    run_stack(s, [GtaConfig(strategy=a, alpha=1e-3, max_outer_iters=1)] * 3, x0)
-    assert widths == [3, 3, 3]
+    cfgs = [GtaConfig(strategy=st, alpha=1e-3, max_outer_iters=1) for st in (a, a, b)]
+    _stacked(s, cfgs, x0)
+    # GTA2 = (W, W, W, I): one product for x, two slots for y; GTA1 =
+    # (W, I, W, I): two slots for each
+    assert widths == [("GTA2", 1, False)] * 2 + [("GTA1", 1, False)] * 2 \
+        + [("GTA2", 1, False)] * 4 + [("GTA1", 1, False)] * 2
     widths.clear()
-    run_stack(s, [GtaConfig(strategy=st, alpha=1e-3, max_outer_iters=1) for st in (a, a, b)],
-              x0)
-    assert widths == [2, 1, 2, 2, 1, 1]
+    run(s, cfgs[2], x0)
+    assert widths == [("GTA1", 1, True)] * 4
+
+
+def test_a_stack_advances_only_as_far_as_the_cell_asked_for(small_quadratic):
+    s = small_quadratic
+    strat = _strategy("GTA3", s.n)
+    cfgs = [GtaConfig(strategy=strat, alpha=1e-3, max_outer_iters=m) for m in (30, 5, 12)]
+    x0 = np.zeros(s.n * s.d)
+    stack = gt.tracking.RunStack(s, cfgs, x0)
+    assert stack.state is None
+    assert len(run(s, cfgs[1], x0, stack).k) == 6
+    assert stack.state.k == 5
+    # the first cell's trace needs 30 iterations, so the third's column
+    # leaves on the way; a later request for it takes no step
+    assert len(run(s, cfgs[0], x0, stack).k) == 31
+    assert len(run(s, cfgs[2], x0, stack).k) == 13
+    assert stack.state.k == 30
+    for cfg in cfgs:
+        _assert_column_agrees(run(s, cfg, x0, stack), _loop_run(s, cfg, x0))
+    with pytest.raises(ValueError, match="not a cell"):
+        run(s, GtaConfig(strategy=strat, alpha=1e-3, max_outer_iters=5), x0, stack)
+    with pytest.raises(ValueError, match="another suite or x0"):
+        run(s, cfgs[0], x0 + 1.0, stack)
 
 
 def test_a_stack_rejects_cells_it_cannot_step_together(small_quadratic):
     strat = _strategy("GTA1", small_quadratic.n)
     x0 = np.zeros(32)
     with pytest.raises(ValueError, match="share one n_g"):
-        run_stack(small_quadratic, [GtaConfig(strategy=strat, alpha=0.1, n_g=g) for g in (1, 2)],
-                  x0)
+        gt.tracking.RunStack(small_quadratic,
+                             [GtaConfig(strategy=strat, alpha=0.1, n_g=g) for g in (1, 2)], x0)
     with pytest.raises(ValueError, match="one step size"):
         run(small_quadratic, GtaConfig(strategy=strat, alpha=np.array([0.1, 0.2])), x0)
