@@ -643,9 +643,9 @@ _CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3", "WIWW", "LWLI", "I
 @given(kind=hst.sampled_from(["quadratic", "logistic", "cycle256"]),
        n_g=hst.sampled_from([1, 2, 5]), cells=hst.lists(_CELLS, min_size=1, max_size=6))
 def test_a_stacked_run_matches_its_one_cell_runs(kind, n_g, cells):
-    # cells of one (method, n_c) share a strategy object, so consecutive
-    # ones mix as one block; columns leave at different k on their budgets,
-    # their stop_tol or a divergence, and the others go on
+    # each column mixes through its own cell's strategy (cells of one
+    # (method, n_c) share the object); columns leave at different k on their
+    # budgets, their stop_tol or a divergence, and the others go on
     suite, w, lazy = _stack_suite(kind)
     if kind == "cycle256":
         assert w.table is not None
