@@ -410,10 +410,9 @@ class RunStack:
         self._tols = [-math.inf if cfg.stop_tol is None else cfg.stop_tol for cfg in cfgs]
         # per cell: (its last k, its wall time) once it left, or its DivergenceError
         self._ends: list = [None] * len(cfgs)
-        # (the cells of the columns, their error rows) for each set of live
-        # columns, in order; a set's rows become one array when first read
+        # (the cells of the columns, their (rows, 3, columns) errors) for
+        # each set of live columns that has ended, in order
         self._segments: list = []
-        self._arrays: dict = {}
         self._live = list(range(len(cfgs)))
         self.state: GtaState | None = None
         self._elapsed = 0.0
@@ -434,7 +433,6 @@ class RunStack:
         the pre-check bounds, the smallest budget and the largest stop_tol."""
         cfgs = [self.cfgs[j] for j in self._live]
         self._rows = []
-        self._segments.append((self._live, self._rows))
         self._step = _stack(cfgs)
         self._k_end = min(cfg.max_outer_iters for cfg in cfgs)
         self._tol_max = max(self._tols[j] for j in self._live)
@@ -443,8 +441,9 @@ class RunStack:
         self._any = bool if len(cfgs) == 1 else np.ndarray.any
 
     def _leave(self, ev: ErrorVector, now: float) -> None:
-        """End the live columns that leave at error row ev, drop them from
-        the state and start a segment for the rest."""
+        """End the live columns that leave at error row ev.  If any did, the
+        segment's error rows become one array, so a finished stack holds no
+        per-row objects, and the columns still live start a new segment."""
         k = self.state.k
         errs = np.reshape(ev.as_array(), (3, -1)).T.tolist()
         dead = np.reshape(diverged(ev), -1).tolist()
@@ -456,6 +455,10 @@ class RunStack:
         keep = [self._ends[j] is None for j in self._live]
         if all(keep):
             return
+        # (rows, 3, columns); one column's ErrorVector holds floats
+        errors = np.array([(e.opt_err, e.x_consensus, e.y_consensus) for e in self._rows])
+        self._segments.append((self._live, errors.reshape(len(self._rows), 3, -1)))
+        self._rows = []
         self._live = [j for j in self._live if self._ends[j] is None]
         if self._live:
             self.state.keep(np.array(keep))
@@ -490,15 +493,7 @@ class RunStack:
         end = self._ends[j]
         if isinstance(end, DivergenceError):
             return end
-        parts = []
-        for i, (cells, rows) in enumerate(self._segments):
-            if j in cells:
-                if i not in self._arrays:
-                    # (rows, 3, columns); one column's ErrorVector holds floats
-                    self._arrays[i] = np.array(
-                        [(ev.opt_err, ev.x_consensus, ev.y_consensus)
-                         for ev in rows]).reshape(len(rows), 3, -1)
-                parts.append(self._arrays[i][:, :, cells.index(j)])
+        parts = [errors[:, :, cells.index(j)] for cells, errors in self._segments if j in cells]
         opt_err, x_consensus, y_consensus = (parts[0] if len(parts) == 1
                                              else np.concatenate(parts)).T
         cfg = self.cfgs[j]
