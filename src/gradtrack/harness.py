@@ -8,11 +8,9 @@ cell over {2^-t}, runs the cells that share n_g as the columns of one stack
 CSV per cell plus a summary.csv and a manifest.json, all byte-reproducible
 for a fixed config and seed.
 
-The 2^-t sweep steps all live candidates as the columns of one (n, d, c)
-state.  After each outer iteration two stack norms either clear every
-column at once (`tracking.surely_bounded`) or the divergence rule is
-evaluated per column; a candidate that meets it leaves the stack, so dead
-candidates cost nothing afterwards.
+The 2^-t sweep is a RunStack too: one cell per candidate step size, all
+holding the cell's one strategy, that records no trace, only each
+candidate's final errors or the outer iteration at which it diverged.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +31,7 @@ from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
                        MixingMatrix, build_graph, communication_matrices, metropolis_weights,
                        read_matrix_csv, strategy_for)
-from .tracking import (STACK_MAX_ENTRIES, DivergenceError, ErrorVector, GtaConfig, RunStack,
-                       RunTrace, advance, diverged, error_vector, initialize, run,
-                       surely_bounded)
+from .tracking import STACK_MAX_ENTRIES, DivergenceError, GtaConfig, RunStack, RunTrace, run
 
 
 class ConfigError(ValueError):
@@ -320,64 +316,27 @@ def build_strategy(cfg: ExperimentConfig, method: str, w: MixingMatrix, n_c: int
         return strategy_for(method, w, n_c, custom=custom)
 
 
-def _sweep(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int, budget: int,
-           alphas: np.ndarray) -> list[ErrorVector | int]:
-    """Run every step size in `alphas` for `budget` outer iterations from the
-    zero start; returns, per candidate, its final ErrorVector or the outer
-    iteration k at which it met the divergence rule.
-
-    The live candidates advance as the columns of one (n, d, c) state
-    through the runtime's kernel.  After each outer iteration the rule
-    (`diverged`) is evaluated only where `surely_bounded` cannot clear every
-    column, and a candidate that meets it leaves the stack: its columns
-    leave x, y and grads, its alpha leaves the alpha vector.
-    """
-    record: list[ErrorVector | int | None] = [None] * len(alphas)
-    live = np.arange(len(alphas))                  # the candidate of each column
-    state = initialize(suite, np.zeros((suite.n, suite.d, len(alphas))))
-    cfg = GtaConfig(strategy=strategy, alpha=alphas, n_g=n_g, max_outer_iters=budget)
-    x_star_norm = float(np.linalg.norm(suite.x_star))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, budget + 1):
-            advance(state, cfg)
-            if surely_bounded(state, x_star_norm):
-                continue
-            # a single column yields float errors, hence the reshape
-            dead = np.reshape(diverged(error_vector(state, suite)), -1)
-            for i in live[dead]:
-                record[i] = k
-            if np.all(dead):
-                return record
-            if np.any(dead):
-                keep = ~dead
-                live = live[keep]
-                state.keep(keep)
-                cfg = replace(cfg, alpha=cfg.alpha[keep])
-        final = np.reshape(error_vector(state, suite).as_array(), (3, -1))
-    for j, i in enumerate(live):
-        record[i] = ErrorVector(*final[:, j].tolist())
-    return record
-
-
 def tune_step_size(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int,
                    budget: int, t_range: tuple[int, int] = (0, 20)) -> float:
     """Sweep alpha over {2^-t : t in t_range} from the zero start.
 
-    Each candidate runs for `budget` outer iterations (all of them at once,
-    see `_sweep`); the winner is the candidate with the smallest final
-    optimization error, ties broken toward the larger step size.  Diverged
-    candidates are excluded; if all diverge a TuningError carrying the
-    per-candidate diagnostics is raised.
+    Each candidate runs for `budget` outer iterations, all of them as the
+    columns of one `RunStack` without trace; the winner is the candidate
+    with the smallest final optimization error, ties broken toward the
+    larger step size.  Diverged candidates are excluded; if all diverge a
+    TuningError carrying the per-candidate diagnostics is raised.
     """
     if budget < 1:
         raise ValueError("tuning budget must be >= 1 outer iteration")
-    ts = np.arange(t_range[0], t_range[1] + 1)
-    alphas = 2.0 ** -ts.astype(float)                      # descending
-    record = _sweep(suite, strategy, n_g, budget, alphas)
-    if all(isinstance(r, int) for r in record):
-        raise TuningError([(int(t), f"diverged at k={r}") for t, r in zip(ts, record)])
-    errs = [math.inf if isinstance(r, int) else r.opt_err for r in record]
-    return float(alphas[int(np.argmin(errs))])   # first minimum = largest alpha on ties
+    ts = range(t_range[0], t_range[1] + 1)
+    cfgs = [GtaConfig(strategy=strategy, alpha=2.0 ** -t, n_g=n_g, max_outer_iters=budget)
+            for t in ts]                                   # descending alpha
+    stack = RunStack(suite, cfgs, np.zeros(suite.n * suite.d), trace=False)
+    outcomes = [stack.outcome(j) for j in range(len(cfgs))]
+    if all(isinstance(o, DivergenceError) for o in outcomes):
+        raise TuningError([(t, f"diverged at k={o.k}") for t, o in zip(ts, outcomes)])
+    errs = [math.inf if isinstance(o, DivergenceError) else o.opt_err for o in outcomes]
+    return cfgs[int(np.argmin(errs))].alpha   # first minimum = largest alpha on ties
 
 
 def measured_contraction(trace: RunTrace) -> float:

@@ -20,33 +20,37 @@ Z (u + v) when both slots hold the same matrix, so GTA-3 (all four slots
 W^nc) runs x' = W^nc (x - alpha y) and y' = W^nc (y + grad(x') - grad(x)),
 two mixing applies per outer iteration.
 
-The state is an (n, d, c) stack, and everything goes through one kernel:
-a step-size sweep steps one column per step size, and a `RunStack` steps
-one column per grid cell, each with its own strategy, step size, budget
-and stop_tol (the cells must share n_g, the kernel's step count).  `run`
+The state is an (n, d, c) stack, and everything goes through one kernel
+and one loop: a `RunStack` steps one column per cell (`GtaConfig`), each
+with its own strategy, step size, budget and stop_tol (the cells must
+share n_g, the kernel's step count).  A grid stacks its cells' runs; a
+step-size sweep is a stack of one cell per candidate step size, all with
+the same strategy, that yields only each column's final errors.  `run`
 returns one cell's trace: from a one-cell RunStack, or as its column of a
 stack, which it advances until that column has left.  Mixing treats the
 stack as an (n, d*c) array, never materializing the (nd, nd) Kronecker
 form: each slot's `MixingMatrix.apply` runs n_c gather rounds or one dense
 product with W^n_c.  The choice depends only on the matrix and n_c, so a
-sweep column and its run take the same path.  A sweep or a one-cell run
-mixes its whole stack through its one strategy, without a copy; a stack of
-several cells mixes each column apart, through its cell's strategy.
+sweep column and its run take the same path.  Consecutive columns that
+hold the same strategy object mix as one block: a sweep or a one-cell run
+mixes its whole stack, without a copy; a stack of distinct cells mixes
+each column apart, through its cell's strategy.
 
 A column leaves the stack at the first row that meets the divergence
 rule, reaches its budget, or has an optimization error at or below its
-stop_tol, as a dead sweep candidate leaves its sweep; the other columns go
-on.  A stacked column takes the iterations of its own run: only the
-rounding of the stacked gradient and norm operations can differ.
+stop_tol; the other columns go on.  A stacked column takes the iterations
+of its own run: only the rounding of the stacked gradient and norm
+operations can differ.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +62,10 @@ DIVERGENCE_LIMIT = 1e12
 
 # A grid stacks its cells only when a column holds at most this many
 # entries (n*d).  A stack saves each cell's per-call overhead, but every
-# column of a stack of several cells mixes as a strided slice, whose copies
-# grow with n*d: on 2-D tori with 4 cells the stack broke even at
-# n*d = 640 and lost from 1440 on (README "Stacked runs").
+# column of a stack of distinct cells mixes as a strided slice, whose
+# copies grow with n*d: on 2-D tori with 4 cells the stack broke even at
+# n*d = 640 and lost from 1440 on (README "Stacked runs").  A sweep, whose
+# columns share one strategy and mix whole, is not gated.
 STACK_MAX_ENTRIES = 1024
 
 
@@ -87,18 +92,20 @@ def _check_count(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class GtaConfig:
-    """Run parameters of one cell: strategy, step size (a sweep's: one per
-    column), computation steps, budgets."""
+    """Run parameters of one cell: strategy, step size, computation steps,
+    budgets."""
 
     strategy: CommunicationStrategy
-    alpha: float | np.ndarray          # a float, or a (c,) array in a sweep
+    alpha: float
     n_g: int = 1
     max_outer_iters: int = 1000
     stop_tol: float | None = None
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        if not np.all(np.isfinite(alpha) & (alpha > 0)):
+        # an array is no step size (a stack holds one cell per column); NaN
+        # fails both comparisons.  float is tested first: the numbers.Real
+        # check takes about 0.4 us, and a sweep builds 21 configs
+        if not (isinstance(self.alpha, (float, numbers.Real)) and 0 < self.alpha < math.inf):
             raise ValueError(f"step size must be a positive finite number, got {self.alpha}")
         _check_count("n_g", self.n_g, 1)
         _check_count("max_outer_iters", self.max_outer_iters, 0)
@@ -107,31 +114,30 @@ class GtaConfig:
         if self.stop_tol is not None and not 0 <= self.stop_tol < math.inf:
             raise ValueError(f"stop_tol must be a finite number >= 0, got {self.stop_tol}")
 
-    @cached_property
-    def blocks(self) -> tuple:
-        """The mixing blocks of `_pair`: every column mixes through `strategy`."""
-        return ((self.strategy, slice(None)),)
-
 
 @dataclass(frozen=True, eq=False)
 class _Stack:
-    """The kernel's parameters for the columns of a `RunStack`: one step
-    size per column and the mixing blocks of `_pair`, one (strategy, column
-    slice) per column."""
+    """The kernel's parameters for the columns of a stack: their step sizes
+    (a float for one column, else one per column), n_g, and the mixing
+    blocks of `_pair`, one (strategy, column slice) per run of consecutive
+    columns that hold the same strategy object."""
 
-    alpha: np.ndarray
+    alpha: float | np.ndarray
     n_g: int
     blocks: tuple
 
 
-def _stack(cfgs: list[GtaConfig]) -> GtaConfig | _Stack:
-    """The kernel's parameters for one column per cfg: a lone cfg itself, so
-    a single run steps with its scalar step size and mixes its one column
-    whole, as it always has."""
-    if len(cfgs) == 1:
-        return cfgs[0]
-    return _Stack(np.array([cfg.alpha for cfg in cfgs]), cfgs[0].n_g,
-                  tuple((cfg.strategy, slice(p, p + 1)) for p, cfg in enumerate(cfgs)))
+def _stack(cfgs: list[GtaConfig]) -> _Stack:
+    """The kernel's parameters for one column per cfg.  A lone cfg keeps its
+    scalar step size, so a single run steps as it always has; a sweep's
+    columns, which share one strategy, form one block, mixed whole."""
+    blocks, p = [], 0
+    for _, group in groupby(cfgs, key=lambda cfg: id(cfg.strategy)):
+        width = len(list(group))
+        blocks.append((cfgs[p].strategy, slice(p, p + width)))
+        p += width
+    alpha = cfgs[0].alpha if len(cfgs) == 1 else np.array([cfg.alpha for cfg in cfgs])
+    return _Stack(alpha, cfgs[0].n_g, tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,8 @@ class ErrorVector:
 
 @dataclass(slots=True)
 class GtaState:
-    """Mutable iteration state owned by a single run, sweep or stack.
+    """Mutable iteration state owned by one RunStack (a run, a sweep or a
+    grid's stack).
 
     x, y and grads are (n, d, c) stacks of the local copies, one column per
     step size of a sweep or per cell of a stack (c = 1 for a run); k is the
@@ -161,8 +168,8 @@ class GtaState:
     y: np.ndarray
     grads: np.ndarray
     k: int = 0
-    # (cfg, its suite.local_steps or None) for the cfg last advanced: a run
-    # builds the closed form once, a sweep or a stack once per set of columns
+    # (parameters, their suite.local_steps or None) for the `_Stack` last
+    # advanced: a stack builds the closed form once per set of live columns
     local: tuple | None = None
 
     def keep(self, cols: np.ndarray) -> None:
@@ -214,11 +221,11 @@ def _move(state: GtaState, dx: np.ndarray) -> GtaState:
 
 def _pair(blocks: tuple, a: int, b: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Z_a u + Z_b v, each column through the slots of its block's strategy
-    (`GtaConfig.blocks`, `_Stack.blocks`).  v must be a temporary of the
-    caller: the sum is formed in place in v (or in its product), so a sweep's
-    peak holds no extra stack.  Several blocks mix their column slices apart,
-    each result written back into v; one block mixes the whole stack, as the
-    one product Z (u + v) when slots a and b hold the same matrix (or None)."""
+    (`_Stack.blocks`).  v must be a temporary of the caller: the sum is
+    formed in place in v (or in its product), so a sweep's peak holds no
+    extra stack.  Several blocks mix their column slices apart, each result
+    written back into v; one block mixes the whole stack, as the one product
+    Z (u + v) when slots a and b hold the same matrix (or None)."""
     if len(blocks) > 1:
         for block in blocks:
             cols = block[1]
@@ -233,7 +240,7 @@ def _pair(blocks: tuple, a: int, b: int, u: np.ndarray, v: np.ndarray) -> np.nda
     return out
 
 
-def outer_step(state: GtaState, cfg: GtaConfig | _Stack) -> GtaState:
+def outer_step(state: GtaState, cfg: _Stack) -> GtaState:
     """Communication update: n_c consensus steps through each slot
     (`MixingMatrix.apply`); one new gradient evaluation per node."""
     # state.x is replaced at once (as in inner_step): holding the old x
@@ -246,15 +253,15 @@ def outer_step(state: GtaState, cfg: GtaConfig | _Stack) -> GtaState:
     return state
 
 
-def advance(state: GtaState, cfg: GtaConfig | _Stack) -> GtaState:
+def advance(state: GtaState, cfg: _Stack) -> GtaState:
     """One outer iteration: n_g - 1 local steps, then the communication step.
 
     The local steps run as the suite's closed form when it has one (a
     quadratic: x moves by its total over the n_g - 1 steps, and the trackers
     take the gradient change, as in one step: a few array operations and one
     gradient, whatever n_g is), else as n_g - 1 `inner_step` calls.  The
-    closed form is built on the first advance with a new cfg and held in
-    the state.
+    closed form is built on the first advance with new parameters cfg (a
+    `_stack` result) and held in the state.
     """
     if cfg.n_g > 1:
         if state.local is None or state.local[0] is not cfg:
@@ -293,7 +300,7 @@ def error_vector(state: GtaState, suite: ObjectiveSuite) -> ErrorVector:
 
 
 def diverged(ev: ErrorVector):
-    """The divergence rule of runs and sweeps: True (per column for a sweep)
+    """The divergence rule of runs and sweeps: True (per column for a stack)
     where an error is above DIVERGENCE_LIMIT or not finite.  A non-finite x,
     y or gradient makes an error non-finite within the step."""
     return np.logical_not((ev.opt_err <= DIVERGENCE_LIMIT) & (ev.x_consensus <= DIVERGENCE_LIMIT)
@@ -383,32 +390,37 @@ class RunStack:
     from x0 (n*d entries) with its own strategy, scalar step size, budget
     and stop_tol.
 
-    The stack advances on demand: `run(suite, cfg, x0, stack)` steps every
-    live column until cfg's has left, then returns cfg's trace, so a grid
-    asks for its cells one by one, in cell order, while their columns step
-    together.  Every column's error row is recorded at every outer
-    iteration.  A column leaves at the first row (k >= 1) that meets the
-    divergence rule, or else at the first row at its budget or with opt_err
-    <= its stop_tol, that row included in its trace, as a one-cell run ends.
-    Deterministic for fixed inputs.
+    The stack advances on demand: `outcome(j)` steps every live column
+    until cell j's has left, so a grid asks `run` for its cells one by one,
+    in cell order, while their columns step together.  A column leaves at
+    the first row (k >= 1) that meets the divergence rule, or else at the
+    first row at its budget or with opt_err <= its stop_tol, as a one-cell
+    run ends.  With trace (a grid's runs) every column's error row is
+    recorded at every outer iteration, and a column's outcome is its
+    RunTrace.  Without it (a step-size sweep) the outcome is the column's
+    last error row: while no column has a stop_tol, the rule is evaluated
+    only where `surely_bounded` cannot clear every column, and the last
+    rows are taken at the budget on the columns still live.  Either way a
+    column that met the divergence rule has its DivergenceError as its
+    outcome.  Deterministic for fixed inputs.
     """
 
-    def __init__(self, suite: ObjectiveSuite, cfgs: list[GtaConfig], x0: np.ndarray):
+    def __init__(self, suite: ObjectiveSuite, cfgs: list[GtaConfig], x0: np.ndarray,
+                 trace: bool = True):
         if len({cfg.n_g for cfg in cfgs}) != 1:
             raise ValueError(f"the cells of a stack share one n_g, got {[c.n_g for c in cfgs]}")
         for cfg in cfgs:
             if cfg.strategy.n != suite.n:
                 raise ValueError(f"strategy has n={cfg.strategy.n} but suite has n={suite.n}")
-            if np.ndim(cfg.alpha) != 0:
-                raise ValueError(f"a cell of a stack has one step size, got {cfg.alpha}")
         x0 = np.asarray(x0, dtype=float)
         if x0.size != suite.n * suite.d:
             raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")
-        self.suite, self.cfgs, self.x0 = suite, list(cfgs), x0.ravel()
+        self.suite, self.cfgs, self.x0, self.trace = suite, list(cfgs), x0.ravel(), trace
         # per-cell values as Python numbers: the per-column tests run only
         # when a column may leave
         self._tols = [-math.inf if cfg.stop_tol is None else cfg.stop_tol for cfg in cfgs]
-        # per cell: (its last k, its wall time) once it left, or its DivergenceError
+        # per cell once it left: its DivergenceError, else (its last k, its
+        # wall time) with trace, its last ErrorVector without
         self._ends: list = [None] * len(cfgs)
         # (the cells of the columns, their (rows, 3, columns) errors) for
         # each set of live columns that has ended, in order
@@ -417,81 +429,97 @@ class RunStack:
         self.state: GtaState | None = None
         self._elapsed = 0.0
 
-    def _begin(self) -> ErrorVector:
+    def _begin(self) -> ErrorVector | None:
         """Build the state at k = 0, every column at x0, on the first request
-        for a cell; returns its error row."""
+        for a cell; returns its error row, or None if nothing needs it."""
         n, d, c = self.suite.n, self.suite.d, len(self.cfgs)
         self.state = initialize(self.suite, self.x0 if c == 1 else
                                 np.broadcast_to(self.x0.reshape(n, d, 1), (n, d, c)))
+        self._x_star_norm = float(np.linalg.norm(self.suite.x_star))
         self._start_segment()
+        if self._precheck and self._k_end > 0:
+            return None
         ev = error_vector(self.state, self.suite)
-        self._rows.append(ev)
+        if self._rows is not None:
+            self._rows.append(ev)
         return ev
 
     def _start_segment(self) -> None:
         """Step the live columns from here on: their kernel parameters and
         the pre-check bounds, the smallest budget and the largest stop_tol."""
         cfgs = [self.cfgs[j] for j in self._live]
-        self._rows = []
+        self._rows = [] if self.trace else None
         self._step = _stack(cfgs)
         self._k_end = min(cfg.max_outer_iters for cfg in cfgs)
         self._tol_max = max(self._tols[j] for j in self._live)
+        # rows are needed only to record them or to test a stop_tol
+        self._precheck = not self.trace and self._tol_max == -math.inf
         # whether a per-column test holds in any column: one column's
         # ErrorVector holds floats, whose tests are a bool or np.bool_
         self._any = bool if len(cfgs) == 1 else np.ndarray.any
 
     def _leave(self, ev: ErrorVector, now: float) -> None:
         """End the live columns that leave at error row ev.  If any did, the
-        segment's error rows become one array, so a finished stack holds no
-        per-row objects, and the columns still live start a new segment."""
+        columns still live start a new segment, and with trace the segment's
+        error rows become one array, so a finished stack holds no per-row
+        objects."""
         k = self.state.k
         errs = np.reshape(ev.as_array(), (3, -1)).T.tolist()
-        dead = np.reshape(diverged(ev), -1).tolist()
+        dead = np.reshape(diverged(ev), -1).tolist() if k else [False] * len(errs)
+        # without trace, a column that ends at this row takes its last row
+        # once the diverged columns have left, on the columns still live
+        later = not self.trace and any(dead)
         for p, j in enumerate(self._live):
-            if k and dead[p]:
+            if dead[p]:
                 self._ends[j] = DivergenceError(k, ErrorVector(*errs[p]))
-            elif k >= self.cfgs[j].max_outer_iters or errs[p][0] <= self._tols[j]:
-                self._ends[j] = (k, now)
+            elif not later and (k >= self.cfgs[j].max_outer_iters or errs[p][0] <= self._tols[j]):
+                self._ends[j] = (k, now) if self.trace else ErrorVector(*errs[p])
         keep = [self._ends[j] is None for j in self._live]
         if all(keep):
             return
-        # (rows, 3, columns); one column's ErrorVector holds floats
-        errors = np.array([(e.opt_err, e.x_consensus, e.y_consensus) for e in self._rows])
-        self._segments.append((self._live, errors.reshape(len(self._rows), 3, -1)))
-        self._rows = []
+        if self.trace:
+            # (rows, 3, columns); one column's ErrorVector holds floats
+            errors = np.array([(e.opt_err, e.x_consensus, e.y_consensus) for e in self._rows])
+            self._segments.append((self._live, errors.reshape(len(self._rows), 3, -1)))
+            self._rows = []
         self._live = [j for j in self._live if self._ends[j] is None]
         if self._live:
             self.state.keep(np.array(keep))
             self._start_segment()
+            if later and (k >= self._k_end or not self._precheck):
+                self._leave(error_vector(self.state, self.suite), now)
 
-    def _outcome(self, j: int) -> RunTrace | DivergenceError:
-        """Cell j's RunTrace, or its DivergenceError, advancing the stack
+    def outcome(self, j: int) -> RunTrace | ErrorVector | DivergenceError:
+        """Cell j's outcome (see the class docstring), advancing the stack
         until its column has left."""
         if self._ends[j] is None:
             t0 = time.perf_counter()
             if self.state is None:
                 ev = self._begin()
                 # divergence is not tested at k = 0
-                if self._k_end <= 0 or self._any(ev.opt_err <= self._tol_max):
+                if ev is not None and (self._k_end <= 0 or self._any(ev.opt_err <= self._tol_max)):
                     self._leave(ev, time.perf_counter() - t0)
-            state, suite = self.state, self.suite
+            state, suite, x_star_norm = self.state, self.suite, self._x_star_norm
             # overflow on the way past the divergence guard is expected, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 while self._ends[j] is None:
                     step, rows, any_ = self._step, self._rows, self._any
-                    k_end, tol_max = self._k_end, self._tol_max
+                    k_end, tol_max, precheck = self._k_end, self._tol_max, self._precheck
                     # cheap pre-checks; the per-column tests only when a column may leave
                     while True:
                         advance(state, step)
+                        if precheck and state.k < k_end and surely_bounded(state, x_star_norm):
+                            continue
                         ev = error_vector(state, suite)
-                        rows.append(ev)
+                        if rows is not None:
+                            rows.append(ev)
                         if (state.k >= k_end or any_(ev.opt_err <= tol_max)
                                 or any_(diverged(ev))):
                             break
                     self._leave(ev, self._elapsed + time.perf_counter() - t0)
             self._elapsed += time.perf_counter() - t0
         end = self._ends[j]
-        if isinstance(end, DivergenceError):
+        if not isinstance(end, tuple):
             return end
         parts = [errors[:, :, cells.index(j)] for cells, errors in self._segments if j in cells]
         opt_err, x_consensus, y_consensus = (parts[0] if len(parts) == 1
@@ -520,7 +548,7 @@ def run(suite: ObjectiveSuite, cfg: GtaConfig, x0: np.ndarray,
     column = next((j for j, c in enumerate(stack.cfgs) if c is cfg), None)
     if column is None:
         raise ValueError("cfg is not a cell of the stack")
-    outcome = stack._outcome(column)
+    outcome = stack.outcome(column)
     if isinstance(outcome, DivergenceError):
         raise outcome
     return outcome

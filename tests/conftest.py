@@ -118,6 +118,14 @@ def custom_strategy(w, n_c, mats):
                            custom=gt.topology.communication_matrices(mats, w.graph))
 
 
+def kernel_params(strategy, alpha, n_g=1):
+    """The kernel's parameters (`tracking._stack`) that `outer_step` and
+    `advance` take: one column at step size alpha, or one column per entry
+    of an array alpha, all through the one strategy."""
+    alphas = [alpha] if np.ndim(alpha) == 0 else [float(a) for a in alpha]
+    return gt.tracking._stack([gt.GtaConfig(strategy=strategy, alpha=a, n_g=n_g) for a in alphas])
+
+
 def slot_powers(strategy):
     """W^n_c of each slot from its MixingMatrix's shared powers (the
     identity for an identity slot): the matrices of the dense route."""

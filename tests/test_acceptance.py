@@ -13,6 +13,8 @@ import pytest
 import gradtrack as gt
 from gradtrack import harness, theory
 
+from conftest import kernel_params
+
 BUDGETS = {}   # criterion -> (elapsed, limit)
 
 
@@ -46,7 +48,7 @@ def test_criterion_1_tracking_identity():
             seed=int(rng.integers(1_000_000))))
         strat = gt.strategy_for(method, _mixing(topo, 8), n_c)
         alpha = 0.5 / (n_g * suite.L)
-        cfg = gt.GtaConfig(strategy=strat, alpha=alpha, n_g=n_g)
+        cfg = kernel_params(strat, alpha, n_g)
         state = gt.initialize(suite, rng.normal(size=8 * 3))
         for _ in range(50):
             for _ in range(n_g - 1):
@@ -71,7 +73,7 @@ def test_criterion_2_degenerate_oracle_equivalence():
     for method in ("GTA1", "GTA2", "GTA3"):
         for n_g in (1, 3):
             strat = gt.strategy_for(method, w1, 2)
-            cfg = gt.GtaConfig(strategy=strat, alpha=0.7 / (n_g * suite1.L), n_g=n_g)
+            cfg = kernel_params(strat, 0.7 / (n_g * suite1.L), n_g)
             state = gt.initialize(suite1, np.zeros(5))
             x_gd = np.zeros(5)
             for _ in range(60):
@@ -88,7 +90,7 @@ def test_criterion_2_degenerate_oracle_equivalence():
     assert wj.beta == 0.0
     for method in ("GTA2", "GTA3"):
         strat = gt.strategy_for(method, wj, 1)
-        cfg = gt.GtaConfig(strategy=strat, alpha=0.5 / suite.L, n_g=1)
+        cfg = kernel_params(strat, 0.5 / suite.L)
         state = gt.initialize(suite, np.zeros(16 * 6))
         x_gd = np.zeros(6)
         for _ in range(100):

@@ -190,6 +190,31 @@ def test_batched_sweep_matches_candidate_by_candidate_runs(method, nc, ng, small
     assert picked == best
 
 
+def _sweep(suite, strategy, n_g, budget, t_range=(0, 20)):
+    """Each candidate's outcome in tune_step_size's sweep, read from the
+    RunStack it ran: the final ErrorVector, or the DivergenceError."""
+    stacks = []
+    real = harness.RunStack
+
+    def keep(*args, **kwargs):
+        stacks.append(real(*args, **kwargs))
+        return stacks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "RunStack", keep)
+        try:
+            tune_step_size(suite, strategy, n_g, budget, t_range)
+        except TuningError:
+            pass
+    (stack,) = stacks
+    return [stack.outcome(j) for j in range(len(stack.cfgs))]
+
+
+def _died_at(outcome):
+    """A sweep candidate's divergence step, or None if it finished."""
+    return outcome.k if isinstance(outcome, gt.DivergenceError) else None
+
+
 class _StepwiseQuadratic(gt.QuadraticSuite):
     """A quadratic suite that hides its closed form: advance steps it."""
 
@@ -205,18 +230,17 @@ def test_closed_form_and_stepwise_sweeps_agree_on_the_shipped_cyclic_grid():
     closed = harness.build_suite(cfg)
     stepwise = _StepwiseQuadratic(closed.qs, closed.bs)
     w = harness.build_mixing(cfg)
-    alphas = 2.0 ** -np.arange(cfg.tune_tmin, cfg.tune_tmax + 1.0)
+    t_range = (cfg.tune_tmin, cfg.tune_tmax)
     died = 0
     for method, nc_grid, ng_grid in cfg.grids:
         for n_c in nc_grid:
             strategy = harness.build_strategy(cfg, method, w, n_c)
             for n_g in (g for g in ng_grid if g > 1):
-                a = harness._sweep(closed, strategy, n_g, 20, alphas)
-                b = harness._sweep(stepwise, strategy, n_g, 20, alphas)
-                assert [r if isinstance(r, int) else None for r in a] == \
-                       [r if isinstance(r, int) else None for r in b], (method, n_c, n_g)
-                died += sum(isinstance(r, int) for r in a)
-                errs = [[math.inf if isinstance(r, int) else r.opt_err for r in rec]
+                a = _sweep(closed, strategy, n_g, 20, t_range)
+                b = _sweep(stepwise, strategy, n_g, 20, t_range)
+                assert [_died_at(r) for r in a] == [_died_at(r) for r in b], (method, n_c, n_g)
+                died += sum(_died_at(r) is not None for r in a)
+                errs = [[math.inf if _died_at(r) else r.opt_err for r in rec]
                         for rec in (a, b)]
                 assert np.argmin(errs[0]) == np.argmin(errs[1]), (method, n_c, n_g)
                 assert errs[0] == pytest.approx(errs[1], rel=1e-9)
@@ -242,16 +266,16 @@ def test_every_sweep_candidate_matches_its_single_run(problem, method, nc, ng, s
     w = gt.metropolis_weights(gt.build_graph("cycle", suite.n))
     strat = gt.strategy_for(method, w, nc)
     alphas = 2.0 ** -np.arange(21.0)
-    record = harness._sweep(suite, strat, ng, budget, alphas)
+    record = _sweep(suite, strat, ng, budget)
     assert len(record) == 21
     x0 = np.zeros(suite.n * suite.d)
     finished = 0
     for alpha, rec in zip(alphas, record):
         cfg = gt.GtaConfig(strategy=strat, alpha=alpha, n_g=ng, max_outer_iters=budget)
-        if isinstance(rec, int):
+        if _died_at(rec):
             with pytest.raises(gt.DivergenceError) as err:
                 gt.run(suite, cfg, x0)
-            assert err.value.k == rec
+            assert err.value.k == rec.k
             continue
         final = gt.run(suite, cfg, x0).final().as_array()
         # the compared (tuned-on) error to 1e-12 relative; the consensus
@@ -261,6 +285,78 @@ def test_every_sweep_candidate_matches_its_single_run(problem, method, nc, ng, s
         assert rec.as_array()[1:] == pytest.approx(final[1:], rel=1e-12, abs=1e-14)
         finished += 1
     assert finished >= 10
+
+
+def test_a_sweep_mixes_its_live_candidates_as_one_block(small_quadratic, monkeypatch):
+    # 21 candidates of one GTA3 strategy: each update is one mixing apply on
+    # the whole live stack, C-ordered, also once diverged candidates have left
+    suite = small_quadratic
+    strat = gt.strategy_for("GTA3", gt.metropolis_weights(gt.build_graph("cycle", suite.n)), 1)
+    widths, applies = [], []
+    real_step, real_mix = gt.tracking.outer_step, gt.tracking._mix
+
+    def stepping(state, cfg):
+        widths.append(state.x.shape[2])
+        return real_step(state, cfg)
+
+    def mixing(strategy, slot, v):
+        applies.append((v.shape[2], v.flags.c_contiguous))
+        return real_mix(strategy, slot, v)
+
+    monkeypatch.setattr(gt.tracking, "outer_step", stepping)
+    monkeypatch.setattr(gt.tracking, "_mix", mixing)
+    tune_step_size(suite, strat, 1, budget=40)
+    assert widths[0] == 21 and widths[-1] < 21
+    assert applies == [(w, True) for w in widths for _ in range(2)]
+
+
+def test_a_sweep_without_divergence_takes_no_error_row_per_iteration(small_quadratic,
+                                                                       monkeypatch):
+    # the pre-check clears every step; the errors are taken at the budget
+    suite = small_quadratic
+    strat = gt.strategy_for("GTA3", gt.metropolis_weights(gt.build_graph("cycle", suite.n)), 1)
+    assert not any(_died_at(o) for o in _sweep(suite, strat, 1, 40, (4, 20)))
+    calls = []
+    real = gt.tracking.error_vector
+
+    def counting(state, s):
+        calls[-1] += 1
+        return real(state, s)
+
+    monkeypatch.setattr(gt.tracking, "error_vector", counting)
+    for budget in (10, 40):
+        calls.append(0)
+        tune_step_size(suite, strat, 1, budget=budget, t_range=(4, 20))
+    assert calls[0] == calls[1] < 10
+
+
+@pytest.mark.parametrize("problem,n_g", [("quadratic", 1), ("quadratic", 3), ("logistic", 2)])
+def test_a_one_candidate_sweep_is_its_one_cell_run(problem, n_g, small_quadratic):
+    # tune_tmin == tune_tmax: the sweep's final errors are the last row of
+    # the run at that step size, bit for bit
+    suite = (small_quadratic if problem == "quadratic"
+             else gt.logreg_suite(gt.load_libsvm("data/synth_binary.libsvm", 8)))
+    strat = gt.strategy_for("GTA2", gt.metropolis_weights(gt.build_graph("cycle", suite.n)), 2)
+    (got,) = _sweep(suite, strat, n_g, 25, (6, 6))
+    cfg = gt.GtaConfig(strategy=strat, alpha=2.0 ** -6, n_g=n_g, max_outer_iters=25)
+    assert np.array_equal(got.as_array(), gt.run(suite, cfg, np.zeros(suite.n * suite.d))
+                          .final().as_array())
+
+
+def test_an_all_diverging_sweep_reports_each_candidates_run_k(small_quadratic):
+    # seven candidates that diverge at seven different steps
+    suite = small_quadratic
+    strat = gt.strategy_for("GTA1", gt.metropolis_weights(gt.build_graph("cycle", suite.n)), 1)
+    with pytest.raises(TuningError) as err:
+        tune_step_size(suite, strat, 1, budget=100, t_range=(0, 6))
+    want = []
+    for t in range(7):
+        with pytest.raises(gt.DivergenceError) as run_err:
+            gt.run(suite, gt.GtaConfig(strategy=strat, alpha=2.0 ** -t, max_outer_iters=100),
+                   np.zeros(suite.n * suite.d))
+        want.append((t, f"diverged at k={run_err.value.k}"))
+    assert err.value.diagnostics == want
+    assert len({msg for _, msg in want}) == 7
 
 
 def test_all_candidates_diverging_raises_with_diagnostics():
@@ -324,9 +420,11 @@ def test_the_grid_stacks_small_columns_and_runs_large_ones_alone(tmp_path, monke
     stacks = []
     real = harness.RunStack
 
-    def counting(suite, cfgs, x0):
-        stacks.append([(c.strategy.name, c.n_g) for c in cfgs])
-        return real(suite, cfgs, x0)
+    def counting(suite, cfgs, x0, trace=True):
+        # the grid's stacks, not its sweeps'
+        if trace:
+            stacks.append([(c.strategy.name, c.n_g) for c in cfgs])
+        return real(suite, cfgs, x0, trace)
 
     monkeypatch.setattr(harness, "RunStack", counting)
     stacked = harness.execute_grid(cfg)
@@ -530,15 +628,15 @@ def test_sweep_columns_match_single_runs_on_gather_rounds(method):
     assert apply_counting_rounds(w, np.ones((192, 1)), 1)[1] == [1]
     alphas = 2.0 ** -np.arange(21.0)
     budget = 30
-    record = harness._sweep(suite, strat, 1, budget, alphas)
+    record = _sweep(suite, strat, 1, budget)
     x0 = np.zeros(suite.n * suite.d)
     finished = 0
     for alpha, rec in zip(alphas, record):
         cfg = gt.GtaConfig(strategy=strat, alpha=alpha, max_outer_iters=budget)
-        if isinstance(rec, int):
+        if _died_at(rec):
             with pytest.raises(gt.DivergenceError) as err:
                 gt.run(suite, cfg, x0)
-            assert err.value.k == rec
+            assert err.value.k == rec.k
             continue
         final = gt.run(suite, cfg, x0).final().as_array()
         # the same tolerances as on dense products: the mixing bits agree,

@@ -12,7 +12,7 @@ from gradtrack.problems import (DataFormatError, LogisticSuite, LogRegDataset,
                                 logreg_suite)
 from gradtrack.tracking import advance
 
-from conftest import central_diff, global_value
+from conftest import central_diff, global_value, kernel_params
 
 
 # --------------------------------------------------------------- quadratics
@@ -184,7 +184,7 @@ def test_closed_form_local_steps_match_the_step_loop(d, a, t, m, columns, rotate
     # an outer iteration at n_g = m + 1 is m closed-form steps and one step
     nothing = gt.CommunicationStrategy("identity", 1, (None,) * 4, gt.build_graph("complete", 3))
     closed = gt.GtaState(suite, x=x, y=y, grads=suite.grad_stack_batch(x))
-    advance(closed, gt.GtaConfig(strategy=nothing, alpha=alpha, n_g=m + 1))
+    advance(closed, kernel_params(nothing, alpha, m + 1))
     assert closed.local[1] is not None
     loop = gt.GtaState(suite, x=x, y=y, grads=suite.grad_stack_batch(x))
     for _ in range(m + 1):

@@ -11,7 +11,7 @@ from gradtrack.tracking import (DIVERGENCE_LIMIT, DivergenceError, GtaConfig, Gt
                                 RunTrace, advance, diverged, error_vector, initialize,
                                 inner_step, outer_step, run, surely_bounded)
 
-from conftest import custom_strategy, kron_outer_step, slot_powers
+from conftest import custom_strategy, kernel_params, kron_outer_step, slot_powers
 
 
 def _strategy(method, n, n_c=1, kind="cycle", laziness=0.0):
@@ -64,10 +64,11 @@ def test_initialize_rejects_a_stack_of_the_wrong_shape(shape, small_quadratic):
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -0.5,
                                    np.array([0.5, math.nan]), np.array([math.inf, 0.5]),
-                                   np.array([0.5, 0.0])])
+                                   np.array([0.5, 0.0]), np.array([0.5, 0.25])])
 def test_a_step_size_that_is_not_a_positive_finite_number_is_rejected(alpha):
     # NaN compares false with 0, so a bare `alpha <= 0` let it through and a
-    # run reported a divergence at k = 1
+    # run reported a divergence at k = 1; an array is no one cell's step
+    # size, however valid its entries
     with pytest.raises(ValueError, match="positive finite"):
         GtaConfig(strategy=_strategy("GTA1", 4), alpha=alpha)
 
@@ -150,7 +151,7 @@ def test_all_identity_outer_step_equals_inner_step(small_quadratic):
     x0 = rng.normal(size=s.n * s.d)
     st_a = initialize(s, x0)
     st_b = initialize(s, x0)
-    outer_step(st_a, GtaConfig(strategy=strat, alpha=0.01))
+    outer_step(st_a, kernel_params(strat, 0.01))
     inner_step(st_b, 0.01)
     assert np.array_equal(st_a.x, st_b.x)
     assert np.array_equal(st_a.y, st_b.y)
@@ -162,7 +163,7 @@ def test_outer_step_matches_dense_kronecker_oracle(two_node_suite):
     rng = np.random.default_rng(8)
     st = initialize(s, rng.normal(size=4))
     x_ref, y_ref = kron_outer_step(st.x, st.y, st.grads, s, strat, 0.05)
-    outer_step(st, GtaConfig(strategy=strat, alpha=0.05))
+    outer_step(st, kernel_params(strat, 0.05))
     assert np.max(np.abs(st.x - x_ref)) <= 1e-12
     assert np.max(np.abs(st.y - y_ref)) <= 1e-12
 
@@ -197,7 +198,7 @@ def test_outer_step_does_two_dense_products(method, c, small_quadratic, monkeypa
         return real(strategy, slot, v)
 
     monkeypatch.setattr(gt.tracking, "_mix", counting)
-    outer_step(_sweep_or_run_state(s, c, 0), GtaConfig(strategy=strat, alpha=_alpha(c)))
+    outer_step(_sweep_or_run_state(s, c, 0), kernel_params(strat, _alpha(c)))
     assert len(products) == 2
 
 
@@ -211,7 +212,7 @@ def test_gta1_outer_step_keeps_the_unfactored_bits(c, small_quadratic):
     x = mix(st.x) - alpha * st.y
     g = s.grad_stack_batch(x)
     y = mix(st.y) + (g - st.grads)
-    outer_step(st, GtaConfig(strategy=strat, alpha=alpha))
+    outer_step(st, kernel_params(strat, alpha))
     assert np.array_equal(st.x, x) and np.array_equal(st.y, y)
 
 
@@ -242,7 +243,7 @@ def test_factored_outer_step_equals_the_four_slot_formula(n, d, n_c, c, slots, k
     y_ref = z[2](st.y) + z[3](g_ref - st.grads)
     scale_x = np.max(np.abs(st.x)) + np.max(np.abs(alpha * st.y))
     scale_y = np.max(np.abs(st.y)) + np.max(np.abs(g_ref - st.grads))
-    outer_step(st, GtaConfig(strategy=strat, alpha=alpha))
+    outer_step(st, kernel_params(strat, alpha))
     # relative to the result, with a floor at the operands' scale where the
     # sum cancels
     assert np.max(np.abs(st.x - x_ref)) <= 1e-12 * max(np.max(np.abs(x_ref)), scale_x)
@@ -263,7 +264,7 @@ def test_fully_connected_gta3_contracts_like_gradient_descent(small_quadratic):
     st = initialize(s, np.zeros(s.n * s.d))
     prev = np.linalg.norm(st.x[:, :, 0].mean(axis=0) - s.x_star)
     for _ in range(20):
-        outer_step(st, GtaConfig(strategy=strat, alpha=alpha))
+        outer_step(st, kernel_params(strat, alpha))
         cur = np.linalg.norm(st.x[:, :, 0].mean(axis=0) - s.x_star)
         assert cur <= (1 - alpha * s.mu) * prev + 1e-12
         prev = cur
@@ -279,7 +280,7 @@ def test_fixed_point_of_outer_step(small_quadratic):
     st.y = np.zeros_like(st.y)
     for _ in range(5):
         x_prev = st.x.copy()
-        outer_step(st, GtaConfig(strategy=strat, alpha=0.1))
+        outer_step(st, kernel_params(strat, 0.1))
         assert np.max(np.abs(st.x - x_prev)) <= 1e-12
 
 
@@ -296,7 +297,7 @@ def test_first_step_from_consensual_optimum_keeps_the_average(method, small_quad
     inner_step(st, alpha)
     assert np.linalg.norm(st.x[:, :, 0].mean(axis=0) - s.x_star) <= 1e-12
     st = initialize(s, np.tile(s.x_star, s.n))
-    outer_step(st, GtaConfig(strategy=strat, alpha=alpha))
+    outer_step(st, kernel_params(strat, alpha))
     assert np.linalg.norm(st.x[:, :, 0].mean(axis=0) - s.x_star) <= 1e-12
 
 
@@ -507,7 +508,7 @@ def test_counters_increase_by_configured_increments(small_quadratic):
 def test_tracking_identity_along_a_run(small_quadratic):
     s = small_quadratic
     strat = _strategy("GTA2", s.n, n_c=2)
-    cfg = GtaConfig(strategy=strat, alpha=1e-3, n_g=3)
+    cfg = kernel_params(strat, 1e-3, n_g=3)
     st = initialize(s, np.zeros(s.n * s.d))
     for _ in range(60):
         for _ in range(cfg.n_g - 1):
@@ -523,7 +524,7 @@ def test_tracking_identity_along_a_closed_form_run(n_g, small_quadratic):
     # advance takes the quadratic's closed-form local phase: x moves by the
     # total of n_g - 1 steps at once, y by the gradient change of that move
     s = small_quadratic
-    cfg = GtaConfig(strategy=_strategy("GTA3", s.n, n_c=2), alpha=0.5 / (n_g * s.L), n_g=n_g)
+    cfg = kernel_params(_strategy("GTA3", s.n, n_c=2), 0.5 / (n_g * s.L), n_g=n_g)
     st = initialize(s, np.random.default_rng(11).normal(size=s.n * s.d))
     for _ in range(60):
         advance(st, cfg)
@@ -577,10 +578,11 @@ def _loop_run(suite, cfg, x0):
     divergence rule."""
     st = initialize(suite, x0)
     rows = [error_vector(st, suite).as_array()]
+    step = kernel_params(cfg.strategy, cfg.alpha, cfg.n_g)
     with np.errstate(over="ignore", invalid="ignore"):
         while st.k < cfg.max_outer_iters and not (cfg.stop_tol is not None
                                                  and rows[-1][0] <= cfg.stop_tol):
-            advance(st, cfg)
+            advance(st, step)
             ev = error_vector(st, suite)
             rows.append(ev.as_array())
             if diverged(ev):
@@ -689,9 +691,64 @@ def test_a_diverging_column_leaves_the_stack_at_its_single_run_k(small_quadratic
     assert [len(got.k) for got in out if isinstance(got, RunTrace)] == [201, 201]
 
 
+def _loop_sweep(suite, strategy, n_g, budget, alphas):
+    """A step-size sweep written out as its own loop from the zero start:
+    per step size, its final (3,) errors, taken on the columns still live
+    at the budget, or the k at which it met the divergence rule."""
+    record = [None] * len(alphas)
+    live = np.arange(len(alphas))
+    state = initialize(suite, np.zeros((suite.n, suite.d, len(alphas))))
+    step = kernel_params(strategy, alphas, n_g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, budget + 1):
+            advance(state, step)
+            dead = np.reshape(diverged(error_vector(state, suite)), -1)
+            for i in live[dead]:
+                record[i] = k
+            if np.all(dead):
+                return record
+            if np.any(dead):
+                live = live[~dead]
+                state.keep(~dead)
+                step = kernel_params(strategy, alphas[live], n_g)
+        final = np.reshape(error_vector(state, suite).as_array(), (3, -1))
+    for j, i in enumerate(live):
+        record[i] = final[:, j]
+    return record
+
+
+@pytest.mark.parametrize("method,n_c,n_g,ts,budget", [
+    ("GTA2", 1, 1, (3, 4), 27),      # 2^-3 diverges at the budget, 2^-4 ends alone
+    ("GTA1", 2, 1, (4, 5, 6), 29),   # 2^-4 diverges at the budget, two columns end
+    ("GTA1", 1, 1, range(21), 40),
+    ("GTA3", 2, 3, range(21), 30),
+])
+def test_a_sweep_stack_yields_the_sweep_loops_records(method, n_c, n_g, ts, budget,
+                                                       small_quadratic):
+    # a RunStack without trace is the sweep: the same step of death, and the
+    # final errors bit for bit, also where a column diverges at the budget
+    # and the others' errors are taken once it has left
+    s = small_quadratic
+    strat = _strategy(method, s.n, n_c=n_c)
+    alphas = 2.0 ** -np.array(ts, dtype=float)
+    cfgs = [GtaConfig(strategy=strat, alpha=a, n_g=n_g, max_outer_iters=budget)
+            for a in alphas.tolist()]
+    stack = gt.tracking.RunStack(s, cfgs, np.zeros(s.n * s.d), trace=False)
+    want = _loop_sweep(s, strat, n_g, budget, alphas)
+    died = [rec for rec in want if isinstance(rec, int)]
+    assert died and (budget in died or len(ts) == 21)
+    for j, rec in enumerate(want):
+        got = stack.outcome(j)
+        if isinstance(rec, int):
+            assert isinstance(got, DivergenceError) and got.k == rec
+        else:
+            assert np.array_equal(got.as_array(), rec)
+
+
 def test_a_stack_mixes_each_column_apart_and_a_run_mixes_whole(small_quadratic, monkeypatch):
     # a column of a stack mixes through its own cell's strategy, as a slice
-    # of the stack; a one-cell run mixes its one column whole
+    # of the stack, in one block with its neighbours that hold the same
+    # strategy object; a one-cell run mixes its one column whole
     s = small_quadratic
     a, b = _strategy("GTA2", s.n, n_c=2), _strategy("GTA1", s.n, n_c=2)
     widths = []
@@ -706,9 +763,9 @@ def test_a_stack_mixes_each_column_apart_and_a_run_mixes_whole(small_quadratic, 
     cfgs = [GtaConfig(strategy=st, alpha=1e-3, max_outer_iters=1) for st in (a, a, b)]
     _stacked(s, cfgs, x0)
     # GTA2 = (W, W, W, I): one product for x, two slots for y; GTA1 =
-    # (W, I, W, I): two slots for each
-    assert widths == [("GTA2", 1, False)] * 2 + [("GTA1", 1, False)] * 2 \
-        + [("GTA2", 1, False)] * 4 + [("GTA1", 1, False)] * 2
+    # (W, I, W, I): two slots for each; the two GTA2 columns mix as one block
+    assert widths == [("GTA2", 2, False)] + [("GTA1", 1, False)] * 2 \
+        + [("GTA2", 2, False)] * 2 + [("GTA1", 1, False)] * 2
     widths.clear()
     run(s, cfgs[2], x0)
     assert widths == [("GTA1", 1, True)] * 4
@@ -742,5 +799,3 @@ def test_a_stack_rejects_cells_it_cannot_step_together(small_quadratic):
     with pytest.raises(ValueError, match="share one n_g"):
         gt.tracking.RunStack(small_quadratic,
                              [GtaConfig(strategy=strat, alpha=0.1, n_g=g) for g in (1, 2)], x0)
-    with pytest.raises(ValueError, match="one step size"):
-        run(small_quadratic, GtaConfig(strategy=strat, alpha=np.array([0.1, 0.2])), x0)
