@@ -4,9 +4,10 @@ CSV/report emission.
 Config files are flat "key = value" text (see parse_config for the schema).
 A run sweeps methods over an (n_c, n_g) grid, tunes the step size for each
 cell over {2^-t}, runs the cells that share n_g as the columns of one stack
-(`tracking.RunStack`) when their columns are small, and writes one trace
-CSV per cell plus a summary.csv and a manifest.json, all byte-reproducible
-for a fixed config and seed.
+(`tracking.RunStack`) when they can mix as one batched product per slot
+pair (`tracking.batchable`), and writes one trace CSV per cell plus a
+summary.csv and a manifest.json, all byte-reproducible for a fixed config
+and seed.
 
 The 2^-t sweep is a RunStack too: one cell per candidate step size, all
 holding the cell's one strategy, that records no trace, only each
@@ -31,7 +32,7 @@ from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
                        MixingMatrix, build_graph, communication_matrices, metropolis_weights,
                        read_matrix_csv, strategy_for)
-from .tracking import STACK_MAX_ENTRIES, DivergenceError, GtaConfig, RunStack, RunTrace, run
+from .tracking import DivergenceError, GtaConfig, RunStack, RunTrace, batchable, run
 
 
 class ConfigError(ValueError):
@@ -417,10 +418,11 @@ def _in_cell(exc: Exception, method: str, n_c: int, n_g: int) -> Exception:
 
 def _execute_cells(cfg: ExperimentConfig, suite, w):
     """Tune every grid cell, then run the cells in cell order and yield one
-    record dict per cell.  When a column holds at most STACK_MAX_ENTRIES
-    entries, the cells that share n_g run as the columns of one
-    `tracking.RunStack`, which each cell's `run` advances until its column
-    has left; larger columns run one cell at a time.
+    record dict per cell.  The cells that share n_g run as the columns of
+    one `tracking.RunStack`, which each cell's `run` advances until its
+    column has left, when they are `tracking.batchable`: no slot of theirs
+    runs gather rounds, and the stack's batched products stay within
+    `tracking.BATCH_MAX_FLOATS`.  Other groups run one cell at a time.
 
     Failures surface as if the cells ran one by one: tuning stops at the
     first cell whose strategy or tuning fails, only the cells before it
@@ -444,9 +446,8 @@ def _execute_cells(cfg: ExperimentConfig, suite, w):
         tuned.append((method, n_c, n_g, strategy, alpha))
     runs = [GtaConfig(strategy=strategy, alpha=alpha, n_g=n_g, max_outer_iters=cfg.budget,
                       stop_tol=cfg.stop_tol) for _, _, n_g, strategy, alpha in tuned]
-    stacks = {} if suite.n * suite.d > STACK_MAX_ENTRIES else {
-        n_g: RunStack(suite, [r for r in runs if r.n_g == n_g], x0)
-        for n_g in dict.fromkeys(r.n_g for r in runs)}
+    groups = {n_g: [r for r in runs if r.n_g == n_g] for n_g in dict.fromkeys(r.n_g for r in runs)}
+    stacks = {n_g: RunStack(suite, cells, x0) for n_g, cells in groups.items() if batchable(cells)}
     for (method, n_c, n_g, strategy, alpha), cell in zip(tuned, runs):
         try:
             trace = run(suite, cell, x0, stacks.get(n_g))

@@ -27,20 +27,26 @@ share n_g, the kernel's step count).  A grid stacks its cells' runs; a
 step-size sweep is a stack of one cell per candidate step size, all with
 the same strategy, that yields only each column's final errors.  `run`
 returns one cell's trace: from a one-cell RunStack, or as its column of a
-stack, which it advances until that column has left.  Mixing treats the
-stack as an (n, d*c) array, never materializing the (nd, nd) Kronecker
+stack, which it advances until that column has left.
+
+`_stack` picks one of two mixing paths for a set of live columns.  When
+they all hold one strategy object (a sweep, a one-cell run) the stack
+mixes as an (n, d*c) array, never materializing the (nd, nd) Kronecker
 form: each slot's `MixingMatrix.apply` runs n_c gather rounds or one dense
-product with W^n_c.  The choice depends only on the matrix and n_c, so a
-sweep column and its run take the same path.  Consecutive columns that
-hold the same strategy object mix as one block: a sweep or a one-cell run
-mixes its whole stack, without a copy; a stack of distinct cells mixes
-each column apart, through its cell's strategy.
+product with W^n_c, whole and without a copy.  The choice depends only on
+the matrix and n_c, so a sweep column and its run take the same path.
+Columns with distinct strategies (a grid's cells) mix as one batched
+product per slot pair: column j's Z_a u + Z_b v is [Z_a | Z_b] [u; v], so
+one matmul of the (c, n, 2n) stack of those blocks with the (c, 2n, d)
+stack [u; v] mixes every column.  Such a stack must be `batchable`: no
+slot applied as gather rounds, and at most BATCH_MAX_FLOATS floats per
+pair's blocks.
 
 A column leaves the stack at the first row that meets the divergence
 rule, reaches its budget, or has an optimization error at or below its
 stop_tol; the other columns go on.  A stacked column takes the iterations
-of its own run: only the rounding of the stacked gradient and norm
-operations can differ.
+of its own run: only the rounding of the batched mixing and the stacked
+gradient and norm operations can differ.
 """
 
 from __future__ import annotations
@@ -50,8 +56,9 @@ import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass
-from itertools import groupby
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -60,13 +67,13 @@ from .topology import CommunicationStrategy
 
 DIVERGENCE_LIMIT = 1e12
 
-# A grid stacks its cells only when a column holds at most this many
-# entries (n*d).  A stack saves each cell's per-call overhead, but every
-# column of a stack of distinct cells mixes as a strided slice, whose
-# copies grow with n*d: on 2-D tori with 4 cells the stack broke even at
-# n*d = 640 and lost from 1440 on (README "Stacked runs").  A sweep, whose
-# columns share one strategy and mix whole, is not gated.
-STACK_MAX_ENTRIES = 1024
+# A stack of distinct cells mixes as one batched product per slot pair
+# (`_product`), whose left operand, c stacked [Z_a | Z_b], holds c*n*2n
+# floats; a grid stacks cells only up to this many.  The product does twice
+# a one-cell apply's work per column, so it pays only while the per-call
+# overhead it saves dominates: the smallest stack measured to lose to
+# one-cell runs held 110592 floats (README "Stacked runs").
+BATCH_MAX_FLOATS = 1 << 16
 
 
 class DivergenceError(RuntimeError):
@@ -115,29 +122,54 @@ class GtaConfig:
             raise ValueError(f"stop_tol must be a finite number >= 0, got {self.stop_tol}")
 
 
+def batchable(cfgs: list[GtaConfig]) -> bool:
+    """Whether the cells can mix as one batched product per slot pair: no
+    slot of any cell applies W^n_c as gather rounds (`MixingMatrix.gathers`),
+    and each pair's (c, n, 2n) left operand holds at most BATCH_MAX_FLOATS
+    floats.  A grid stacks an n_g group's cells only when it holds."""
+    n = cfgs[0].strategy.n
+    return (len(cfgs) * 2 * n * n <= BATCH_MAX_FLOATS
+            and not any(m is not None and m.gathers(cfg.strategy.n_c)
+                        for cfg in cfgs for m in cfg.strategy.slots))
+
+
 @dataclass(frozen=True, eq=False)
 class _Stack:
     """The kernel's parameters for the columns of a stack: their step sizes
-    (a float for one column, else one per column), n_g, and the mixing
-    blocks of `_pair`, one (strategy, column slice) per run of consecutive
-    columns that hold the same strategy object."""
+    (a float for one column, else one per column), n_g, and the two updates
+    of `outer_step`, mix_x(u, v) = Z_1 u + Z_2 v and mix_y(u, v) = Z_3 u +
+    Z_4 v: `_pair` through the one strategy all columns hold, or else
+    `_product` with each column's [Z_a | Z_b]."""
 
     alpha: float | np.ndarray
     n_g: int
-    blocks: tuple
+    mix_x: Callable
+    mix_y: Callable
 
 
 def _stack(cfgs: list[GtaConfig]) -> _Stack:
-    """The kernel's parameters for one column per cfg.  A lone cfg keeps its
-    scalar step size, so a single run steps as it always has; a sweep's
-    columns, which share one strategy, form one block, mixed whole."""
-    blocks, p = [], 0
-    for _, group in groupby(cfgs, key=lambda cfg: id(cfg.strategy)):
-        width = len(list(group))
-        blocks.append((cfgs[p].strategy, slice(p, p + width)))
-        p += width
+    """The kernel's parameters for one column per cfg; the mixing path is
+    chosen here, once per set of live columns.  A lone cfg keeps its scalar
+    step size, so a single run steps as it always has; columns that all hold
+    one strategy object (a run, a sweep) mix through it, the whole stack at
+    once; distinct strategies, which must be `batchable`, mix as one batched
+    product per slot pair."""
     alpha = cfgs[0].alpha if len(cfgs) == 1 else np.array([cfg.alpha for cfg in cfgs])
-    return _Stack(alpha, cfgs[0].n_g, tuple(blocks))
+    strategy = cfgs[0].strategy
+    if all(cfg.strategy is strategy for cfg in cfgs):
+        return _Stack(alpha, cfgs[0].n_g, partial(_pair, strategy, 0, 1),
+                      partial(_pair, strategy, 2, 3))
+    return _Stack(alpha, cfgs[0].n_g, partial(_product, _operands(cfgs, 0, 1)),
+                  partial(_product, _operands(cfgs, 2, 3)))
+
+
+def _operands(cfgs: list[GtaConfig], a: int, b: int) -> np.ndarray:
+    """The (c, n, 2n) stack of [Z_a | Z_b], one per column, from each slot's
+    cached `MixingMatrix.power` (the identity for a None slot)."""
+    eye = np.eye(cfgs[0].strategy.n)
+    return np.stack([np.hstack([eye if st.slots[s] is None else st.slots[s].power(st.n_c)
+                                for s in (a, b)])
+                     for st in (cfg.strategy for cfg in cfgs)])
 
 
 @dataclass(frozen=True)
@@ -219,19 +251,12 @@ def _move(state: GtaState, dx: np.ndarray) -> GtaState:
     return state
 
 
-def _pair(blocks: tuple, a: int, b: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Z_a u + Z_b v, each column through the slots of its block's strategy
-    (`_Stack.blocks`).  v must be a temporary of the caller: the sum is
-    formed in place in v (or in its product), so a sweep's peak holds no
-    extra stack.  Several blocks mix their column slices apart, each result
-    written back into v; one block mixes the whole stack, as the one product
-    Z (u + v) when slots a and b hold the same matrix (or None)."""
-    if len(blocks) > 1:
-        for block in blocks:
-            cols = block[1]
-            v[:, :, cols] = _pair((block,), a, b, u[:, :, cols], v[:, :, cols])
-        return v
-    strategy = blocks[0][0]
+def _pair(strategy: CommunicationStrategy, a: int, b: int, u: np.ndarray,
+          v: np.ndarray) -> np.ndarray:
+    """Z_a u + Z_b v, every column through strategy's slots a and b.  v must
+    be a temporary of the caller: the sum is formed in place in v (or in its
+    product), so a sweep's peak holds no extra stack.  When slots a and b
+    hold the same matrix (or None) it is the one product Z (u + v)."""
     if strategy.slots[a] is strategy.slots[b]:
         v += u
         return _mix(strategy, a, v)
@@ -240,14 +265,30 @@ def _pair(blocks: tuple, a: int, b: int, u: np.ndarray, v: np.ndarray) -> np.nda
     return out
 
 
+def _product(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Z_a u + Z_b v for every column at once, column j through its own
+    [Z_a | Z_b] = z[j] (`_operands`): one matmul of z with the (c, 2n, d)
+    stack [u; v], written into a C-ordered (n, d, c) stack."""
+    n = len(u)
+    uv = np.empty((u.shape[2], 2 * n, u.shape[1]))
+    uv[:, :n] = u.transpose(2, 0, 1)
+    uv[:, n:] = v.transpose(2, 0, 1)
+    # the next gradient and norms read a C-ordered stack faster than the
+    # product's (n, d, c) view (README "Stacked runs")
+    out = np.empty(u.shape)
+    np.matmul(z, uv, out=out.transpose(2, 0, 1))
+    return out
+
+
 def outer_step(state: GtaState, cfg: _Stack) -> GtaState:
     """Communication update: n_c consensus steps through each slot
-    (`MixingMatrix.apply`); one new gradient evaluation per node."""
+    (`MixingMatrix.apply`, or one batched product per slot pair); one new
+    gradient evaluation per node."""
     # state.x is replaced at once (as in inner_step): holding the old x
     # through the gradient and y updates would add a stack to a sweep's peak
-    state.x = _pair(cfg.blocks, 0, 1, state.x, -cfg.alpha * state.y)
+    state.x = cfg.mix_x(state.x, -cfg.alpha * state.y)
     g_new = state.suite.grad_stack_batch(state.x)
-    state.y = _pair(cfg.blocks, 2, 3, state.y, g_new - state.grads)
+    state.y = cfg.mix_y(state.y, g_new - state.grads)
     state.grads = g_new
     state.k += 1
     return state
@@ -388,7 +429,8 @@ class RunTrace:
 class RunStack:
     """Cells that share n_g, run as the columns of one (n, d, c) state, each
     from x0 (n*d entries) with its own strategy, scalar step size, budget
-    and stop_tol.
+    and stop_tol.  Cells that do not all hold one strategy object must be
+    `batchable`; ValueError otherwise.
 
     The stack advances on demand: `outcome(j)` steps every live column
     until cell j's has left, so a grid asks `run` for its cells one by one,
@@ -412,6 +454,10 @@ class RunStack:
         for cfg in cfgs:
             if cfg.strategy.n != suite.n:
                 raise ValueError(f"strategy has n={cfg.strategy.n} but suite has n={suite.n}")
+        if any(cfg.strategy is not cfgs[0].strategy for cfg in cfgs) and not batchable(cfgs):
+            raise ValueError("cells with distinct strategies stack only when they are batchable: "
+                             "no slot applied as gather rounds, and at most "
+                             f"{BATCH_MAX_FLOATS} floats in each slot pair's blocks")
         x0 = np.asarray(x0, dtype=float)
         if x0.size != suite.n * suite.d:
             raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")

@@ -414,31 +414,61 @@ def test_the_first_failing_cell_in_cell_order_is_reported(plan, raised, cell, tm
     assert tuned == order[:stop + 1]
 
 
-def test_the_grid_stacks_small_columns_and_runs_large_ones_alone(tmp_path, monkeypatch):
-    text = _PRECEDENCE_CFG.format(out=tmp_path / "out").replace("tune_budget = 5", "tune_budget = 50")
-    cfg = parse_config(_write_cfg(tmp_path, text))
+def _grid_stacks(monkeypatch):
+    """The cells of every RunStack the grid builds with trace (its n_g
+    stacks, not its sweeps), as (method, n_c, n_g), one list per stack."""
     stacks = []
     real = harness.RunStack
 
     def counting(suite, cfgs, x0, trace=True):
-        # the grid's stacks, not its sweeps'
         if trace:
-            stacks.append([(c.strategy.name, c.n_g) for c in cfgs])
+            stacks.append([(c.strategy.name, c.strategy.n_c, c.n_g) for c in cfgs])
         return real(suite, cfgs, x0, trace)
 
     monkeypatch.setattr(harness, "RunStack", counting)
-    stacked = harness.execute_grid(cfg)
-    # n*d = 8 entries: one stack per n_g, its cells in cell order
-    assert stacks == [[("GTA1", 1), ("GTA2", 1)], [("GTA1", 5), ("GTA2", 5)]]
-    stacks.clear()
-    monkeypatch.setattr(harness, "STACK_MAX_ENTRIES", 7)
-    alone = harness.execute_grid(cfg)
-    assert stacks == []
-    for a, b in zip(stacked.records, alone.records):
+    return stacks
+
+
+def _assert_traces_agree(records, alone):
+    """A stacked grid's records against those of the grid run cell by cell."""
+    for a, b in zip(records, alone, strict=True):
         assert a["alpha"] == b["alpha"]
         for col, ref in zip(a["trace"].error_matrix().T, b["trace"].error_matrix().T):
             assert len(col) == len(ref)
             assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_the_grid_stacks_groups_within_the_float_bound_and_runs_others_alone(tmp_path,
+                                                                              monkeypatch):
+    text = _PRECEDENCE_CFG.format(out=tmp_path / "out").replace("tune_budget = 5", "tune_budget = 50")
+    cfg = parse_config(_write_cfg(tmp_path, text))
+    stacks = _grid_stacks(monkeypatch)
+    stacked = harness.execute_grid(cfg)
+    # two cells of n = 4 per n_g: 2 * 4 * 8 = 64 floats per slot pair's blocks
+    assert stacks == [[("GTA1", 1, 1), ("GTA2", 1, 1)], [("GTA1", 1, 5), ("GTA2", 1, 5)]]
+    stacks.clear()
+    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 63)
+    alone = harness.execute_grid(cfg)
+    assert stacks == []
+    _assert_traces_agree(stacked.records, alone.records)
+
+
+def test_a_grid_with_a_gather_round_slot_runs_its_cells_alone(tmp_path, monkeypatch):
+    # on a 256-cycle W^1 runs as gather rounds and W^5 as a dense product;
+    # the float bound is lifted, so only the gather slots keep a group apart
+    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", math.inf)
+    text = ("problem = quadratic\nn = 256\nd = 2\nkappa_target = 10\ngraph = cycle\n"
+            "methods = GTA1,GTA3\nnc_grid = {nc}\nbudget = 20\ntune_budget = 5\n"
+            "tune_tmin = 2\ntune_tmax = 8\noutdir = {out}\n")
+    stacks = _grid_stacks(monkeypatch)
+    mixed = harness.execute_grid(parse_config(_write_cfg(
+        tmp_path, text.format(nc="1,5", out=tmp_path / "a"), "a.cfg")))
+    assert stacks == []
+    dense = harness.execute_grid(parse_config(_write_cfg(
+        tmp_path, text.format(nc="5", out=tmp_path / "b"), "b.cfg")))
+    assert stacks == [[("GTA1", 5, 1), ("GTA3", 5, 1)]]
+    # the n_c = 5 cells of both grids: run alone and stacked
+    _assert_traces_agree([r for r in mixed.records if r["n_c"] == 5], dense.records)
 
 
 def test_measured_contraction_recovers_geometric_rate():

@@ -578,3 +578,41 @@ def test_exact_deviation_takes_powers_of_one_eigensolve(graph):
         want = np.max(np.abs(1.0 - eigs))
         assert abs(theory.exact_z1_deviation(strat) - want) <= 1e-13
     assert not w._powers
+
+
+# ------------------------------------------- guarantees across the families
+
+# (graph kind, n), n <= 16; a torus needs n = side^2 with side >= 3
+_FAMILY_GRAPHS = st.one_of(
+    st.tuples(st.sampled_from(["cycle", "star", "complete"]), st.integers(3, 16)),
+    st.tuples(st.just("torus"), st.sampled_from([9, 16])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=_FAMILY_GRAPHS, d=st.integers(2, 4), laziness=st.sampled_from([0.0, 0.25]),
+       method=st.sampled_from(["GTA1", "GTA2", "GTA3"]), n_c=st.sampled_from([1, 2, 5, 10, 50]),
+       n_g=st.sampled_from([1, 2, 5, 20, 100]), log_kappa=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2**16), frac=st.floats(0.01, 1.0))
+def test_the_recursion_contracts_and_certifies_runs_across_the_papers_families(
+        graph, d, laziness, method, n_c, n_g, log_kappa, seed, frac):
+    # the paper's guarantees for every graph, n_c, n_g and kappa: rho(M) < 1
+    # at 0.999 x min(step bound, 1/(n_g L)), and below that step size the
+    # errors of a run obey r_{k+1} <= M r_k componentwise, up to 1e-9 of
+    # the largest initial error (rounding)
+    kind, n = graph
+    suite = gt.generate_quadratic(gt.QuadraticSpec(n=n, d=d, kappa_target=10.0 ** log_kappa,
+                                                   seed=seed))
+    strat = gt.strategy_for(method, gt.metropolis_weights(gt.build_graph(kind, n), laziness), n_c)
+
+    def params(alpha):
+        return params_from_strategy(strat, alpha=alpha, L=suite.L, mu=suite.mu, n_g=n_g)
+
+    bound = step_size_bound(params(1.0)) if n_g == 1 else step_size_bound_multi(params(1.0))
+    top = 0.999 * min(bound, 1.0 / (n_g * suite.L))
+    assert spectral_radius(recursion_matrix_multi(params(top))) < 1.0
+    alpha = frac * top
+    m = recursion_matrix_multi(params(alpha)).m
+    x0 = np.random.default_rng(seed).normal(size=n * d)
+    r = gt.run(suite, gt.GtaConfig(strategy=strat, alpha=alpha, n_g=n_g, max_outer_iters=200),
+               x0).error_matrix()
+    assert np.all(r[1:] <= r[:-1] @ m.T + 1e-9 * np.max(r[0]))

@@ -8,8 +8,8 @@ from hypothesis import strategies as hst
 
 import gradtrack as gt
 from gradtrack.tracking import (DIVERGENCE_LIMIT, DivergenceError, GtaConfig, GtaState,
-                                RunTrace, advance, diverged, error_vector, initialize,
-                                inner_step, outer_step, run, surely_bounded)
+                                RunTrace, advance, batchable, diverged, error_vector,
+                                initialize, inner_step, outer_step, run, surely_bounded)
 
 from conftest import custom_strategy, kernel_params, kron_outer_step, slot_powers
 
@@ -647,7 +647,9 @@ _CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3", "WIWW", "LWLI", "I
 def test_a_stacked_run_matches_its_one_cell_runs(kind, n_g, cells):
     # each column mixes through its own cell's strategy (cells of one
     # (method, n_c) share the object); columns leave at different k on their
-    # budgets, their stop_tol or a divergence, and the others go on
+    # budgets, their stop_tol or a divergence, and the others go on.  On the
+    # 256-cycle an n_c = 1 slot runs gather rounds, so distinct strategies
+    # that hold one do not stack, and their cells run alone
     suite, w, lazy = _stack_suite(kind)
     if kind == "cycle256":
         assert w.table is not None
@@ -663,7 +665,13 @@ def test_a_stacked_run_matches_its_one_cell_runs(kind, n_g, cells):
                               n_g=n_g, max_outer_iters=budget,
                               stop_tol=None if rel_tol is None else rel_tol * x_star_norm))
     x0 = np.zeros(suite.n * suite.d)
-    stacked = _stacked(suite, cfgs, x0)
+    if len(strategies) == 1 or batchable(cfgs):
+        stacked = _stacked(suite, cfgs, x0)
+    else:
+        assert kind == "cycle256"
+        with pytest.raises(ValueError, match="batchable"):
+            gt.tracking.RunStack(suite, cfgs, x0)
+        stacked = [_stacked(suite, [cfg], x0)[0] for cfg in cfgs]
     assert len(stacked) == len(cfgs)
     for cfg, got in zip(cfgs, stacked):
         want = _loop_run(suite, cfg, x0)
@@ -675,6 +683,66 @@ def test_a_stacked_run_matches_its_one_cell_runs(kind, n_g, cells):
             assert err.value.k == want
         else:
             assert np.array_equal(run(suite, cfg, x0).error_matrix(), want)
+
+
+_BATCH_SUITES = {}
+
+
+def _batch_suite(kind, n):
+    """(quadratic suite, W) of the batched-stack tests, built once per
+    graph kind and size."""
+    if (kind, n) not in _BATCH_SUITES:
+        _BATCH_SUITES[kind, n] = (
+            gt.generate_quadratic(gt.QuadraticSpec(n=n, d=2, kappa_target=30.0, seed=n)),
+            gt.metropolis_weights(gt.build_graph(kind, n)))
+    return _BATCH_SUITES[kind, n]
+
+
+# (method, n_c, step 2^-t / (n_g L), stop_tol as a fraction of ||x*||, budget)
+_BATCH_CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3", "custom"]),
+                          hst.sampled_from([1, 2, 5]), hst.integers(0, 3),
+                          hst.sampled_from([None, 0.3, 1e-2]), hst.sampled_from([0, 3, 10, 40]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=hst.sampled_from(["cycle", "star", "complete"]), n=hst.integers(3, 16),
+       n_g=hst.sampled_from([1, 3]), cells=hst.lists(_BATCH_CELLS, min_size=1, max_size=5))
+def test_a_batched_stack_matches_its_one_cell_runs(kind, n, n_g, cells):
+    # distinct strategies mix as one batched product per slot pair; "custom"
+    # is (W, I, W, W), with an identity slot.  A last column at a step size
+    # that diverges leaves early, so the live columns change at least once
+    # and each segment rebuilds its products
+    suite, w = _batch_suite(kind, n)
+    x_star_norm = float(np.linalg.norm(suite.x_star))
+    strategies, cfgs = {}, []
+    for method, n_c, t, rel_tol, budget in cells:
+        if (method, n_c) not in strategies:
+            strategies[method, n_c] = (
+                gt.strategy_for(method, w, n_c) if method.startswith("GTA")
+                else custom_strategy(w, n_c, (w.w, np.eye(n), w.w, w.w)))
+        cfgs.append(GtaConfig(strategy=strategies[method, n_c], alpha=2.0 ** -t / (n_g * suite.L),
+                              n_g=n_g, max_outer_iters=budget,
+                              stop_tol=None if rel_tol is None else rel_tol * x_star_norm))
+    cfgs.append(GtaConfig(strategy=gt.strategy_for("GTA3", w, 1), alpha=16.0 / (n_g * suite.L),
+                          n_g=n_g, max_outer_iters=200))
+    assert batchable(cfgs)
+    x0 = np.zeros(n * suite.d)
+    ends = set()
+    for cfg, got in zip(cfgs, _stacked(suite, cfgs, x0), strict=True):
+        try:
+            want = run(suite, cfg, x0)
+        except DivergenceError as exc:
+            assert isinstance(got, DivergenceError) and got.k == exc.k
+            ends.add(exc.k)
+            continue
+        assert isinstance(got, RunTrace) and np.array_equal(got.k, want.k)
+        # where W^n_c averages exactly (a 3-cycle, a complete graph), a
+        # consensus error is rounding noise: 1e-15 of the run's largest error
+        floor = 1e-15 * np.max(want.error_matrix())
+        for col, ref in zip(got.error_matrix().T, want.error_matrix().T):
+            assert np.max(np.abs(col - ref)) <= STACK_RTOL * np.max(np.abs(ref)) + floor
+        ends.add(int(want.k[-1]))
+    assert isinstance(got, DivergenceError) and len(ends) >= 2
 
 
 def test_a_diverging_column_leaves_the_stack_at_its_single_run_k(small_quadratic):
@@ -745,30 +813,66 @@ def test_a_sweep_stack_yields_the_sweep_loops_records(method, n_c, n_g, ts, budg
             assert np.array_equal(got.as_array(), rec)
 
 
-def test_a_stack_mixes_each_column_apart_and_a_run_mixes_whole(small_quadratic, monkeypatch):
-    # a column of a stack mixes through its own cell's strategy, as a slice
-    # of the stack, in one block with its neighbours that hold the same
-    # strategy object; a one-cell run mixes its one column whole
+def test_a_stack_mixes_as_one_product_per_pair_and_a_run_mixes_whole(small_quadratic,
+                                                                     monkeypatch):
+    # a stack of distinct strategies mixes every column through its own
+    # cell's [Z_a | Z_b] in one batched product per slot pair; a one-cell run
+    # mixes its one contiguous column whole, slot by slot
     s = small_quadratic
     a, b = _strategy("GTA2", s.n, n_c=2), _strategy("GTA1", s.n, n_c=2)
-    widths = []
-    real = gt.tracking._mix
+    widths, products = [], []
+    real_mix, real_product = gt.tracking._mix, gt.tracking._product
 
-    def counting(strategy, slot, v):
+    def mixing(strategy, slot, v):
         widths.append((strategy.name, v.shape[2], v.flags.c_contiguous))
-        return real(strategy, slot, v)
+        return real_mix(strategy, slot, v)
 
-    monkeypatch.setattr(gt.tracking, "_mix", counting)
+    def multiplying(z, u, v):
+        products.append((z.shape, u.shape[2]))
+        out = real_product(z, u, v)
+        assert out.flags.c_contiguous
+        return out
+
+    monkeypatch.setattr(gt.tracking, "_mix", mixing)
+    monkeypatch.setattr(gt.tracking, "_product", multiplying)
     x0 = np.zeros(s.n * s.d)
-    cfgs = [GtaConfig(strategy=st, alpha=1e-3, max_outer_iters=1) for st in (a, a, b)]
+    cfgs = [GtaConfig(strategy=st, alpha=1e-3, max_outer_iters=3) for st in (a, a, b)]
     _stacked(s, cfgs, x0)
-    # GTA2 = (W, W, W, I): one product for x, two slots for y; GTA1 =
-    # (W, I, W, I): two slots for each; the two GTA2 columns mix as one block
-    assert widths == [("GTA2", 2, False)] + [("GTA1", 1, False)] * 2 \
-        + [("GTA2", 2, False)] * 2 + [("GTA1", 1, False)] * 2
-    widths.clear()
+    # two products per outer iteration, each on all three columns
+    assert widths == []
+    assert products == [((3, s.n, 2 * s.n), 3)] * 6
+    products.clear()
     run(s, cfgs[2], x0)
-    assert widths == [("GTA1", 1, True)] * 4
+    # GTA1 = (W, I, W, I): two slots for each update
+    assert products == []
+    assert widths == [("GTA1", 1, True)] * 12
+
+
+def test_a_stack_of_cells_the_product_cannot_take_is_rejected(monkeypatch):
+    # on a 256-cycle W^1 runs as gather rounds, W^5 as a dense product
+    suite = gt.generate_quadratic(gt.QuadraticSpec(n=256, d=2, kappa_target=10.0, seed=6))
+    w = gt.metropolis_weights(gt.build_graph("cycle", 256))
+    assert w.gathers(1) and not w.gathers(5)
+    x0 = np.zeros(512)
+
+    def cells(*strategies):
+        return [GtaConfig(strategy=st, alpha=1e-3, max_outer_iters=2) for st in strategies]
+
+    gta1, gta3 = gt.strategy_for("GTA1", w, 1), gt.strategy_for("GTA3", w, 5)
+    # with the float bound lifted, the gather slot alone keeps them apart
+    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", math.inf)
+    with pytest.raises(ValueError, match="batchable"):
+        gt.tracking.RunStack(suite, cells(gta1, gta3), x0)
+    # columns of one strategy mix through it, gather rounds and all
+    assert len(_stacked(suite, cells(gta1, gta1), x0)) == 2
+    # two n = 256 cells need 2 * 256 * 512 floats per slot pair's blocks
+    dense = cells(gt.strategy_for("GTA1", w, 5), gta3)
+    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 2 * 256 * 512 - 1)
+    with pytest.raises(ValueError, match="batchable"):
+        gt.tracking.RunStack(suite, dense, x0)
+    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 2 * 256 * 512)
+    for got, cfg in zip(_stacked(suite, dense, x0), dense):
+        _assert_column_agrees(got, _loop_run(suite, cfg, x0))
 
 
 def test_a_stack_advances_only_as_far_as_the_cell_asked_for(small_quadratic):
