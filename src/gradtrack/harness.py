@@ -420,9 +420,9 @@ def _execute_cells(cfg: ExperimentConfig, suite, w):
     """Tune every grid cell, then run the cells in cell order and yield one
     record dict per cell.  The cells that share n_g run as the columns of
     one `tracking.RunStack`, which each cell's `run` advances until its
-    column has left, when they are `tracking.batchable`: no slot of theirs
-    runs gather rounds, and the stack's batched products stay within
-    `tracking.BATCH_MAX_FLOATS`.  Other groups run one cell at a time.
+    column has left, when they are `tracking.batchable`: the stack's
+    batched products stay within `tracking.BATCH_MAX_FLOATS` floats.  Other
+    groups run one cell at a time.
 
     Failures surface as if the cells ran one by one: tuning stops at the
     first cell whose strategy or tuning fails, only the cells before it

@@ -286,18 +286,12 @@ class MixingMatrix:
         return bool(np.all(self.table.nbr == np.arange(self.graph.n))
                     and np.all(self.table.wt == 1.0))
 
-    def gathers(self, n_c: int) -> bool:
-        """Whether `apply` runs W^n_c as n_c gather rounds on the table: when
-        they cost less than one dense product (ROUND_COST)."""
-        return self.table is not None and n_c * len(self.table.nbr) * ROUND_COST <= self.graph.n
-
     def apply(self, v: np.ndarray, n_c: int) -> np.ndarray:
         """W^n_c v for an (n, k) array v, always a new array: n_c gather
-        rounds on the table where `gathers(n_c)`, else one product with
-        ``power(n_c)``."""
+        rounds on the table when they cost less than one dense product
+        (ROUND_COST), else one product with ``power(n_c)``."""
         table = self.table
-        # a dense matrix skips the call
-        if table is not None and self.gathers(n_c):
+        if table is not None and n_c * len(table.nbr) * ROUND_COST <= self.graph.n:
             return table.apply(v, n_c)
         # ndarray.dot: matmul's BLAS call (same bits) without its ufunc dispatch,
         # and a cached power without a call to `power`; a run's products notice

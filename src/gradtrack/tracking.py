@@ -38,9 +38,8 @@ the matrix and n_c, so a sweep column and its run take the same path.
 Columns with distinct strategies (a grid's cells) mix as one batched
 product per slot pair: column j's Z_a u + Z_b v is [Z_a | Z_b] [u; v], so
 one matmul of the (c, n, 2n) stack of those blocks with the (c, 2n, d)
-stack [u; v] mixes every column.  Such a stack must be `batchable`: no
-slot applied as gather rounds, and at most BATCH_MAX_FLOATS floats per
-pair's blocks.
+stack [u; v] mixes every column.  Such a stack must be `batchable`: at
+most BATCH_MAX_FLOATS floats per pair's blocks.
 
 A column leaves the stack at the first row that meets the divergence
 rule, reaches its budget, or has an optimization error at or below its
@@ -72,7 +71,13 @@ DIVERGENCE_LIMIT = 1e12
 # floats; a grid stacks cells only up to this many.  The product does twice
 # a one-cell apply's work per column, so it pays only while the per-call
 # overhead it saves dominates: the smallest stack measured to lose to
-# one-cell runs held 110592 floats (README "Stacked runs").
+# one-cell runs held 110592 floats (README "Stacked runs").  The bound also
+# keeps out the matrices applied as gather rounds: two cells fit only while
+# n <= 128, and a table needs n >= m * ROUND_COST for a densest row of m
+# nonzeros, where a Metropolis matrix (positive diagonal, a connected graph
+# with n >= 3) has m >= 3.  Only a custom matrix whose rows hold at most 2
+# nonzeros (a matching's) can gather at n = 128; in a stack it mixes
+# through its dense power, the same matrix with other rounding.
 BATCH_MAX_FLOATS = 1 << 16
 
 
@@ -123,14 +128,11 @@ class GtaConfig:
 
 
 def batchable(cfgs: list[GtaConfig]) -> bool:
-    """Whether the cells can mix as one batched product per slot pair: no
-    slot of any cell applies W^n_c as gather rounds (`MixingMatrix.gathers`),
-    and each pair's (c, n, 2n) left operand holds at most BATCH_MAX_FLOATS
-    floats.  A grid stacks an n_g group's cells only when it holds."""
+    """Whether the cells can mix as one batched product per slot pair: each
+    pair's (c, n, 2n) left operand holds at most BATCH_MAX_FLOATS floats.  A
+    grid stacks an n_g group's cells only when it holds."""
     n = cfgs[0].strategy.n
-    return (len(cfgs) * 2 * n * n <= BATCH_MAX_FLOATS
-            and not any(m is not None and m.gathers(cfg.strategy.n_c)
-                        for cfg in cfgs for m in cfg.strategy.slots))
+    return len(cfgs) * 2 * n * n <= BATCH_MAX_FLOATS
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,8 +458,7 @@ class RunStack:
                 raise ValueError(f"strategy has n={cfg.strategy.n} but suite has n={suite.n}")
         if any(cfg.strategy is not cfgs[0].strategy for cfg in cfgs) and not batchable(cfgs):
             raise ValueError("cells with distinct strategies stack only when they are batchable: "
-                             "no slot applied as gather rounds, and at most "
-                             f"{BATCH_MAX_FLOATS} floats in each slot pair's blocks")
+                             f"at most {BATCH_MAX_FLOATS} floats in each slot pair's blocks")
         x0 = np.asarray(x0, dtype=float)
         if x0.size != suite.n * suite.d:
             raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")

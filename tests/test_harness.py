@@ -453,22 +453,24 @@ def test_the_grid_stacks_groups_within_the_float_bound_and_runs_others_alone(tmp
     _assert_traces_agree(stacked.records, alone.records)
 
 
-def test_a_grid_with_a_gather_round_slot_runs_its_cells_alone(tmp_path, monkeypatch):
-    # on a 256-cycle W^1 runs as gather rounds and W^5 as a dense product;
-    # the float bound is lifted, so only the gather slots keep a group apart
-    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", math.inf)
+def test_a_grid_on_a_gather_round_matrix_runs_its_cells_alone(tmp_path, monkeypatch):
+    # on a 256-cycle W^1 runs as gather rounds, but the float bound keeps
+    # the grid apart first: one n = 256 cell alone needs 256 * 512 floats
     text = ("problem = quadratic\nn = 256\nd = 2\nkappa_target = 10\ngraph = cycle\n"
-            "methods = GTA1,GTA3\nnc_grid = {nc}\nbudget = 20\ntune_budget = 5\n"
+            "methods = GTA1,GTA3\nnc_grid = 1,5\nbudget = 20\ntune_budget = 5\n"
             "tune_tmin = 2\ntune_tmax = 8\noutdir = {out}\n")
     stacks = _grid_stacks(monkeypatch)
-    mixed = harness.execute_grid(parse_config(_write_cfg(
-        tmp_path, text.format(nc="1,5", out=tmp_path / "a"), "a.cfg")))
+    alone = harness.execute_grid(parse_config(_write_cfg(
+        tmp_path, text.format(out=tmp_path / "a"), "a.cfg")))
+    assert 256 * 512 > gt.tracking.BATCH_MAX_FLOATS
     assert stacks == []
-    dense = harness.execute_grid(parse_config(_write_cfg(
-        tmp_path, text.format(nc="5", out=tmp_path / "b"), "b.cfg")))
-    assert stacks == [[("GTA1", 5, 1), ("GTA3", 5, 1)]]
-    # the n_c = 5 cells of both grids: run alone and stacked
-    _assert_traces_agree([r for r in mixed.records if r["n_c"] == 5], dense.records)
+    # with the bound raised to the group's four cells, the gather-round
+    # slots mix through their dense power in the batched product
+    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 4 * 256 * 512)
+    stacked = harness.execute_grid(parse_config(_write_cfg(
+        tmp_path, text.format(out=tmp_path / "b"), "b.cfg")))
+    assert stacks == [[("GTA1", 1, 1), ("GTA1", 5, 1), ("GTA3", 1, 1), ("GTA3", 5, 1)]]
+    _assert_traces_agree(stacked.records, alone.records)
 
 
 def test_measured_contraction_recovers_geometric_rate():

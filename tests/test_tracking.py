@@ -648,8 +648,9 @@ def test_a_stacked_run_matches_its_one_cell_runs(kind, n_g, cells):
     # each column mixes through its own cell's strategy (cells of one
     # (method, n_c) share the object); columns leave at different k on their
     # budgets, their stop_tol or a divergence, and the others go on.  On the
-    # 256-cycle an n_c = 1 slot runs gather rounds, so distinct strategies
-    # that hold one do not stack, and their cells run alone
+    # 256-cycle one cell alone needs 256 * 512 floats per slot pair's
+    # blocks, over the float bound, so distinct strategies do not stack and
+    # their cells run alone
     suite, w, lazy = _stack_suite(kind)
     if kind == "cycle256":
         assert w.table is not None
@@ -849,29 +850,27 @@ def test_a_stack_mixes_as_one_product_per_pair_and_a_run_mixes_whole(small_quadr
 
 
 def test_a_stack_of_cells_the_product_cannot_take_is_rejected(monkeypatch):
-    # on a 256-cycle W^1 runs as gather rounds, W^5 as a dense product
+    # on a 256-cycle W^1 runs as gather rounds, W^5 as a dense product; two
+    # n = 256 cells need 2 * 256 * 512 floats per slot pair's blocks
     suite = gt.generate_quadratic(gt.QuadraticSpec(n=256, d=2, kappa_target=10.0, seed=6))
     w = gt.metropolis_weights(gt.build_graph("cycle", 256))
-    assert w.gathers(1) and not w.gathers(5)
+    assert w.table is not None
     x0 = np.zeros(512)
 
     def cells(*strategies):
         return [GtaConfig(strategy=st, alpha=1e-3, max_outer_iters=2) for st in strategies]
 
     gta1, gta3 = gt.strategy_for("GTA1", w, 1), gt.strategy_for("GTA3", w, 5)
-    # with the float bound lifted, the gather slot alone keeps them apart
-    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", math.inf)
     with pytest.raises(ValueError, match="batchable"):
         gt.tracking.RunStack(suite, cells(gta1, gta3), x0)
-    # columns of one strategy mix through it, gather rounds and all
+    # columns of one strategy mix through it, whatever the bound
     assert len(_stacked(suite, cells(gta1, gta1), x0)) == 2
-    # two n = 256 cells need 2 * 256 * 512 floats per slot pair's blocks
-    dense = cells(gt.strategy_for("GTA1", w, 5), gta3)
     monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 2 * 256 * 512 - 1)
     with pytest.raises(ValueError, match="batchable"):
-        gt.tracking.RunStack(suite, dense, x0)
+        gt.tracking.RunStack(suite, cells(gta1, gta3), x0)
+    # at the bound they stack, the gather-round slot mixing through its power
     monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 2 * 256 * 512)
-    for got, cfg in zip(_stacked(suite, dense, x0), dense):
+    for got, cfg in zip(_stacked(suite, cells(gta1, gta3), x0), cells(gta1, gta3)):
         _assert_column_agrees(got, _loop_run(suite, cfg, x0))
 
 
