@@ -4,8 +4,9 @@ CSV/report emission.
 Config files are flat "key = value" text (see parse_config for the schema).
 A run sweeps methods over an (n_c, n_g) grid, tunes the step size for each
 cell over {2^-t}, runs the cells that share n_g as the columns of one stack
-(`tracking.RunStack`) when they can mix as one batched product per slot
-pair (`tracking.batchable`), and writes one trace CSV per cell plus a
+(`tracking.RunStack`, stepped in one pass until every column has left)
+when they can mix as one batched product per slot pair
+(`tracking.batchable`), and writes one trace CSV per cell plus a
 summary.csv and a manifest.json, all byte-reproducible for a fixed config
 and seed.
 
@@ -419,10 +420,10 @@ def _in_cell(exc: Exception, method: str, n_c: int, n_g: int) -> Exception:
 def _execute_cells(cfg: ExperimentConfig, suite, w):
     """Tune every grid cell, then run the cells in cell order and yield one
     record dict per cell.  The cells that share n_g run as the columns of
-    one `tracking.RunStack`, which each cell's `run` advances until its
-    column has left, when they are `tracking.batchable`: the stack's
-    batched products stay within `tracking.BATCH_MAX_FLOATS` floats.  Other
-    groups run one cell at a time.
+    one `tracking.RunStack`, which the first cell's `run` runs whole and
+    the later cells' `run` only read, when they are `tracking.batchable`:
+    the stack's batched products stay within `tracking.BATCH_MAX_FLOATS`
+    floats.  Other groups run one cell at a time.
 
     Failures surface as if the cells ran one by one: tuning stops at the
     first cell whose strategy or tuning fails, only the cells before it

@@ -11,7 +11,8 @@ import numpy as np
 
 
 class DataFormatError(ValueError):
-    """Raised for malformed dataset files or impossible partitions."""
+    """Raised for malformed data files (LIBSVM datasets, matrix CSVs) or
+    impossible partitions."""
 
 
 class ReferenceOptimumError(RuntimeError):
@@ -235,7 +236,8 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     Samples are split into n_nodes contiguous shards of near-equal size (the
     remainder goes to the first shards).  Labels in {0,1} (or any two
     distinct values) are mapped to {-1,+1}.  normalize rescales each feature
-    to [0, 1] over the whole dataset.
+    to [0, 1] over the whole dataset.  A line that does not parse, or that
+    repeats a feature index, is a DataFormatError naming its line.
     """
     if n_nodes < 1:
         raise DataFormatError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -260,6 +262,8 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
                 raise DataFormatError(f"{path}: malformed line {ln}: {exc}") from exc
             if len(idx) and idx.min() < 1:
                 raise DataFormatError(f"{path}: malformed line {ln}: feature index < 1")
+            if len(set(idx.tolist())) < len(idx):
+                raise DataFormatError(f"{path}: malformed line {ln}: a feature index repeats")
             if len(idx):
                 d = max(d, int(idx.max()))
             rows.append((idx, val))

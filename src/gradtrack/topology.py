@@ -39,6 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .problems import DataFormatError
+
 METHOD_NAMES = ("GTA1", "GTA2", "GTA3")
 # which slot of (W1, W2, W3, W4) holds the mixing matrix W and which the identity I
 SLOT_PATTERNS = {"GTA1": "WIWI", "GTA2": "WWWI", "GTA3": "WWWW"}
@@ -621,7 +623,18 @@ def write_matrix_csv(w: np.ndarray, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    """The matrix a CSV file holds, one row per line, blank lines skipped.  A
+    token that is not a number, or a row whose length differs from the
+    first's, is a DataFormatError naming the file and the 1-based line."""
     rows = []
-    for line in Path(path).read_text().strip().splitlines():
-        rows.append([float(tok) for tok in line.split(",")])
+    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: malformed line {ln}: {exc}") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise DataFormatError(f"{path}: malformed line {ln}: {len(rows[-1])} entries, "
+                                  f"the first row has {len(rows[0])}")
     return np.array(rows, dtype=float)

@@ -23,11 +23,12 @@ two mixing applies per outer iteration.
 The state is an (n, d, c) stack, and everything goes through one kernel
 and one loop: a `RunStack` steps one column per cell (`GtaConfig`), each
 with its own strategy, step size, budget and stop_tol (the cells must
-share n_g, the kernel's step count).  A grid stacks its cells' runs; a
-step-size sweep is a stack of one cell per candidate step size, all with
-the same strategy, that yields only each column's final errors.  `run`
-returns one cell's trace: from a one-cell RunStack, or as its column of a
-stack, which it advances until that column has left.
+share n_g, the kernel's step count), in one pass that runs every column
+until it has left.  A grid stacks its cells' runs; a step-size sweep is a
+stack of one cell per candidate step size, all with the same strategy,
+that yields only each column's final errors.  `run` returns one cell's
+trace: from a one-cell RunStack, or as its column of a stack, whose first
+request runs the whole stack.
 
 `_stack` picks one of two mixing paths for a set of live columns.  When
 they all hold one strategy object (a sweep, a one-cell run) the stack
@@ -380,9 +381,9 @@ class RunTrace:
     grads = k * n_g * n local gradient evaluations, whether or not the
     program evaluates each one (a quadratic's closed-form local steps
     evaluate one gradient per node for all n_g - 1 of them).  wall_time is
-    the seconds from the start of the run until its column left the stack:
-    for a column of a `RunStack` of several cells, the time the stack spent
-    stepping until then, which covers the other columns' work as well.
+    the seconds from the start of its `RunStack`'s pass until its column
+    left the stack: with several cells, that covers the other columns' work
+    as well.
     """
 
     k: np.ndarray
@@ -431,16 +432,15 @@ class RunTrace:
 class RunStack:
     """Cells that share n_g, run as the columns of one (n, d, c) state, each
     from x0 (n*d entries) with its own strategy, scalar step size, budget
-    and stop_tol.  Cells that do not all hold one strategy object must be
-    `batchable`; ValueError otherwise.
+    and stop_tol.  A stack needs at least one cell; cells that do not all
+    hold one strategy object must be `batchable`.  ValueError otherwise.
 
-    The stack advances on demand: `outcome(j)` steps every live column
-    until cell j's has left, so a grid asks `run` for its cells one by one,
-    in cell order, while their columns step together.  A column leaves at
-    the first row (k >= 1) that meets the divergence rule, or else at the
-    first row at its budget or with opt_err <= its stop_tol, as a one-cell
-    run ends.  With trace (a grid's runs) every column's error row is
-    recorded at every outer iteration, and a column's outcome is its
+    The first `outcome` request runs the whole stack in one pass, and later
+    requests only read the outcomes.  A column leaves at the first row
+    (k >= 1) that meets the divergence rule, or else at the first row at its
+    budget or with opt_err <= its stop_tol, as a one-cell run ends; the
+    other columns go on.  With trace (a grid's runs) every column's error
+    row is recorded at every outer iteration, and a column's outcome is its
     RunTrace.  Without it (a step-size sweep) the outcome is the column's
     last error row: while no column has a stop_tol, the rule is evaluated
     only where `surely_bounded` cannot clear every column, and the last
@@ -451,6 +451,8 @@ class RunStack:
 
     def __init__(self, suite: ObjectiveSuite, cfgs: list[GtaConfig], x0: np.ndarray,
                  trace: bool = True):
+        if not cfgs:
+            raise ValueError("a stack needs at least one cell")
         if len({cfg.n_g for cfg in cfgs}) != 1:
             raise ValueError(f"the cells of a stack share one n_g, got {[c.n_g for c in cfgs]}")
         for cfg in cfgs:
@@ -463,119 +465,98 @@ class RunStack:
         if x0.size != suite.n * suite.d:
             raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")
         self.suite, self.cfgs, self.x0, self.trace = suite, list(cfgs), x0.ravel(), trace
+        self._outcomes: list | None = None
+
+    def _run(self) -> list:
+        """Step every column from x0 until it has left; returns each cell's
+        outcome.  The live columns form a segment, with its kernel parameters,
+        smallest budget and largest stop_tol; a column leaving starts a new one."""
+        suite, cfgs, trace = self.suite, self.cfgs, self.trace
+        n, d, c = suite.n, suite.d, len(cfgs)
+        t0 = time.perf_counter()
+        state = initialize(suite, self.x0 if c == 1 else
+                           np.broadcast_to(self.x0.reshape(n, d, 1), (n, d, c)))
+        x_star_norm = float(np.linalg.norm(suite.x_star))
         # per-cell values as Python numbers: the per-column tests run only
         # when a column may leave
-        self._tols = [-math.inf if cfg.stop_tol is None else cfg.stop_tol for cfg in cfgs]
-        # per cell once it left: its DivergenceError, else (its last k, its
-        # wall time) with trace, its last ErrorVector without
-        self._ends: list = [None] * len(cfgs)
-        # (the cells of the columns, their (rows, 3, columns) errors) for
-        # each set of live columns that has ended, in order
-        self._segments: list = []
-        self._live = list(range(len(cfgs)))
-        self.state: GtaState | None = None
-        self._elapsed = 0.0
-
-    def _begin(self) -> ErrorVector | None:
-        """Build the state at k = 0, every column at x0, on the first request
-        for a cell; returns its error row, or None if nothing needs it."""
-        n, d, c = self.suite.n, self.suite.d, len(self.cfgs)
-        self.state = initialize(self.suite, self.x0 if c == 1 else
-                                np.broadcast_to(self.x0.reshape(n, d, 1), (n, d, c)))
-        self._x_star_norm = float(np.linalg.norm(self.suite.x_star))
-        self._start_segment()
-        if self._precheck and self._k_end > 0:
-            return None
-        ev = error_vector(self.state, self.suite)
-        if self._rows is not None:
-            self._rows.append(ev)
-        return ev
-
-    def _start_segment(self) -> None:
-        """Step the live columns from here on: their kernel parameters and
-        the pre-check bounds, the smallest budget and the largest stop_tol."""
-        cfgs = [self.cfgs[j] for j in self._live]
-        self._rows = [] if self.trace else None
-        self._step = _stack(cfgs)
-        self._k_end = min(cfg.max_outer_iters for cfg in cfgs)
-        self._tol_max = max(self._tols[j] for j in self._live)
-        # rows are needed only to record them or to test a stop_tol
-        self._precheck = not self.trace and self._tol_max == -math.inf
-        # whether a per-column test holds in any column: one column's
-        # ErrorVector holds floats, whose tests are a bool or np.bool_
-        self._any = bool if len(cfgs) == 1 else np.ndarray.any
-
-    def _leave(self, ev: ErrorVector, now: float) -> None:
-        """End the live columns that leave at error row ev.  If any did, the
-        columns still live start a new segment, and with trace the segment's
-        error rows become one array, so a finished stack holds no per-row
-        objects."""
-        k = self.state.k
-        errs = np.reshape(ev.as_array(), (3, -1)).T.tolist()
-        dead = np.reshape(diverged(ev), -1).tolist() if k else [False] * len(errs)
-        # without trace, a column that ends at this row takes its last row
-        # once the diverged columns have left, on the columns still live
-        later = not self.trace and any(dead)
-        for p, j in enumerate(self._live):
-            if dead[p]:
-                self._ends[j] = DivergenceError(k, ErrorVector(*errs[p]))
-            elif not later and (k >= self.cfgs[j].max_outer_iters or errs[p][0] <= self._tols[j]):
-                self._ends[j] = (k, now) if self.trace else ErrorVector(*errs[p])
-        keep = [self._ends[j] is None for j in self._live]
-        if all(keep):
-            return
-        if self.trace:
-            # (rows, 3, columns); one column's ErrorVector holds floats
-            errors = np.array([(e.opt_err, e.x_consensus, e.y_consensus) for e in self._rows])
-            self._segments.append((self._live, errors.reshape(len(self._rows), 3, -1)))
-            self._rows = []
-        self._live = [j for j in self._live if self._ends[j] is None]
-        if self._live:
-            self.state.keep(np.array(keep))
-            self._start_segment()
-            if later and (k >= self._k_end or not self._precheck):
-                self._leave(error_vector(self.state, self.suite), now)
-
-    def outcome(self, j: int) -> RunTrace | ErrorVector | DivergenceError:
-        """Cell j's outcome (see the class docstring), advancing the stack
-        until its column has left."""
-        if self._ends[j] is None:
-            t0 = time.perf_counter()
-            if self.state is None:
-                ev = self._begin()
-                # divergence is not tested at k = 0
-                if ev is not None and (self._k_end <= 0 or self._any(ev.opt_err <= self._tol_max)):
-                    self._leave(ev, time.perf_counter() - t0)
-            state, suite, x_star_norm = self.state, self.suite, self._x_star_norm
-            # overflow on the way past the divergence guard is expected, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                while self._ends[j] is None:
-                    step, rows, any_ = self._step, self._rows, self._any
-                    k_end, tol_max, precheck = self._k_end, self._tol_max, self._precheck
-                    # cheap pre-checks; the per-column tests only when a column may leave
-                    while True:
+        tols = [-math.inf if cfg.stop_tol is None else cfg.stop_tol for cfg in cfgs]
+        # per cell once it left: its DivergenceError, else its wall time with
+        # trace, its last ErrorVector without
+        ends: list = [None] * c
+        # per cell with trace: its column of each segment's (rows, 3) errors
+        parts = [[] for _ in cfgs]
+        live = list(range(c))
+        # whether a segment takes a row before it steps: at k = 0, and without
+        # trace once columns diverged, when the columns that end at that row
+        # take it again on the columns still live
+        retake = True
+        # overflow on the way past the divergence guard is expected, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            while live:
+                step = _stack([cfgs[j] for j in live])
+                k_end = min(cfgs[j].max_outer_iters for j in live)
+                tol_max = max(tols[j] for j in live)
+                # rows are needed only to record them or to test a stop_tol
+                precheck = not trace and tol_max == -math.inf
+                # whether a per-column test holds in any column: one column's
+                # ErrorVector holds floats, whose tests are a bool or np.bool_
+                any_ = bool if len(live) == 1 else np.ndarray.any
+                rows = []
+                ev = (error_vector(state, suite)
+                      if retake and (state.k >= k_end or not precheck) else None)
+                while True:
+                    if ev is None:
                         advance(state, step)
+                        # cheap pre-checks; the per-column tests only when a column may leave
                         if precheck and state.k < k_end and surely_bounded(state, x_star_norm):
                             continue
                         ev = error_vector(state, suite)
-                        if rows is not None:
-                            rows.append(ev)
-                        if (state.k >= k_end or any_(ev.opt_err <= tol_max)
-                                or any_(diverged(ev))):
+                    if trace:
+                        rows.append(ev)
+                    if state.k >= k_end or any_(ev.opt_err <= tol_max) or any_(diverged(ev)):
+                        k, now = state.k, time.perf_counter() - t0
+                        errs = np.reshape(ev.as_array(), (3, -1)).T.tolist()
+                        # divergence is not tested at k = 0
+                        dead = np.reshape(diverged(ev), -1).tolist() if k else [False] * len(live)
+                        retake = not trace and any(dead)
+                        for p, j in enumerate(live):
+                            if dead[p]:
+                                ends[j] = DivergenceError(k, ErrorVector(*errs[p]))
+                            elif not retake and (k >= cfgs[j].max_outer_iters
+                                                 or errs[p][0] <= tols[j]):
+                                ends[j] = now if trace else ErrorVector(*errs[p])
+                        keep = [ends[j] is None for j in live]
+                        if not all(keep):
                             break
-                    self._leave(ev, self._elapsed + time.perf_counter() - t0)
-            self._elapsed += time.perf_counter() - t0
-        end = self._ends[j]
-        if not isinstance(end, tuple):
-            return end
-        parts = [errors[:, :, cells.index(j)] for cells, errors in self._segments if j in cells]
-        opt_err, x_consensus, y_consensus = (parts[0] if len(parts) == 1
-                                             else np.concatenate(parts)).T
-        cfg = self.cfgs[j]
-        return RunTrace(k=np.arange(end[0] + 1), opt_err=opt_err,
-                        x_consensus_err=x_consensus, y_consensus_err=y_consensus,
-                        n_c=cfg.strategy.n_c, n_g=cfg.n_g, n=self.suite.n,
-                        vectors_per_round=cfg.strategy.vectors_per_round(), wall_time=end[1])
+                    ev = None
+                if trace:
+                    # (rows, 3, columns); one column's ErrorVector holds floats
+                    errors = np.array([(e.opt_err, e.x_consensus, e.y_consensus) for e in rows])
+                    errors = errors.reshape(len(rows), 3, -1)
+                    for p, j in enumerate(live):
+                        parts[j].append(errors[:, :, p])
+                live = [j for j in live if ends[j] is None]
+                if live:
+                    state.keep(np.array(keep))
+        outcomes = []
+        for cfg, end, part in zip(cfgs, ends, parts):
+            if isinstance(end, float):
+                opt_err, x_consensus, y_consensus = (part[0] if len(part) == 1
+                                                     else np.concatenate(part)).T
+                end = RunTrace(k=np.arange(len(opt_err)), opt_err=opt_err,
+                               x_consensus_err=x_consensus, y_consensus_err=y_consensus,
+                               n_c=cfg.strategy.n_c, n_g=cfg.n_g, n=n,
+                               vectors_per_round=cfg.strategy.vectors_per_round(),
+                               wall_time=end)
+            outcomes.append(end)
+        return outcomes
+
+    def outcome(self, j: int) -> RunTrace | ErrorVector | DivergenceError:
+        """Cell j's outcome (see the class docstring); the first request runs
+        the whole stack."""
+        if self._outcomes is None:
+            self._outcomes = self._run()
+        return self._outcomes[j]
 
 
 def run(suite: ObjectiveSuite, cfg: GtaConfig, x0: np.ndarray,
@@ -583,7 +564,7 @@ def run(suite: ObjectiveSuite, cfg: GtaConfig, x0: np.ndarray,
     """Execute outer iterations of cell cfg from x0 (n*d entries) until its
     budget or stop_tol is reached: as a one-cell `RunStack`, or as its
     column of `stack`, a RunStack of suite's cells from x0 that holds this
-    cfg object, advanced until that column has left.
+    cfg object; the first request for any of its cells runs it whole.
 
     Deterministic for fixed inputs.  Raises DivergenceError when the errors
     meet the divergence rule (`diverged`).

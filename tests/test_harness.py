@@ -945,6 +945,36 @@ def test_cli_data_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_cli_a_repeated_feature_index_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "repeated.libsvm"
+    data.write_text("1 1:1\n0 1:2 1:3\n")
+    cfg_path = _write_cfg(tmp_path, f"""
+        problem = logreg
+        dataset = {data}
+        n = 1
+        graph = complete
+        methods = GTA1
+        budget = 10
+        outdir = {tmp_path / 'rep_out'}
+    """)
+    assert cli.main(["run", str(cfg_path)]) == 3
+    assert "line 2: a feature index repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,line", [("0.5,abc\n0.5,0.5\n", 1), ("0.5,0.5\n\n0.5\n", 3)],
+                         ids=["non-number", "short-row"])
+def test_cli_a_malformed_custom_matrix_file_is_a_data_error(text, line, tmp_path, capsys):
+    # a non-number or a short row names its file and line; a well-formed
+    # matrix of the wrong shape stays a config error (see below)
+    bad = tmp_path / "w.csv"
+    bad.write_text(text)
+    custom = "".join(f"custom_w{i} = {bad}\n" for i in range(1, 5))
+    text = MINI_CFG.format(out=tmp_path / "cm_out").replace("methods = GTA3\n",
+                                                            "methods = custom\n" + custom)
+    assert cli.main(["run", str(_write_cfg(tmp_path, text))]) == 3
+    assert f"data error: {bad}: malformed line {line}: " in capsys.readouterr().err
+
+
 def test_cli_divergence_exit_code(tmp_path, capsys):
     # L ~ 1e9 with the sweep capped at 2^-2: every candidate diverges
     cfg_path = _write_cfg(tmp_path, f"""

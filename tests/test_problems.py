@@ -256,6 +256,13 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_libsvm(p, 1)
 
 
+def test_a_line_that_repeats_a_feature_index_is_malformed(tmp_path):
+    # the last value would silently replace the first
+    p = _write(tmp_path, "1 1:1 2:1\n0 2:2 1:3 2:4\n")
+    with pytest.raises(DataFormatError, match="line 2: a feature index repeats"):
+        load_libsvm(p, 1)
+
+
 def test_more_nodes_than_samples_rejected(tmp_path):
     p = _write(tmp_path, "1 1:1\n0 1:2\n")
     with pytest.raises(DataFormatError, match="split over"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -874,26 +875,42 @@ def test_a_stack_of_cells_the_product_cannot_take_is_rejected(monkeypatch):
         _assert_column_agrees(got, _loop_run(suite, cfg, x0))
 
 
-def test_a_stack_advances_only_as_far_as_the_cell_asked_for(small_quadratic):
+def test_a_stack_runs_every_cell_on_its_first_request(small_quadratic, monkeypatch):
     s = small_quadratic
     strat = _strategy("GTA3", s.n)
     cfgs = [GtaConfig(strategy=strat, alpha=1e-3, max_outer_iters=m) for m in (30, 5, 12)]
     x0 = np.zeros(s.n * s.d)
-    stack = gt.tracking.RunStack(s, cfgs, x0)
-    assert stack.state is None
-    assert len(run(s, cfgs[1], x0, stack).k) == 6
-    assert stack.state.k == 5
-    # the first cell's trace needs 30 iterations, so the third's column
-    # leaves on the way; a later request for it takes no step
-    assert len(run(s, cfgs[0], x0, stack).k) == 31
-    assert len(run(s, cfgs[2], x0, stack).k) == 13
-    assert stack.state.k == 30
+    steps = []
+    real = gt.tracking.advance
+
+    def counting(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gt.tracking, "advance", counting)
+    # whichever cell is asked for first, every column runs to its budget then
+    for first, *rest in itertools.permutations(range(3)):
+        stack = gt.tracking.RunStack(s, cfgs, x0)
+        assert len(run(s, cfgs[first], x0, stack).k) == cfgs[first].max_outer_iters + 1
+        steps.clear()
+        for j in rest:
+            assert len(run(s, cfgs[j], x0, stack).k) == cfgs[j].max_outer_iters + 1
+        assert steps == []
     for cfg in cfgs:
         _assert_column_agrees(run(s, cfg, x0, stack), _loop_run(s, cfg, x0))
     with pytest.raises(ValueError, match="not a cell"):
         run(s, GtaConfig(strategy=strat, alpha=1e-3, max_outer_iters=5), x0, stack)
     with pytest.raises(ValueError, match="another suite or x0"):
         run(s, cfgs[0], x0 + 1.0, stack)
+
+
+def test_a_stack_needs_a_cell(small_quadratic):
+    s = small_quadratic
+    with pytest.raises(ValueError, match="at least one cell"):
+        gt.tracking.RunStack(s, [], np.zeros(s.n * s.d))
+    # an empty t_range is a sweep of no candidates
+    with pytest.raises(ValueError, match="at least one cell"):
+        gt.harness.tune_step_size(s, _strategy("GTA1", s.n), 1, 5, t_range=(5, 3))
 
 
 def test_a_stack_rejects_cells_it_cannot_step_together(small_quadratic):
