@@ -3,16 +3,20 @@ CSV/report emission.
 
 Config files are flat "key = value" text (see parse_config for the schema).
 A run sweeps methods over an (n_c, n_g) grid, tunes the step size for each
-cell over {2^-t}, runs the cells that share n_g as the columns of one stack
+cell over {2^-t}, runs the grid's cells as the columns of one stack
 (`tracking.RunStack`, stepped in one pass until every column has left)
 when they can mix as one batched product per slot pair
-(`tracking.batchable`), and writes one trace CSV per cell plus a
+(`tracking.batchable`) and step together (`tracking.steps_together`: one
+n_g, or a suite with closed-form local steps), else the cells that share
+n_g as one stack each, and writes one trace CSV per cell plus a
 summary.csv and a manifest.json, all byte-reproducible for a fixed config
 and seed.
 
 The 2^-t sweep is a RunStack too: one cell per candidate step size, all
-holding the cell's one strategy, that records no trace, only each
-candidate's final errors or the outer iteration at which it diverged.
+holding one strategy, that records no trace, only each candidate's final
+errors or the outer iteration at which it diverged.  The cells of one
+(method, n_c) strategy tune in one such sweep over all of their n_g under
+the same two conditions, else in one sweep per n_g.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +38,8 @@ from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
                        MixingMatrix, build_graph, communication_matrices, metropolis_weights,
                        read_matrix_csv, strategy_for)
-from .tracking import DivergenceError, GtaConfig, RunStack, RunTrace, batchable, run
+from .tracking import (DivergenceError, GtaConfig, RunStack, RunTrace, batchable, run,
+                       steps_together)
 
 
 class ConfigError(ValueError):
@@ -318,27 +324,58 @@ def build_strategy(cfg: ExperimentConfig, method: str, w: MixingMatrix, n_c: int
         return strategy_for(method, w, n_c, custom=custom)
 
 
-def tune_step_size(suite: ObjectiveSuite, strategy: CommunicationStrategy, n_g: int,
-                   budget: int, t_range: tuple[int, int] = (0, 20)) -> float:
-    """Sweep alpha over {2^-t : t in t_range} from the zero start.
+def _groups(suite: ObjectiveSuite, cfgs: list[GtaConfig]) -> list[list[GtaConfig]]:
+    """The cells as the stacks they run in: all in one when they share n_g,
+    or are `batchable` and step together (`steps_together`); else one stack
+    per n_g, in order of first appearance (so cells laid out n_g by n_g
+    keep their order across the stacks)."""
+    groups: dict[int, list[GtaConfig]] = {}
+    for cfg in cfgs:
+        groups.setdefault(cfg.n_g, []).append(cfg)
+    if len(groups) <= 1 or (batchable(cfgs) and steps_together(suite, cfgs)):
+        return [cfgs]
+    return list(groups.values())
 
-    Each candidate runs for `budget` outer iterations, all of them as the
-    columns of one `RunStack` without trace; the winner is the candidate
-    with the smallest final optimization error, ties broken toward the
-    larger step size.  Diverged candidates are excluded; if all diverge a
-    TuningError carrying the per-candidate diagnostics is raised.
+
+def tune_step_size(suite: ObjectiveSuite, strategy: CommunicationStrategy,
+                   n_g: int | list[int], budget: int,
+                   t_range: tuple[int, int] = (0, 20)) -> float | list:
+    """Sweep alpha over {2^-t : t in t_range} from the zero start, for one
+    n_g, or for each of several (a grid's cells of one strategy).
+
+    Each candidate runs for `budget` outer iterations as a column of a
+    `RunStack` without trace: one stack for all of the n_g when `_groups`
+    allows, else one per n_g.  An n_g's winner is its candidate with the
+    smallest final optimization error, ties broken toward the larger step
+    size.  Diverged candidates are excluded; if all of an n_g's diverge, its
+    TuningError carries the per-candidate diagnostics.  For one n_g the
+    winner is returned and the TuningError raised; for a sequence of n_g,
+    a list holds each one's winner or TuningError.
     """
     if budget < 1:
         raise ValueError("tuning budget must be >= 1 outer iteration")
+    n_gs = [n_g] if np.ndim(n_g) == 0 else list(n_g)
     ts = range(t_range[0], t_range[1] + 1)
-    cfgs = [GtaConfig(strategy=strategy, alpha=2.0 ** -t, n_g=n_g, max_outer_iters=budget)
-            for t in ts]                                   # descending alpha
-    stack = RunStack(suite, cfgs, np.zeros(suite.n * suite.d), trace=False)
-    outcomes = [stack.outcome(j) for j in range(len(cfgs))]
-    if all(isinstance(o, DivergenceError) for o in outcomes):
-        raise TuningError([(t, f"diverged at k={o.k}") for t, o in zip(ts, outcomes)])
-    errs = [math.inf if isinstance(o, DivergenceError) else o.opt_err for o in outcomes]
-    return cfgs[int(np.argmin(errs))].alpha   # first minimum = largest alpha on ties
+    cfgs = [GtaConfig(strategy=strategy, alpha=2.0 ** -t, n_g=g, max_outer_iters=budget)
+            for g in n_gs for t in ts]                     # descending alpha per n_g
+    x0 = np.zeros(suite.n * suite.d)
+    outcomes = []
+    for group in _groups(suite, cfgs):
+        stack = RunStack(suite, group, x0, trace=False)
+        outcomes += [stack.outcome(j) for j in range(len(group))]
+    tuned = []
+    for start in range(0, len(cfgs), len(ts)):
+        sweep = outcomes[start:start + len(ts)]
+        if all(isinstance(o, DivergenceError) for o in sweep):
+            tuned.append(TuningError([(t, f"diverged at k={o.k}") for t, o in zip(ts, sweep)]))
+            continue
+        errs = [math.inf if isinstance(o, DivergenceError) else o.opt_err for o in sweep]
+        tuned.append(cfgs[start + int(np.argmin(errs))].alpha)   # largest alpha on ties
+    if np.ndim(n_g) > 0:
+        return tuned
+    if isinstance(tuned[0], TuningError):
+        raise tuned[0]
+    return tuned[0]
 
 
 def measured_contraction(trace: RunTrace) -> float:
@@ -419,11 +456,16 @@ def _in_cell(exc: Exception, method: str, n_c: int, n_g: int) -> Exception:
 
 def _execute_cells(cfg: ExperimentConfig, suite, w):
     """Tune every grid cell, then run the cells in cell order and yield one
-    record dict per cell.  The cells that share n_g run as the columns of
-    one `tracking.RunStack`, which the first cell's `run` runs whole and
-    the later cells' `run` only read, when they are `tracking.batchable`:
-    the stack's batched products stay within `tracking.BATCH_MAX_FLOATS`
-    floats.  Other groups run one cell at a time.
+    record dict per cell.
+
+    Each (method, n_c) strategy tunes its cells, one per n_g, in one
+    `tune_step_size` call.  The cells run as the columns of
+    `tracking.RunStack`s, which the first cell's `run` runs whole and the
+    later cells' `run` only read: all of them in one stack when `_groups`
+    allows (the stack's batched products stay within
+    `tracking.BATCH_MAX_FLOATS` floats, and the suite steps distinct n_g
+    together), else one stack per n_g group that is `tracking.batchable`.
+    Other groups run one cell at a time.
 
     Failures surface as if the cells ran one by one: tuning stops at the
     first cell whose strategy or tuning fails, only the cells before it
@@ -433,25 +475,33 @@ def _execute_cells(cfg: ExperimentConfig, suite, w):
     # custom_matrices is set exactly when the grid has custom cells
     custom = None if cfg.custom_matrices is None else build_custom(cfg, w)
     tuned, failure = [], None
-    for method, n_c, n_g in cfg.cells():
+    # the cells in cell order, one (method, n_c) strategy at a time
+    for (method, n_c), cells in groupby(cfg.cells(), key=lambda cell: cell[:2]):
+        ngs = [n_g for _, _, n_g in cells]
         try:
             strategy = build_strategy(cfg, method, w, n_c, custom)
-            alpha = tune_step_size(suite, strategy, n_g, cfg.tune_budget,
-                                   t_range=(cfg.tune_tmin, cfg.tune_tmax))
         except ConfigError as exc:
             failure = exc
             break
-        except TuningError as exc:
-            failure = _in_cell(exc, method, n_c, n_g)
+        alphas = tune_step_size(suite, strategy, ngs, cfg.tune_budget,
+                                t_range=(cfg.tune_tmin, cfg.tune_tmax))
+        for n_g, alpha in zip(ngs, alphas):
+            if isinstance(alpha, TuningError):
+                failure = _in_cell(alpha, method, n_c, n_g)
+                break
+            tuned.append((method, n_c, n_g, strategy, alpha))
+        if failure is not None:
             break
-        tuned.append((method, n_c, n_g, strategy, alpha))
     runs = [GtaConfig(strategy=strategy, alpha=alpha, n_g=n_g, max_outer_iters=cfg.budget,
                       stop_tol=cfg.stop_tol) for _, _, n_g, strategy, alpha in tuned]
-    groups = {n_g: [r for r in runs if r.n_g == n_g] for n_g in dict.fromkeys(r.n_g for r in runs)}
-    stacks = {n_g: RunStack(suite, cells, x0) for n_g, cells in groups.items() if batchable(cells)}
+    stacks = {}
+    for group in (_groups(suite, runs) if runs else []):
+        if batchable(group):
+            stack = RunStack(suite, group, x0)
+            stacks.update((id(cell), stack) for cell in group)
     for (method, n_c, n_g, strategy, alpha), cell in zip(tuned, runs):
         try:
-            trace = run(suite, cell, x0, stacks.get(n_g))
+            trace = run(suite, cell, x0, stacks.get(id(cell)))
         except DivergenceError as exc:
             raise _in_cell(exc, method, n_c, n_g)
         p, beta, route, rho, lam_u, bound, admissible = _theory_columns(

@@ -53,13 +53,14 @@ class ObjectiveSuite:
         """
         raise NotImplementedError
 
-    def local_steps(self, alpha, m: int):
+    def local_steps(self, alpha, m):
         """m local steps x <- x - alpha*y, y <- y + grad(x') - grad(x) in
         closed form: a function of y, an (n, d, c) stack, that returns x's
-        total move x_0 - x_m (alpha a scalar or one per column).  The
-        trackers' update telescopes to y_m = y_0 + grad(x_m) - grad(x_0).
-        None when the suite has no closed form; the steps then evaluate one
-        gradient each."""
+        total move x_0 - x_m (alpha and m >= 0 each a scalar or one per
+        column; m = 0 moves x by exactly zero).  The trackers' update
+        telescopes to y_m = y_0 + grad(x_m) - grad(x_0).  None when the
+        suite has no closed form; the steps then evaluate one gradient
+        each."""
         return None
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
@@ -111,9 +112,9 @@ class QuadraticSuite(ObjectiveSuite):
     def local_steps(self, alpha, m):
         """A local step is linear here: y' = (I - alpha Q_i) y and
         x' = x - alpha y.  With Q_i = V diag(lam) V', m steps move x by
-        alpha V (sigma_m * V'y), sigma_m = sum_{j<m} (1 - alpha*lam)^j.
-        The factor is built here, once per (alpha, m); the eigensolve once
-        per suite."""
+        alpha V (sigma_m * V'y), sigma_m = sum_{j<m} (1 - alpha*lam)^j, which
+        is 0 in a column with m = 0.  The factor is built here, once per
+        (alpha, m); the eigensolve once per suite."""
         if self._eig is None:
             lam, v = np.linalg.eigh(self.qs)
             self._eig = lam, v, np.ascontiguousarray(v.transpose(0, 2, 1))
@@ -122,20 +123,22 @@ class QuadraticSuite(ObjectiveSuite):
         return lambda y: np.matmul(v, step * np.matmul(vt, y))
 
 
-def _geometric_sum(a: np.ndarray, m: int) -> np.ndarray:
+def _geometric_sum(a: np.ndarray, m) -> np.ndarray:
     """sigma_m = sum_{j<m} rho^j = (1 - rho^m) / a for rho = 1 - a,
-    entrywise, m >= 1.
+    entrywise; m >= 0 is one count, or one per column that broadcasts
+    against a's last axis.
 
     For a < 1 it is -expm1(m*log1p(-a)) / a, within a few ulps however
     small a is (the direct (1 - rho^m) / a is off by 4e-13 relative at
     a = 2^-20, m = 99).  For a >= 1 (rho <= 0, where log1p is undefined)
-    rho^m is a direct power; a = 0 gives m.
+    rho^m is a direct power; a = 0 gives m.  m = 0 gives a signed zero
+    (or 0 at a = 0): the empty sum.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         below = a < 1
         sigma_m = np.where(below, -np.expm1(m * np.log1p(-np.where(below, a, 0.0))),
                            1.0 - (1.0 - a) ** m) / a
-    return np.where(a == 0, float(m), sigma_m)
+    return np.where(a == 0, m, sigma_m)
 
 
 @dataclass(frozen=True)
@@ -241,8 +244,11 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     """
     if n_nodes < 1:
         raise DataFormatError(f"n_nodes must be >= 1, got {n_nodes}")
-    labels = []
-    rows = []   # list of (idx array, val array), 1-based indices
+    labels: list[float] = []
+    # per feature entry: its 1-based index and value; per sample: its count
+    idx: list[int] = []
+    val: list[float] = []
+    counts: list[int] = []
     d = 0
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
@@ -250,32 +256,34 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
             if not line or line.startswith("#"):
                 continue
             toks = line.split()
+            line_idx = []
             try:
                 labels.append(float(toks[0]))
-                idx = np.empty(len(toks) - 1, dtype=int)
-                val = np.empty(len(toks) - 1)
-                for t, tok in enumerate(toks[1:]):
+                for tok in toks[1:]:
                     i_str, v_str = tok.split(":")
-                    idx[t] = int(i_str)
-                    val[t] = float(v_str)
+                    line_idx.append(int(i_str))
+                    val.append(float(v_str))
             except (ValueError, IndexError) as exc:
                 raise DataFormatError(f"{path}: malformed line {ln}: {exc}") from exc
-            if len(idx) and idx.min() < 1:
+            if line_idx and min(line_idx) < 1:
                 raise DataFormatError(f"{path}: malformed line {ln}: feature index < 1")
-            if len(set(idx.tolist())) < len(idx):
+            if len(set(line_idx)) < len(line_idx):
                 raise DataFormatError(f"{path}: malformed line {ln}: a feature index repeats")
-            if len(idx):
-                d = max(d, int(idx.max()))
-            rows.append((idx, val))
-    m = len(rows)
+            if line_idx:
+                d = max(d, max(line_idx))
+            idx += line_idx
+            counts.append(len(line_idx))
+    # an index beyond the platform's integers is an OverflowError, as numpy
+    # raises it
+    cols = np.array(idx, dtype=np.intp) - 1
+    m = len(counts)
     if m < n_nodes:
         raise DataFormatError(f"{m} samples cannot be split over {n_nodes} nodes")
     if d == 0:
         raise DataFormatError(f"{path}: no features found")
 
     a = np.zeros((m, d))
-    for r, (idx, val) in enumerate(rows):
-        a[r, idx - 1] = val
+    a[np.repeat(np.arange(m), counts), cols] = val
     y = _map_labels(np.asarray(labels))
 
     if normalize:

@@ -12,8 +12,9 @@ four communication matrices:
 
 On a quadratic suite the n_g - 1 inner steps are linear in (x, y), and
 `advance` applies them at once in the suite's eigenbasis
-(`ObjectiveSuite.local_steps`), then evaluates one gradient; a suite
-without a closed form (logistic) steps them one `inner_step` at a time.
+(`ObjectiveSuite.local_steps`, m = n_g - 1 per column), then evaluates one
+gradient; a suite without a closed form (logistic) steps them one
+`inner_step` at a time.
 
 Each update is applied as a pair Z_a u + Z_b v: as the single product
 Z (u + v) when both slots hold the same matrix, so GTA-3 (all four slots
@@ -22,13 +23,16 @@ two mixing applies per outer iteration.
 
 The state is an (n, d, c) stack, and everything goes through one kernel
 and one loop: a `RunStack` steps one column per cell (`GtaConfig`), each
-with its own strategy, step size, budget and stop_tol (the cells must
-share n_g, the kernel's step count), in one pass that runs every column
-until it has left.  A grid stacks its cells' runs; a step-size sweep is a
-stack of one cell per candidate step size, all with the same strategy,
-that yields only each column's final errors.  `run` returns one cell's
-trace: from a one-cell RunStack, or as its column of a stack, whose first
-request runs the whole stack.
+with its own strategy, step size, n_g, budget and stop_tol, in one pass
+that runs every column until it has left.  Columns of distinct n_g stack
+only on a suite with a closed form: there a column at n_g = 1 takes the
+closed form's zero move (m = 0), which keeps its x and y bit for bit,
+while a suite stepped one `inner_step` at a time needs one step count for
+the whole stack.  A grid stacks its cells' runs; a step-size sweep is a
+stack of one cell per candidate step size (and per n_g of its strategy),
+all with the same strategy, that yields only each column's final errors.
+`run` returns one cell's trace: from a one-cell RunStack, or as its column
+of a stack, whose first request runs the whole stack.
 
 `_stack` picks one of two mixing paths for a set of live columns.  When
 they all hold one strategy object (a sweep, a one-cell run) the stack
@@ -69,14 +73,17 @@ DIVERGENCE_LIMIT = 1e12
 
 # A stack of distinct cells mixes as one batched product per slot pair
 # (`_product`), whose left operand, c stacked [Z_a | Z_b], holds c*n*2n
-# floats; a grid stacks cells only up to this many.  The product does twice
-# a one-cell apply's work per column, so it pays only while the per-call
+# floats; a grid stacks cells, and a strategy's sweeps over several n_g
+# merge into one stack, only up to this many.  The product does twice a
+# one-cell apply's work per column, so it pays only while the per-call
 # overhead it saves dominates: the smallest stack measured to lose to
-# one-cell runs held 110592 floats (README "Stacked runs").  The bound also
-# keeps out the matrices applied as gather rounds: two cells fit only while
-# n <= 128, and a table needs n >= m * ROUND_COST for a densest row of m
-# nonzeros, where a Metropolis matrix (positive diagonal, a connected graph
-# with n >= 3) has m >= 3.  Only a custom matrix whose rows hold at most 2
+# one-cell runs held 110592 floats (README "Stacked runs").  A merged sweep
+# mixes through its one strategy, not the product, yet its wide stack also
+# loses past the bound (README "Stacked runs").  The bound also keeps out
+# the matrices applied as gather rounds: two cells fit only while n <= 128,
+# and a table needs n >= m * ROUND_COST for a densest row of m nonzeros,
+# where a Metropolis matrix (positive diagonal, a connected graph with
+# n >= 3) has m >= 3.  Only a custom matrix whose rows hold at most 2
 # nonzeros (a matching's) can gather at n = 128; in a stack it mixes
 # through its dense power, the same matrix with other rounding.
 BATCH_MAX_FLOATS = 1 << 16
@@ -131,38 +138,57 @@ class GtaConfig:
 def batchable(cfgs: list[GtaConfig]) -> bool:
     """Whether the cells can mix as one batched product per slot pair: each
     pair's (c, n, 2n) left operand holds at most BATCH_MAX_FLOATS floats.  A
-    grid stacks an n_g group's cells only when it holds."""
+    grid stacks cells, and merges one strategy's sweeps over several n_g,
+    only when it holds."""
     n = cfgs[0].strategy.n
     return len(cfgs) * 2 * n * n <= BATCH_MAX_FLOATS
+
+
+def steps_together(suite: ObjectiveSuite, cfgs: list[GtaConfig]) -> bool:
+    """Whether the cells' local steps can run as one stack on suite: they
+    share n_g, or suite has a closed form (`ObjectiveSuite.local_steps`),
+    which takes one step count per column.  The closed form is asked for
+    only when the n_g differ, so some cell takes local steps and needs it
+    anyway (a quadratic's eigensolve runs once per suite)."""
+    n_g = cfgs[0].n_g
+    return (all(cfg.n_g == n_g for cfg in cfgs)
+            or suite.local_steps(cfgs[0].alpha, 1) is not None)
 
 
 @dataclass(frozen=True, eq=False)
 class _Stack:
     """The kernel's parameters for the columns of a stack: their step sizes
-    (a float for one column, else one per column), n_g, and the two updates
-    of `outer_step`, mix_x(u, v) = Z_1 u + Z_2 v and mix_y(u, v) = Z_3 u +
+    (a float for one column, else one per column), their local step counts
+    m = n_g - 1 (None when every column has n_g = 1, an int when the
+    columns share n_g, else one per column), and the two updates of
+    `outer_step`, mix_x(u, v) = Z_1 u + Z_2 v and mix_y(u, v) = Z_3 u +
     Z_4 v: `_pair` through the one strategy all columns hold, or else
     `_product` with each column's [Z_a | Z_b]."""
 
     alpha: float | np.ndarray
-    n_g: int
+    m: int | np.ndarray | None
     mix_x: Callable
     mix_y: Callable
 
 
 def _stack(cfgs: list[GtaConfig]) -> _Stack:
-    """The kernel's parameters for one column per cfg; the mixing path is
-    chosen here, once per set of live columns.  A lone cfg keeps its scalar
-    step size, so a single run steps as it always has; columns that all hold
-    one strategy object (a run, a sweep) mix through it, the whole stack at
-    once; distinct strategies, which must be `batchable`, mix as one batched
-    product per slot pair."""
+    """The kernel's parameters for one column per cfg; the mixing path and
+    whether local steps run are chosen here, once per set of live columns.
+    A lone cfg keeps its scalar step size, so a single run steps as it
+    always has; columns that all hold one strategy object (a run, a sweep)
+    mix through it, the whole stack at once; distinct strategies, which
+    must be `batchable`, mix as one batched product per slot pair.  Columns
+    of distinct n_g (on a suite with a closed form) get one m per column."""
     alpha = cfgs[0].alpha if len(cfgs) == 1 else np.array([cfg.alpha for cfg in cfgs])
+    n_g = cfgs[0].n_g
+    if any(cfg.n_g != n_g for cfg in cfgs):
+        m = np.array([cfg.n_g - 1 for cfg in cfgs])
+    else:
+        m = n_g - 1 if n_g > 1 else None
     strategy = cfgs[0].strategy
     if all(cfg.strategy is strategy for cfg in cfgs):
-        return _Stack(alpha, cfgs[0].n_g, partial(_pair, strategy, 0, 1),
-                      partial(_pair, strategy, 2, 3))
-    return _Stack(alpha, cfgs[0].n_g, partial(_product, _operands(cfgs, 0, 1)),
+        return _Stack(alpha, m, partial(_pair, strategy, 0, 1), partial(_pair, strategy, 2, 3))
+    return _Stack(alpha, m, partial(_product, _operands(cfgs, 0, 1)),
                   partial(_product, _operands(cfgs, 2, 3)))
 
 
@@ -303,16 +329,18 @@ def advance(state: GtaState, cfg: _Stack) -> GtaState:
     The local steps run as the suite's closed form when it has one (a
     quadratic: x moves by its total over the n_g - 1 steps, and the trackers
     take the gradient change, as in one step: a few array operations and one
-    gradient, whatever n_g is), else as n_g - 1 `inner_step` calls.  The
-    closed form is built on the first advance with new parameters cfg (a
-    `_stack` result) and held in the state.
+    gradient, whatever n_g is, and a zero move in a column at n_g = 1), else
+    as n_g - 1 `inner_step` calls, which needs one n_g for every column.
+    Nothing runs when every column has n_g = 1.  The closed form is built on
+    the first advance with new parameters cfg (a `_stack` result) and held
+    in the state.
     """
-    if cfg.n_g > 1:
+    if cfg.m is not None:
         if state.local is None or state.local[0] is not cfg:
-            state.local = (cfg, state.suite.local_steps(cfg.alpha, cfg.n_g - 1))
+            state.local = (cfg, state.suite.local_steps(cfg.alpha, cfg.m))
         steps = state.local[1]
         if steps is None:
-            for _ in range(cfg.n_g - 1):
+            for _ in range(cfg.m):
                 inner_step(state, cfg.alpha)
         else:
             _move(state, steps(state.y))
@@ -430,10 +458,12 @@ class RunTrace:
 
 
 class RunStack:
-    """Cells that share n_g, run as the columns of one (n, d, c) state, each
-    from x0 (n*d entries) with its own strategy, scalar step size, budget
-    and stop_tol.  A stack needs at least one cell; cells that do not all
-    hold one strategy object must be `batchable`.  ValueError otherwise.
+    """Cells run as the columns of one (n, d, c) state, each from x0 (n*d
+    entries) with its own strategy, scalar step size, n_g, budget and
+    stop_tol.  A stack needs at least one cell; cells that do not all hold
+    one strategy object must be `batchable`, and cells of distinct n_g need
+    a suite whose local steps have a closed form (`steps_together`).
+    ValueError otherwise.
 
     The first `outcome` request runs the whole stack in one pass, and later
     requests only read the outcomes.  A column leaves at the first row
@@ -453,14 +483,15 @@ class RunStack:
                  trace: bool = True):
         if not cfgs:
             raise ValueError("a stack needs at least one cell")
-        if len({cfg.n_g for cfg in cfgs}) != 1:
-            raise ValueError(f"the cells of a stack share one n_g, got {[c.n_g for c in cfgs]}")
         for cfg in cfgs:
             if cfg.strategy.n != suite.n:
                 raise ValueError(f"strategy has n={cfg.strategy.n} but suite has n={suite.n}")
         if any(cfg.strategy is not cfgs[0].strategy for cfg in cfgs) and not batchable(cfgs):
             raise ValueError("cells with distinct strategies stack only when they are batchable: "
                              f"at most {BATCH_MAX_FLOATS} floats in each slot pair's blocks")
+        if not steps_together(suite, cfgs):
+            raise ValueError("the cells of a stack share one n_g on a suite without closed-form "
+                             f"local steps, got {[c.n_g for c in cfgs]}")
         x0 = np.asarray(x0, dtype=float)
         if x0.size != suite.n * suite.d:
             raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")

@@ -385,8 +385,8 @@ outdir = {out}
 
 
 @pytest.mark.parametrize("plan,raised,cell", [
-    # cells run in the order (GTA1, 1), (GTA1, 5), (GTA2, 1), (GTA2, 5); the
-    # n_g = 1 stack runs first, yet the first failing cell in that order wins
+    # cells run in the order (GTA1, 1), (GTA1, 5), (GTA2, 1), (GTA2, 5), all
+    # as one stack, yet the first failing cell in that order wins
     ({("GTA1", 5): "diverge", ("GTA2", 1): "tune"}, gt.DivergenceError, ("GTA1", 5)),
     ({("GTA1", 5): "tune", ("GTA2", 1): "diverge"}, TuningError, ("GTA1", 5)),
     ({("GTA1", 5): "diverge", ("GTA2", 1): "diverge"}, gt.DivergenceError, ("GTA1", 5)),
@@ -396,22 +396,25 @@ def test_the_first_failing_cell_in_cell_order_is_reported(plan, raised, cell, tm
                                                           monkeypatch):
     tuned = []
 
-    def tune(suite, strategy, n_g, budget, t_range):
-        tuned.append((strategy.name, n_g))
-        action = plan.get((strategy.name, n_g))
-        if action == "tune":
-            raise TuningError([(0, "diverged at k=1")])
+    def tune(suite, strategy, n_gs, budget, t_range):
+        # one call per (method, n_c) strategy, for all of its n_g
+        tuned.append((strategy.name, tuple(n_gs)))
+        actions = [plan.get((strategy.name, n_g)) for n_g in n_gs]
         # a unit step diverges on this suite (L ~ 100) within a few iterations
-        return 1.0 if action == "diverge" else 2.0 ** -10
+        return [TuningError([(0, "diverged at k=1")]) if action == "tune"
+                else 1.0 if action == "diverge" else 2.0 ** -10 for action in actions]
 
     monkeypatch.setattr(harness, "tune_step_size", tune)
+    stacks = _grid_stacks(monkeypatch)
     cfg = parse_config(_write_cfg(tmp_path, _PRECEDENCE_CFG.format(out=tmp_path / "out")))
     with pytest.raises(raised, match=rf"^cell \({cell[0]}, n_c=1, n_g={cell[1]}\): "):
         harness.execute_grid(cfg)
-    # tuning stops at the first cell that fails it
+    # tuning stops at the strategy (two cells in a row) of the first cell
+    # that fails it, and only the cells before that cell run
     order = [("GTA1", 1), ("GTA1", 5), ("GTA2", 1), ("GTA2", 5)]
-    stop = next((i for i, c in enumerate(order) if plan.get(c) == "tune"), len(order) - 1)
-    assert tuned == order[:stop + 1]
+    stop = next((i for i, c in enumerate(order) if plan.get(c) == "tune"), len(order))
+    assert tuned == [("GTA1", (1, 5)), ("GTA2", (1, 5))][:stop // 2 + 1]
+    assert stacks == [[(method, 1, n_g) for method, n_g in order[:stop]]]
 
 
 def _grid_stacks(monkeypatch):
@@ -444,13 +447,52 @@ def test_the_grid_stacks_groups_within_the_float_bound_and_runs_others_alone(tmp
     cfg = parse_config(_write_cfg(tmp_path, text))
     stacks = _grid_stacks(monkeypatch)
     stacked = harness.execute_grid(cfg)
-    # two cells of n = 4 per n_g: 2 * 4 * 8 = 64 floats per slot pair's blocks
+    # four cells of n = 4: 4 * 4 * 8 = 128 floats per slot pair's blocks,
+    # and a quadratic steps distinct n_g together
+    assert stacks == [[("GTA1", 1, 1), ("GTA1", 1, 5), ("GTA2", 1, 1), ("GTA2", 1, 5)]]
+    # below that, the grid falls back to one stack per n_g (2 * 4 * 8 floats)
+    stacks.clear()
+    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 127)
+    by_n_g = harness.execute_grid(cfg)
     assert stacks == [[("GTA1", 1, 1), ("GTA2", 1, 1)], [("GTA1", 1, 5), ("GTA2", 1, 5)]]
     stacks.clear()
     monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 63)
     alone = harness.execute_grid(cfg)
     assert stacks == []
     _assert_traces_agree(stacked.records, alone.records)
+    _assert_traces_agree(by_n_g.records, alone.records)
+
+
+def test_a_logistic_grid_stacks_its_cells_per_n_g(tmp_path, monkeypatch):
+    # a logistic suite steps its local steps one at a time, for all columns
+    # of a stack at once, so its cells and sweeps stack per n_g
+    text = ("problem = logreg\ndataset = data/synth_binary.libsvm\nn = 4\ngraph = cycle\n"
+            "methods = GTA1,GTA3\nng_grid = 1,3\nbudget = 30\ntune_budget = 10\n"
+            "tune_tmin = 0\ntune_tmax = 4\noutdir = {out}\n")
+    widths = []
+    real = harness.RunStack
+
+    def counting(suite, cfgs, x0, trace=True):
+        widths.append((trace, sorted({c.n_g for c in cfgs})))
+        return real(suite, cfgs, x0, trace)
+
+    monkeypatch.setattr(harness, "RunStack", counting)
+    harness.execute_grid(parse_config(_write_cfg(tmp_path, text.format(out=tmp_path / "o"))))
+    assert widths == [(False, [1]), (False, [3])] * 2 + [(True, [1]), (True, [3])]
+
+
+def test_a_grid_of_single_step_cells_never_eigensolves_its_quadratic(tmp_path):
+    # every cell at n_g = 1 takes no local step, so the closed form, and the
+    # eigensolve of the Q_i it needs, is never built (as on a large torus)
+    text = ("problem = quadratic\nn = 6\nd = 3\nkappa_target = 20\ngraph = cycle\n"
+            "methods = GTA1,GTA3\nnc_grid = 1,2\nbudget = 30\ntune_budget = 10\n"
+            "outdir = {out}\n")
+    single = harness.execute_grid(parse_config(_write_cfg(
+        tmp_path, text.format(out=tmp_path / "a"), "a.cfg")))
+    assert single.suite._eig is None
+    multi = harness.execute_grid(parse_config(_write_cfg(
+        tmp_path, text.format(out=tmp_path / "b") + "ng_grid = 1,2\n", "b.cfg")))
+    assert multi.suite._eig is not None
 
 
 def test_a_grid_on_a_gather_round_matrix_runs_its_cells_alone(tmp_path, monkeypatch):

@@ -512,7 +512,7 @@ def test_tracking_identity_along_a_run(small_quadratic):
     cfg = kernel_params(strat, 1e-3, n_g=3)
     st = initialize(s, np.zeros(s.n * s.d))
     for _ in range(60):
-        for _ in range(cfg.n_g - 1):
+        for _ in range(cfg.m):
             inner_step(st, cfg.alpha)
         outer_step(st, cfg)
         h = s.grad_stack(st.x[:, :, 0]).mean(axis=0)
@@ -913,9 +913,63 @@ def test_a_stack_needs_a_cell(small_quadratic):
         gt.harness.tune_step_size(s, _strategy("GTA1", s.n), 1, 5, t_range=(5, 3))
 
 
-def test_a_stack_rejects_cells_it_cannot_step_together(small_quadratic):
-    strat = _strategy("GTA1", small_quadratic.n)
-    x0 = np.zeros(32)
+def test_a_stack_rejects_cells_it_cannot_step_together():
+    # a logistic suite has no closed-form local steps: its stack steps one
+    # inner_step at a time, for every column at once
+    suite, w, _ = _stack_suite("logistic")
+    strat = gt.strategy_for("GTA1", w, 1)
+    x0 = np.zeros(suite.n * suite.d)
     with pytest.raises(ValueError, match="share one n_g"):
-        gt.tracking.RunStack(small_quadratic,
-                             [GtaConfig(strategy=strat, alpha=0.1, n_g=g) for g in (1, 2)], x0)
+        gt.tracking.RunStack(suite, [GtaConfig(strategy=strat, alpha=0.1, n_g=g) for g in (1, 2)],
+                             x0)
+
+
+# (method, n_g, step 2^-t / (n_g L), stop_tol as a fraction of ||x*||, budget)
+_MIXED_CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3"]),
+                          hst.sampled_from([1, 2, 5, 20]), hst.integers(0, 3),
+                          hst.sampled_from([None, 0.3, 1e-2]), hst.sampled_from([0, 3, 10, 40]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=hst.sampled_from(["cycle", "star", "complete"]), n=hst.integers(3, 12),
+       one_strategy=hst.booleans(), cells=hst.lists(_MIXED_CELLS, min_size=1, max_size=5))
+def test_a_stack_of_mixed_n_g_matches_its_one_cell_runs(kind, n, one_strategy, cells):
+    # on a quadratic the columns of one stack may differ in n_g: a column at
+    # n_g = 1 takes the closed form's zero move.  With one strategy the
+    # stack mixes as a sweep does, else as one batched product per slot
+    # pair.  A last column at a step size that diverges, at an n_g other
+    # than the first cell's, makes the n_g mixed and leaves early
+    suite, w = _batch_suite(kind, n)
+    x_star_norm = float(np.linalg.norm(suite.x_star))
+    strategies, cfgs = {}, []
+    for method, n_g, t, rel_tol, budget in cells:
+        if one_strategy:
+            method = "GTA2"
+        if method not in strategies:
+            strategies[method] = gt.strategy_for(method, w, 2)
+        cfgs.append(GtaConfig(strategy=strategies[method], alpha=2.0 ** -t / (n_g * suite.L),
+                              n_g=n_g, max_outer_iters=budget,
+                              stop_tol=None if rel_tol is None else rel_tol * x_star_norm))
+    cfgs.append(GtaConfig(strategy=strategies["GTA2"] if one_strategy
+                          else gt.strategy_for("GTA3", w, 1), alpha=16.0 / suite.L,
+                          n_g=20 if cfgs[0].n_g == 1 else 1, max_outer_iters=200))
+    x0 = np.zeros(n * suite.d)
+    sweep = gt.tracking.RunStack(suite, cfgs, x0, trace=False)
+    for j, (cfg, got) in enumerate(zip(cfgs, _stacked(suite, cfgs, x0), strict=True)):
+        try:
+            want = run(suite, cfg, x0)
+        except DivergenceError as exc:
+            assert isinstance(got, DivergenceError) and got.k == exc.k
+            assert isinstance(sweep.outcome(j), DivergenceError) and sweep.outcome(j).k == exc.k
+            continue
+        assert isinstance(got, RunTrace) and np.array_equal(got.k, want.k)
+        # where W^n_c averages exactly (a 3-cycle, a complete graph), a
+        # consensus error is rounding noise: 1e-15 of the run's largest error
+        floor = 1e-15 * np.max(want.error_matrix())
+        for col, ref in zip(got.error_matrix().T, want.error_matrix().T):
+            assert np.max(np.abs(col - ref)) <= STACK_RTOL * np.max(np.abs(ref)) + floor
+        # without trace the column yields its last row alone
+        last = want.error_matrix()[-1]
+        assert np.all(np.abs(sweep.outcome(j).as_array() - last)
+                      <= STACK_RTOL * np.max(np.abs(want.error_matrix()), axis=0) + floor)
+    assert isinstance(got, DivergenceError)
