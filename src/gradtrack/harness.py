@@ -12,11 +12,13 @@ n_g as one stack each, and writes one trace CSV per cell plus a
 summary.csv and a manifest.json, all byte-reproducible for a fixed config
 and seed.
 
-The 2^-t sweep is a RunStack too: one cell per candidate step size, all
-holding one strategy, that records no trace, only each candidate's final
-errors or the outer iteration at which it diverged.  The cells of one
-(method, n_c) strategy tune in one such sweep over all of their n_g under
-the same two conditions, else in one sweep per n_g.
+The 2^-t sweep is a RunStack too: one cell per candidate step size and
+grid cell, that records no trace, only each candidate's final errors or
+the outer iteration at which it diverged.  The strategies that mix
+through one power (`tracking.mixing_power`: GTA1, GTA2 and GTA3 at one
+n_c) tune their cells in one sweep when it is batchable, else one
+strategy at a time; a sweep spans all of its n_g under the same two
+conditions, else it is one stack per n_g.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
                        MixingMatrix, build_graph, communication_matrices, metropolis_weights,
                        read_matrix_csv, strategy_for)
-from .tracking import (DivergenceError, GtaConfig, RunStack, RunTrace, batchable, run,
-                       steps_together)
+from .tracking import (DivergenceError, GtaConfig, RunStack, RunTrace, batchable, mixing_power,
+                       run, steps_together)
 
 
 class ConfigError(ValueError):
@@ -337,35 +339,44 @@ def _groups(suite: ObjectiveSuite, cfgs: list[GtaConfig]) -> list[list[GtaConfig
     return list(groups.values())
 
 
-def tune_step_size(suite: ObjectiveSuite, strategy: CommunicationStrategy,
+def tune_step_size(suite: ObjectiveSuite, strategy: CommunicationStrategy | list,
                    n_g: int | list[int], budget: int,
                    t_range: tuple[int, int] = (0, 20)) -> float | list:
     """Sweep alpha over {2^-t : t in t_range} from the zero start, for one
-    n_g, or for each of several (a grid's cells of one strategy).
+    cell (strategy, n_g), or for each of several cells: then strategy and
+    n_g are equal-length sequences, one entry per cell, with the cells of
+    each strategy adjacent (a grid passes the cells of the strategies that
+    share one `tracking.mixing_power`: GTA1, GTA2 and GTA3 at one n_c).
 
     Each candidate runs for `budget` outer iterations as a column of a
-    `RunStack` without trace: one stack for all of the n_g when `_groups`
-    allows, else one per n_g.  An n_g's winner is its candidate with the
-    smallest final optimization error, ties broken toward the larger step
-    size.  Diverged candidates are excluded; if all of an n_g's diverge, its
-    TuningError carries the per-candidate diagnostics.  For one n_g the
-    winner is returned and the TuningError raised; for a sequence of n_g,
-    a list holds each one's winner or TuningError.
+    `RunStack` without trace.  The cells' candidates sweep together when
+    they are `batchable`, else one strategy at a time; each such sweep is
+    one stack for all of its n_g when `_groups` allows, else one per n_g.
+    A cell's winner is its candidate with the smallest final optimization
+    error, ties broken toward the larger step size.  Diverged candidates
+    are excluded; if all of a cell's diverge, its TuningError carries the
+    per-candidate diagnostics.  For one cell the winner is returned and
+    the TuningError raised; for several, a list holds each cell's winner
+    or TuningError.
     """
     if budget < 1:
         raise ValueError("tuning budget must be >= 1 outer iteration")
-    n_gs = [n_g] if np.ndim(n_g) == 0 else list(n_g)
+    cells = [(strategy, n_g)] if np.ndim(n_g) == 0 else list(zip(strategy, n_g, strict=True))
     ts = range(t_range[0], t_range[1] + 1)
-    cfgs = [GtaConfig(strategy=strategy, alpha=2.0 ** -t, n_g=g, max_outer_iters=budget)
-            for g in n_gs for t in ts]                     # descending alpha per n_g
+    cfgs = [GtaConfig(strategy=st, alpha=2.0 ** -t, n_g=g, max_outer_iters=budget)
+            for st, g in cells for t in ts]                 # descending alpha per cell
     x0 = np.zeros(suite.n * suite.d)
-    outcomes = []
-    for group in _groups(suite, cfgs):
+    # several strategies sweep together only within the float bound
+    sweeps = [list(sweep) for _, sweep in groupby(cfgs, key=lambda c: c.strategy)]
+    if len(sweeps) <= 1 or batchable(cfgs):
+        sweeps = [cfgs]
+    outcomes = {}
+    for group in (group for sweep in sweeps for group in _groups(suite, sweep)):
         stack = RunStack(suite, group, x0, trace=False)
-        outcomes += [stack.outcome(j) for j in range(len(group))]
+        outcomes.update((id(c), stack.outcome(j)) for j, c in enumerate(group))
     tuned = []
     for start in range(0, len(cfgs), len(ts)):
-        sweep = outcomes[start:start + len(ts)]
+        sweep = [outcomes[id(c)] for c in cfgs[start:start + len(ts)]]
         if all(isinstance(o, DivergenceError) for o in sweep):
             tuned.append(TuningError([(t, f"diverged at k={o.k}") for t, o in zip(ts, sweep)]))
             continue
@@ -458,40 +469,57 @@ def _execute_cells(cfg: ExperimentConfig, suite, w):
     """Tune every grid cell, then run the cells in cell order and yield one
     record dict per cell.
 
-    Each (method, n_c) strategy tunes its cells, one per n_g, in one
-    `tune_step_size` call.  The cells run as the columns of
-    `tracking.RunStack`s, which the first cell's `run` runs whole and the
-    later cells' `run` only read: all of them in one stack when `_groups`
-    allows (the stack's batched products stay within
-    `tracking.BATCH_MAX_FLOATS` floats, and the suite steps distinct n_g
-    together), else one stack per n_g group that is `tracking.batchable`.
-    Other groups run one cell at a time.
+    The (method, n_c) strategies that share one `tracking.mixing_power`
+    (a grid's GTA1, GTA2 and GTA3 at one n_c) tune their cells, one per
+    n_g, in one `tune_step_size` call, whose sweep merges them while it is
+    `tracking.batchable` and else sweeps one strategy at a time.  The
+    cells run as the columns of `tracking.RunStack`s, which the first
+    cell's `run` runs whole and the later cells' `run` only read: all of
+    them in one stack when `_groups` allows (the stack's batched products
+    stay within `tracking.BATCH_MAX_FLOATS` floats, and the suite steps
+    distinct n_g together), else one stack per n_g group that is
+    `tracking.batchable`.  Other groups run one cell at a time.
 
-    Failures surface as if the cells ran one by one: tuning stops at the
-    first cell whose strategy or tuning fails, only the cells before it
-    run, and the first of them that diverged is raised ahead of it.
+    Failures surface as if the cells ran one by one: the first cell in
+    cell order whose strategy or tuning fails is raised, and only the
+    cells before it run, the first of them that diverged raised ahead of
+    it.  Tuning stops at the first power group whose first strategy comes
+    after that cell's.
     """
     x0 = np.zeros(suite.n * suite.d)
     # custom_matrices is set exactly when the grid has custom cells
     custom = None if cfg.custom_matrices is None else build_custom(cfg, w)
-    tuned, failure = [], None
-    # the cells in cell order, one (method, n_c) strategy at a time
+    # the (method, n_c) strategies in cell order, up to the first that fails
+    strategies, failure = [], None
     for (method, n_c), cells in groupby(cfg.cells(), key=lambda cell: cell[:2]):
-        ngs = [n_g for _, _, n_g in cells]
         try:
             strategy = build_strategy(cfg, method, w, n_c, custom)
         except ConfigError as exc:
             failure = exc
             break
-        alphas = tune_step_size(suite, strategy, ngs, cfg.tune_budget,
-                                t_range=(cfg.tune_tmin, cfg.tune_tmax))
-        for n_g, alpha in zip(ngs, alphas):
+        strategies.append((method, n_c, strategy, [n_g for *_, n_g in cells]))
+    # the strategies' indices by mixing power, in order of their first one
+    powers: dict = {}
+    for i, (_, _, strategy, _) in enumerate(strategies):
+        powers.setdefault(mixing_power(strategy), []).append(i)
+    alphas, first_failed = {}, len(strategies)
+    for group in powers.values():
+        if group[0] > first_failed:
+            break
+        cells = [(strategies[i][2], n_g) for i in group for n_g in strategies[i][3]]
+        found = iter(tune_step_size(suite, [st for st, _ in cells], [g for _, g in cells],
+                                    cfg.tune_budget, t_range=(cfg.tune_tmin, cfg.tune_tmax)))
+        for i in group:
+            alphas[i] = [next(found) for _ in strategies[i][3]]
+            if any(isinstance(alpha, TuningError) for alpha in alphas[i]):
+                first_failed = min(first_failed, i)
+    tuned = []
+    for i, (method, n_c, strategy, ngs) in enumerate(strategies[:first_failed + 1]):
+        for n_g, alpha in zip(ngs, alphas[i]):
             if isinstance(alpha, TuningError):
                 failure = _in_cell(alpha, method, n_c, n_g)
                 break
             tuned.append((method, n_c, n_g, strategy, alpha))
-        if failure is not None:
-            break
     runs = [GtaConfig(strategy=strategy, alpha=alpha, n_g=n_g, max_outer_iters=cfg.budget,
                       stop_tol=cfg.stop_tol) for _, _, n_g, strategy, alpha in tuned]
     stacks = {}

@@ -319,13 +319,19 @@ class LogisticSuite(ObjectiveSuite):
         # the largest shard: a zero row has margin 0 and adds nothing to the
         # gradient, so all nodes share one (n, max n_i, d) tensor
         self._counts = counts[:, None, None]
-        self._signed = np.zeros((self.n, int(counts.max()), self.d))
+        signed = np.zeros((self.n, int(counts.max()), self.d))
         for i, (a, y) in enumerate(zip(dataset.features, dataset.labels)):
-            self._signed[i, :a.shape[0]] = a * y[:, None]
-        self._signed_t = self._signed.transpose(0, 2, 1)
-        self._shards = tuple(s[:a.shape[0]] for s, a in zip(self._signed, dataset.features))
+            signed[i, :a.shape[0]] = a * y[:, None]
+        self._shards = tuple(s[:a.shape[0]] for s, a in zip(signed, dataset.features))
+        # -1/2 times the signed features, for the gradient kernel: scaling
+        # by a power of two is exact, so every product and sum over them is
+        # -1/2 times the one over the signed features, bit for bit.  The
+        # transpose stays a view: a contiguous copy would switch the BLAS
+        # kernel and the rounding
+        self._half = -0.5 * signed
+        self._half_t = self._half.transpose(0, 2, 1)
         # (y a)'(y a) = a'a: the Gram matrices of the signed shards
-        gram_top = np.linalg.eigvalsh(np.matmul(self._signed_t, self._signed))[:, -1]
+        gram_top = np.linalg.eigvalsh(np.matmul(signed.transpose(0, 2, 1), signed))[:, -1]
         self.L = float(np.max(gram_top / (4.0 * counts) + 2.0 / counts))
         self.x_star = None  # filled in by logreg_suite
 
@@ -348,9 +354,14 @@ class LogisticSuite(ObjectiveSuite):
 
     def _grads(self, xs):
         # sigmoid(-m) = 0.5 * (1 + tanh(-m / 2)): branch-free and saturates
-        # without overflow
-        sig = 0.5 * (1.0 + np.tanh(-0.5 * np.matmul(self._signed, xs)))
-        return (2.0 * xs - np.matmul(self._signed_t, sig)) / self._counts
+        # without overflow.  With the -1/2 folded into _half, the gradient
+        # (2x - (y a)' sigmoid(-m)) / n_i is ((-a y / 2)' (1 + tanh) + 2x) / n_i
+        g = np.tanh(np.matmul(self._half, xs))
+        g += 1.0
+        g = np.matmul(self._half_t, g)
+        g += 2.0 * xs
+        g /= self._counts
+        return g
 
 
 def compute_reference_optimum(suite: ObjectiveSuite, tol: float = 1e-12,

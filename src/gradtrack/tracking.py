@@ -29,22 +29,30 @@ only on a suite with a closed form: there a column at n_g = 1 takes the
 closed form's zero move (m = 0), which keeps its x and y bit for bit,
 while a suite stepped one `inner_step` at a time needs one step count for
 the whole stack.  A grid stacks its cells' runs; a step-size sweep is a
-stack of one cell per candidate step size (and per n_g of its strategy),
-all with the same strategy, that yields only each column's final errors.
-`run` returns one cell's trace: from a one-cell RunStack, or as its column
-of a stack, whose first request runs the whole stack.
+stack of one cell per candidate step size and tuned cell (the cells of
+the strategies that share one mixing power, over their n_g), that yields
+only each column's final errors.  `run` returns one cell's trace: from a
+one-cell RunStack, or as its column of a stack, whose first request runs
+the whole stack.
 
 `_stack` picks one of two mixing paths for a set of live columns.  When
-they all hold one strategy object (a sweep, a one-cell run) the stack
-mixes as an (n, d*c) array, never materializing the (nd, nd) Kronecker
-form: each slot's `MixingMatrix.apply` runs n_c gather rounds or one dense
-product with W^n_c, whole and without a copy.  The choice depends only on
-the matrix and n_c, so a sweep column and its run take the same path.
-Columns with distinct strategies (a grid's cells) mix as one batched
-product per slot pair: column j's Z_a u + Z_b v is [Z_a | Z_b] [u; v], so
-one matmul of the (c, n, 2n) stack of those blocks with the (c, 2n, d)
-stack [u; v] mixes every column.  Such a stack must be `batchable`: at
-most BATCH_MAX_FLOATS floats per pair's blocks.
+their strategies share one `mixing_power` (one strategy object: a sweep
+of one strategy, a one-cell run; or strategies whose non-identity slots
+all hold one MixingMatrix at one n_c: GTA1, GTA2 and GTA3 at one n_c)
+the stack mixes as an (n, d*c) array, never materializing the (nd, nd)
+Kronecker form.  Each slot is then the identity or P = W^n_c, and the
+columns form runs of one slot pattern (Z_a, Z_b) in {P, I}^2 per update.
+One run mixes whole: each slot's `MixingMatrix.apply` runs n_c gather
+rounds or one dense product with W^n_c, without a copy.  The choice
+depends only on the matrix and n_c, so a sweep column and its run take
+the same path.  Several runs form one operand column per column that
+mixes (u + v, u or v), apply P once to that operand, and add each run's
+identity part.  Columns of other distinct strategies (a grid's cells at
+several n_c) mix as one batched product per slot pair: column j's
+Z_a u + Z_b v is [Z_a | Z_b] [u; v], so one matmul of the (c, n, 2n)
+stack of those blocks with the (c, 2n, d) stack [u; v] mixes every
+column.  A stack of distinct strategies must be `batchable`: at most
+BATCH_MAX_FLOATS floats per pair's blocks.
 
 A column leaves the stack at the first row that meets the divergence
 rule, reaches its budget, or has an optimization error at or below its
@@ -61,6 +69,7 @@ import operator
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 from typing import Callable
 
@@ -73,19 +82,20 @@ DIVERGENCE_LIMIT = 1e12
 
 # A stack of distinct cells mixes as one batched product per slot pair
 # (`_product`), whose left operand, c stacked [Z_a | Z_b], holds c*n*2n
-# floats; a grid stacks cells, and a strategy's sweeps over several n_g
-# merge into one stack, only up to this many.  The product does twice a
-# one-cell apply's work per column, so it pays only while the per-call
-# overhead it saves dominates: the smallest stack measured to lose to
-# one-cell runs held 110592 floats (README "Stacked runs").  A merged sweep
-# mixes through its one strategy, not the product, yet its wide stack also
-# loses past the bound (README "Stacked runs").  The bound also keeps out
-# the matrices applied as gather rounds: two cells fit only while n <= 128,
-# and a table needs n >= m * ROUND_COST for a densest row of m nonzeros,
-# where a Metropolis matrix (positive diagonal, a connected graph with
-# n >= 3) has m >= 3.  Only a custom matrix whose rows hold at most 2
-# nonzeros (a matching's) can gather at n = 128; in a stack it mixes
-# through its dense power, the same matrix with other rounding.
+# floats; a grid stacks cells, and merges the sweeps of its strategies that
+# share one mixing power and of their n_g into one stack, only up to this
+# many.  The product does twice a one-cell apply's work per column, so it
+# pays only while the per-call overhead it saves dominates: the smallest
+# stack measured to lose to one-cell runs held 110592 floats (README
+# "Stacked runs").  A merged sweep mixes through its one power, not the
+# product, yet its wide stack also loses past the bound (README "Stacked
+# runs").  The bound also keeps out the matrices applied as gather rounds:
+# two cells fit only while n <= 128, and a table needs n >= m * ROUND_COST
+# for a densest row of m nonzeros, where a Metropolis matrix (positive
+# diagonal, a connected graph with n >= 3) has m >= 3.  Only a custom
+# matrix whose rows hold at most 2 nonzeros (a matching's) can gather at
+# n = 128; in a batched product it mixes through its dense power, the same
+# matrix with other rounding.
 BATCH_MAX_FLOATS = 1 << 16
 
 
@@ -138,8 +148,8 @@ class GtaConfig:
 def batchable(cfgs: list[GtaConfig]) -> bool:
     """Whether the cells can mix as one batched product per slot pair: each
     pair's (c, n, 2n) left operand holds at most BATCH_MAX_FLOATS floats.  A
-    grid stacks cells, and merges one strategy's sweeps over several n_g,
-    only when it holds."""
+    grid stacks cells, and merges the sweeps of its strategies that share
+    one mixing power and of their n_g, only when it holds."""
     n = cfgs[0].strategy.n
     return len(cfgs) * 2 * n * n <= BATCH_MAX_FLOATS
 
@@ -155,6 +165,15 @@ def steps_together(suite: ObjectiveSuite, cfgs: list[GtaConfig]) -> bool:
             or suite.local_steps(cfgs[0].alpha, 1) is not None)
 
 
+def mixing_power(strategy: CommunicationStrategy):
+    """What strategy mixes through: (W, n_c) when every non-identity slot
+    holds the one MixingMatrix W (GTA1, GTA2 and GTA3 do), so each slot is
+    either the identity or P = W^n_c; else the strategy itself.  Cells
+    whose strategies share it mix as one stack through P (`_pair`)."""
+    matrices = {m for m in strategy.slots if m is not None}
+    return (matrices.pop(), strategy.n_c) if len(matrices) == 1 else strategy
+
+
 @dataclass(frozen=True, eq=False)
 class _Stack:
     """The kernel's parameters for the columns of a stack: their step sizes
@@ -162,7 +181,7 @@ class _Stack:
     m = n_g - 1 (None when every column has n_g = 1, an int when the
     columns share n_g, else one per column), and the two updates of
     `outer_step`, mix_x(u, v) = Z_1 u + Z_2 v and mix_y(u, v) = Z_3 u +
-    Z_4 v: `_pair` through the one strategy all columns hold, or else
+    Z_4 v: `_pair` through the one mixing power all columns share, or else
     `_product` with each column's [Z_a | Z_b]."""
 
     alpha: float | np.ndarray
@@ -175,21 +194,42 @@ def _stack(cfgs: list[GtaConfig]) -> _Stack:
     """The kernel's parameters for one column per cfg; the mixing path and
     whether local steps run are chosen here, once per set of live columns.
     A lone cfg keeps its scalar step size, so a single run steps as it
-    always has; columns that all hold one strategy object (a run, a sweep)
-    mix through it, the whole stack at once; distinct strategies, which
-    must be `batchable`, mix as one batched product per slot pair.  Columns
-    of distinct n_g (on a suite with a closed form) get one m per column."""
+    always has; columns whose strategies share one `mixing_power` (one
+    strategy object: a run, a sweep; or GTA1, GTA2 and GTA3 at one n_c)
+    mix through it, the whole stack at once; other distinct strategies,
+    which must be `batchable`, mix as one batched product per slot pair.
+    Columns of distinct n_g (on a suite with a closed form) get one m per
+    column."""
     alpha = cfgs[0].alpha if len(cfgs) == 1 else np.array([cfg.alpha for cfg in cfgs])
     n_g = cfgs[0].n_g
     if any(cfg.n_g != n_g for cfg in cfgs):
         m = np.array([cfg.n_g - 1 for cfg in cfgs])
     else:
         m = n_g - 1 if n_g > 1 else None
-    strategy = cfgs[0].strategy
-    if all(cfg.strategy is strategy for cfg in cfgs):
-        return _Stack(alpha, m, partial(_pair, strategy, 0, 1), partial(_pair, strategy, 2, 3))
+    power = mixing_power(cfgs[0].strategy)
+    if all(mixing_power(cfg.strategy) == power for cfg in cfgs):
+        return _Stack(alpha, m, partial(_pair, 0, 1, *_runs(cfgs, 0, 1)),
+                      partial(_pair, 2, 3, *_runs(cfgs, 2, 3)))
     return _Stack(alpha, m, partial(_product, _operands(cfgs, 0, 1)),
                   partial(_product, _operands(cfgs, 2, 3)))
+
+
+def _runs(cfgs: list[GtaConfig], a: int, b: int) -> tuple[tuple, int]:
+    """The columns of a one-power stack as runs of adjacent columns whose
+    slots a and b hold one pattern out of {P, I}^2: per run, the strategy
+    of its first column, its columns, and their columns in the operand of
+    P (None when neither slot holds P); and that operand's width.  One
+    strategy makes one run."""
+    runs, width = [], 0
+    for _, run in groupby(enumerate(cfgs), key=lambda jc: (jc[1].strategy.slots[a] is None,
+                                                           jc[1].strategy.slots[b] is None)):
+        run = list(run)
+        start, strategy, c = run[0][0], run[0][1].strategy, len(run)
+        at = None
+        if strategy.slots[a] is not None or strategy.slots[b] is not None:
+            at, width = slice(width, width + c), width + c
+        runs.append((strategy, slice(start, start + c), at))
+    return tuple(runs), width
 
 
 def _operands(cfgs: list[GtaConfig], a: int, b: int) -> np.ndarray:
@@ -280,18 +320,48 @@ def _move(state: GtaState, dx: np.ndarray) -> GtaState:
     return state
 
 
-def _pair(strategy: CommunicationStrategy, a: int, b: int, u: np.ndarray,
+def _pair(a: int, b: int, runs: tuple, width: int, u: np.ndarray,
           v: np.ndarray) -> np.ndarray:
-    """Z_a u + Z_b v, every column through strategy's slots a and b.  v must
-    be a temporary of the caller: the sum is formed in place in v (or in its
-    product), so a sweep's peak holds no extra stack.  When slots a and b
-    hold the same matrix (or None) it is the one product Z (u + v)."""
-    if strategy.slots[a] is strategy.slots[b]:
-        v += u
-        return _mix(strategy, a, v)
-    out = _mix(strategy, b, v)
-    out += _mix(strategy, a, u)
-    return out
+    """Z_a u + Z_b v for every column of a one-power stack, whose runs of
+    one slot pattern and operand width are `_runs`'s.  v must be a
+    temporary of the caller: the sum is formed in place in v (or in its
+    product), so a sweep's peak holds no extra stack.
+
+    One run (one strategy: a run, a sweep) mixes whole, through its
+    strategy's slots: when slots a and b hold the same matrix (or None) as
+    the one product Z (u + v), else as Z_b v + Z_a u.  Several runs share
+    the power P: one operand column per column that mixes (u + v, u or v),
+    one apply of P to that operand, then each run's identity part is
+    added: P u + v, P v + u, or u + v with no product."""
+    if len(runs) == 1:
+        strategy = runs[0][0]
+        if strategy.slots[a] is strategy.slots[b]:
+            v += u
+            return _mix(strategy, a, v)
+        out = _mix(strategy, b, v)
+        out += _mix(strategy, a, u)
+        return out
+    operand = np.empty(u.shape[:2] + (width,))
+    for strategy, cols, at in runs:
+        if at is None:
+            continue
+        slot = a if strategy.slots[a] is not None else b
+        if strategy.slots[a] is strategy.slots[b]:
+            np.add(v[:, :, cols], u[:, :, cols], out=operand[:, :, at])
+        else:
+            operand[:, :, at] = (u if slot == a else v)[:, :, cols]
+        through = strategy, slot
+    mixed = _mix(*through, operand)
+    for strategy, cols, at in runs:
+        if at is None:
+            v[:, :, cols] += u[:, :, cols]
+        elif strategy.slots[a] is strategy.slots[b]:
+            v[:, :, cols] = mixed[:, :, at]
+        elif strategy.slots[a] is not None:
+            v[:, :, cols] += mixed[:, :, at]
+        else:
+            np.add(mixed[:, :, at], u[:, :, cols], out=v[:, :, cols])
+    return v
 
 
 def _product(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -461,7 +531,8 @@ class RunStack:
     """Cells run as the columns of one (n, d, c) state, each from x0 (n*d
     entries) with its own strategy, scalar step size, n_g, budget and
     stop_tol.  A stack needs at least one cell; cells that do not all hold
-    one strategy object must be `batchable`, and cells of distinct n_g need
+    one strategy object must be `batchable` (whether they mix through one
+    power or as batched products), and cells of distinct n_g need
     a suite whose local steps have a closed form (`steps_together`).
     ValueError otherwise.
 

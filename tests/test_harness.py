@@ -396,10 +396,10 @@ def test_the_first_failing_cell_in_cell_order_is_reported(plan, raised, cell, tm
                                                           monkeypatch):
     tuned = []
 
-    def tune(suite, strategy, n_gs, budget, t_range):
-        # one call per (method, n_c) strategy, for all of its n_g
-        tuned.append((strategy.name, tuple(n_gs)))
-        actions = [plan.get((strategy.name, n_g)) for n_g in n_gs]
+    def tune(suite, strategies, n_gs, budget, t_range):
+        # one call per mixing power, for all cells of its strategies
+        tuned.append(tuple((st.name, n_g) for st, n_g in zip(strategies, n_gs)))
+        actions = [plan.get((st.name, n_g)) for st, n_g in zip(strategies, n_gs)]
         # a unit step diverges on this suite (L ~ 100) within a few iterations
         return [TuningError([(0, "diverged at k=1")]) if action == "tune"
                 else 1.0 if action == "diverge" else 2.0 ** -10 for action in actions]
@@ -409,12 +409,38 @@ def test_the_first_failing_cell_in_cell_order_is_reported(plan, raised, cell, tm
     cfg = parse_config(_write_cfg(tmp_path, _PRECEDENCE_CFG.format(out=tmp_path / "out")))
     with pytest.raises(raised, match=rf"^cell \({cell[0]}, n_c=1, n_g={cell[1]}\): "):
         harness.execute_grid(cfg)
-    # tuning stops at the strategy (two cells in a row) of the first cell
-    # that fails it, and only the cells before that cell run
+    # GTA1 and GTA2 at n_c = 1 mix through one power, so all four cells tune
+    # in one call, whichever fails; only the cells before the first cell
+    # that fails tuning run
     order = [("GTA1", 1), ("GTA1", 5), ("GTA2", 1), ("GTA2", 5)]
     stop = next((i for i, c in enumerate(order) if plan.get(c) == "tune"), len(order))
-    assert tuned == [("GTA1", (1, 5)), ("GTA2", (1, 5))][:stop // 2 + 1]
+    assert tuned == [tuple(order)]
     assert stacks == [[(method, 1, n_g) for method, n_g in order[:stop]]]
+
+
+@pytest.mark.parametrize("failing,tuned_n_c,ran", [
+    # cell order (GTA1, 1), (GTA1, 2), (GTA2, 1), (GTA2, 2); the power
+    # groups are n_c = 1 (its first strategy (GTA1, 1)) and n_c = 2 ((GTA1, 2))
+    ("GTA1", [1], []),
+    ("GTA2", [1, 2], [[("GTA1", 1, 1), ("GTA1", 2, 1)]]),
+])
+def test_tuning_stops_at_the_first_power_group_after_the_failing_cell(
+        failing, tuned_n_c, ran, tmp_path, monkeypatch):
+    tuned = []
+
+    def tune(suite, strategies, n_gs, budget, t_range):
+        tuned.append(strategies[0].n_c)
+        return [TuningError([(0, "diverged at k=1")]) if (st.name, st.n_c) == (failing, 1)
+                else 2.0 ** -10 for st in strategies]
+
+    monkeypatch.setattr(harness, "tune_step_size", tune)
+    stacks = _grid_stacks(monkeypatch)
+    text = _PRECEDENCE_CFG.format(out=tmp_path / "out").replace("ng_grid = 1,5",
+                                                                "nc_grid = 1,2")
+    with pytest.raises(TuningError, match=rf"^cell \({failing}, n_c=1, n_g=1\): "):
+        harness.execute_grid(parse_config(_write_cfg(tmp_path, text)))
+    assert tuned == tuned_n_c
+    assert stacks == ran
 
 
 def _grid_stacks(monkeypatch):
@@ -463,9 +489,47 @@ def test_the_grid_stacks_groups_within_the_float_bound_and_runs_others_alone(tmp
     _assert_traces_agree(by_n_g.records, alone.records)
 
 
+def test_a_grid_whose_merged_sweep_is_not_batchable_sweeps_one_strategy_at_a_time(
+        tmp_path, monkeypatch):
+    # GTA1 and GTA2 at n_c = 1 share one power, so they tune in one call: 84
+    # candidates of n = 4 in one sweep (84 * 2 * 16 floats).  Below that
+    # bound each strategy sweeps alone, over both n_g while its 42
+    # candidates fit and else per n_g, as a large torus does, with the same
+    # tuned step sizes
+    text = _PRECEDENCE_CFG.format(out=tmp_path / "out").replace("tune_budget = 5", "tune_budget = 50")
+    cfg = parse_config(_write_cfg(tmp_path, text))
+    calls, sweeps = [], []
+    real_tune, real_stack = harness.tune_step_size, harness.RunStack
+
+    def tune(suite, strategies, n_gs, budget, t_range):
+        calls.append(len(n_gs))
+        return real_tune(suite, strategies, n_gs, budget, t_range)
+
+    def stack(suite, cfgs, x0, trace=True):
+        if not trace:
+            sweeps.append(sorted({(c.strategy.name, c.n_g) for c in cfgs}))
+        return real_stack(suite, cfgs, x0, trace)
+
+    monkeypatch.setattr(harness, "tune_step_size", tune)
+    monkeypatch.setattr(harness, "RunStack", stack)
+    alphas = []
+    for bound, want in [
+            (84 * 32, [[("GTA1", 1), ("GTA1", 5), ("GTA2", 1), ("GTA2", 5)]]),
+            (84 * 32 - 1, [[("GTA1", 1), ("GTA1", 5)], [("GTA2", 1), ("GTA2", 5)]]),
+            (42 * 32 - 1, [[("GTA1", 1)], [("GTA1", 5)], [("GTA2", 1)], [("GTA2", 5)]])]:
+        calls.clear()
+        sweeps.clear()
+        monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", bound)
+        alphas.append([rec["alpha"] for rec in harness.execute_grid(cfg).records])
+        assert calls == [4]
+        assert sweeps == want
+    assert alphas[0] == alphas[1] == alphas[2]
+
+
 def test_a_logistic_grid_stacks_its_cells_per_n_g(tmp_path, monkeypatch):
     # a logistic suite steps its local steps one at a time, for all columns
-    # of a stack at once, so its cells and sweeps stack per n_g
+    # of a stack at once, so its cells and sweeps stack per n_g; GTA1 and
+    # GTA3 at n_c = 1 share one power, so one sweep per n_g tunes both
     text = ("problem = logreg\ndataset = data/synth_binary.libsvm\nn = 4\ngraph = cycle\n"
             "methods = GTA1,GTA3\nng_grid = 1,3\nbudget = 30\ntune_budget = 10\n"
             "tune_tmin = 0\ntune_tmax = 4\noutdir = {out}\n")
@@ -478,7 +542,7 @@ def test_a_logistic_grid_stacks_its_cells_per_n_g(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "RunStack", counting)
     harness.execute_grid(parse_config(_write_cfg(tmp_path, text.format(out=tmp_path / "o"))))
-    assert widths == [(False, [1]), (False, [3])] * 2 + [(True, [1]), (True, [3])]
+    assert widths == [(False, [1]), (False, [3]), (True, [1]), (True, [3])]
 
 
 def test_a_grid_of_single_step_cells_never_eigensolves_its_quadratic(tmp_path):

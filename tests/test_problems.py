@@ -346,6 +346,23 @@ def test_batched_logistic_gradient_matches_per_node_gradient(n, base, rem_frac, 
             assert np.max(np.abs(single[i] - ref)) <= 1e-13 * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(c=st.sampled_from([1, 2, 21, 63]), margin=st.sampled_from([1e-3, 1.0, 40.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_folded_half_keeps_the_logistic_gradient_bits(c, margin, seed):
+    # the kernel holds -a y / 2 instead of a y; scaling by a power of two is
+    # exact, so its gradient is the written-out sigmoid form bit for bit,
+    # also where the margins saturate the sigmoid
+    suite = logreg_suite(load_libsvm("data/synth_binary.libsvm", 8))
+    signed = -2.0 * suite._half
+    xs = np.random.default_rng(seed).normal(size=(suite.n, suite.d, c)) * margin
+    sig = 0.5 * (1.0 + np.tanh(-0.5 * np.matmul(signed, xs)))
+    want = (2.0 * xs - np.matmul(signed.transpose(0, 2, 1), sig)) / suite._counts
+    assert np.array_equal(suite.grad_stack_batch(xs), want)
+    if c == 1:
+        assert np.array_equal(suite.grad_stack(xs[:, :, 0]), want[:, :, 0])
+
+
 def test_empty_shard_rejected():
     ds = LogRegDataset(features=(np.zeros((0, 2)), np.ones((1, 2))),
                        labels=(np.zeros(0), np.array([1.0])), d=2)

@@ -973,3 +973,110 @@ def test_a_stack_of_mixed_n_g_matches_its_one_cell_runs(kind, n, one_strategy, c
         assert np.all(np.abs(sweep.outcome(j).as_array() - last)
                       <= STACK_RTOL * np.max(np.abs(want.error_matrix()), axis=0) + floor)
     assert isinstance(got, DivergenceError)
+
+
+def _one_power_strategy(pattern, w, n_c, eye):
+    """A named method, or a custom strategy whose W slots hold w itself (and
+    the identity elsewhere), so that it mixes through w's power at n_c as
+    the named methods do."""
+    if pattern.startswith("GTA"):
+        return gt.strategy_for(pattern, w, n_c)
+    return gt.strategy_for("custom", w, n_c,
+                           custom=tuple(w if slot == "W" else eye for slot in pattern))
+
+
+# (method or slot pattern over W and I, n_g, step 2^-t / (n_g L), budget): the
+# custom patterns hold (I, W), (W, I) and (I, I) slot pairs
+_POWER_CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3", "IWWI", "WIIW", "IIWW",
+                                            "WWII"]),
+                          hst.sampled_from([1, 2, 5]), hst.integers(0, 3),
+                          hst.sampled_from([0, 3, 10, 40]))
+
+
+def _power_strategies(suite, w, n_c, patterns):
+    eye = gt.topology.communication_matrices([np.eye(suite.n)], w.graph)[0]
+    strategies = {}
+    for pattern in patterns:
+        if pattern not in strategies:
+            strategies[pattern] = _one_power_strategy(pattern, w, n_c, eye)
+    return strategies
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=hst.sampled_from(["quadratic", "logistic"]), n_c=hst.sampled_from([1, 2]),
+       cells=hst.lists(_POWER_CELLS, min_size=1, max_size=6))
+def test_a_one_power_stack_matches_its_one_cell_runs(kind, n_c, cells):
+    # the named methods and custom strategies over W and I at one n_c all
+    # mix through W^n_c: the stack's columns form runs of one slot pattern,
+    # in any order, and each update is one apply of W^n_c to one operand.
+    # A quadratic's columns may differ in n_g; a logistic stack takes the
+    # first cell's n_g for all.  A last column at a step size that diverges
+    # leaves early, so the runs are rebuilt at least once
+    suite, w, _ = _stack_suite(kind)
+    strategies = _power_strategies(suite, w, n_c, [cell[0] for cell in cells])
+    cfgs = []
+    for pattern, n_g, t, budget in cells:
+        n_g = n_g if kind == "quadratic" else cells[0][1]
+        cfgs.append(GtaConfig(strategy=strategies[pattern], alpha=2.0 ** -t / (n_g * suite.L),
+                              n_g=n_g, max_outer_iters=budget))
+    # 256 / L diverges on both suites within 9 outer iterations
+    cfgs.append(GtaConfig(strategy=gt.strategy_for("GTA3", w, n_c), alpha=256.0 / suite.L,
+                          n_g=cfgs[0].n_g, max_outer_iters=200))
+    assert gt.tracking._stack(cfgs).mix_x.func is gt.tracking._pair
+    x0 = np.zeros(suite.n * suite.d)
+    sweep = gt.tracking.RunStack(suite, cfgs, x0, trace=False)
+    for j, (cfg, got) in enumerate(zip(cfgs, _stacked(suite, cfgs, x0), strict=True)):
+        try:
+            want = run(suite, cfg, x0)
+        except DivergenceError as exc:
+            assert isinstance(got, DivergenceError) and got.k == exc.k
+            assert isinstance(sweep.outcome(j), DivergenceError) and sweep.outcome(j).k == exc.k
+            continue
+        assert isinstance(got, RunTrace) and np.array_equal(got.k, want.k)
+        # where a column's consensus error is rounding noise (an (I, I)
+        # pair keeps nothing apart), compare at 1e-15 of its largest error
+        floor = 1e-15 * np.max(want.error_matrix())
+        for col, ref in zip(got.error_matrix().T, want.error_matrix().T):
+            assert np.max(np.abs(col - ref)) <= STACK_RTOL * np.max(np.abs(ref)) + floor
+        last = want.error_matrix()[-1]
+        assert np.all(np.abs(sweep.outcome(j).as_array() - last)
+                      <= STACK_RTOL * np.max(np.abs(want.error_matrix()), axis=0) + floor)
+    assert isinstance(got, DivergenceError)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=hst.sampled_from(["quadratic", "logistic"]), n_c=hst.sampled_from([1, 2]),
+       patterns=hst.lists(hst.sampled_from(["GTA1", "GTA2", "GTA3", "IWWI", "WIIW"]),
+                          min_size=2, max_size=4, unique=True),
+       n_gs=hst.lists(hst.sampled_from([1, 2, 5]), min_size=1, max_size=2, unique=True))
+def test_a_merged_sweep_tunes_each_cell_as_its_own_sweep(kind, n_c, patterns, n_gs):
+    # a grid's strategies that share one power tune in one tune_step_size
+    # call: one sweep stack for all of their cells on a quadratic, one per
+    # n_g on a logistic suite.  Each cell gets the step size, or the
+    # TuningError, of its strategy's own sweep
+    suite, w, _ = _stack_suite(kind)
+    strategies = _power_strategies(suite, w, n_c, patterns)
+    cells = [(strategies[p], n_g) for p in patterns for n_g in n_gs]
+    stacks = []
+    real = gt.harness.RunStack
+
+    def keep(suite, cfgs, x0, trace=True):
+        stacks.append({(c.strategy.name, c.n_g) for c in cfgs})
+        return real(suite, cfgs, x0, trace)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gt.harness, "RunStack", keep)
+        merged = gt.harness.tune_step_size(suite, [st for st, _ in cells],
+                                           [n_g for _, n_g in cells], 15, (0, 10))
+    names = {st.name for st in strategies.values()}
+    assert stacks == ([{(name, n_g) for name in names for n_g in n_gs}] if kind == "quadratic"
+                      else [{(name, n_g) for name in names} for n_g in n_gs])
+    assert len(merged) == len(cells)
+    for (strategy, n_g), got in zip(cells, merged):
+        try:
+            want = gt.harness.tune_step_size(suite, strategy, n_g, 15, (0, 10))
+        except gt.harness.TuningError as exc:
+            assert isinstance(got, gt.harness.TuningError)
+            assert got.diagnostics == exc.diagnostics
+            continue
+        assert got == want
