@@ -3,22 +3,16 @@ CSV/report emission.
 
 Config files are flat "key = value" text (see parse_config for the schema).
 A run sweeps methods over an (n_c, n_g) grid, tunes the step size for each
-cell over {2^-t}, runs the grid's cells as the columns of one stack
-(`tracking.RunStack`, stepped in one pass until every column has left)
-when they can mix as one batched product per slot pair
-(`tracking.batchable`) and step together (`tracking.steps_together`: one
-n_g, or a suite with closed-form local steps), else the cells that share
-n_g as one stack each, and writes one trace CSV per cell plus a
-summary.csv and a manifest.json, all byte-reproducible for a fixed config
-and seed.
+cell over {2^-t}, runs the grid's cells as one `tracking.RunStack`, and
+writes one trace CSV per cell plus a summary.csv and a manifest.json, all
+byte-reproducible for a fixed config and seed.
 
 The 2^-t sweep is a RunStack too: one cell per candidate step size and
 grid cell, that records no trace, only each candidate's final errors or
 the outer iteration at which it diverged.  The strategies that mix
 through one power (`tracking.mixing_power`: GTA1, GTA2 and GTA3 at one
-n_c) tune their cells in one sweep when it is batchable, else one
-strategy at a time; a sweep spans all of its n_g under the same two
-conditions, else it is one stack per n_g.
+n_c) tune their cells in one sweep.  Which cells of a grid or a sweep
+share one state is decided in one place, `tracking._parts`.
 """
 
 from __future__ import annotations
@@ -40,8 +34,7 @@ from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
                        MixingMatrix, build_graph, communication_matrices, metropolis_weights,
                        read_matrix_csv, strategy_for)
-from .tracking import (DivergenceError, GtaConfig, RunStack, RunTrace, batchable, mixing_power,
-                       run, steps_together)
+from .tracking import DivergenceError, GtaConfig, RunStack, RunTrace, mixing_power, run
 
 
 class ConfigError(ValueError):
@@ -326,19 +319,6 @@ def build_strategy(cfg: ExperimentConfig, method: str, w: MixingMatrix, n_c: int
         return strategy_for(method, w, n_c, custom=custom)
 
 
-def _groups(suite: ObjectiveSuite, cfgs: list[GtaConfig]) -> list[list[GtaConfig]]:
-    """The cells as the stacks they run in: all in one when they share n_g,
-    or are `batchable` and step together (`steps_together`); else one stack
-    per n_g, in order of first appearance (so cells laid out n_g by n_g
-    keep their order across the stacks)."""
-    groups: dict[int, list[GtaConfig]] = {}
-    for cfg in cfgs:
-        groups.setdefault(cfg.n_g, []).append(cfg)
-    if len(groups) <= 1 or (batchable(cfgs) and steps_together(suite, cfgs)):
-        return [cfgs]
-    return list(groups.values())
-
-
 def tune_step_size(suite: ObjectiveSuite, strategy: CommunicationStrategy | list,
                    n_g: int | list[int], budget: int,
                    t_range: tuple[int, int] = (0, 20)) -> float | list:
@@ -348,16 +328,14 @@ def tune_step_size(suite: ObjectiveSuite, strategy: CommunicationStrategy | list
     each strategy adjacent (a grid passes the cells of the strategies that
     share one `tracking.mixing_power`: GTA1, GTA2 and GTA3 at one n_c).
 
-    Each candidate runs for `budget` outer iterations as a column of a
-    `RunStack` without trace.  The cells' candidates sweep together when
-    they are `batchable`, else one strategy at a time; each such sweep is
-    one stack for all of its n_g when `_groups` allows, else one per n_g.
-    A cell's winner is its candidate with the smallest final optimization
-    error, ties broken toward the larger step size.  Diverged candidates
-    are excluded; if all of a cell's diverge, its TuningError carries the
-    per-candidate diagnostics.  For one cell the winner is returned and
-    the TuningError raised; for several, a list holds each cell's winner
-    or TuningError.
+    Each candidate runs for `budget` outer iterations as a column of one
+    `RunStack` without trace, whose `tracking._parts` decide which
+    candidates share a state.  A cell's winner is its candidate with the
+    smallest final optimization error, ties broken toward the larger step
+    size.  Diverged candidates are excluded; if all of a cell's diverge,
+    its TuningError carries the per-candidate diagnostics.  For one cell
+    the winner is returned and the TuningError raised; for several, a list
+    holds each cell's winner or TuningError.
     """
     if budget < 1:
         raise ValueError("tuning budget must be >= 1 outer iteration")
@@ -365,18 +343,10 @@ def tune_step_size(suite: ObjectiveSuite, strategy: CommunicationStrategy | list
     ts = range(t_range[0], t_range[1] + 1)
     cfgs = [GtaConfig(strategy=st, alpha=2.0 ** -t, n_g=g, max_outer_iters=budget)
             for st, g in cells for t in ts]                 # descending alpha per cell
-    x0 = np.zeros(suite.n * suite.d)
-    # several strategies sweep together only within the float bound
-    sweeps = [list(sweep) for _, sweep in groupby(cfgs, key=lambda c: c.strategy)]
-    if len(sweeps) <= 1 or batchable(cfgs):
-        sweeps = [cfgs]
-    outcomes = {}
-    for group in (group for sweep in sweeps for group in _groups(suite, sweep)):
-        stack = RunStack(suite, group, x0, trace=False)
-        outcomes.update((id(c), stack.outcome(j)) for j, c in enumerate(group))
+    stack = RunStack(suite, cfgs, np.zeros(suite.n * suite.d), trace=False)
     tuned = []
     for start in range(0, len(cfgs), len(ts)):
-        sweep = [outcomes[id(c)] for c in cfgs[start:start + len(ts)]]
+        sweep = [stack.outcome(j) for j in range(start, start + len(ts))]
         if all(isinstance(o, DivergenceError) for o in sweep):
             tuned.append(TuningError([(t, f"diverged at k={o.k}") for t, o in zip(ts, sweep)]))
             continue
@@ -471,14 +441,10 @@ def _execute_cells(cfg: ExperimentConfig, suite, w):
 
     The (method, n_c) strategies that share one `tracking.mixing_power`
     (a grid's GTA1, GTA2 and GTA3 at one n_c) tune their cells, one per
-    n_g, in one `tune_step_size` call, whose sweep merges them while it is
-    `tracking.batchable` and else sweeps one strategy at a time.  The
-    cells run as the columns of `tracking.RunStack`s, which the first
-    cell's `run` runs whole and the later cells' `run` only read: all of
-    them in one stack when `_groups` allows (the stack's batched products
-    stay within `tracking.BATCH_MAX_FLOATS` floats, and the suite steps
-    distinct n_g together), else one stack per n_g group that is
-    `tracking.batchable`.  Other groups run one cell at a time.
+    n_g, in one `tune_step_size` call.  The cells run as one
+    `tracking.RunStack`, whose parts (`tracking._parts`) each run whole on
+    the first `run` of one of their cells; the later cells' `run` only
+    read.
 
     Failures surface as if the cells ran one by one: the first cell in
     cell order whose strategy or tuning fails is raised, and only the
@@ -522,14 +488,10 @@ def _execute_cells(cfg: ExperimentConfig, suite, w):
             tuned.append((method, n_c, n_g, strategy, alpha))
     runs = [GtaConfig(strategy=strategy, alpha=alpha, n_g=n_g, max_outer_iters=cfg.budget,
                       stop_tol=cfg.stop_tol) for _, _, n_g, strategy, alpha in tuned]
-    stacks = {}
-    for group in (_groups(suite, runs) if runs else []):
-        if batchable(group):
-            stack = RunStack(suite, group, x0)
-            stacks.update((id(cell), stack) for cell in group)
+    stack = RunStack(suite, runs, x0) if runs else None
     for (method, n_c, n_g, strategy, alpha), cell in zip(tuned, runs):
         try:
-            trace = run(suite, cell, x0, stacks.get(id(cell)))
+            trace = run(suite, cell, x0, stack)
         except DivergenceError as exc:
             raise _in_cell(exc, method, n_c, n_g)
         p, beta, route, rho, lam_u, bound, admissible = _theory_columns(

@@ -239,16 +239,19 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     Samples are split into n_nodes contiguous shards of near-equal size (the
     remainder goes to the first shards).  Labels in {0,1} (or any two
     distinct values) are mapped to {-1,+1}.  normalize rescales each feature
-    to [0, 1] over the whole dataset.  A line that does not parse, or that
-    repeats a feature index, is a DataFormatError naming its line.
+    to [0, 1] over the whole dataset.  A line that does not parse, repeats
+    a feature index, or holds a label or value that is not finite (float()
+    reads "nan" and "inf") is a DataFormatError naming its line.
     """
     if n_nodes < 1:
         raise DataFormatError(f"n_nodes must be >= 1, got {n_nodes}")
     labels: list[float] = []
     # per feature entry: its 1-based index and value; per sample: its count
+    # and line
     idx: list[int] = []
     val: list[float] = []
     counts: list[int] = []
+    lines: list[int] = []
     d = 0
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
@@ -273,6 +276,7 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
                 d = max(d, max(line_idx))
             idx += line_idx
             counts.append(len(line_idx))
+            lines.append(ln)
     # an index beyond the platform's integers is an OverflowError, as numpy
     # raises it
     cols = np.array(idx, dtype=np.intp) - 1
@@ -284,7 +288,12 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
 
     a = np.zeros((m, d))
     a[np.repeat(np.arange(m), counts), cols] = val
-    y = _map_labels(np.asarray(labels))
+    raw = np.asarray(labels)
+    finite = np.isfinite(raw) & np.isfinite(a).all(axis=1)
+    if not finite.all():
+        raise DataFormatError(f"{path}: malformed line {lines[int(np.argmin(finite))]}: "
+                              "a label or value is not finite")
+    y = _map_labels(raw)
 
     if normalize:
         lo = a.min(axis=0)

@@ -22,18 +22,17 @@ W^nc) runs x' = W^nc (x - alpha y) and y' = W^nc (y + grad(x') - grad(x)),
 two mixing applies per outer iteration.
 
 The state is an (n, d, c) stack, and everything goes through one kernel
-and one loop: a `RunStack` steps one column per cell (`GtaConfig`), each
-with its own strategy, step size, n_g, budget and stop_tol, in one pass
-that runs every column until it has left.  Columns of distinct n_g stack
-only on a suite with a closed form: there a column at n_g = 1 takes the
-closed form's zero move (m = 0), which keeps its x and y bit for bit,
-while a suite stepped one `inner_step` at a time needs one step count for
-the whole stack.  A grid stacks its cells' runs; a step-size sweep is a
-stack of one cell per candidate step size and tuned cell (the cells of
-the strategies that share one mixing power, over their n_g), that yields
-only each column's final errors.  `run` returns one cell's trace: from a
-one-cell RunStack, or as its column of a stack, whose first request runs
-the whole stack.
+and one loop: a `RunStack` takes cells (`GtaConfig`), each with its own
+strategy, step size, n_g, budget and stop_tol, and steps the cells of each
+of its parts (`_parts`, the one rule of which cells share a state) as the
+columns of one state, in one pass that runs every column until it has
+left.  A column at n_g = 1 in a part of distinct n_g takes the closed
+form's zero move (m = 0), which keeps its x and y bit for bit.  A grid
+runs its cells as one RunStack; a step-size sweep is a RunStack of one
+cell per candidate step size and tuned cell that yields only each
+column's final errors.  `run` returns one cell's trace: from a one-cell
+RunStack, or as its column of a stack, whose first request for any cell
+of a part runs that part.
 
 `_stack` picks one of two mixing paths for a set of live columns.  When
 their strategies share one `mixing_power` (one strategy object: a sweep
@@ -51,8 +50,7 @@ identity part.  Columns of other distinct strategies (a grid's cells at
 several n_c) mix as one batched product per slot pair: column j's
 Z_a u + Z_b v is [Z_a | Z_b] [u; v], so one matmul of the (c, n, 2n)
 stack of those blocks with the (c, 2n, d) stack [u; v] mixes every
-column.  A stack of distinct strategies must be `batchable`: at most
-BATCH_MAX_FLOATS floats per pair's blocks.
+column.
 
 A column leaves the stack at the first row that meets the divergence
 rule, reaches its budget, or has an optimization error at or below its
@@ -82,20 +80,18 @@ DIVERGENCE_LIMIT = 1e12
 
 # A stack of distinct cells mixes as one batched product per slot pair
 # (`_product`), whose left operand, c stacked [Z_a | Z_b], holds c*n*2n
-# floats; a grid stacks cells, and merges the sweeps of its strategies that
-# share one mixing power and of their n_g into one stack, only up to this
-# many.  The product does twice a one-cell apply's work per column, so it
-# pays only while the per-call overhead it saves dominates: the smallest
-# stack measured to lose to one-cell runs held 110592 floats (README
-# "Stacked runs").  A merged sweep mixes through its one power, not the
-# product, yet its wide stack also loses past the bound (README "Stacked
-# runs").  The bound also keeps out the matrices applied as gather rounds:
-# two cells fit only while n <= 128, and a table needs n >= m * ROUND_COST
-# for a densest row of m nonzeros, where a Metropolis matrix (positive
-# diagonal, a connected graph with n >= 3) has m >= 3.  Only a custom
-# matrix whose rows hold at most 2 nonzeros (a matching's) can gather at
-# n = 128; in a batched product it mixes through its dense power, the same
-# matrix with other rounding.
+# floats; `_parts` merges distinct strategies into one state only up to
+# this many.  The product does twice a one-cell apply's work per column, so
+# it pays only while the per-call overhead it saves dominates: the smallest
+# stack measured to lose to one-cell runs held 110592 floats, and a merged
+# sweep, which mixes through its one power, also loses past the bound
+# (README "Stacked runs").  The bound also keeps out the matrices applied as
+# gather rounds: two cells fit only while n <= 128, and a table needs
+# n >= m * ROUND_COST for a densest row of m nonzeros, where a Metropolis
+# matrix (positive diagonal, a connected graph with n >= 3) has m >= 3.
+# Only a custom matrix whose rows hold at most 2 nonzeros (a matching's)
+# can gather at n = 128; in a batched product it mixes through its dense
+# power, the same matrix with other rounding.
 BATCH_MAX_FLOATS = 1 << 16
 
 
@@ -147,9 +143,8 @@ class GtaConfig:
 
 def batchable(cfgs: list[GtaConfig]) -> bool:
     """Whether the cells can mix as one batched product per slot pair: each
-    pair's (c, n, 2n) left operand holds at most BATCH_MAX_FLOATS floats.  A
-    grid stacks cells, and merges the sweeps of its strategies that share
-    one mixing power and of their n_g, only when it holds."""
+    pair's (c, n, 2n) left operand holds at most BATCH_MAX_FLOATS floats
+    (one half of `_parts`'s rule)."""
     n = cfgs[0].strategy.n
     return len(cfgs) * 2 * n * n <= BATCH_MAX_FLOATS
 
@@ -163,6 +158,33 @@ def steps_together(suite: ObjectiveSuite, cfgs: list[GtaConfig]) -> bool:
     n_g = cfgs[0].n_g
     return (all(cfg.n_g == n_g for cfg in cfgs)
             or suite.local_steps(cfgs[0].alpha, 1) is not None)
+
+
+def _parts(suite: ObjectiveSuite, cfgs: list[GtaConfig]) -> list[list[GtaConfig]]:
+    """The cells of a `RunStack` as the parts that share one (n, d, c)
+    state, in order; the one rule of which cells stack.
+
+    A set of cells is one part when suite steps them together
+    (`steps_together`) and they are either `batchable` or hold one
+    strategy object at one n_g.  Otherwise the set splits, each piece
+    keeping its cells' order and the pieces in order of their key's first
+    appearance: by n_g when suite cannot step the cells together or they
+    hold one strategy, else by strategy; each piece is split again by the
+    same rule.  So a quadratic grid or sweep within the float bound is one
+    part, and past it one part per strategy over its n_g while that fits,
+    else per (strategy, n_g); a logistic set of several n_g is one part per
+    n_g while that fits, else per (n_g, strategy).
+    """
+    together = steps_together(suite, cfgs)
+    one_strategy = all(cfg.strategy is cfgs[0].strategy for cfg in cfgs)
+    one_n_g = all(cfg.n_g == cfgs[0].n_g for cfg in cfgs)
+    if together and (batchable(cfgs) or (one_strategy and one_n_g)):
+        return [cfgs]
+    by_n_g = not together or one_strategy
+    pieces: dict = {}
+    for cfg in cfgs:
+        pieces.setdefault(cfg.n_g if by_n_g else id(cfg.strategy), []).append(cfg)
+    return [part for piece in pieces.values() for part in _parts(suite, piece)]
 
 
 def mixing_power(strategy: CommunicationStrategy):
@@ -196,10 +218,9 @@ def _stack(cfgs: list[GtaConfig]) -> _Stack:
     A lone cfg keeps its scalar step size, so a single run steps as it
     always has; columns whose strategies share one `mixing_power` (one
     strategy object: a run, a sweep; or GTA1, GTA2 and GTA3 at one n_c)
-    mix through it, the whole stack at once; other distinct strategies,
-    which must be `batchable`, mix as one batched product per slot pair.
-    Columns of distinct n_g (on a suite with a closed form) get one m per
-    column."""
+    mix through it, the whole stack at once; other distinct strategies (of
+    one `_parts` part) mix as one batched product per slot pair.  Columns
+    of distinct n_g (on a suite with a closed form) get one m per column."""
     alpha = cfgs[0].alpha if len(cfgs) == 1 else np.array([cfg.alpha for cfg in cfgs])
     n_g = cfgs[0].n_g
     if any(cfg.n_g != n_g for cfg in cfgs):
@@ -528,26 +549,24 @@ class RunTrace:
 
 
 class RunStack:
-    """Cells run as the columns of one (n, d, c) state, each from x0 (n*d
-    entries) with its own strategy, scalar step size, n_g, budget and
-    stop_tol.  A stack needs at least one cell; cells that do not all hold
-    one strategy object must be `batchable` (whether they mix through one
-    power or as batched products), and cells of distinct n_g need
-    a suite whose local steps have a closed form (`steps_together`).
-    ValueError otherwise.
+    """Cells run from x0 (n*d entries), each with its own strategy, scalar
+    step size, n_g, budget and stop_tol, as the columns of one (n, d, c)
+    state per part: `_parts` splits the cells into the parts that share a
+    state.  A stack needs at least one cell.
 
-    The first `outcome` request runs the whole stack in one pass, and later
-    requests only read the outcomes.  A column leaves at the first row
-    (k >= 1) that meets the divergence rule, or else at the first row at its
-    budget or with opt_err <= its stop_tol, as a one-cell run ends; the
-    other columns go on.  With trace (a grid's runs) every column's error
-    row is recorded at every outer iteration, and a column's outcome is its
-    RunTrace.  Without it (a step-size sweep) the outcome is the column's
-    last error row: while no column has a stop_tol, the rule is evaluated
-    only where `surely_bounded` cannot clear every column, and the last
-    rows are taken at the budget on the columns still live.  Either way a
-    column that met the divergence rule has its DivergenceError as its
-    outcome.  Deterministic for fixed inputs.
+    A request for a cell's `outcome` runs the part that holds it in one
+    pass, on the first request for any of its cells, and later requests
+    only read the outcomes; a part no cell was asked for never runs.  A
+    column leaves at the first row (k >= 1) that meets the divergence rule,
+    or else at the first row at its budget or with opt_err <= its stop_tol,
+    as a one-cell run ends; the other columns go on.  With trace (a grid's
+    runs) every column's error row is recorded at every outer iteration,
+    and a column's outcome is its RunTrace.  Without it (a step-size sweep)
+    the outcome is the column's last error row: while no column has a
+    stop_tol, the rule is evaluated only where `surely_bounded` cannot clear
+    every column, and the last rows are taken at the budget on the columns
+    still live.  Either way a column that met the divergence rule has its
+    DivergenceError as its outcome.  Deterministic for fixed inputs.
     """
 
     def __init__(self, suite: ObjectiveSuite, cfgs: list[GtaConfig], x0: np.ndarray,
@@ -557,23 +576,20 @@ class RunStack:
         for cfg in cfgs:
             if cfg.strategy.n != suite.n:
                 raise ValueError(f"strategy has n={cfg.strategy.n} but suite has n={suite.n}")
-        if any(cfg.strategy is not cfgs[0].strategy for cfg in cfgs) and not batchable(cfgs):
-            raise ValueError("cells with distinct strategies stack only when they are batchable: "
-                             f"at most {BATCH_MAX_FLOATS} floats in each slot pair's blocks")
-        if not steps_together(suite, cfgs):
-            raise ValueError("the cells of a stack share one n_g on a suite without closed-form "
-                             f"local steps, got {[c.n_g for c in cfgs]}")
         x0 = np.asarray(x0, dtype=float)
         if x0.size != suite.n * suite.d:
             raise ValueError(f"x0 has {x0.size} entries, expected n*d = {suite.n * suite.d}")
         self.suite, self.cfgs, self.x0, self.trace = suite, list(cfgs), x0.ravel(), trace
-        self._outcomes: list | None = None
+        # per cell (by identity): the part that holds it, and its outcome once run
+        self._part = {id(cfg): part for part in _parts(suite, self.cfgs) for cfg in part}
+        self._outcomes: dict = {}
 
-    def _run(self) -> list:
-        """Step every column from x0 until it has left; returns each cell's
-        outcome.  The live columns form a segment, with its kernel parameters,
-        smallest budget and largest stop_tol; a column leaving starts a new one."""
-        suite, cfgs, trace = self.suite, self.cfgs, self.trace
+    def _run(self, cfgs: list[GtaConfig]) -> list:
+        """Step every column of one part from x0 until it has left; returns
+        each cell's outcome.  The live columns form a segment, with its kernel
+        parameters, smallest budget and largest stop_tol; a column leaving
+        starts a new one."""
+        suite, trace = self.suite, self.trace
         n, d, c = suite.n, suite.d, len(cfgs)
         t0 = time.perf_counter()
         state = initialize(suite, self.x0 if c == 1 else
@@ -586,7 +602,7 @@ class RunStack:
         # trace, its last ErrorVector without
         ends: list = [None] * c
         # per cell with trace: its column of each segment's (rows, 3) errors
-        parts = [[] for _ in cfgs]
+        segments = [[] for _ in cfgs]
         live = list(range(c))
         # whether a segment takes a row before it steps: at k = 0, and without
         # trace once columns diverged, when the columns that end at that row
@@ -636,15 +652,15 @@ class RunStack:
                     errors = np.array([(e.opt_err, e.x_consensus, e.y_consensus) for e in rows])
                     errors = errors.reshape(len(rows), 3, -1)
                     for p, j in enumerate(live):
-                        parts[j].append(errors[:, :, p])
+                        segments[j].append(errors[:, :, p])
                 live = [j for j in live if ends[j] is None]
                 if live:
                     state.keep(np.array(keep))
         outcomes = []
-        for cfg, end, part in zip(cfgs, ends, parts):
+        for cfg, end, rows in zip(cfgs, ends, segments):
             if isinstance(end, float):
-                opt_err, x_consensus, y_consensus = (part[0] if len(part) == 1
-                                                     else np.concatenate(part)).T
+                opt_err, x_consensus, y_consensus = (rows[0] if len(rows) == 1
+                                                     else np.concatenate(rows)).T
                 end = RunTrace(k=np.arange(len(opt_err)), opt_err=opt_err,
                                x_consensus_err=x_consensus, y_consensus_err=y_consensus,
                                n_c=cfg.strategy.n_c, n_g=cfg.n_g, n=n,
@@ -654,11 +670,13 @@ class RunStack:
         return outcomes
 
     def outcome(self, j: int) -> RunTrace | ErrorVector | DivergenceError:
-        """Cell j's outcome (see the class docstring); the first request runs
-        the whole stack."""
-        if self._outcomes is None:
-            self._outcomes = self._run()
-        return self._outcomes[j]
+        """Cell j's outcome (see the class docstring); the first request for
+        a cell of a part runs that part."""
+        cfg = self.cfgs[j]
+        if id(cfg) not in self._outcomes:
+            part = self._part[id(cfg)]
+            self._outcomes.update(zip(map(id, part), self._run(part)))
+        return self._outcomes[id(cfg)]
 
 
 def run(suite: ObjectiveSuite, cfg: GtaConfig, x0: np.ndarray,
@@ -666,7 +684,7 @@ def run(suite: ObjectiveSuite, cfg: GtaConfig, x0: np.ndarray,
     """Execute outer iterations of cell cfg from x0 (n*d entries) until its
     budget or stop_tol is reached: as a one-cell `RunStack`, or as its
     column of `stack`, a RunStack of suite's cells from x0 that holds this
-    cfg object; the first request for any of its cells runs it whole.
+    cfg object; the first request for any cell of a part runs that part.
 
     Deterministic for fixed inputs.  Raises DivergenceError when the errors
     meet the divergence rule (`diverged`).

@@ -405,7 +405,7 @@ def test_the_first_failing_cell_in_cell_order_is_reported(plan, raised, cell, tm
                 else 1.0 if action == "diverge" else 2.0 ** -10 for action in actions]
 
     monkeypatch.setattr(harness, "tune_step_size", tune)
-    stacks = _grid_stacks(monkeypatch)
+    parts = _grid_parts(monkeypatch)
     cfg = parse_config(_write_cfg(tmp_path, _PRECEDENCE_CFG.format(out=tmp_path / "out")))
     with pytest.raises(raised, match=rf"^cell \({cell[0]}, n_c=1, n_g={cell[1]}\): "):
         harness.execute_grid(cfg)
@@ -415,7 +415,7 @@ def test_the_first_failing_cell_in_cell_order_is_reported(plan, raised, cell, tm
     order = [("GTA1", 1), ("GTA1", 5), ("GTA2", 1), ("GTA2", 5)]
     stop = next((i for i, c in enumerate(order) if plan.get(c) == "tune"), len(order))
     assert tuned == [tuple(order)]
-    assert stacks == [[(method, 1, n_g) for method, n_g in order[:stop]]]
+    assert parts == [[(method, 1, n_g) for method, n_g in order[:stop]]]
 
 
 @pytest.mark.parametrize("failing,tuned_n_c,ran", [
@@ -434,28 +434,29 @@ def test_tuning_stops_at_the_first_power_group_after_the_failing_cell(
                 else 2.0 ** -10 for st in strategies]
 
     monkeypatch.setattr(harness, "tune_step_size", tune)
-    stacks = _grid_stacks(monkeypatch)
+    parts = _grid_parts(monkeypatch)
     text = _PRECEDENCE_CFG.format(out=tmp_path / "out").replace("ng_grid = 1,5",
                                                                 "nc_grid = 1,2")
     with pytest.raises(TuningError, match=rf"^cell \({failing}, n_c=1, n_g=1\): "):
         harness.execute_grid(parse_config(_write_cfg(tmp_path, text)))
     assert tuned == tuned_n_c
-    assert stacks == ran
+    assert parts == ran
 
 
-def _grid_stacks(monkeypatch):
-    """The cells of every RunStack the grid builds with trace (its n_g
-    stacks, not its sweeps), as (method, n_c, n_g), one list per stack."""
-    stacks = []
-    real = harness.RunStack
+def _grid_parts(monkeypatch):
+    """The cells of every part the grid's run stack runs (with trace, not
+    its sweeps), as (method, n_c, n_g), one list per part, in the order the
+    parts ran."""
+    parts = []
+    real = gt.tracking.RunStack._run
 
-    def counting(suite, cfgs, x0, trace=True):
-        if trace:
-            stacks.append([(c.strategy.name, c.strategy.n_c, c.n_g) for c in cfgs])
-        return real(suite, cfgs, x0, trace)
+    def counting(self, cfgs):
+        if self.trace:
+            parts.append([(c.strategy.name, c.strategy.n_c, c.n_g) for c in cfgs])
+        return real(self, cfgs)
 
-    monkeypatch.setattr(harness, "RunStack", counting)
-    return stacks
+    monkeypatch.setattr(gt.tracking.RunStack, "_run", counting)
+    return parts
 
 
 def _assert_traces_agree(records, alone):
@@ -471,22 +472,62 @@ def test_the_grid_stacks_groups_within_the_float_bound_and_runs_others_alone(tmp
                                                                               monkeypatch):
     text = _PRECEDENCE_CFG.format(out=tmp_path / "out").replace("tune_budget = 5", "tune_budget = 50")
     cfg = parse_config(_write_cfg(tmp_path, text))
-    stacks = _grid_stacks(monkeypatch)
+    parts = _grid_parts(monkeypatch)
     stacked = harness.execute_grid(cfg)
     # four cells of n = 4: 4 * 4 * 8 = 128 floats per slot pair's blocks,
     # and a quadratic steps distinct n_g together
-    assert stacks == [[("GTA1", 1, 1), ("GTA1", 1, 5), ("GTA2", 1, 1), ("GTA2", 1, 5)]]
-    # below that, the grid falls back to one stack per n_g (2 * 4 * 8 floats)
-    stacks.clear()
+    assert parts == [[("GTA1", 1, 1), ("GTA1", 1, 5), ("GTA2", 1, 1), ("GTA2", 1, 5)]]
+    # below that, the grid falls back to one part per strategy over its n_g
+    # (2 * 4 * 8 floats)
+    parts.clear()
     monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 127)
-    by_n_g = harness.execute_grid(cfg)
-    assert stacks == [[("GTA1", 1, 1), ("GTA2", 1, 1)], [("GTA1", 1, 5), ("GTA2", 1, 5)]]
-    stacks.clear()
+    by_strategy = harness.execute_grid(cfg)
+    assert parts == [[("GTA1", 1, 1), ("GTA1", 1, 5)], [("GTA2", 1, 1), ("GTA2", 1, 5)]]
+    # and below that each cell runs alone
+    parts.clear()
     monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 63)
     alone = harness.execute_grid(cfg)
-    assert stacks == []
+    assert parts == [[("GTA1", 1, 1)], [("GTA1", 1, 5)], [("GTA2", 1, 1)], [("GTA2", 1, 5)]]
     _assert_traces_agree(stacked.records, alone.records)
-    _assert_traces_agree(by_n_g.records, alone.records)
+    _assert_traces_agree(by_strategy.records, alone.records)
+
+
+def test_a_grid_past_the_float_bound_runs_each_part_on_its_first_cells_run(tmp_path,
+                                                                           monkeypatch):
+    # the grid's one RunStack runs a part only when the first of its cells
+    # is run, so a cell that diverges stops the grid before later parts run
+    text = _PRECEDENCE_CFG.format(out=tmp_path / "out").replace("tune_budget = 5", "tune_budget = 50")
+    cfg = parse_config(_write_cfg(tmp_path, text))
+    events = []
+    real_run, real_part = harness.run, gt.tracking.RunStack._run
+
+    def running(suite, cell, x0, stack):
+        events.append(("run", cell.strategy.name, cell.n_g))
+        return real_run(suite, cell, x0, stack)
+
+    def part(self, cfgs):
+        events.append(("part", [(c.strategy.name, c.n_g) for c in cfgs]))
+        return real_part(self, cfgs)
+
+    monkeypatch.setattr(harness, "run", running)
+    monkeypatch.setattr(gt.tracking.RunStack, "_run", part)
+    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 127)
+    harness.execute_grid(cfg)
+    # the sweeps' parts run first, in tune_step_size; then GTA1's cells
+    # share one part, and so do GTA2's (2 * 4 * 8 floats each)
+    runs = events[[e[0] for e in events].index("run"):]
+    assert runs == [("run", "GTA1", 1), ("part", [("GTA1", 1), ("GTA1", 5)]), ("run", "GTA1", 5),
+                    ("run", "GTA2", 1), ("part", [("GTA2", 1), ("GTA2", 5)]), ("run", "GTA2", 5)]
+    # past the bound for two cells, each cell is a part of its own; (GTA1, 5)
+    # diverges, so GTA2's parts never run
+    monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 63)
+    monkeypatch.setattr(harness, "tune_step_size", lambda suite, strategies, n_gs, budget, t_range: [
+        1.0 if (st.name, g) == ("GTA1", 5) else 2.0 ** -10 for st, g in zip(strategies, n_gs)])
+    events.clear()
+    with pytest.raises(gt.DivergenceError, match=r"^cell \(GTA1, n_c=1, n_g=5\): "):
+        harness.execute_grid(cfg)
+    assert events == [("run", "GTA1", 1), ("part", [("GTA1", 1)]),
+                      ("run", "GTA1", 5), ("part", [("GTA1", 5)])]
 
 
 def test_a_grid_whose_merged_sweep_is_not_batchable_sweeps_one_strategy_at_a_time(
@@ -499,19 +540,19 @@ def test_a_grid_whose_merged_sweep_is_not_batchable_sweeps_one_strategy_at_a_tim
     text = _PRECEDENCE_CFG.format(out=tmp_path / "out").replace("tune_budget = 5", "tune_budget = 50")
     cfg = parse_config(_write_cfg(tmp_path, text))
     calls, sweeps = [], []
-    real_tune, real_stack = harness.tune_step_size, harness.RunStack
+    real_tune, real_part = harness.tune_step_size, gt.tracking.RunStack._run
 
     def tune(suite, strategies, n_gs, budget, t_range):
         calls.append(len(n_gs))
         return real_tune(suite, strategies, n_gs, budget, t_range)
 
-    def stack(suite, cfgs, x0, trace=True):
-        if not trace:
+    def part(self, cfgs):
+        if not self.trace:
             sweeps.append(sorted({(c.strategy.name, c.n_g) for c in cfgs}))
-        return real_stack(suite, cfgs, x0, trace)
+        return real_part(self, cfgs)
 
     monkeypatch.setattr(harness, "tune_step_size", tune)
-    monkeypatch.setattr(harness, "RunStack", stack)
+    monkeypatch.setattr(gt.tracking.RunStack, "_run", part)
     alphas = []
     for bound, want in [
             (84 * 32, [[("GTA1", 1), ("GTA1", 5), ("GTA2", 1), ("GTA2", 5)]]),
@@ -534,13 +575,13 @@ def test_a_logistic_grid_stacks_its_cells_per_n_g(tmp_path, monkeypatch):
             "methods = GTA1,GTA3\nng_grid = 1,3\nbudget = 30\ntune_budget = 10\n"
             "tune_tmin = 0\ntune_tmax = 4\noutdir = {out}\n")
     widths = []
-    real = harness.RunStack
+    real = gt.tracking.RunStack._run
 
-    def counting(suite, cfgs, x0, trace=True):
-        widths.append((trace, sorted({c.n_g for c in cfgs})))
-        return real(suite, cfgs, x0, trace)
+    def counting(self, cfgs):
+        widths.append((self.trace, sorted({c.n_g for c in cfgs})))
+        return real(self, cfgs)
 
-    monkeypatch.setattr(harness, "RunStack", counting)
+    monkeypatch.setattr(gt.tracking.RunStack, "_run", counting)
     harness.execute_grid(parse_config(_write_cfg(tmp_path, text.format(out=tmp_path / "o"))))
     assert widths == [(False, [1]), (False, [3]), (True, [1]), (True, [3])]
 
@@ -565,17 +606,18 @@ def test_a_grid_on_a_gather_round_matrix_runs_its_cells_alone(tmp_path, monkeypa
     text = ("problem = quadratic\nn = 256\nd = 2\nkappa_target = 10\ngraph = cycle\n"
             "methods = GTA1,GTA3\nnc_grid = 1,5\nbudget = 20\ntune_budget = 5\n"
             "tune_tmin = 2\ntune_tmax = 8\noutdir = {out}\n")
-    stacks = _grid_stacks(monkeypatch)
+    parts = _grid_parts(monkeypatch)
     alone = harness.execute_grid(parse_config(_write_cfg(
         tmp_path, text.format(out=tmp_path / "a"), "a.cfg")))
     assert 256 * 512 > gt.tracking.BATCH_MAX_FLOATS
-    assert stacks == []
+    assert parts == [[("GTA1", 1, 1)], [("GTA1", 5, 1)], [("GTA3", 1, 1)], [("GTA3", 5, 1)]]
+    parts.clear()
     # with the bound raised to the group's four cells, the gather-round
     # slots mix through their dense power in the batched product
     monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 4 * 256 * 512)
     stacked = harness.execute_grid(parse_config(_write_cfg(
         tmp_path, text.format(out=tmp_path / "b"), "b.cfg")))
-    assert stacks == [[("GTA1", 1, 1), ("GTA1", 5, 1), ("GTA3", 1, 1), ("GTA3", 5, 1)]]
+    assert parts == [[("GTA1", 1, 1), ("GTA1", 5, 1), ("GTA3", 1, 1), ("GTA3", 5, 1)]]
     _assert_traces_agree(stacked.records, alone.records)
 
 
@@ -1067,6 +1109,24 @@ def test_cli_a_repeated_feature_index_is_a_data_error(tmp_path, capsys):
     assert "line 2: a feature index repeats" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1 1:1\nnan 1:2\n", "1 1:1\n0 1:inf\n"],
+                         ids=["nan-label", "inf-value"])
+def test_cli_a_non_finite_label_or_value_is_a_data_error(text, tmp_path, capsys):
+    data = tmp_path / "non_finite.libsvm"
+    data.write_text(text)
+    cfg_path = _write_cfg(tmp_path, f"""
+        problem = logreg
+        dataset = {data}
+        n = 1
+        graph = complete
+        methods = GTA1
+        budget = 10
+        outdir = {tmp_path / 'nf_out'}
+    """)
+    assert cli.main(["run", str(cfg_path)]) == 3
+    assert f"{data}: malformed line 2: a label or value is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text,line", [("0.5,abc\n0.5,0.5\n", 1), ("0.5,0.5\n\n0.5\n", 3)],
                          ids=["non-number", "short-row"])
 def test_cli_a_malformed_custom_matrix_file_is_a_data_error(text, line, tmp_path, capsys):
@@ -1196,3 +1256,69 @@ def test_cli_argument_errors_are_config_errors(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, MINI_CFG.format(out=tmp_path / "ng_out"))
     assert cli.main(["tune", str(cfg_path), "--method", "GTA3", "--nc", "1", "--ng", "0"]) == 2
     assert capsys.readouterr().err.count("config error") == 3
+
+
+def _stacks_of(cfg):
+    """`tracking._parts` of each power group's sweep candidates (as
+    `_execute_cells` passes them to `tune_step_size`) and of the grid's
+    cells, each part as the (method, n_c, n_g) of its cells in order; every
+    part of a sweep holds all candidates of its cells."""
+    suite, w = harness.build_suite(cfg), harness.build_mixing(cfg)
+    cells = list(cfg.cells())
+    strategies = {(m, c): harness.build_strategy(cfg, m, w, c) for m, c, _ in cells}
+    ts = range(cfg.tune_tmin, cfg.tune_tmax + 1)
+
+    def parts(keys, width):
+        cfgs = [gt.GtaConfig(strategy=strategies[m, c], alpha=2.0 ** -t, n_g=g)
+                for m, c, g in keys for t in range(width)]
+        out = []
+        for part in gt.tracking._parts(suite, cfgs):
+            named = [(c.strategy.name, c.strategy.n_c, c.n_g) for c in part]
+            out.append(list(dict.fromkeys(named)))
+            assert len(named) == width * len(out[-1])
+        return out
+
+    groups = {}
+    for m, c, g in cells:
+        groups.setdefault(gt.tracking.mixing_power(strategies[m, c]), []).append((m, c, g))
+    return [parts(group, len(ts)) for group in groups.values()], parts(cells, 1)
+
+
+_M3 = ("GTA1", "GTA2", "GTA3")
+_FULL_NC, _FULL_NG = (1, 5, 10, 50, 100), (1, 5, 20, 50, 100)
+_FULL_GRID_STACKS = (
+    # per n_c, one sweep part per strategy over its five n_g (3 * 105
+    # candidates do not fit, 105 do); the whole grid in one part
+    [[[(m, c, g) for g in _FULL_NG] for m in _M3] for c in _FULL_NC],
+    [[(m, c, g) for m in _M3 for c in _FULL_NC for g in _FULL_NG]])
+# the stacks of the shipped configs and of the benchmark's grids: a rule
+# change that moves one of them must show here
+_SHIPPED_STACKS = {
+    "configs/quadratic_cyclic.cfg": _FULL_GRID_STACKS,
+    "configs/quadratic_star.cfg": _FULL_GRID_STACKS,
+    # a logistic suite steps one n_g at a time: per n_c, one sweep part per
+    # n_g over the three strategies; the grid in one part per n_g
+    "configs/logreg_synth.cfg": (
+        [[[(m, c, g) for m in _M3] for g in (1, 5)] for c in (1, 5, 10)],
+        [[(m, c, g) for m in _M3 for c in (1, 5, 10)] for g in (1, 5)]),
+    # the quick quadratic grid: per n_c one sweep part (126 candidates),
+    # the grid in one part
+    "problem = quadratic\nn = 16\nd = 10\nkappa_target = 1e4\nseed = 7\ngraph = cycle\n"
+    "nc_grid = 1,5\nng_grid = 1,5\nbudget = 500\ntune_budget = 500\n": (
+        [[[(m, c, g) for m in _M3 for g in (1, 5)]] for c in (1, 5)],
+        [[(m, c, g) for m in _M3 for c in (1, 5) for g in (1, 5)]]),
+    # n = 1024 is past the float bound for two cells: a sweep part per
+    # strategy, and each grid cell alone
+    "problem = quadratic\nn = 1024\nd = 10\nkappa_target = 1e2\nseed = 7\ngraph = torus\n"
+    "methods = GTA1,GTA3\nnc_grid = 1,10\nbudget = 20\ntune_budget = 20\n": (
+        [[[(m, c, 1)] for m in ("GTA1", "GTA3")] for c in (1, 10)],
+        [[(m, c, 1)] for m in ("GTA1", "GTA3") for c in (1, 10)]),
+}
+
+
+@pytest.mark.parametrize("source", list(_SHIPPED_STACKS),
+                         ids=["cyclic", "star", "logreg", "quick", "torus1024"])
+def test_the_shipped_grids_keep_their_stacks(source, tmp_path):
+    path = Path(source) if source.endswith(".cfg") else _write_cfg(tmp_path, source)
+    sweeps, grid = _stacks_of(parse_config(path))
+    assert (sweeps, grid) == _SHIPPED_STACKS[source]

@@ -263,6 +263,16 @@ def test_a_line_that_repeats_a_feature_index_is_malformed(tmp_path):
         load_libsvm(p, 1)
 
 
+@pytest.mark.parametrize("text", ["1 1:1\nnan 1:2\n", "1 1:1\n0 1:2 2:inf\n"],
+                         ids=["nan-label", "inf-value"])
+def test_a_non_finite_label_or_value_is_malformed(text, tmp_path):
+    # a NaN label would be read as a second class, and an inf value would
+    # make L and every gradient NaN
+    p = _write(tmp_path, text)
+    with pytest.raises(DataFormatError, match="line 2: a label or value is not finite"):
+        load_libsvm(p, 1)
+
+
 def test_more_nodes_than_samples_rejected(tmp_path):
     p = _write(tmp_path, "1 1:1\n0 1:2\n")
     with pytest.raises(DataFormatError, match="split over"):

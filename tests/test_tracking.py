@@ -604,6 +604,12 @@ def _stacked(suite, cfgs, x0):
     return out
 
 
+def _part_columns(suite, cfgs):
+    """`tracking._parts` of cfgs as lists of the cells' positions in cfgs."""
+    return [[next(j for j, c in enumerate(cfgs) if c is cfg) for cfg in part]
+            for part in gt.tracking._parts(suite, cfgs)]
+
+
 def _assert_column_agrees(got, want):
     """A stacked column's outcome against `_loop_run`'s."""
     if isinstance(want, int):
@@ -650,8 +656,8 @@ def test_a_stacked_run_matches_its_one_cell_runs(kind, n_g, cells):
     # (method, n_c) share the object); columns leave at different k on their
     # budgets, their stop_tol or a divergence, and the others go on.  On the
     # 256-cycle one cell alone needs 256 * 512 floats per slot pair's
-    # blocks, over the float bound, so distinct strategies do not stack and
-    # their cells run alone
+    # blocks, over the float bound, so distinct strategies do not share a
+    # state: the stack runs one part per strategy
     suite, w, lazy = _stack_suite(kind)
     if kind == "cycle256":
         assert w.table is not None
@@ -668,12 +674,14 @@ def test_a_stacked_run_matches_its_one_cell_runs(kind, n_g, cells):
                               stop_tol=None if rel_tol is None else rel_tol * x_star_norm))
     x0 = np.zeros(suite.n * suite.d)
     if len(strategies) == 1 or batchable(cfgs):
-        stacked = _stacked(suite, cfgs, x0)
+        assert _part_columns(suite, cfgs) == [list(range(len(cfgs)))]
     else:
         assert kind == "cycle256"
-        with pytest.raises(ValueError, match="batchable"):
-            gt.tracking.RunStack(suite, cfgs, x0)
-        stacked = [_stacked(suite, [cfg], x0)[0] for cfg in cfgs]
+        by_strategy = {}
+        for j, cfg in enumerate(cfgs):
+            by_strategy.setdefault(id(cfg.strategy), []).append(j)
+        assert _part_columns(suite, cfgs) == list(by_strategy.values())
+    stacked = _stacked(suite, cfgs, x0)
     assert len(stacked) == len(cfgs)
     for cfg, got in zip(cfgs, stacked):
         want = _loop_run(suite, cfg, x0)
@@ -850,9 +858,10 @@ def test_a_stack_mixes_as_one_product_per_pair_and_a_run_mixes_whole(small_quadr
     assert widths == [("GTA1", 1, True)] * 12
 
 
-def test_a_stack_of_cells_the_product_cannot_take_is_rejected(monkeypatch):
+def test_cells_the_product_cannot_take_run_apart_and_match_their_one_cell_runs(monkeypatch):
     # on a 256-cycle W^1 runs as gather rounds, W^5 as a dense product; two
-    # n = 256 cells need 2 * 256 * 512 floats per slot pair's blocks
+    # n = 256 cells need 2 * 256 * 512 floats per slot pair's blocks, so
+    # they run as two parts, each the one-cell run bit for bit
     suite = gt.generate_quadratic(gt.QuadraticSpec(n=256, d=2, kappa_target=10.0, seed=6))
     w = gt.metropolis_weights(gt.build_graph("cycle", 256))
     assert w.table is not None
@@ -862,16 +871,21 @@ def test_a_stack_of_cells_the_product_cannot_take_is_rejected(monkeypatch):
         return [GtaConfig(strategy=st, alpha=1e-3, max_outer_iters=2) for st in strategies]
 
     gta1, gta3 = gt.strategy_for("GTA1", w, 1), gt.strategy_for("GTA3", w, 5)
-    with pytest.raises(ValueError, match="batchable"):
-        gt.tracking.RunStack(suite, cells(gta1, gta3), x0)
-    # columns of one strategy mix through it, whatever the bound
-    assert len(_stacked(suite, cells(gta1, gta1), x0)) == 2
+    apart = cells(gta1, gta3)
+    assert _part_columns(suite, apart) == [[0], [1]]
+    for got, cfg in zip(_stacked(suite, apart, x0), apart, strict=True):
+        assert np.array_equal(got.error_matrix(), run(suite, cfg, x0).error_matrix())
+    # columns of one strategy share a state, whatever the bound
+    same = cells(gta1, gta1)
+    assert _part_columns(suite, same) == [[0, 1]]
+    for got, cfg in zip(_stacked(suite, same, x0), same, strict=True):
+        _assert_column_agrees(got, _loop_run(suite, cfg, x0))
     monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 2 * 256 * 512 - 1)
-    with pytest.raises(ValueError, match="batchable"):
-        gt.tracking.RunStack(suite, cells(gta1, gta3), x0)
+    assert _part_columns(suite, apart) == [[0], [1]]
     # at the bound they stack, the gather-round slot mixing through its power
     monkeypatch.setattr(gt.tracking, "BATCH_MAX_FLOATS", 2 * 256 * 512)
-    for got, cfg in zip(_stacked(suite, cells(gta1, gta3), x0), cells(gta1, gta3)):
+    assert _part_columns(suite, apart) == [[0, 1]]
+    for got, cfg in zip(_stacked(suite, apart, x0), apart, strict=True):
         _assert_column_agrees(got, _loop_run(suite, cfg, x0))
 
 
@@ -913,15 +927,18 @@ def test_a_stack_needs_a_cell(small_quadratic):
         gt.harness.tune_step_size(s, _strategy("GTA1", s.n), 1, 5, t_range=(5, 3))
 
 
-def test_a_stack_rejects_cells_it_cannot_step_together():
-    # a logistic suite has no closed-form local steps: its stack steps one
-    # inner_step at a time, for every column at once
+def test_cells_a_suite_cannot_step_together_run_apart_and_match_their_one_cell_runs():
+    # a logistic suite has no closed-form local steps: a state steps one
+    # inner_step at a time, for every column at once, so cells of distinct
+    # n_g run as one part per n_g, in order of each n_g's first cell
     suite, w, _ = _stack_suite("logistic")
     strat = gt.strategy_for("GTA1", w, 1)
     x0 = np.zeros(suite.n * suite.d)
-    with pytest.raises(ValueError, match="share one n_g"):
-        gt.tracking.RunStack(suite, [GtaConfig(strategy=strat, alpha=0.1, n_g=g) for g in (1, 2)],
-                             x0)
+    cfgs = [GtaConfig(strategy=strat, alpha=2.0 ** -t / (g * suite.L), n_g=g, max_outer_iters=25)
+            for t, g in ((0, 2), (1, 1), (1, 2), (2, 1))]
+    assert _part_columns(suite, cfgs) == [[0, 2], [1, 3]]
+    for got, cfg in zip(_stacked(suite, cfgs, x0), cfgs, strict=True):
+        _assert_column_agrees(got, _loop_run(suite, cfg, x0))
 
 
 # (method, n_g, step 2^-t / (n_g L), stop_tol as a fraction of ||x*||, budget)
@@ -1051,26 +1068,26 @@ def test_a_one_power_stack_matches_its_one_cell_runs(kind, n_c, cells):
        n_gs=hst.lists(hst.sampled_from([1, 2, 5]), min_size=1, max_size=2, unique=True))
 def test_a_merged_sweep_tunes_each_cell_as_its_own_sweep(kind, n_c, patterns, n_gs):
     # a grid's strategies that share one power tune in one tune_step_size
-    # call: one sweep stack for all of their cells on a quadratic, one per
-    # n_g on a logistic suite.  Each cell gets the step size, or the
+    # call: one part for all of their cells on a quadratic, one per n_g on
+    # a logistic suite.  Each cell gets the step size, or the
     # TuningError, of its strategy's own sweep
     suite, w, _ = _stack_suite(kind)
     strategies = _power_strategies(suite, w, n_c, patterns)
     cells = [(strategies[p], n_g) for p in patterns for n_g in n_gs]
-    stacks = []
-    real = gt.harness.RunStack
+    parts = []
+    real = gt.tracking.RunStack._run
 
-    def keep(suite, cfgs, x0, trace=True):
-        stacks.append({(c.strategy.name, c.n_g) for c in cfgs})
-        return real(suite, cfgs, x0, trace)
+    def keep(self, cfgs):
+        parts.append({(c.strategy.name, c.n_g) for c in cfgs})
+        return real(self, cfgs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gt.harness, "RunStack", keep)
+        mp.setattr(gt.tracking.RunStack, "_run", keep)
         merged = gt.harness.tune_step_size(suite, [st for st, _ in cells],
                                            [n_g for _, n_g in cells], 15, (0, 10))
     names = {st.name for st in strategies.values()}
-    assert stacks == ([{(name, n_g) for name in names for n_g in n_gs}] if kind == "quadratic"
-                      else [{(name, n_g) for name in names} for n_g in n_gs])
+    assert parts == ([{(name, n_g) for name in names for n_g in n_gs}] if kind == "quadratic"
+                     else [{(name, n_g) for name in names} for n_g in n_gs])
     assert len(merged) == len(cells)
     for (strategy, n_g), got in zip(cells, merged):
         try:
