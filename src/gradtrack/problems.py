@@ -27,6 +27,7 @@ class ObjectiveSuite:
         L: largest Lipschitz constant of the local gradients.
         mu: strong-convexity constant of the global average objective.
         x_star: minimizer of the global average objective.
+        closed_form: whether `local_steps` has a closed form.
     """
 
     n: int
@@ -34,6 +35,7 @@ class ObjectiveSuite:
     L: float
     mu: float
     x_star: np.ndarray
+    closed_form: bool = False
 
     def local_value(self, i: int, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -57,10 +59,11 @@ class ObjectiveSuite:
         """m local steps x <- x - alpha*y, y <- y + grad(x') - grad(x) in
         closed form: a function of y, an (n, d, c) stack, that returns x's
         total move x_0 - x_m (alpha and m >= 0 each a scalar or one per
-        column; m = 0 moves x by exactly zero).  The trackers' update
-        telescopes to y_m = y_0 + grad(x_m) - grad(x_0).  None when the
-        suite has no closed form; the steps then evaluate one gradient
-        each."""
+        column; m = 0 moves x by exactly zero), and whose compress(cols)
+        is the same function on the columns where the (c,) mask cols is
+        True.  The trackers' update telescopes to y_m = y_0 + grad(x_m) -
+        grad(x_0).  None when the suite has no closed form (closed_form is
+        False); the steps then evaluate one gradient each."""
         return None
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
@@ -70,6 +73,8 @@ class ObjectiveSuite:
 
 class QuadraticSuite(ObjectiveSuite):
     """f_i(x) = 0.5 x'Q_i x + b_i'x with Q_i symmetric positive definite."""
+
+    closed_form = True
 
     def __init__(self, qs: np.ndarray, bs: np.ndarray):
         qs = np.asarray(qs, dtype=float)
@@ -107,7 +112,9 @@ class QuadraticSuite(ObjectiveSuite):
         return self._grads(xs)
 
     def _grads(self, xs):
-        return np.matmul(self.qs, xs) + self.bs[:, :, None]
+        g = np.matmul(self.qs, xs)
+        g += self.bs[:, :, None]
+        return g
 
     def local_steps(self, alpha, m):
         """A local step is linear here: y' = (I - alpha Q_i) y and
@@ -119,8 +126,25 @@ class QuadraticSuite(ObjectiveSuite):
             lam, v = np.linalg.eigh(self.qs)
             self._eig = lam, v, np.ascontiguousarray(v.transpose(0, 2, 1))
         lam, v, vt = self._eig
-        step = alpha * _geometric_sum(lam[:, :, None] * alpha, m)
-        return lambda y: np.matmul(v, step * np.matmul(vt, y))
+        return EigenSteps(v, vt, alpha * _geometric_sum(lam[:, :, None] * alpha, m))
+
+
+@dataclass(frozen=True)
+class EigenSteps:
+    """A quadratic's closed-form local steps (`QuadraticSuite.local_steps`):
+    y -> V (step * V'y), with step = alpha * sigma_m per node, eigenvalue
+    and column (a last axis of 1 for a scalar alpha and m)."""
+
+    v: np.ndarray
+    vt: np.ndarray
+    step: np.ndarray
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return np.matmul(self.v, self.step * np.matmul(self.vt, y))
+
+    def compress(self, cols: np.ndarray) -> EigenSteps:
+        """The same steps on the columns where the (c,) mask cols is True."""
+        return EigenSteps(self.v, self.vt, self.step.compress(cols, axis=2))
 
 
 def _geometric_sum(a: np.ndarray, m) -> np.ndarray:
@@ -339,9 +363,17 @@ class LogisticSuite(ObjectiveSuite):
         # kernel and the rounding
         self._half = -0.5 * signed
         self._half_t = self._half.transpose(0, 2, 1)
-        # (y a)'(y a) = a'a: the Gram matrices of the signed shards
-        gram_top = np.linalg.eigvalsh(np.matmul(signed.transpose(0, 2, 1), signed))[:, -1]
-        self.L = float(np.max(gram_top / (4.0 * counts) + 2.0 / counts))
+        # (y a)'(y a) = a'a: the Gram matrices of the signed shards.  Features
+        # near the float limit overflow one, and then L is inf: the reference
+        # optimum's descent at step 1/L = 0 would never end
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = np.matmul(signed.transpose(0, 2, 1), signed)
+            gram_top = np.linalg.eigvalsh(gram)[:, -1] if np.isfinite(gram).all() else np.inf
+            self.L = float(np.max(gram_top / (4.0 * counts) + 2.0 / counts))
+        if not (np.isfinite(self.L) and np.isfinite(self.mu)):
+            raise DataFormatError(f"smoothness constant L = {self.L} or strong-convexity "
+                                  f"constant mu = {self.mu} is not finite: a feature value "
+                                  "is too large")
         self.x_star = None  # filled in by logreg_suite
 
     def local_value(self, i, x):

@@ -34,23 +34,25 @@ column's final errors.  `run` returns one cell's trace: from a one-cell
 RunStack, or as its column of a stack, whose first request for any cell
 of a part runs that part.
 
-`_stack` picks one of two mixing paths for a set of live columns.  When
-their strategies share one `mixing_power` (one strategy object: a sweep
-of one strategy, a one-cell run; or strategies whose non-identity slots
-all hold one MixingMatrix at one n_c: GTA1, GTA2 and GTA3 at one n_c)
-the stack mixes as an (n, d*c) array, never materializing the (nd, nd)
-Kronecker form.  Each slot is then the identity or P = W^n_c, and the
-columns form runs of one slot pattern (Z_a, Z_b) in {P, I}^2 per update.
-One run mixes whole: each slot's `MixingMatrix.apply` runs n_c gather
+A part's kernel parameters (`_stack`: step sizes, local step counts,
+slot masks, product blocks, the closed form) are built once and narrowed
+with compress as columns leave (`_Stack.keep`); the mixing path is picked
+anew for each set of live columns.  When their strategies share one
+`mixing_power` (one strategy object: a sweep of one strategy, a one-cell
+run; or strategies whose non-identity slots all hold one MixingMatrix at
+one n_c: GTA1, GTA2 and GTA3 at one n_c) the stack mixes as an (n, d*c)
+array, never materializing the (nd, nd) Kronecker form, and each slot is
+the identity or P = W^n_c.  Columns of one slot pattern (Z_a, Z_b) in
+{P, I}^2 mix whole: each slot's `MixingMatrix.apply` runs n_c gather
 rounds or one dense product with W^n_c, without a copy.  The choice
 depends only on the matrix and n_c, so a sweep column and its run take
-the same path.  Several runs form one operand column per column that
-mixes (u + v, u or v), apply P once to that operand, and add each run's
-identity part.  Columns of other distinct strategies (a grid's cells at
-several n_c) mix as one batched product per slot pair: column j's
-Z_a u + Z_b v is [Z_a | Z_b] [u; v], so one matmul of the (c, n, 2n)
-stack of those blocks with the (c, 2n, d) stack [u; v] mixes every
-column.
+the same path.  Columns of several patterns apply P once to one operand
+(u, v or u + v per column, chosen by boolean slot masks) and add the
+identity slots' terms back by masked adds.  Other distinct strategies (a
+grid's cells at several n_c) mix as one batched product per slot pair:
+column j's Z_a u + Z_b v is [Z_a | Z_b] [u; v], so one matmul of the
+(c, n, 2n) stack of those blocks with the (c, 2n, d) stack [u; v] mixes
+every column.
 
 A column leaves the stack at the first row that meets the divergence
 rule, reaches its budget, or has an optimization error at or below its
@@ -67,7 +69,7 @@ import operator
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import groupby
+from itertools import compress
 from pathlib import Path
 from typing import Callable
 
@@ -152,12 +154,9 @@ def batchable(cfgs: list[GtaConfig]) -> bool:
 def steps_together(suite: ObjectiveSuite, cfgs: list[GtaConfig]) -> bool:
     """Whether the cells' local steps can run as one stack on suite: they
     share n_g, or suite has a closed form (`ObjectiveSuite.local_steps`),
-    which takes one step count per column.  The closed form is asked for
-    only when the n_g differ, so some cell takes local steps and needs it
-    anyway (a quadratic's eigensolve runs once per suite)."""
+    which takes one step count per column."""
     n_g = cfgs[0].n_g
-    return (all(cfg.n_g == n_g for cfg in cfgs)
-            or suite.local_steps(cfgs[0].alpha, 1) is not None)
+    return suite.closed_form or all(cfg.n_g == n_g for cfg in cfgs)
 
 
 def _parts(suite: ObjectiveSuite, cfgs: list[GtaConfig]) -> list[list[GtaConfig]]:
@@ -196,61 +195,68 @@ def mixing_power(strategy: CommunicationStrategy):
     return (matrices.pop(), strategy.n_c) if len(matrices) == 1 else strategy
 
 
-@dataclass(frozen=True, eq=False)
-class _Stack:
-    """The kernel's parameters for the columns of a stack: their step sizes
-    (a float for one column, else one per column), their local step counts
-    m = n_g - 1 (None when every column has n_g = 1, an int when the
-    columns share n_g, else one per column), and the two updates of
-    `outer_step`, mix_x(u, v) = Z_1 u + Z_2 v and mix_y(u, v) = Z_3 u +
-    Z_4 v: `_pair` through the one mixing power all columns share, or else
-    `_product` with each column's [Z_a | Z_b]."""
+def _one_power(cfgs: list[GtaConfig]) -> bool:
+    """Whether the cells' strategies share one `mixing_power`."""
+    power = mixing_power(cfgs[0].strategy)
+    return all(mixing_power(cfg.strategy) == power for cfg in cfgs)
 
-    alpha: float | np.ndarray
-    m: int | np.ndarray | None
-    mix_x: Callable
-    mix_y: Callable
+
+class _Stack:
+    """The kernel's parameters for the live columns of one part.  Per
+    column, built once per part (`_stack`) and narrowed by `keep`: the
+    step sizes alpha (a float for a lone cell), the counts n_g - 1, the
+    (c, 4) mask of slots that hold a matrix, each slot pair's (c, n, 2n)
+    blocks [Z_a | Z_b] (None on one mixing power), and steps, the suite's
+    closed form once `advance` built it.  Per set of live columns:
+    neg_alpha, m (None when every column has n_g = 1, an int when they
+    share n_g, else the counts) and the two updates of `outer_step`,
+    mix_x(u, v) = Z_1 u + Z_2 v and mix_y(u, v) = Z_3 u + Z_4 v."""
+
+    def __init__(self, cfgs: list[GtaConfig], alpha, counts: np.ndarray, slots: np.ndarray,
+                 blocks: tuple | None, steps: Callable | None = None):
+        self.cfgs, self.alpha, self.neg_alpha = cfgs, alpha, -alpha
+        self.counts, self.slots, self.blocks, self.steps = counts, slots, blocks, steps
+        self.m = counts if counts.min() < counts.max() else int(counts[0]) or None
+        if blocks is None:
+            self.mix_x, self.mix_y = _pair_of(cfgs, slots, 0, 1), _pair_of(cfgs, slots, 2, 3)
+        else:
+            self.mix_x, self.mix_y = partial(_product, blocks[0]), partial(_product, blocks[1])
+
+    def keep(self, cols: np.ndarray) -> _Stack:
+        """The stack of the columns where the (c,) mask cols is True, its
+        constants narrowed as `GtaState.keep` narrows the state; the blocks
+        are dropped once the columns left share one mixing power."""
+        cfgs = list(compress(self.cfgs, cols))
+        blocks = (None if self.blocks is None or _one_power(cfgs)
+                  else tuple(z.compress(cols, axis=0) for z in self.blocks))
+        return _Stack(cfgs, self.alpha.compress(cols), self.counts.compress(cols),
+                      self.slots.compress(cols, axis=0), blocks,
+                      None if self.steps is None else self.steps.compress(cols))
 
 
 def _stack(cfgs: list[GtaConfig]) -> _Stack:
-    """The kernel's parameters for one column per cfg; the mixing path and
-    whether local steps run are chosen here, once per set of live columns.
-    A lone cfg keeps its scalar step size, so a single run steps as it
-    always has; columns whose strategies share one `mixing_power` (one
-    strategy object: a run, a sweep; or GTA1, GTA2 and GTA3 at one n_c)
-    mix through it, the whole stack at once; other distinct strategies (of
-    one `_parts` part) mix as one batched product per slot pair.  Columns
-    of distinct n_g (on a suite with a closed form) get one m per column."""
+    """The kernel's parameters for one column per cfg.  A lone cfg keeps
+    its scalar step size, so a single run steps as it always has; columns
+    whose strategies share one `mixing_power` mix through it (`_pair_of`),
+    others as one batched product per slot pair (`_product`)."""
     alpha = cfgs[0].alpha if len(cfgs) == 1 else np.array([cfg.alpha for cfg in cfgs])
-    n_g = cfgs[0].n_g
-    if any(cfg.n_g != n_g for cfg in cfgs):
-        m = np.array([cfg.n_g - 1 for cfg in cfgs])
-    else:
-        m = n_g - 1 if n_g > 1 else None
-    power = mixing_power(cfgs[0].strategy)
-    if all(mixing_power(cfg.strategy) == power for cfg in cfgs):
-        return _Stack(alpha, m, partial(_pair, 0, 1, *_runs(cfgs, 0, 1)),
-                      partial(_pair, 2, 3, *_runs(cfgs, 2, 3)))
-    return _Stack(alpha, m, partial(_product, _operands(cfgs, 0, 1)),
-                  partial(_product, _operands(cfgs, 2, 3)))
+    slots = np.array([[m is not None for m in cfg.strategy.slots] for cfg in cfgs])
+    blocks = None if _one_power(cfgs) else (_operands(cfgs, 0, 1), _operands(cfgs, 2, 3))
+    return _Stack(cfgs, alpha, np.array([cfg.n_g - 1 for cfg in cfgs]), slots, blocks)
 
 
-def _runs(cfgs: list[GtaConfig], a: int, b: int) -> tuple[tuple, int]:
-    """The columns of a one-power stack as runs of adjacent columns whose
-    slots a and b hold one pattern out of {P, I}^2: per run, the strategy
-    of its first column, its columns, and their columns in the operand of
-    P (None when neither slot holds P); and that operand's width.  One
-    strategy makes one run."""
-    runs, width = [], 0
-    for _, run in groupby(enumerate(cfgs), key=lambda jc: (jc[1].strategy.slots[a] is None,
-                                                           jc[1].strategy.slots[b] is None)):
-        run = list(run)
-        start, strategy, c = run[0][0], run[0][1].strategy, len(run)
-        at = None
-        if strategy.slots[a] is not None or strategy.slots[b] is not None:
-            at, width = slice(width, width + c), width + c
-        runs.append((strategy, slice(start, start + c), at))
-    return tuple(runs), width
+def _pair_of(cfgs: list[GtaConfig], slots: np.ndarray, a: int, b: int) -> partial:
+    """`_pair` for slots a and b of a one-power stack: through the first
+    column's strategy, without masks, when every column holds one pattern
+    out of {P, I}^2 there; else through a strategy whose pair holds P, with
+    the masks of the columns whose operand is v, that add v before P, add
+    v or u after it, and take u + v (None for a mask of no column)."""
+    pa, pb = slots[:, a], slots[:, b]
+    if pa.min() == pa.max() and pb.min() == pb.max():
+        return partial(_pair, a, b, cfgs[0].strategy, None)
+    masks = (~pa, pa & pb, pa & ~pb, ~pa & pb, ~pa & ~pb)
+    return partial(_pair, a, b, cfgs[int(np.argmax(pa | pb))].strategy,
+                   tuple(mask if mask.any() else None for mask in masks))
 
 
 def _operands(cfgs: list[GtaConfig], a: int, b: int) -> np.ndarray:
@@ -290,9 +296,6 @@ class GtaState:
     y: np.ndarray
     grads: np.ndarray
     k: int = 0
-    # (parameters, their suite.local_steps or None) for the `_Stack` last
-    # advanced: a stack builds the closed form once per set of live columns
-    local: tuple | None = None
 
     def keep(self, cols: np.ndarray) -> None:
         """Drop the columns where the (c,) mask `cols` is False."""
@@ -341,48 +344,42 @@ def _move(state: GtaState, dx: np.ndarray) -> GtaState:
     return state
 
 
-def _pair(a: int, b: int, runs: tuple, width: int, u: np.ndarray,
-          v: np.ndarray) -> np.ndarray:
-    """Z_a u + Z_b v for every column of a one-power stack, whose runs of
-    one slot pattern and operand width are `_runs`'s.  v must be a
-    temporary of the caller: the sum is formed in place in v (or in its
-    product), so a sweep's peak holds no extra stack.
+def _pair(a: int, b: int, strategy: CommunicationStrategy, masks: tuple | None,
+          u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Z_a u + Z_b v for every column of a one-power stack (`_pair_of`).
+    v must be a temporary of the caller: the sum may be formed in place in
+    v, so a sweep's peak holds no extra stack.
 
-    One run (one strategy: a run, a sweep) mixes whole, through its
-    strategy's slots: when slots a and b hold the same matrix (or None) as
-    the one product Z (u + v), else as Z_b v + Z_a u.  Several runs share
-    the power P: one operand column per column that mixes (u + v, u or v),
-    one apply of P to that operand, then each run's identity part is
-    added: P u + v, P v + u, or u + v with no product."""
-    if len(runs) == 1:
-        strategy = runs[0][0]
+    Without masks (one slot pattern: a run, a sweep) the stack mixes whole
+    through strategy's slots: when slots a and b hold the same matrix (or
+    None) as the one product Z (u + v), else as Z_b v + Z_a u.  With them,
+    P = W^n_c is applied once to one operand, u or (where slot a is the
+    identity) v, plus v where both slots hold P; then v is added back
+    where slot b is the identity, u where slot a is, and a column whose
+    slots both are gets u + v.  Every sum is a masked add (`where=`), so no
+    0 * v product turns inf into nan or flips a zero's sign."""
+    if masks is None:
         if strategy.slots[a] is strategy.slots[b]:
             v += u
             return _mix(strategy, a, v)
         out = _mix(strategy, b, v)
         out += _mix(strategy, a, u)
         return out
-    operand = np.empty(u.shape[:2] + (width,))
-    for strategy, cols, at in runs:
-        if at is None:
-            continue
-        slot = a if strategy.slots[a] is not None else b
-        if strategy.slots[a] is strategy.slots[b]:
-            np.add(v[:, :, cols], u[:, :, cols], out=operand[:, :, at])
-        else:
-            operand[:, :, at] = (u if slot == a else v)[:, :, cols]
-        through = strategy, slot
-    mixed = _mix(*through, operand)
-    for strategy, cols, at in runs:
-        if at is None:
-            v[:, :, cols] += u[:, :, cols]
-        elif strategy.slots[a] is strategy.slots[b]:
-            v[:, :, cols] = mixed[:, :, at]
-        elif strategy.slots[a] is not None:
-            v[:, :, cols] += mixed[:, :, at]
-        else:
-            np.add(mixed[:, :, at], u[:, :, cols], out=v[:, :, cols])
-    return v
+    from_v, both, add_v, add_u, neither = masks
+    # (n*d, c) views: a (c,) mask then broadcasts along one axis
+    c = u.shape[2]
+    u2, v2 = u.reshape(-1, c), v.reshape(-1, c)
+    operand = u2.copy()
+    if from_v is not None:
+        np.copyto(operand, v2, where=from_v)
+    if both is not None:
+        np.add(operand, v2, out=operand, where=both)
+    out = _mix(strategy, a if strategy.slots[a] is not None else b, operand.reshape(u.shape))
+    out2 = out.reshape(-1, c)
+    for mask, p, q in ((add_v, out2, v2), (add_u, out2, u2), (neither, u2, v2)):
+        if mask is not None:
+            np.add(p, q, out=out2, where=mask)
+    return out
 
 
 def _product(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -406,7 +403,7 @@ def outer_step(state: GtaState, cfg: _Stack) -> GtaState:
     gradient evaluation per node."""
     # state.x is replaced at once (as in inner_step): holding the old x
     # through the gradient and y updates would add a stack to a sweep's peak
-    state.x = cfg.mix_x(state.x, -cfg.alpha * state.y)
+    state.x = cfg.mix_x(state.x, cfg.neg_alpha * state.y)
     g_new = state.suite.grad_stack_batch(state.x)
     state.y = cfg.mix_y(state.y, g_new - state.grads)
     state.grads = g_new
@@ -423,18 +420,17 @@ def advance(state: GtaState, cfg: _Stack) -> GtaState:
     gradient, whatever n_g is, and a zero move in a column at n_g = 1), else
     as n_g - 1 `inner_step` calls, which needs one n_g for every column.
     Nothing runs when every column has n_g = 1.  The closed form is built on
-    the first advance with new parameters cfg (a `_stack` result) and held
-    in the state.
+    the first advance that needs it and held in cfg (a `_stack` result),
+    whose `_Stack.keep` narrows it as columns leave.
     """
     if cfg.m is not None:
-        if state.local is None or state.local[0] is not cfg:
-            state.local = (cfg, state.suite.local_steps(cfg.alpha, cfg.m))
-        steps = state.local[1]
-        if steps is None:
+        if cfg.steps is None:
+            cfg.steps = state.suite.local_steps(cfg.alpha, cfg.m)
+        if cfg.steps is None:
             for _ in range(cfg.m):
                 inner_step(state, cfg.alpha)
         else:
-            _move(state, steps(state.y))
+            _move(state, cfg.steps(state.y))
     return outer_step(state, cfg)
 
 
@@ -457,9 +453,9 @@ def error_vector(state: GtaState, suite: ObjectiveSuite) -> ErrorVector:
         # _norm is the cheapest norm of a whole stack; a run calls this once
         # per outer iteration
         return ErrorVector(_norm(x_err), _norm(state.x - x_bar), _norm(state.y - y_bar))
-    return ErrorVector(np.linalg.norm(x_err, axis=0),
-                       np.linalg.norm(state.x - x_bar, axis=(0, 1)),
-                       np.linalg.norm(state.y - y_bar, axis=(0, 1)))
+    # np.linalg.norm's own formula, each temporary squared in place: the same bits
+    return ErrorVector(*(np.sqrt(np.add.reduce(np.square(v, out=v), axis=axis)) for v, axis
+                         in ((x_err, 0), (state.x - x_bar, (0, 1)), (state.y - y_bar, (0, 1)))))
 
 
 def diverged(ev: ErrorVector):
@@ -586,9 +582,9 @@ class RunStack:
 
     def _run(self, cfgs: list[GtaConfig]) -> list:
         """Step every column of one part from x0 until it has left; returns
-        each cell's outcome.  The live columns form a segment, with its kernel
-        parameters, smallest budget and largest stop_tol; a column leaving
-        starts a new one."""
+        each cell's outcome.  The live columns form a segment, with its
+        smallest budget and largest stop_tol; a column leaving starts a new
+        one, and narrows the part's kernel parameters (`_Stack.keep`)."""
         suite, trace = self.suite, self.trace
         n, d, c = suite.n, suite.d, len(cfgs)
         t0 = time.perf_counter()
@@ -608,10 +604,10 @@ class RunStack:
         # trace once columns diverged, when the columns that end at that row
         # take it again on the columns still live
         retake = True
+        step = _stack(cfgs)
         # overflow on the way past the divergence guard is expected, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             while live:
-                step = _stack([cfgs[j] for j in live])
                 k_end = min(cfgs[j].max_outer_iters for j in live)
                 tol_max = max(tols[j] for j in live)
                 # rows are needed only to record them or to test a stop_tol
@@ -655,7 +651,9 @@ class RunStack:
                         segments[j].append(errors[:, :, p])
                 live = [j for j in live if ends[j] is None]
                 if live:
-                    state.keep(np.array(keep))
+                    keep = np.array(keep)
+                    state.keep(keep)
+                    step = step.keep(keep)
         outcomes = []
         for cfg, end, rows in zip(cfgs, ends, segments):
             if isinstance(end, float):

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +220,8 @@ def _died_at(outcome):
 
 class _StepwiseQuadratic(gt.QuadraticSuite):
     """A quadratic suite that hides its closed form: advance steps it."""
+
+    closed_form = False
 
     def local_steps(self, alpha, m):
         return None
@@ -598,6 +603,34 @@ def test_a_grid_of_single_step_cells_never_eigensolves_its_quadratic(tmp_path):
     multi = harness.execute_grid(parse_config(_write_cfg(
         tmp_path, text.format(out=tmp_path / "b") + "ng_grid = 1,2\n", "b.cfg")))
     assert multi.suite._eig is not None
+
+
+def test_a_merged_sweep_builds_its_closed_form_once_per_part(monkeypatch):
+    # GTA1, GTA2 and GTA3 at n_c = 1 over n_g = 1 and 5 tune as one part of
+    # 126 candidates, whose large step sizes diverge at several k: the
+    # closed-form factor is built once and narrowed at each departure
+    suite = gt.generate_quadratic(gt.QuadraticSpec(n=16, d=10, kappa_target=1e4, seed=7))
+    w = gt.metropolis_weights(gt.build_graph("cycle", 16))
+    cells = [(gt.strategy_for(method, w, 1), n_g) for method in ("GTA1", "GTA2", "GTA3")
+             for n_g in (1, 5)]
+    builds, parts, outcomes = [], [], []
+    real_steps, real_run = gt.problems.QuadraticSuite.local_steps, gt.tracking.RunStack._run
+
+    def building(self, alpha, m):
+        builds.append(m)
+        return real_steps(self, alpha, m)
+
+    def running(self, cfgs):
+        parts.append(len(cfgs))
+        outcomes.extend(real_run(self, cfgs))
+        return outcomes[-len(cfgs):]
+
+    monkeypatch.setattr(gt.problems.QuadraticSuite, "local_steps", building)
+    monkeypatch.setattr(gt.tracking.RunStack, "_run", running)
+    harness.tune_step_size(suite, [st for st, _ in cells], [n_g for _, n_g in cells], 100)
+    assert parts == [126]
+    assert len({o.k for o in outcomes if isinstance(o, gt.DivergenceError)}) >= 3
+    assert len(builds) == 1
 
 
 def test_a_grid_on_a_gather_round_matrix_runs_its_cells_alone(tmp_path, monkeypatch):
@@ -1125,6 +1158,29 @@ def test_cli_a_non_finite_label_or_value_is_a_data_error(text, tmp_path, capsys)
     """)
     assert cli.main(["run", str(cfg_path)]) == 3
     assert f"{data}: malformed line 2: a label or value is not finite" in capsys.readouterr().err
+
+
+def test_cli_a_dataset_whose_smoothness_overflows_is_a_data_error(tmp_path):
+    # a feature of 1e200 overflows its Gram matrix, so L = inf, and the
+    # reference optimum's descent at step 1/L = 0 would never end.  The run
+    # is a subprocess with a timeout, so that a stall fails the test
+    data = tmp_path / "overflow.libsvm"
+    data.write_text("1 1:1e200\n0 1:2\n")
+    cfg_path = _write_cfg(tmp_path, f"""
+        problem = logreg
+        dataset = {data}
+        n = 1
+        graph = complete
+        methods = GTA1
+        outdir = {tmp_path / 'overflow_out'}
+    """)
+    src = str(Path(gt.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from gradtrack import cli; sys.exit(cli.main())",
+         "run", str(cfg_path)], capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 3, done.stderr
+    assert "L = inf" in done.stderr
 
 
 @pytest.mark.parametrize("text,line", [("0.5,abc\n0.5,0.5\n", 1), ("0.5,0.5\n\n0.5\n", 3)],

@@ -184,8 +184,9 @@ def test_closed_form_local_steps_match_the_step_loop(d, a, t, m, columns, rotate
     # an outer iteration at n_g = m + 1 is m closed-form steps and one step
     nothing = gt.CommunicationStrategy("identity", 1, (None,) * 4, gt.build_graph("complete", 3))
     closed = gt.GtaState(suite, x=x, y=y, grads=suite.grad_stack_batch(x))
-    advance(closed, kernel_params(nothing, alpha, m + 1))
-    assert closed.local[1] is not None
+    step = kernel_params(nothing, alpha, m + 1)
+    advance(closed, step)
+    assert step.steps is not None
     loop = gt.GtaState(suite, x=x, y=y, grads=suite.grad_stack_batch(x))
     for _ in range(m + 1):
         gt.inner_step(loop, alpha)
@@ -216,6 +217,15 @@ def test_closed_form_factor_keeps_full_precision_for_small_steps(lam, m):
     exact = sum((1 - Fraction(a))**j for j in range(m))
     sigma_m = _geometric_sum(np.array([a]), m)[0]
     assert abs(Fraction(float(sigma_m)) - exact) <= 4 * EPS * exact
+
+
+def test_a_logistic_suite_whose_smoothness_overflows_is_a_data_error():
+    # the Gram matrix of a feature at 1e200 overflows to inf: with L = inf
+    # the reference optimum's step 1/L is 0, and its descent never ends
+    data = LogRegDataset(features=(np.array([[1e200], [2.0]]),), labels=(np.array([1.0, -1.0]),),
+                         d=1)
+    with pytest.raises(DataFormatError, match="L = inf"):
+        LogisticSuite(data)
 
 
 def test_a_suite_without_a_closed_form_says_so():

@@ -164,13 +164,15 @@ def _entry_points(tmp):
         outdir = {tmp / 'no_step'}
     """)
     # one tuning iteration admits a step that diverges within the run: GTA1's
-    # column leaves the grid's stack while GTA3's goes on
+    # columns leave the grid's stack while GTA3's go on, and the n_g = 2
+    # columns left narrow their closed-form local steps
     late = _write(tmp / "late.cfg", f"""
         n = 4
         d = 2
         kappa_target = 10
         graph = cycle
         methods = GTA1,GTA3
+        ng_grid = 1,2
         budget = 300
         tune_budget = 1
         outdir = {tmp / 'late'}

@@ -532,7 +532,7 @@ def test_tracking_identity_along_a_closed_form_run(n_g, small_quadratic):
         h = s.grad_stack(st.x[:, :, 0]).mean(axis=0)
         dev = np.linalg.norm(st.y[:, :, 0].mean(axis=0) - h)
         assert dev <= 1e-9 * (1 + np.linalg.norm(h))
-    assert st.local[0] is cfg and st.local[1] is not None
+    assert cfg.steps is not None
 
 
 def test_trace_csv_schema(tmp_path, scalar_suite):
@@ -1097,3 +1097,108 @@ def test_a_merged_sweep_tunes_each_cell_as_its_own_sweep(kind, n_c, patterns, n_
             assert got.diagnostics == exc.diagnostics
             continue
         assert got == want
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, signed zeros included, where neither is NaN, and
+    NaN in the same entries (a NaN's payload may follow operand order)."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+# (method or slot pattern, mixing power W or its lazy form, n_c, n_g): the
+# cells of a narrowed part, whose strategies may hold distinct powers
+_PART_CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3", "IWWI", "WIIW", "IIWW",
+                                           "WWII"]),
+                         hst.booleans(), hst.sampled_from([1, 2]), hst.sampled_from([1, 2, 3, 5]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=hst.lists(_PART_CELLS, min_size=2, max_size=8),
+       t=hst.lists(hst.integers(0, 12), min_size=8, max_size=8),
+       departures=hst.lists(hst.lists(hst.booleans(), min_size=8, max_size=8), max_size=4))
+def test_a_parts_narrowed_constants_equal_freshly_built_ones(cells, t, departures):
+    # a part builds its step sizes, counts, slot masks, product blocks and
+    # closed form once; each departure narrows them with compress, to the
+    # arrays a part of the live columns alone would build (a lone column's
+    # step size as a 1-vector, not a float)
+    suite, w, lazy = _stack_suite("quadratic")
+
+    def closed_form(step):
+        # as advance builds it, and from the counts where no column steps
+        return suite.local_steps(step.alpha, step.counts if step.m is None else step.m)
+
+    eye = gt.topology.communication_matrices([np.eye(suite.n)], w.graph)[0]
+    strategies = {}
+    cfgs = []
+    for j, (pattern, is_lazy, n_c, n_g) in enumerate(cells):
+        key = pattern, is_lazy, n_c
+        if key not in strategies:
+            strategies[key] = _one_power_strategy(pattern, lazy if is_lazy else w, n_c, eye)
+        cfgs.append(GtaConfig(strategy=strategies[key], alpha=2.0 ** -t[j] / suite.L, n_g=n_g))
+    step = gt.tracking._stack(cfgs)
+    step.steps = closed_form(step)
+    live = list(cfgs)
+    for departure in departures:
+        keep = np.array(departure[:len(live)])
+        if keep.all() or not keep.any():
+            continue
+        step = step.keep(keep)
+        live = [cfg for cfg, kept in zip(live, keep) if kept]
+        fresh = gt.tracking._stack(live)
+        fresh.steps = closed_form(fresh)
+        assert step.cfgs == live
+        for name in ("alpha", "neg_alpha", "counts", "slots"):
+            assert np.array_equal(getattr(step, name), np.reshape(getattr(fresh, name),
+                                                                  np.shape(getattr(step, name))))
+        assert np.array_equal(step.m, fresh.m) and type(step.m) is type(fresh.m)
+        assert np.array_equal(step.steps.step, fresh.steps.step)
+        if fresh.blocks is None:
+            assert step.blocks is None
+        else:
+            assert all(np.array_equal(z, f) for z, f in zip(step.blocks, fresh.blocks))
+        for mix in ("mix_x", "mix_y"):
+            got, want = getattr(step, mix), getattr(fresh, mix)
+            assert got.func is want.func
+            for arg, ref in zip(got.args, want.args, strict=True):
+                if isinstance(ref, tuple):
+                    assert all(a is r is None or np.array_equal(a, r) for a, r in zip(arg, ref))
+                elif isinstance(ref, np.ndarray):
+                    assert np.array_equal(arg, ref)
+                else:
+                    assert arg == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=hst.sampled_from(["quadratic", "cycle256"]), n_c=hst.sampled_from([1, 2, 5]),
+       patterns=hst.lists(hst.sampled_from(["GTA1", "GTA2", "GTA3", "IWWI", "WIIW", "IIWW",
+                                            "WWII"]), min_size=1, max_size=8),
+       special=hst.lists(hst.sampled_from([0.0, -0.0, math.inf, -math.inf]), max_size=6),
+       seed=hst.integers(0, 2**32 - 1))
+def test_a_one_power_stack_mixes_each_column_as_its_own_pair(kind, n_c, patterns, special,
+                                                              seed):
+    # every slot pair in {P, I}^2, as the named methods and the custom
+    # patterns hold them: column j of mix(u, v) is P (u + v), P u + v,
+    # u + P v or u + v, with P applied to whole (n, d, c) stacks, bit for
+    # bit, signed zeros and infinities included.  On the 256-cycle P runs
+    # as gather rounds at n_c = 1 and as one dense product above
+    suite, w, _ = _stack_suite(kind)
+    strategies = _power_strategies(suite, w, n_c, patterns)
+    cfgs = [GtaConfig(strategy=strategies[p], alpha=1e-3) for p in patterns]
+    step = gt.tracking._stack(cfgs)
+    rng = np.random.default_rng(seed)
+    shape = (suite.n, suite.d, len(cfgs))
+    u, v = rng.normal(size=shape), rng.normal(size=shape)
+    for value in special:
+        (u if rng.random() < 0.5 else v)[tuple(rng.integers(0, shape))] = value
+    p = lambda z: w.apply(z.reshape(suite.n, -1), n_c).reshape(shape)    # noqa: E731
+    with np.errstate(invalid="ignore"):
+        pu, pv, puv = p(u), p(v), p(u + v)
+        for mix, (a, b) in ((step.mix_x, (0, 1)), (step.mix_y, (2, 3))):
+            got = mix(u.copy(), v.copy())
+            for j, cfg in enumerate(cfgs):
+                mixes_a, mixes_b = (cfg.strategy.slots[s] is not None for s in (a, b))
+                want = {(True, True): puv, (True, False): pu + v, (False, True): u + pv,
+                        (False, False): u + v}[mixes_a, mixes_b][:, :, j]
+                assert _same_bits(got[:, :, j], want), (cfg.strategy.name, a, b)
