@@ -607,7 +607,10 @@ def theory_report(cfg: ExperimentConfig, result: GridResult | None = None,
             str(int(rec["admissible"])), rec["route"], _fmt(rec["contraction"]),
             str(int(beyond)), str(int(ordering_ok[rec["n_c"], rec["n_g"]])),
         ]))
-        tag = " [empirically stable beyond theory]" if beyond else ""
+        # a nan contraction measured nothing (too few decaying rows), so
+        # nothing was seen to be stable
+        tag = (" [contraction not measured]" if math.isnan(rec["contraction"])
+               else " [empirically stable beyond theory]" if beyond else "")
         print(f"{rec['method']}(nc={rec['n_c']},ng={rec['n_g']}): "
               f"alpha={rec['alpha']:.3e} bound={rec['step_bound']:.3e} "
               f"rho={rec['rho']:.6g} measured={rec['contraction']:.6g}{tag}",

@@ -37,12 +37,6 @@ class ObjectiveSuite:
     x_star: np.ndarray
     closed_form: bool = False
 
-    def local_value(self, i: int, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def grad_stack(self, xs: np.ndarray) -> np.ndarray:
         """Gradients of all locals, node i evaluated at row i of xs (n, d)."""
         raise NotImplementedError
@@ -98,12 +92,6 @@ class QuadraticSuite(ObjectiveSuite):
         self.L = float(np.linalg.eigvalsh(qs)[:, -1].max())
         self.x_star = np.linalg.solve(self.hessian, -b_bar)
         self._eig = None       # (lam, V, V') of the Q_i, on first use by local_steps
-
-    def local_value(self, i, x):
-        return float(0.5 * x @ self.qs[i] @ x + self.bs[i] @ x)
-
-    def local_grad(self, i, x):
-        return self.qs[i] @ x + self.bs[i]
 
     def grad_stack(self, xs):
         return self._grads(xs[:, :, None])[:, :, 0]
@@ -355,7 +343,6 @@ class LogisticSuite(ObjectiveSuite):
         signed = np.zeros((self.n, int(counts.max()), self.d))
         for i, (a, y) in enumerate(zip(dataset.features, dataset.labels)):
             signed[i, :a.shape[0]] = a * y[:, None]
-        self._shards = tuple(s[:a.shape[0]] for s, a in zip(signed, dataset.features))
         # -1/2 times the signed features, for the gradient kernel: scaling
         # by a power of two is exact, so every product and sum over them is
         # -1/2 times the one over the signed features, bit for bit.  The
@@ -375,17 +362,6 @@ class LogisticSuite(ObjectiveSuite):
                                   f"constant mu = {self.mu} is not finite: a feature value "
                                   "is too large")
         self.x_star = None  # filled in by logreg_suite
-
-    def local_value(self, i, x):
-        margins = self._shards[i] @ x
-        n_i = margins.shape[0]
-        return float(np.logaddexp(0.0, -margins).sum() / n_i + (x @ x) / n_i)
-
-    def local_grad(self, i, x):
-        sa = self._shards[i]
-        # sigmoid(-m) = 1 / (1 + e^m), overflow-free through logaddexp
-        sig = np.exp(-np.logaddexp(0.0, sa @ x))
-        return (-(sa.T @ sig) + 2.0 * x) / sa.shape[0]
 
     def grad_stack(self, xs):
         return self._grads(xs[:, :, None])[:, :, 0]

@@ -59,6 +59,16 @@ rule, reaches its budget, or has an optimization error at or below its
 stop_tol; the other columns go on.  A stacked column takes the iterations
 of its own run: only the rounding of the batched mixing and the stacked
 gradient and norm operations can differ.
+
+A traced part takes its error rows in blocks: it advances up to
+_ROW_BLOCK outer iterations (fewer when their held x, y and gradients
+would pass _ROW_FLOATS floats, or when the iterations a leave could drop
+would cost more than the pass's rows have so far), holding each
+iteration's arrays, and takes the block's rows in one `error_rows` call,
+which gives each row the bits of its own `error_vector`.  At the first
+row where a column leaves, the state goes back to that row's arrays and
+the later iterations are dropped, so the narrowed stack steps on from the
+same bits as if every row had been taken as it came.
 """
 
 from __future__ import annotations
@@ -441,21 +451,38 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def error_vector(state: GtaState, suite: ObjectiveSuite) -> ErrorVector:
-    """Measure the three errors against suite.x_star: floats for one column
-    (a run), (c,) arrays per column for more."""
-    n = len(state.x)
+def error_rows(x: np.ndarray, y: np.ndarray, suite: ObjectiveSuite) -> np.ndarray:
+    """The three errors against suite.x_star of b states at once: x and y
+    are (b, n, d, c) stacks of b states' x and y (c columns each); returns
+    the (b, 3, c) rows (optimization error, x consensus error, y consensus
+    error).  Each state's row has the bits of its own computation: one
+    column's norms are the dot products `_norm` takes (np.vecdot runs the
+    same ddot per state), more columns' are np.linalg.norm's own formula,
+    each temporary squared in place."""
+    b, n, _, c = x.shape
     # sum / n is mean's own formula (same bits, less overhead)
-    x_bar = state.x.sum(axis=0) / n
-    y_bar = state.y.sum(axis=0) / n
-    x_err = x_bar - suite.x_star[:, None]
-    if state.x.shape[2] == 1:
-        # _norm is the cheapest norm of a whole stack; a run calls this once
-        # per outer iteration
-        return ErrorVector(_norm(x_err), _norm(state.x - x_bar), _norm(state.y - y_bar))
-    # np.linalg.norm's own formula, each temporary squared in place: the same bits
-    return ErrorVector(*(np.sqrt(np.add.reduce(np.square(v, out=v), axis=axis)) for v, axis
-                         in ((x_err, 0), (state.x - x_bar, (0, 1)), (state.y - y_bar, (0, 1)))))
+    x_bar = x.sum(axis=1, keepdims=True) / n
+    y_bar = y.sum(axis=1, keepdims=True) / n
+    rows = np.empty((b, 3, c))
+    for i, (a, ref) in enumerate(((x_bar, suite.x_star[:, None]), (x, x_bar), (y, y_bar))):
+        v = a - ref
+        if c == 1:
+            v = v.reshape(b, -1)
+            np.vecdot(v, v, out=rows[:, i, 0])
+        else:
+            np.add.reduce(np.square(v, out=v), axis=(1, 2), out=rows[:, i])
+        # one temporary at a time: the peak holds one stack-sized temporary,
+        # not two
+        del v
+    return np.sqrt(rows, out=rows)
+
+
+def error_vector(state: GtaState, suite: ObjectiveSuite) -> ErrorVector:
+    """Measure the three errors against suite.x_star (`error_rows` of the
+    one state): floats for one column (a run), (c,) arrays per column for
+    more."""
+    rows = error_rows(state.x[None], state.y[None], suite)[0]
+    return ErrorVector(*(rows[:, 0].tolist() if state.x.shape[2] == 1 else rows))
 
 
 def diverged(ev: ErrorVector):
@@ -487,6 +514,91 @@ def surely_bounded(state: GtaState, x_star_norm: float) -> bool:
             and _norm(state.y) <= limit)
 
 
+# A traced segment takes its error rows in blocks (`_rows_to_leaving`): up
+# to _ROW_BLOCK outer iterations, whose held (x, y, grads) hold at most
+# _ROW_FLOATS floats (at least one iteration is held), and no more than
+# the pass's rows have paid for.  scripts/error_rows_timing.py measures
+# both bounds: on a 16-node one-column state a row taken alone costs more
+# than an outer iteration, and one in a block of 32 about a fifth of that;
+# past the cap a block takes its rows no faster, an uncapped block slowed
+# torus-1024's solve, and a looser cap raised the benchmark's peak memory
+# (README "Stacked runs").
+_ROW_BLOCK = 32
+_ROW_FLOATS = 1 << 14
+
+
+def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: np.ndarray,
+                     entry: bool, t0: float, credit: float):
+    """Advance state until the first row at which a column leaves (its
+    budget, opt_err <= its stop_tol, or the divergence rule from k = 1 on;
+    budgets and tols hold one entry per column), taking the rows in blocks:
+    the row of the state on entry (with entry, at k = 0) and each later one.
+
+    A block advances up to _ROW_BLOCK iterations, never past the smallest
+    budget, and holds each iteration's (x, y, grads), which `advance`
+    replaces and never mutates, with a timestamp; one `error_rows` call
+    then takes the block's rows.  At the first row where a column leaves,
+    the state is reset to that row's arrays and the later iterations are
+    dropped.
+
+    A leave can drop iterations already stepped, so a block grows only
+    while they pay: at 1, 2, 4, ... iterations it stops once they, each at
+    the last one's measured time, cost more than credit (the seconds the
+    pass has spent on rows, less those of the iterations it dropped).  The
+    dropped iterations thus cost at most about twice what the rows took.
+    Where an iteration costs more than a row (an expensive gradient),
+    blocks stay short; where a row costs more, they reach the cap within a
+    few dozen rows.  Lengths of powers of two keep the block arrays' sizes
+    few: allowing every length raised a pass's peak memory (README
+    "Stacked runs").
+
+    Returns the (rows, 3, c) errors up to the leaving row; that row's
+    per-column lists of whether the column met the divergence rule and
+    whether it leaves; the seconds since t0 at that row; and the credit
+    left."""
+    cap = max(1, min(_ROW_BLOCK, _ROW_FLOATS // (3 * state.x.size)))
+    k_end, tol_max = int(budgets.min()), tols.max()
+    held = [(state.x, state.y, state.grads, time.perf_counter() - t0)] if entry else []
+    blocks = []
+    while True:
+        start = len(held)
+        last = held[-1][3] if held else time.perf_counter() - t0
+        while len(held) < cap and state.k < k_end:
+            advance(state, step)
+            now = time.perf_counter() - t0
+            held.append((state.x, state.y, state.grads, now))
+            m = len(held) - start
+            if m & (m - 1) == 0 and m * (now - last) > credit:
+                break
+            last = now
+        # the stacks live only through the call, so no state outlives its
+        # block; a lone state is read in place, so one past the cap is not
+        # copied
+        errors = (error_rows(held[0][0][None], held[0][1][None], state.suite) if len(held) == 1
+                  else error_rows(np.stack([h[0] for h in held]), np.stack([h[1] for h in held]),
+                                  state.suite))
+        credit += time.perf_counter() - t0 - held[-1][3]
+        # most blocks hold no row where a column may leave: a comparison and
+        # two reductions clear them (a NaN fails both error tests)
+        if not (state.k < k_end and errors[:, 0].min() > tol_max
+                and errors.max() <= DIVERGENCE_LIMIT):
+            ks = np.arange(state.k + 1 - len(held), state.k + 1)[:, None]
+            dead = diverged(ErrorVector(*errors.transpose(1, 0, 2))) & (ks > 0)
+            leaves = dead | (ks >= budgets) | (errors[:, 0] <= tols)
+            hit = leaves.any(axis=1)
+            if hit.any():
+                r = int(hit.argmax())
+                blocks.append(errors[:r + 1])
+                state.x, state.y, state.grads, now = held[r]
+                state.k = int(ks[r, 0])
+                # the dropped iterations spend their seconds of credit
+                credit -= held[-1][3] - now
+                return ((blocks[0] if len(blocks) == 1 else np.concatenate(blocks)),
+                        dead[r].tolist(), leaves[r].tolist(), now, credit)
+        blocks.append(errors)
+        held = []
+
+
 @dataclass(frozen=True)
 class RunTrace:
     """Per-outer-iteration error vectors plus cost counters.
@@ -496,9 +608,11 @@ class RunTrace:
     grads = k * n_g * n local gradient evaluations, whether or not the
     program evaluates each one (a quadratic's closed-form local steps
     evaluate one gradient per node for all n_g - 1 of them).  wall_time is
-    the seconds from the start of its `RunStack`'s pass until its column
-    left the stack: with several cells, that covers the other columns' work
-    as well.
+    the seconds from the start of its `RunStack`'s pass until the end of
+    the outer iteration at which its column left the stack, read from a
+    timestamp taken after each iteration, before the block of rows it
+    belongs to is taken: with several cells, that covers the other
+    columns' work as well.
     """
 
     k: np.ndarray
@@ -557,7 +671,8 @@ class RunStack:
     or else at the first row at its budget or with opt_err <= its stop_tol,
     as a one-cell run ends; the other columns go on.  With trace (a grid's
     runs) every column's error row is recorded at every outer iteration,
-    and a column's outcome is its RunTrace.  Without it (a step-size sweep)
+    taken in blocks of iterations (`_rows_to_leaving`), and a column's
+    outcome is its RunTrace.  Without it (a step-size sweep)
     the outcome is the column's last error row: while no column has a
     stop_tol, the rule is evaluated only where `surely_bounded` cannot clear
     every column, and the last rows are taken at the budget on the columns
@@ -584,7 +699,8 @@ class RunStack:
         """Step every column of one part from x0 until it has left; returns
         each cell's outcome.  The live columns form a segment, with its
         smallest budget and largest stop_tol; a column leaving starts a new
-        one, and narrows the part's kernel parameters (`_Stack.keep`)."""
+        one, and narrows the part's kernel parameters (`_Stack.keep`).  With
+        trace a segment takes its rows in blocks (`_rows_to_leaving`)."""
         suite, trace = self.suite, self.trace
         n, d, c = suite.n, suite.d, len(cfgs)
         t0 = time.perf_counter()
@@ -604,53 +720,59 @@ class RunStack:
         # trace once columns diverged, when the columns that end at that row
         # take it again on the columns still live
         retake = True
+        # with trace, the seconds of rows that blocks may still risk in
+        # dropped iterations (`_rows_to_leaving`)
+        credit = 0.0
         step = _stack(cfgs)
         # overflow on the way past the divergence guard is expected, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             while live:
-                k_end = min(cfgs[j].max_outer_iters for j in live)
-                tol_max = max(tols[j] for j in live)
-                # rows are needed only to record them or to test a stop_tol
-                precheck = not trace and tol_max == -math.inf
-                # whether a per-column test holds in any column: one column's
-                # ErrorVector holds floats, whose tests are a bool or np.bool_
-                any_ = bool if len(live) == 1 else np.ndarray.any
-                rows = []
-                ev = (error_vector(state, suite)
-                      if retake and (state.k >= k_end or not precheck) else None)
-                while True:
-                    if ev is None:
-                        advance(state, step)
-                        # cheap pre-checks; the per-column tests only when a column may leave
-                        if precheck and state.k < k_end and surely_bounded(state, x_star_norm):
-                            continue
-                        ev = error_vector(state, suite)
-                    if trace:
-                        rows.append(ev)
-                    if state.k >= k_end or any_(ev.opt_err <= tol_max) or any_(diverged(ev)):
-                        k, now = state.k, time.perf_counter() - t0
-                        errs = np.reshape(ev.as_array(), (3, -1)).T.tolist()
-                        # divergence is not tested at k = 0
-                        dead = np.reshape(diverged(ev), -1).tolist() if k else [False] * len(live)
-                        retake = not trace and any(dead)
-                        for p, j in enumerate(live):
-                            if dead[p]:
-                                ends[j] = DivergenceError(k, ErrorVector(*errs[p]))
-                            elif not retake and (k >= cfgs[j].max_outer_iters
-                                                 or errs[p][0] <= tols[j]):
-                                ends[j] = now if trace else ErrorVector(*errs[p])
-                        keep = [ends[j] is None for j in live]
-                        if not all(keep):
-                            break
-                    ev = None
                 if trace:
-                    # (rows, 3, columns); one column's ErrorVector holds floats
-                    errors = np.array([(e.opt_err, e.x_consensus, e.y_consensus) for e in rows])
-                    errors = errors.reshape(len(rows), 3, -1)
+                    errors, dead, leaves, now, credit = _rows_to_leaving(
+                        state, step, np.array([cfgs[j].max_outer_iters for j in live]),
+                        np.array([tols[j] for j in live]), retake, t0, credit)
                     for p, j in enumerate(live):
                         segments[j].append(errors[:, :, p])
+                    errs = errors[-1].T.tolist()
+                    retake = False
+                else:
+                    k_end = min(cfgs[j].max_outer_iters for j in live)
+                    tol_max = max(tols[j] for j in live)
+                    # rows are needed only to test a stop_tol
+                    precheck = tol_max == -math.inf
+                    # whether a per-column test holds in any column: one
+                    # column's ErrorVector holds floats, whose tests are a
+                    # bool or np.bool_
+                    any_ = bool if len(live) == 1 else np.ndarray.any
+                    ev = (error_vector(state, suite)
+                          if retake and (state.k >= k_end or not precheck) else None)
+                    while True:
+                        if ev is None:
+                            advance(state, step)
+                            # cheap pre-checks; the per-column tests only
+                            # when a column may leave
+                            if (precheck and state.k < k_end
+                                    and surely_bounded(state, x_star_norm)):
+                                continue
+                            ev = error_vector(state, suite)
+                        if state.k >= k_end or any_(ev.opt_err <= tol_max) or any_(diverged(ev)):
+                            break
+                        ev = None
+                    errs = np.reshape(ev.as_array(), (3, -1)).T.tolist()
+                    # divergence is not tested at k = 0
+                    dead = np.reshape(diverged(ev), -1).tolist() if state.k else [False] * len(live)
+                    retake = any(dead)
+                    leaves = [not retake and (state.k >= cfgs[j].max_outer_iters
+                                              or errs[p][0] <= tols[j])
+                              for p, j in enumerate(live)]
+                for p, j in enumerate(live):
+                    if dead[p]:
+                        ends[j] = DivergenceError(state.k, ErrorVector(*errs[p]))
+                    elif leaves[p]:
+                        ends[j] = now if trace else ErrorVector(*errs[p])
+                keep = [ends[j] is None for j in live]
                 live = [j for j in live if ends[j] is None]
-                if live:
+                if live and len(live) < len(keep):
                     keep = np.array(keep)
                     state.keep(keep)
                     step = step.keep(keep)

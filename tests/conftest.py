@@ -106,9 +106,36 @@ def eig_matrix_power(w, p):
     return (vecs * vals**p) @ vecs.T
 
 
+def local_value(suite, i, x):
+    """Node i's objective at x, one node at a time from the suite's data (a
+    quadratic's Q_i and b_i, a logistic suite's shard): the per-node
+    reference for the library's batched gradients."""
+    if isinstance(suite, gt.QuadraticSuite):
+        return float(0.5 * x @ suite.qs[i] @ x + suite.bs[i] @ x)
+    margins = (suite.dataset.features[i] @ x) * suite.dataset.labels[i]
+    n_i = margins.shape[0]
+    return float(np.logaddexp(0.0, -margins).sum() / n_i + (x @ x) / n_i)
+
+
+def local_grad(suite, i, x):
+    """Node i's gradient at x, one node at a time from the suite's data."""
+    if isinstance(suite, gt.QuadraticSuite):
+        return suite.qs[i] @ x + suite.bs[i]
+    a, y = suite.dataset.features[i], suite.dataset.labels[i]
+    # sigmoid(-m) = 1 / (1 + e^m), overflow-free through logaddexp
+    sig = np.exp(-np.logaddexp(0.0, (a @ x) * y))
+    return (-(a.T @ (y * sig)) + 2.0 * x) / a.shape[0]
+
+
+def node_grad(suite, i, x):
+    """The library's gradient of node i at x: row i of `grad_stack` with
+    every node at x."""
+    return suite.grad_stack(np.tile(x, (suite.n, 1)))[i]
+
+
 def global_value(suite, x):
     """Global average objective, summed from the per-node references."""
-    return sum(suite.local_value(i, x) for i in range(suite.n)) / suite.n
+    return sum(local_value(suite, i, x) for i in range(suite.n)) / suite.n
 
 
 def custom_strategy(w, n_c, mats):

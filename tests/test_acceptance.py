@@ -280,7 +280,7 @@ def test_criterion_8_logistic_end_to_end():
     """Bundled LIBSVM dataset: reference optimum solved to 1e-12, tuned
     GTA-3(5,1) gains four orders of magnitude within 1e3 iterations, and the
     gradients pass finite-difference checks at 1e-5 relative."""
-    from conftest import central_diff
+    from conftest import central_diff, local_value, node_grad
     t0 = time.perf_counter()
     suite = gt.logreg_suite(gt.load_libsvm("data/synth_binary.libsvm", 8))
     assert np.linalg.norm(suite.global_grad(suite.x_star)) <= 1e-12
@@ -289,8 +289,8 @@ def test_criterion_8_logistic_end_to_end():
     for _ in range(10):
         x = rng.normal(size=suite.d)
         i = int(rng.integers(8))
-        fd = central_diff(lambda z: suite.local_value(i, z), x)
-        g = suite.local_grad(i, x)
+        fd = central_diff(lambda z: local_value(suite, i, z), x)
+        g = node_grad(suite, i, x)
         assert np.linalg.norm(g - fd) <= 1e-5 * (1.0 + np.linalg.norm(g))
 
     strat = gt.strategy_for("GTA3", _mixing("cycle", 8), 5)

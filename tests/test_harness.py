@@ -725,6 +725,34 @@ def test_theory_report_flags_and_ordering(tmp_path, capsys):
     assert "beyond theory" in printed
 
 
+@pytest.mark.parametrize("extra", ["budget = 1\ntune_budget = 1", "stop_tol = 1e300"])
+def test_theory_report_tags_an_unmeasured_cell_as_not_measured(extra, tmp_path):
+    # one row past k = 0, or a stop_tol met at k = 0, leaves no decay to
+    # measure: contraction_measured is nan, and the printed line must not
+    # call the cell empirically stable
+    text = """
+        problem = quadratic
+        n = 6
+        d = 3
+        kappa_target = 20
+        seed = 3
+        graph = cycle
+        methods = GTA1,GTA3
+        outdir = {out}
+    """.format(out=tmp_path / "rep") + "\n".join("        " + line for line in extra.split("\n"))
+    cfg = parse_config(_write_cfg(tmp_path, text))
+    stream = io.StringIO()
+    lines = theory_report(cfg, stream=stream).read_text().splitlines()
+    cols = lines[0].split(",")
+    rows = [dict(zip(cols, line.split(","))) for line in lines[1:]]
+    assert rows and all(row["contraction_measured"] == "nan" for row in rows)
+    printed = stream.getvalue().splitlines()
+    assert len(printed) == len(rows)
+    for line in printed:
+        assert line.endswith(" [contraction not measured]")
+        assert "empirically stable" not in line
+
+
 def test_theory_report_routes_exact_averaging_to_reduced_analysis(tmp_path, capsys):
     cfg = parse_config(_write_cfg(tmp_path, f"""
         problem = quadratic

@@ -12,7 +12,7 @@ from gradtrack.problems import (DataFormatError, LogisticSuite, LogRegDataset,
                                 logreg_suite)
 from gradtrack.tracking import advance
 
-from conftest import central_diff, global_value, kernel_params
+from conftest import central_diff, global_value, kernel_params, local_grad, local_value, node_grad
 
 
 # --------------------------------------------------------------- quadratics
@@ -51,7 +51,7 @@ def test_quadratic_gradients_are_exact(small_quadratic):
         x = rng.normal(size=small_quadratic.d)
         i = int(rng.integers(small_quadratic.n))
         expected = small_quadratic.qs[i] @ x + small_quadratic.bs[i]
-        assert np.array_equal(small_quadratic.local_grad(i, x), expected)
+        assert np.array_equal(node_grad(small_quadratic, i, x), expected)
 
 
 def test_generated_suite_hits_kappa_window():
@@ -142,7 +142,7 @@ def test_assumption_inequalities_hold(small_quadratic):
                + 0.5 * s.mu * np.linalg.norm(b - a) ** 2)
         assert lhs >= rhs - 1e-9 * (1 + abs(lhs))
         i = int(rng.integers(s.n))
-        gdiff = np.linalg.norm(s.local_grad(i, a) - s.local_grad(i, b))
+        gdiff = np.linalg.norm(local_grad(s, i, a) - local_grad(s, i, b))
         assert gdiff <= s.L * np.linalg.norm(a - b) * (1 + 1e-12)
 
 
@@ -314,7 +314,7 @@ def test_single_sample_gradient_at_zero():
     ds = LogRegDataset(features=(np.array([[1.0, 0.0]]),),
                        labels=(np.array([1.0]),), d=2)
     suite = logreg_suite(ds)
-    assert suite.local_grad(0, np.zeros(2)) == pytest.approx([-0.5, 0.0])
+    assert node_grad(suite, 0, np.zeros(2)) == pytest.approx([-0.5, 0.0])
 
 
 def test_loss_at_zero_is_log_two():
@@ -322,7 +322,7 @@ def test_loss_at_zero_is_log_two():
                        labels=(np.array([1.0, -1.0]),), d=1)
     suite = logreg_suite(ds)
     # per-sample loss log(2) plus a zero regularizer at the origin
-    assert suite.local_value(0, np.zeros(1)) == pytest.approx(np.log(2.0))
+    assert local_value(suite, 0, np.zeros(1)) == pytest.approx(np.log(2.0))
 
 
 def test_toy_gradient_matches_finite_differences():
@@ -333,8 +333,8 @@ def test_toy_gradient_matches_finite_differences():
     suite = logreg_suite(ds)
     for _ in range(5):
         x = rng.normal(size=2)
-        fd = central_diff(lambda z: suite.local_value(0, z), x)
-        g = suite.local_grad(0, x)
+        fd = central_diff(lambda z: local_value(suite, 0, z), x)
+        g = node_grad(suite, 0, x)
         assert np.linalg.norm(g - fd) <= 1e-6 * (1 + np.linalg.norm(g))
 
 
@@ -360,7 +360,7 @@ def test_batched_logistic_gradient_matches_per_node_gradient(n, base, rem_frac, 
     for j in range(c):
         single = suite.grad_stack(np.ascontiguousarray(xs[:, :, j]))
         for i in range(n):
-            ref = suite.local_grad(i, xs[i, :, j])
+            ref = local_grad(suite, i, xs[i, :, j])
             scale = 1.0 + np.max(np.abs(ref))
             assert np.max(np.abs(batched[i, :, j] - ref)) <= 1e-13 * scale
             assert np.max(np.abs(single[i] - ref)) <= 1e-13 * scale
@@ -398,8 +398,8 @@ def test_bundled_suite_constants_and_gradients():
     for _ in range(10):
         x = rng.normal(size=suite.d)
         i = int(rng.integers(8))
-        fd = central_diff(lambda z: suite.local_value(i, z), x)
-        g = suite.local_grad(i, x)
+        fd = central_diff(lambda z: local_value(suite, i, z), x)
+        g = node_grad(suite, i, x)
         assert np.linalg.norm(g - fd) <= 1e-5 * (1 + np.linalg.norm(g))
 
 

@@ -25,18 +25,8 @@ DATASET = Path(__file__).resolve().parent.parent / "data" / "synth_binary.libsvm
 
 # (module file, qualified name) -> why it stays although no entry point calls it
 KEEP = {
-    ("problems.py", "ObjectiveSuite.local_value"): "abstract interface stub",
-    ("problems.py", "ObjectiveSuite.local_grad"): "abstract interface stub",
     ("problems.py", "ObjectiveSuite.grad_stack"): "abstract interface stub",
     ("problems.py", "ObjectiveSuite.grad_stack_batch"): "abstract interface stub",
-    ("problems.py", "QuadraticSuite.local_value"):
-        "per-node reference the tests check the batched kernel against",
-    ("problems.py", "QuadraticSuite.local_grad"):
-        "per-node reference the tests check the batched kernel against",
-    ("problems.py", "LogisticSuite.local_value"):
-        "per-node reference the tests check the batched kernel against",
-    ("problems.py", "LogisticSuite.local_grad"):
-        "per-node reference the tests check the batched kernel against",
     ("problems.py", "QuadraticSuite.grad_stack"):
         "the benchmark's tracer hooks it (perfbench/tracer.py); global_grad never runs on a "
         "quadratic suite, whose reference optimum is solved analytically",

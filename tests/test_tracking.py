@@ -1,6 +1,7 @@
 import itertools
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import gradtrack as gt
-from gradtrack.tracking import (DIVERGENCE_LIMIT, DivergenceError, GtaConfig, GtaState,
-                                RunTrace, advance, batchable, diverged, error_vector,
-                                initialize, inner_step, outer_step, run, surely_bounded)
+from gradtrack.tracking import (DIVERGENCE_LIMIT, DivergenceError, ErrorVector, GtaConfig,
+                                GtaState, RunTrace, advance, batchable, diverged,
+                                error_vector, initialize, inner_step, outer_step, run,
+                                surely_bounded)
 
 from conftest import custom_strategy, kernel_params, kron_outer_step, slot_powers
 
@@ -38,11 +40,11 @@ def test_initialize_at_consensual_optimum_has_zero_mean_tracker(small_quadratic)
 
 
 def test_initialize_logistic_matches_finite_differences():
-    from conftest import central_diff
+    from conftest import central_diff, local_value
     suite = gt.logreg_suite(gt.load_libsvm("data/synth_binary.libsvm", 4))
     st = initialize(suite, np.zeros(4 * suite.d))
     for i in range(4):
-        fd = central_diff(lambda z: suite.local_value(i, z), np.zeros(suite.d))
+        fd = central_diff(lambda z: local_value(suite, i, z), np.zeros(suite.d))
         y_i = st.y[i, :, 0]
         assert np.linalg.norm(y_i - fd) <= 1e-5 * (1 + np.linalg.norm(y_i))
 
@@ -626,13 +628,18 @@ _STACK_SUITES = {}
 
 def _stack_suite(kind):
     """(suite, W, lazy W) of the stacked-run tests, built once each: 8-node
-    quadratic and logistic suites on a cycle, and a quadratic on a
-    256-cycle, whose Metropolis matrix is held as a neighbour table."""
+    quadratic and logistic suites on a cycle, a quadratic on a 256-cycle,
+    whose Metropolis matrix is held as a neighbour table, and ("wide") a
+    quadratic on a 2048-cycle whose one column holds n*d = 10240 entries,
+    past the size from which OpenBLAS may split a dot product across
+    threads."""
     if kind not in _STACK_SUITES:
         if kind == "quadratic":
             suite = gt.generate_quadratic(gt.QuadraticSpec(n=8, d=3, kappa_target=30.0, seed=5))
         elif kind == "logistic":
             suite = gt.logreg_suite(gt.load_libsvm("data/synth_binary.libsvm", 8))
+        elif kind == "wide":
+            suite = gt.generate_quadratic(gt.QuadraticSpec(n=2048, d=5, kappa_target=10.0, seed=8))
         else:
             suite = gt.generate_quadratic(gt.QuadraticSpec(n=256, d=2, kappa_target=10.0, seed=6))
         graph = gt.build_graph("cycle", suite.n)
@@ -1202,3 +1209,143 @@ def test_a_one_power_stack_mixes_each_column_as_its_own_pair(kind, n_c, patterns
                 want = {(True, True): puv, (True, False): pu + v, (False, True): u + pv,
                         (False, False): u + v}[mixes_a, mixes_b][:, :, j]
                 assert _same_bits(got[:, :, j], want), (cfg.strategy.name, a, b)
+
+
+# ------------------------------------------------------ rows taken in blocks
+
+def _norm_row(state, suite):
+    """The (3, c) errors of state by np.linalg.norm: the whole stack's ravel
+    and dot product for one column, the per-column sum of squares for more
+    (the formulas error_vector took one state at a time)."""
+    x, y = state.x, state.y
+    x_bar, y_bar = x.mean(axis=0), y.mean(axis=0)
+    temps = (x_bar - suite.x_star[:, None], x - x_bar, y - y_bar)
+    if x.shape[2] == 1:
+        return np.array([[np.linalg.norm(v)] for v in temps])
+    return np.array([np.linalg.norm(v, axis=axis) for v, axis in zip(temps, (0, (0, 1), (0, 1)))])
+
+
+def _row_loop(suite, cfgs, x0):
+    """One part's traced stack written out as one `advance` and one row per
+    outer iteration, narrowing the state and the kernel's parameters where
+    columns leave: per cell, its (rows, 3) errors or, where it met the
+    divergence rule, (k, its (3,) errors); and the k at which it left."""
+    n, d, c = suite.n, suite.d, len(cfgs)
+    state = initialize(suite, np.broadcast_to(np.reshape(x0, (n, d, 1)), (n, d, c)))
+    step = gt.tracking._stack(cfgs)
+    live, rows = list(range(c)), [[] for _ in cfgs]
+    out, left = [None] * c, [None] * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            errs = _norm_row(state, suite)
+            dead = np.reshape(diverged(ErrorVector(*errs)), -1) & (state.k > 0)
+            for p, j in enumerate(live):
+                rows[j].append(errs[:, p])
+                tol = cfgs[j].stop_tol
+                if dead[p]:
+                    out[j] = (state.k, errs[:, p])
+                elif state.k >= cfgs[j].max_outer_iters or (tol is not None and errs[0, p] <= tol):
+                    out[j] = np.array(rows[j])
+                if out[j] is not None:
+                    left[j] = state.k
+            keep = np.array([out[j] is None for j in live])
+            live = [j for j in live if out[j] is None]
+            if not live:
+                return out, left
+            if not keep.all():
+                state.keep(keep)
+                step = step.keep(keep)
+            advance(state, step)
+
+
+# (method, n_c, step 2^-t / (n_g L), stop_tol as a fraction of ||x*||, budget):
+# budgets about one block of rows (32 rows, k = 0 among them) and past it
+_ROW_CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3"]), hst.sampled_from([1, 2]),
+                        hst.integers(-4, 3), hst.sampled_from([None, 0.5, 0.1, 1e-2, 1e-3]),
+                        hst.sampled_from([0, 1, 31, 32, 33, 98]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=hst.sampled_from(["quadratic", "logistic", "wide"]), c=hst.sampled_from([1, 2, 5]),
+       n_g=hst.sampled_from([1, 2]), cells=hst.lists(_ROW_CELLS, min_size=5, max_size=5),
+       frozen=hst.booleans())
+def test_a_traced_stack_takes_the_rows_of_one_row_per_iteration(kind, c, n_g, cells, frozen):
+    # a traced part takes its rows in blocks and rewinds to the first row
+    # where a column leaves: its budget, a stop_tol met inside a block, or
+    # a step size that diverges inside one.  Every row, outcome and
+    # divergence step is the per-iteration loop's, bit for bit, and the
+    # cells' wall times follow the order in which they left.  Blocks grow
+    # as measured time allows; a frozen clock, where nothing seems to cost
+    # time, lets every block grow to the cap
+    suite, w, _ = _stack_suite(kind)
+    cells = cells[:1 if kind == "wide" else c]
+    x_star_norm = float(np.linalg.norm(suite.x_star))
+    strategies, cfgs = {}, []
+    for method, n_c, t, rel_tol, budget in cells:
+        if (method, n_c) not in strategies:
+            strategies[method, n_c] = gt.strategy_for(method, w, n_c)
+        cfgs.append(GtaConfig(strategy=strategies[method, n_c], alpha=2.0 ** -t / (n_g * suite.L),
+                              n_g=n_g, max_outer_iters=budget,
+                              stop_tol=None if rel_tol is None else rel_tol * x_star_norm))
+    x0 = np.zeros(suite.n * suite.d)
+    assert _part_columns(suite, cfgs) == [list(range(len(cfgs)))]
+    want, left = _row_loop(suite, cfgs, x0)
+    if frozen:
+        with mock.patch.object(gt.tracking, "time", SimpleNamespace(perf_counter=lambda: 0.0)):
+            got = _stacked(suite, cfgs, x0)
+    else:
+        got = _stacked(suite, cfgs, x0)
+    for g, wnt in zip(got, want, strict=True):
+        if isinstance(wnt, tuple):
+            assert isinstance(g, DivergenceError) and g.k == wnt[0]
+            assert _same_bits(g.errors.as_array(), wnt[1])
+        else:
+            assert isinstance(g, RunTrace) and np.array_equal(g.k, np.arange(len(wnt)))
+            assert _same_bits(g.error_matrix(), wnt)
+    ended = sorted((k, g.wall_time) for k, g in zip(left, got) if isinstance(g, RunTrace))
+    for (k_a, t_a), (k_b, t_b) in itertools.pairwise(ended):
+        assert t_a <= t_b and (k_a < k_b or t_a == t_b)
+
+
+@pytest.mark.parametrize("costly", ["advance", "rows"])
+def test_blocks_drop_iterations_only_against_the_time_rows_took(costly, monkeypatch):
+    # a clock that moves only in `advance` (an expensive gradient) keeps
+    # every block at one iteration, so a leave at the stop_tol drops none;
+    # one that moves only while rows are taken lets every block grow to
+    # the cap of 32 rows (the first holds k = 0 and 31 iterations), so the
+    # leave drops the rest of its block.  The rows are the same either way
+    suite, w, _ = _stack_suite("quadratic")
+    cfg = GtaConfig(strategy=gt.strategy_for("GTA3", w, 2), alpha=0.5 / suite.L,
+                    max_outer_iters=10_000, stop_tol=1e-9 * float(np.linalg.norm(suite.x_star)))
+    x0 = np.zeros(suite.n * suite.d)
+    want = run(suite, cfg, x0)
+    clock, advances, blocks = [0.0], [0], [0]
+    tracking = gt.tracking
+    error_rows = tracking.error_rows
+
+    def counted_rows(*args):
+        blocks[0] += 1
+        return error_rows(*args)
+
+    def timed(fn):
+        def call(*args):
+            clock[0] += 1.0
+            return fn(*args)
+        return call
+
+    def counted(state, step):
+        advances[0] += 1
+        return advance(state, step)
+
+    monkeypatch.setattr(tracking, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(tracking, "advance", timed(counted) if costly == "advance" else counted)
+    monkeypatch.setattr(tracking, "error_rows",
+                        timed(counted_rows) if costly == "rows" else counted_rows)
+    got = run(suite, cfg, x0)
+    assert _same_bits(got.error_matrix(), want.error_matrix())
+    k = int(got.k[-1])
+    assert k > 64
+    if costly == "advance":
+        assert advances[0] == k and blocks[0] == k
+    else:
+        assert advances[0] == 32 * blocks[0] - 1 and advances[0] - k < 32
