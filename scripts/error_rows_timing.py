@@ -6,7 +6,8 @@ regressions at d = 8 on 240 samples, the size of the bundled dataset, and
 on 24 000, whose gradient costs far more than a row) with GTA3 at n_c = 5,
 and column count c, it prints the best-of-5 time of one outer iteration
 (`tracking.advance`), of one row taken per state (`error_vector`, the
-divergence rule and the per-column tests, as a sweep takes a row), and of
+divergence rule and the per-column tests, as a loop that takes one row
+per iteration would), and of
 one row taken in a block of b states (`np.stack` of the held x and y, one
 `error_rows` call and the test that clears a block where no column leaves,
 divided by b), with the floats a block of b states holds (3 * n * d * c *

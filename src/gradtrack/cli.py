@@ -6,9 +6,10 @@ Verbs:
     theory <config>                   theory-vs-measurement report
     beta --graph KIND --n N [...]     compute a mixing matrix's spectral gap
 
-Exit codes: 0 success, 2 config error, 3 data/parse error (a malformed
-LIBSVM dataset or custom matrix CSV file: a token that is not a number, a
-repeated feature index, rows of unequal length), 4 divergence
+Exit codes: 0 success, 2 config error (a config file that does not decode
+as text included), 3 data/parse error (a malformed LIBSVM dataset or custom
+matrix CSV file: a token that is not a number, a repeated feature index,
+rows of unequal length, bytes that do not decode as text), 4 divergence
 (including an all-candidates-diverged tuning sweep), 5 numerical failure
 (a reference optimum that does not reach its tolerance, a spectral radius
 of a non-finite matrix, or a ValueError raised on computed numbers, such as

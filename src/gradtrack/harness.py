@@ -181,8 +181,12 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file: {exc}") from exc
     kv: dict[str, str] = {}
-    for ln, raw_line in enumerate(path.read_text().splitlines(), start=1):
+    for ln, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -244,6 +244,15 @@ def _map_labels(raw: np.ndarray) -> np.ndarray:
     return np.where(raw == lo, -1.0, 1.0)
 
 
+def read_text(path) -> str:
+    """The text of a data file; bytes that do not decode as text are a
+    DataFormatError naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text file: {exc}") from exc
+
+
 def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     """Parse a LIBSVM text file ("label idx:val ...") and shard it.
 
@@ -253,7 +262,8 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     distinct values) are mapped to {-1,+1}.  normalize rescales each feature
     to [0, 1] over the whole dataset.  A line that does not parse, repeats
     a feature index, or holds a label or value that is not finite (float()
-    reads "nan" and "inf") is a DataFormatError naming its line.
+    reads "nan" and "inf") is a DataFormatError naming its line, and so is
+    a file that does not decode as text (`read_text`).
     """
     if n_nodes < 1:
         raise DataFormatError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -265,30 +275,31 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     counts: list[int] = []
     lines: list[int] = []
     d = 0
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            line_idx = []
-            try:
-                labels.append(float(toks[0]))
-                for tok in toks[1:]:
-                    i_str, v_str = tok.split(":")
-                    line_idx.append(int(i_str))
-                    val.append(float(v_str))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}: malformed line {ln}: {exc}") from exc
-            if line_idx and min(line_idx) < 1:
-                raise DataFormatError(f"{path}: malformed line {ln}: feature index < 1")
-            if len(set(line_idx)) < len(line_idx):
-                raise DataFormatError(f"{path}: malformed line {ln}: a feature index repeats")
-            if line_idx:
-                d = max(d, max(line_idx))
-            idx += line_idx
-            counts.append(len(line_idx))
-            lines.append(ln)
+    # the lines a text-mode file yields: read_text translates "\r\n" and
+    # "\r" to "\n", and splitlines would also split at other separators
+    for ln, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.split()
+        line_idx = []
+        try:
+            labels.append(float(toks[0]))
+            for tok in toks[1:]:
+                i_str, v_str = tok.split(":")
+                line_idx.append(int(i_str))
+                val.append(float(v_str))
+        except (ValueError, IndexError) as exc:
+            raise DataFormatError(f"{path}: malformed line {ln}: {exc}") from exc
+        if line_idx and min(line_idx) < 1:
+            raise DataFormatError(f"{path}: malformed line {ln}: feature index < 1")
+        if len(set(line_idx)) < len(line_idx):
+            raise DataFormatError(f"{path}: malformed line {ln}: a feature index repeats")
+        if line_idx:
+            d = max(d, max(line_idx))
+        idx += line_idx
+        counts.append(len(line_idx))
+        lines.append(ln)
     # an index beyond the platform's integers is an OverflowError, as numpy
     # raises it
     cols = np.array(idx, dtype=np.intp) - 1

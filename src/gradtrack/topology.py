@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problems import DataFormatError
+from .problems import DataFormatError, read_text
 
 METHOD_NAMES = ("GTA1", "GTA2", "GTA3")
 # which slot of (W1, W2, W3, W4) holds the mixing matrix W and which the identity I
@@ -625,9 +625,10 @@ def write_matrix_csv(w: np.ndarray, path) -> None:
 def read_matrix_csv(path) -> np.ndarray:
     """The matrix a CSV file holds, one row per line, blank lines skipped.  A
     token that is not a number, or a row whose length differs from the
-    first's, is a DataFormatError naming the file and the 1-based line."""
+    first's, is a DataFormatError naming the file and the 1-based line, and
+    so is a file that does not decode as text (`read_text`)."""
     rows = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

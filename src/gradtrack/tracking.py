@@ -60,15 +60,18 @@ stop_tol; the other columns go on.  A stacked column takes the iterations
 of its own run: only the rounding of the batched mixing and the stacked
 gradient and norm operations can differ.
 
-A traced part takes its error rows in blocks: it advances up to
-_ROW_BLOCK outer iterations (fewer when their held x, y and gradients
-would pass _ROW_FLOATS floats, or when the iterations a leave could drop
-would cost more than the pass's rows have so far), holding each
-iteration's arrays, and takes the block's rows in one `error_rows` call,
-which gives each row the bits of its own `error_vector`.  At the first
-row where a column leaves, the state goes back to that row's arrays and
-the later iterations are dropped, so the narrowed stack steps on from the
-same bits as if every row had been taken as it came.
+Every part steps through one loop (`_rows_to_leaving`), which takes its
+error rows in blocks: it advances up to _ROW_BLOCK outer iterations
+(fewer when their held x, y and gradients would pass _ROW_FLOATS floats,
+or when the iterations a leave could drop would cost more than the pass's
+rows have so far), holding each iteration's arrays, and takes the block's
+rows in one `error_rows` call, which gives each row the bits of its own
+`error_vector`.  At the first row where a column leaves, the state goes
+back to that row's arrays and the later iterations are dropped, so the
+narrowed stack steps on from the same bits as if every row had been taken
+as it came.  A sweep is a part that keeps no rows: without trace or a
+stop_tol it skips the rows `surely_bounded` clears, and each column's
+outcome is the row it left on, the last row of its traced run.
 """
 
 from __future__ import annotations
@@ -286,9 +289,6 @@ class ErrorVector:
     opt_err: float
     x_consensus: float
     y_consensus: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.opt_err, self.x_consensus, self.y_consensus])
 
 
 @dataclass(slots=True)
@@ -528,11 +528,17 @@ _ROW_FLOATS = 1 << 14
 
 
 def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: np.ndarray,
-                     entry: bool, t0: float, credit: float):
+                     entry: bool, bound: float | None, t0: float, credit: float):
     """Advance state until the first row at which a column leaves (its
     budget, opt_err <= its stop_tol, or the divergence rule from k = 1 on;
     budgets and tols hold one entry per column), taking the rows in blocks:
     the row of the state on entry (with entry, at k = 0) and each later one.
+    With bound (||x*||, given when no column has a stop_tol and no row is
+    kept) rows short of the smallest budget that no column can leave on are
+    skipped: the entry row, where the divergence rule is not tested, and
+    the row of each iteration that `surely_bounded` clears, until a block
+    holds a row.  So a sweep takes rows only where a column may diverge and
+    at its budget.
 
     A block advances up to _ROW_BLOCK iterations, never past the smallest
     budget, and holds each iteration's (x, y, grads), which `advance`
@@ -558,6 +564,7 @@ def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: n
     left."""
     cap = max(1, min(_ROW_BLOCK, _ROW_FLOATS // (3 * state.x.size)))
     k_end, tol_max = int(budgets.min()), tols.max()
+    entry = entry and (bound is None or state.k >= k_end)
     held = [(state.x, state.y, state.grads, time.perf_counter() - t0)] if entry else []
     blocks = []
     while True:
@@ -565,6 +572,12 @@ def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: n
         last = held[-1][3] if held else time.perf_counter() - t0
         while len(held) < cap and state.k < k_end:
             advance(state, step)
+            # a block's rows are consecutive, so a held row ends the skipping;
+            # a skipped iteration's time counts toward the next held one,
+            # which can only shorten the block
+            if (bound is not None and not held and state.k < k_end
+                    and surely_bounded(state, bound)):
+                continue
             now = time.perf_counter() - t0
             held.append((state.x, state.y, state.grads, now))
             m = len(held) - start
@@ -669,14 +682,15 @@ class RunStack:
     only read the outcomes; a part no cell was asked for never runs.  A
     column leaves at the first row (k >= 1) that meets the divergence rule,
     or else at the first row at its budget or with opt_err <= its stop_tol,
-    as a one-cell run ends; the other columns go on.  With trace (a grid's
-    runs) every column's error row is recorded at every outer iteration,
-    taken in blocks of iterations (`_rows_to_leaving`), and a column's
-    outcome is its RunTrace.  Without it (a step-size sweep)
-    the outcome is the column's last error row: while no column has a
-    stop_tol, the rule is evaluated only where `surely_bounded` cannot clear
-    every column, and the last rows are taken at the budget on the columns
-    still live.  Either way a column that met the divergence rule has its
+    as a one-cell run ends; the other columns go on.  Every part steps
+    through one loop that takes its rows in blocks of iterations
+    (`_rows_to_leaving`).  With trace (a grid's runs) every column's error
+    row is recorded at every outer iteration, and a column's outcome is its
+    RunTrace.  Without it (a step-size sweep) no row is kept: the outcome
+    is the ErrorVector of the row the column left on, the last row of its
+    traced outcome, and while no live column has a stop_tol a row is taken
+    only at the budget or where `surely_bounded` cannot clear every column.
+    Either way a column that met the divergence rule has its
     DivergenceError as its outcome.  Deterministic for fixed inputs.
     """
 
@@ -697,75 +711,43 @@ class RunStack:
 
     def _run(self, cfgs: list[GtaConfig]) -> list:
         """Step every column of one part from x0 until it has left; returns
-        each cell's outcome.  The live columns form a segment, with its
-        smallest budget and largest stop_tol; a column leaving starts a new
-        one, and narrows the part's kernel parameters (`_Stack.keep`).  With
-        trace a segment takes its rows in blocks (`_rows_to_leaving`)."""
+        each cell's outcome.  The live columns form a segment, which steps
+        through `_rows_to_leaving` with its smallest budget and largest
+        stop_tol; a column leaving starts a new one, and narrows the part's
+        kernel parameters (`_Stack.keep`)."""
         suite, trace = self.suite, self.trace
         n, d, c = suite.n, suite.d, len(cfgs)
         t0 = time.perf_counter()
         state = initialize(suite, self.x0 if c == 1 else
                            np.broadcast_to(self.x0.reshape(n, d, 1), (n, d, c)))
         x_star_norm = float(np.linalg.norm(suite.x_star))
-        # per-cell values as Python numbers: the per-column tests run only
-        # when a column may leave
-        tols = [-math.inf if cfg.stop_tol is None else cfg.stop_tol for cfg in cfgs]
+        budgets = np.array([cfg.max_outer_iters for cfg in cfgs])
+        tols = np.array([-math.inf if cfg.stop_tol is None else cfg.stop_tol for cfg in cfgs])
         # per cell once it left: its DivergenceError, else its wall time with
         # trace, its last ErrorVector without
         ends: list = [None] * c
         # per cell with trace: its column of each segment's (rows, 3) errors
         segments = [[] for _ in cfgs]
         live = list(range(c))
-        # whether a segment takes a row before it steps: at k = 0, and without
-        # trace once columns diverged, when the columns that end at that row
-        # take it again on the columns still live
-        retake = True
-        # with trace, the seconds of rows that blocks may still risk in
-        # dropped iterations (`_rows_to_leaving`)
+        # whether a segment takes the row it starts at: only the first, at k = 0
+        entry = True
+        # the seconds of rows that blocks may still risk in dropped
+        # iterations (`_rows_to_leaving`)
         credit = 0.0
         step = _stack(cfgs)
         # overflow on the way past the divergence guard is expected, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             while live:
-                if trace:
-                    errors, dead, leaves, now, credit = _rows_to_leaving(
-                        state, step, np.array([cfgs[j].max_outer_iters for j in live]),
-                        np.array([tols[j] for j in live]), retake, t0, credit)
-                    for p, j in enumerate(live):
-                        segments[j].append(errors[:, :, p])
-                    errs = errors[-1].T.tolist()
-                    retake = False
-                else:
-                    k_end = min(cfgs[j].max_outer_iters for j in live)
-                    tol_max = max(tols[j] for j in live)
-                    # rows are needed only to test a stop_tol
-                    precheck = tol_max == -math.inf
-                    # whether a per-column test holds in any column: one
-                    # column's ErrorVector holds floats, whose tests are a
-                    # bool or np.bool_
-                    any_ = bool if len(live) == 1 else np.ndarray.any
-                    ev = (error_vector(state, suite)
-                          if retake and (state.k >= k_end or not precheck) else None)
-                    while True:
-                        if ev is None:
-                            advance(state, step)
-                            # cheap pre-checks; the per-column tests only
-                            # when a column may leave
-                            if (precheck and state.k < k_end
-                                    and surely_bounded(state, x_star_norm)):
-                                continue
-                            ev = error_vector(state, suite)
-                        if state.k >= k_end or any_(ev.opt_err <= tol_max) or any_(diverged(ev)):
-                            break
-                        ev = None
-                    errs = np.reshape(ev.as_array(), (3, -1)).T.tolist()
-                    # divergence is not tested at k = 0
-                    dead = np.reshape(diverged(ev), -1).tolist() if state.k else [False] * len(live)
-                    retake = any(dead)
-                    leaves = [not retake and (state.k >= cfgs[j].max_outer_iters
-                                              or errs[p][0] <= tols[j])
-                              for p, j in enumerate(live)]
+                live_tols = tols[live]
+                # without trace, rows are needed only to test a stop_tol
+                errors, dead, leaves, now, credit = _rows_to_leaving(
+                    state, step, budgets[live], live_tols, entry,
+                    None if trace or live_tols.max() > -math.inf else x_star_norm, t0, credit)
+                entry = False
+                errs = errors[-1].T.tolist()
                 for p, j in enumerate(live):
+                    if trace:
+                        segments[j].append(errors[:, :, p])
                     if dead[p]:
                         ends[j] = DivergenceError(state.k, ErrorVector(*errs[p]))
                     elif leaves[p]:

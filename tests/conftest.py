@@ -133,6 +133,11 @@ def node_grad(suite, i, x):
     return suite.grad_stack(np.tile(x, (suite.n, 1)))[i]
 
 
+def as_array(ev):
+    """An ErrorVector's (opt_err, x_consensus, y_consensus) as one array."""
+    return np.array([ev.opt_err, ev.x_consensus, ev.y_consensus])
+
+
 def global_value(suite, x):
     """Global average objective, summed from the per-node references."""
     return sum(local_value(suite, i, x) for i in range(suite.n)) / suite.n

@@ -20,7 +20,7 @@ from gradtrack.harness import (ConfigError, TuningError, measured_contraction,
                                tune_step_size)
 from gradtrack.tracking import RunTrace
 
-from conftest import apply_counting_rounds
+from conftest import apply_counting_rounds, as_array
 
 
 def _write_cfg(tmp_path, text, name="exp.cfg"):
@@ -282,12 +282,12 @@ def test_every_sweep_candidate_matches_its_single_run(problem, method, nc, ng, s
                 gt.run(suite, cfg, x0)
             assert err.value.k == rec.k
             continue
-        final = gt.run(suite, cfg, x0).final().as_array()
+        final = as_array(gt.run(suite, cfg, x0).final())
         # the compared (tuned-on) error to 1e-12 relative; the consensus
         # errors are differences of nearly equal copies, so their rounding
         # is absolute, on the scale of eps * ||x||
         assert rec.opt_err == pytest.approx(final[0], rel=1e-12, abs=0.0)
-        assert rec.as_array()[1:] == pytest.approx(final[1:], rel=1e-12, abs=1e-14)
+        assert as_array(rec)[1:] == pytest.approx(final[1:], rel=1e-12, abs=1e-14)
         finished += 1
     assert finished >= 10
 
@@ -317,22 +317,23 @@ def test_a_sweep_mixes_its_live_candidates_as_one_block(small_quadratic, monkeyp
 
 def test_a_sweep_without_divergence_takes_no_error_row_per_iteration(small_quadratic,
                                                                        monkeypatch):
-    # the pre-check clears every step; the errors are taken at the budget
+    # the pre-check clears every step; the errors are taken at the budget:
+    # one state's row, whatever the budget
     suite = small_quadratic
     strat = gt.strategy_for("GTA3", gt.metropolis_weights(gt.build_graph("cycle", suite.n)), 1)
     assert not any(_died_at(o) for o in _sweep(suite, strat, 1, 40, (4, 20)))
-    calls = []
-    real = gt.tracking.error_vector
+    states = []
+    real = gt.tracking.error_rows
 
-    def counting(state, s):
-        calls[-1] += 1
-        return real(state, s)
+    def counting(x, y, s):
+        states[-1] += len(x)
+        return real(x, y, s)
 
-    monkeypatch.setattr(gt.tracking, "error_vector", counting)
+    monkeypatch.setattr(gt.tracking, "error_rows", counting)
     for budget in (10, 40):
-        calls.append(0)
+        states.append(0)
         tune_step_size(suite, strat, 1, budget=budget, t_range=(4, 20))
-    assert calls[0] == calls[1] < 10
+    assert states == [1, 1]
 
 
 @pytest.mark.parametrize("problem,n_g", [("quadratic", 1), ("quadratic", 3), ("logistic", 2)])
@@ -344,8 +345,8 @@ def test_a_one_candidate_sweep_is_its_one_cell_run(problem, n_g, small_quadratic
     strat = gt.strategy_for("GTA2", gt.metropolis_weights(gt.build_graph("cycle", suite.n)), 2)
     (got,) = _sweep(suite, strat, n_g, 25, (6, 6))
     cfg = gt.GtaConfig(strategy=strat, alpha=2.0 ** -6, n_g=n_g, max_outer_iters=25)
-    assert np.array_equal(got.as_array(), gt.run(suite, cfg, np.zeros(suite.n * suite.d))
-                          .final().as_array())
+    assert np.array_equal(as_array(got),
+                          as_array(gt.run(suite, cfg, np.zeros(suite.n * suite.d)).final()))
 
 
 def test_an_all_diverging_sweep_reports_each_candidates_run_k(small_quadratic):
@@ -879,11 +880,11 @@ def test_sweep_columns_match_single_runs_on_gather_rounds(method):
                 gt.run(suite, cfg, x0)
             assert err.value.k == rec.k
             continue
-        final = gt.run(suite, cfg, x0).final().as_array()
+        final = as_array(gt.run(suite, cfg, x0).final())
         # the same tolerances as on dense products: the mixing bits agree,
         # the batched gradient's need not
         assert rec.opt_err == pytest.approx(final[0], rel=1e-12, abs=0.0)
-        assert rec.as_array()[1:] == pytest.approx(final[1:], rel=1e-12, abs=1e-14)
+        assert as_array(rec)[1:] == pytest.approx(final[1:], rel=1e-12, abs=1e-14)
         finished += 1
     assert finished >= 10
 
@@ -1223,6 +1224,40 @@ def test_cli_a_malformed_custom_matrix_file_is_a_data_error(text, line, tmp_path
                                                             "methods = custom\n" + custom)
     assert cli.main(["run", str(_write_cfg(tmp_path, text))]) == 3
     assert f"data error: {bad}: malformed line {line}: " in capsys.readouterr().err
+
+
+def test_cli_a_config_that_does_not_decode_is_a_config_error(tmp_path, capsys):
+    # a byte that does not decode as text (0xff) is the config's fault, not
+    # a numerical failure
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_bytes(MINI_CFG.format(out=tmp_path / "out").encode() + b"# \xff\n")
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert f"config error: {cfg_path}: not a text file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["libsvm", "csv"])
+def test_cli_a_dataset_or_matrix_that_does_not_decode_is_a_data_error(kind, tmp_path, capsys):
+    # a LIBSVM dataset or a custom matrix CSV holding a byte that does not
+    # decode as text is a data error naming the file, not a config error
+    bad = tmp_path / f"bad.{kind}"
+    if kind == "libsvm":
+        bad.write_bytes(b"1 1:1\n0 1:\xff\n")
+        text = f"""
+            problem = logreg
+            dataset = {bad}
+            n = 1
+            graph = complete
+            methods = GTA1
+            budget = 10
+            outdir = {tmp_path / 'out'}
+        """
+    else:
+        bad.write_bytes(b"0.5,0.5\n0.5,\xff\n")
+        custom = "".join(f"custom_w{i} = {bad}\n" for i in range(1, 5))
+        text = MINI_CFG.format(out=tmp_path / "out").replace("methods = GTA3\n",
+                                                             "methods = custom\n" + custom)
+    assert cli.main(["run", str(_write_cfg(tmp_path, text))]) == 3
+    assert f"data error: {bad}: not a text file" in capsys.readouterr().err
 
 
 def test_cli_divergence_exit_code(tmp_path, capsys):

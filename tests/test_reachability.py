@@ -36,6 +36,9 @@ KEEP = {
     ("theory.py", "MonotonicityReport.__str__"): "the message of monotonicity_report",
     ("topology.py", "CommunicationStrategy.matrices"):
         "the benchmark's tracer reads slot 0's matrix (perfbench/tracer.py)",
+    ("tracking.py", "error_vector"):
+        "exported by gradtrack, and the benchmark's tracer hooks it (perfbench/tracer.py): "
+        "deleting it would stop its traced runs",
     ("tracking.py", "RunTrace.comm_vectors"):
         "per-vector communication cost, for the planned theory-vs-measurement columns",
 }

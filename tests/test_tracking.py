@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import gradtrack as gt
@@ -14,7 +14,7 @@ from gradtrack.tracking import (DIVERGENCE_LIMIT, DivergenceError, ErrorVector, 
                                 error_vector, initialize, inner_step, outer_step, run,
                                 surely_bounded)
 
-from conftest import custom_strategy, kernel_params, kron_outer_step, slot_powers
+from conftest import as_array, custom_strategy, kernel_params, kron_outer_step, slot_powers
 
 
 def _strategy(method, n, n_c=1, kind="cycle", laziness=0.0):
@@ -580,14 +580,14 @@ def _loop_run(suite, cfg, x0):
     the budget or stop_tol, or the k at which the errors met the
     divergence rule."""
     st = initialize(suite, x0)
-    rows = [error_vector(st, suite).as_array()]
+    rows = [as_array(error_vector(st, suite))]
     step = kernel_params(cfg.strategy, cfg.alpha, cfg.n_g)
     with np.errstate(over="ignore", invalid="ignore"):
         while st.k < cfg.max_outer_iters and not (cfg.stop_tol is not None
                                                  and rows[-1][0] <= cfg.stop_tol):
             advance(st, step)
             ev = error_vector(st, suite)
-            rows.append(ev.as_array())
+            rows.append(as_array(ev))
             if diverged(ev):
                 return st.k
     return np.array(rows)
@@ -778,8 +778,9 @@ def test_a_diverging_column_leaves_the_stack_at_its_single_run_k(small_quadratic
 
 def _loop_sweep(suite, strategy, n_g, budget, alphas):
     """A step-size sweep written out as its own loop from the zero start:
-    per step size, its final (3,) errors, taken on the columns still live
-    at the budget, or the k at which it met the divergence rule."""
+    per step size, its final (3,) errors, taken at the budget on the row of
+    every column live there, those that diverge at it included, or the k
+    at which it met the divergence rule."""
     record = [None] * len(alphas)
     live = np.arange(len(alphas))
     state = initialize(suite, np.zeros((suite.n, suite.d, len(alphas))))
@@ -787,23 +788,26 @@ def _loop_sweep(suite, strategy, n_g, budget, alphas):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, budget + 1):
             advance(state, step)
-            dead = np.reshape(diverged(error_vector(state, suite)), -1)
+            ev = error_vector(state, suite)
+            dead = np.reshape(diverged(ev), -1)
             for i in live[dead]:
                 record[i] = k
+            if k == budget:
+                final = np.reshape(as_array(ev), (3, -1))
+                for j in np.flatnonzero(~dead):
+                    record[live[j]] = final[:, j]
+                return record
             if np.all(dead):
                 return record
             if np.any(dead):
                 live = live[~dead]
                 state.keep(~dead)
                 step = kernel_params(strategy, alphas[live], n_g)
-        final = np.reshape(error_vector(state, suite).as_array(), (3, -1))
-    for j, i in enumerate(live):
-        record[i] = final[:, j]
     return record
 
 
 @pytest.mark.parametrize("method,n_c,n_g,ts,budget", [
-    ("GTA2", 1, 1, (3, 4), 27),      # 2^-3 diverges at the budget, 2^-4 ends alone
+    ("GTA2", 1, 1, (3, 4), 27),      # 2^-3 diverges at the budget, 2^-4 ends on that row
     ("GTA1", 2, 1, (4, 5, 6), 29),   # 2^-4 diverges at the budget, two columns end
     ("GTA1", 1, 1, range(21), 40),
     ("GTA3", 2, 3, range(21), 30),
@@ -812,7 +816,7 @@ def test_a_sweep_stack_yields_the_sweep_loops_records(method, n_c, n_g, ts, budg
                                                        small_quadratic):
     # a RunStack without trace is the sweep: the same step of death, and the
     # final errors bit for bit, also where a column diverges at the budget
-    # and the others' errors are taken once it has left
+    # and the others end on the row at which it diverged
     s = small_quadratic
     strat = _strategy(method, s.n, n_c=n_c)
     alphas = 2.0 ** -np.array(ts, dtype=float)
@@ -827,7 +831,7 @@ def test_a_sweep_stack_yields_the_sweep_loops_records(method, n_c, n_g, ts, budg
         if isinstance(rec, int):
             assert isinstance(got, DivergenceError) and got.k == rec
         else:
-            assert np.array_equal(got.as_array(), rec)
+            assert np.array_equal(as_array(got), rec)
 
 
 def test_a_stack_mixes_as_one_product_per_pair_and_a_run_mixes_whole(small_quadratic,
@@ -994,7 +998,7 @@ def test_a_stack_of_mixed_n_g_matches_its_one_cell_runs(kind, n, one_strategy, c
             assert np.max(np.abs(col - ref)) <= STACK_RTOL * np.max(np.abs(ref)) + floor
         # without trace the column yields its last row alone
         last = want.error_matrix()[-1]
-        assert np.all(np.abs(sweep.outcome(j).as_array() - last)
+        assert np.all(np.abs(as_array(sweep.outcome(j)) - last)
                       <= STACK_RTOL * np.max(np.abs(want.error_matrix()), axis=0) + floor)
     assert isinstance(got, DivergenceError)
 
@@ -1063,7 +1067,7 @@ def test_a_one_power_stack_matches_its_one_cell_runs(kind, n_c, cells):
         for col, ref in zip(got.error_matrix().T, want.error_matrix().T):
             assert np.max(np.abs(col - ref)) <= STACK_RTOL * np.max(np.abs(ref)) + floor
         last = want.error_matrix()[-1]
-        assert np.all(np.abs(sweep.outcome(j).as_array() - last)
+        assert np.all(np.abs(as_array(sweep.outcome(j)) - last)
                       <= STACK_RTOL * np.max(np.abs(want.error_matrix()), axis=0) + floor)
     assert isinstance(got, DivergenceError)
 
@@ -1298,7 +1302,7 @@ def test_a_traced_stack_takes_the_rows_of_one_row_per_iteration(kind, c, n_g, ce
     for g, wnt in zip(got, want, strict=True):
         if isinstance(wnt, tuple):
             assert isinstance(g, DivergenceError) and g.k == wnt[0]
-            assert _same_bits(g.errors.as_array(), wnt[1])
+            assert _same_bits(as_array(g.errors), wnt[1])
         else:
             assert isinstance(g, RunTrace) and np.array_equal(g.k, np.arange(len(wnt)))
             assert _same_bits(g.error_matrix(), wnt)
@@ -1349,3 +1353,53 @@ def test_blocks_drop_iterations_only_against_the_time_rows_took(costly, monkeypa
         assert advances[0] == k and blocks[0] == k
     else:
         assert advances[0] == 32 * blocks[0] - 1 and advances[0] - k < 32
+
+
+# (method, n_c, step 2^-t / (n_g L), stop_tol as a fraction of ||x*||,
+# budget): step sizes inside the stable range and past it, so that columns
+# diverge mid-run; a budget of None is cut to the first k at which a column
+# diverges, so that others reach their budget on the row where it dies
+_SWEEP_CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3"]), hst.sampled_from([1, 2]),
+                          hst.integers(-3, 4), hst.sampled_from([None, None, 0.5, 1e-2]),
+                          hst.sampled_from([0, 1, 31, 32, 33, None]))
+
+
+@settings(max_examples=80, deadline=None)
+# the small_quadratic fixture's sweep at steps 2^-3 and 2^-4 (as absolute
+# steps): 2^-3 diverges at the budget, and 2^-4 ends on that row
+@example(kind="small", c=2, n_g=1, cells=[("GTA2", 1, 3, None, 27), ("GTA2", 1, 4, None, 27)])
+@given(kind=hst.sampled_from(["quadratic", "logistic"]), c=hst.sampled_from([1, 2, 5]),
+       n_g=hst.sampled_from([1, 2]), cells=hst.lists(_SWEEP_CELLS, min_size=5, max_size=5))
+def test_an_untraced_outcome_is_the_traced_outcomes_last_row(kind, c, n_g, cells):
+    # a stack without trace steps through the traced loop and keeps only
+    # the row each column leaves on: the traced outcome's last row, or the
+    # same divergence step and errors, bit for bit
+    if kind == "small":
+        suite = gt.generate_quadratic(gt.QuadraticSpec(n=8, d=4, kappa_target=30.0, seed=2))
+        w, scale = gt.metropolis_weights(gt.build_graph("cycle", suite.n)), 1.0
+    else:
+        suite, w, _ = _stack_suite(kind)
+        scale = 1.0 / (n_g * suite.L)
+    cells = cells[:c]
+    x_star_norm = float(np.linalg.norm(suite.x_star))
+    x0 = np.zeros(suite.n * suite.d)
+    strategies = {(method, n_c): gt.strategy_for(method, w, n_c) for method, n_c, *_ in cells}
+
+    def cfgs(cut):
+        return [GtaConfig(strategy=strategies[method, n_c], alpha=2.0 ** -t * scale, n_g=n_g,
+                          max_outer_iters=cut if budget is None else budget,
+                          stop_tol=None if rel_tol is None else rel_tol * x_star_norm)
+                for method, n_c, t, rel_tol, budget in cells]
+
+    deaths = [g.k for g in _stacked(suite, cfgs(33), x0) if isinstance(g, DivergenceError)]
+    stack_cells = cfgs(min(deaths, default=33))
+    traced = _stacked(suite, stack_cells, x0)
+    untraced = gt.tracking.RunStack(suite, stack_cells, x0, trace=False)
+    for j, want in enumerate(traced):
+        got = untraced.outcome(j)
+        if isinstance(want, DivergenceError):
+            assert isinstance(got, DivergenceError) and got.k == want.k
+            assert _same_bits(as_array(got.errors), as_array(want.errors))
+        else:
+            assert isinstance(got, ErrorVector)
+            assert _same_bits(as_array(got), want.error_matrix()[-1])
