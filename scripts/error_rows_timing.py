@@ -11,10 +11,11 @@ per iteration would), and of
 one row taken in a block of b states (`np.stack` of the held x and y, one
 `error_rows` call and the test that clears a block where no column leaves,
 divided by b), with the floats a block of b states holds (3 * n * d * c *
-b: x, y and the gradients).  This is the measurement behind `tracking._ROW_BLOCK` and
-`tracking._ROW_FLOATS`, and behind the rule that grows a block only as far
-as the rows already taken have paid for: where an iteration costs more than
-a row, a leave would drop more than the block saves.
+b: x, y and the gradients).  This is the measurement behind the fixed block
+length `tracking._ROW_BLOCK` and its float cap `tracking._ROW_FLOATS`.  The
+24 000-sample suite shows the blocks' worst case: its iteration costs more
+than a row, and a leave at a stop_tol or a divergence drops up to
+_ROW_BLOCK - 1 iterations already stepped.
 
 Usage: python scripts/error_rows_timing.py [N ...]     (default: 16 256 1024)
 """

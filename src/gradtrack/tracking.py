@@ -61,17 +61,19 @@ of its own run: only the rounding of the batched mixing and the stacked
 gradient and norm operations can differ.
 
 Every part steps through one loop (`_rows_to_leaving`), which takes its
-error rows in blocks: it advances up to _ROW_BLOCK outer iterations
-(fewer when their held x, y and gradients would pass _ROW_FLOATS floats,
-or when the iterations a leave could drop would cost more than the pass's
-rows have so far), holding each iteration's arrays, and takes the block's
-rows in one `error_rows` call, which gives each row the bits of its own
-`error_vector`.  At the first row where a column leaves, the state goes
-back to that row's arrays and the later iterations are dropped, so the
-narrowed stack steps on from the same bits as if every row had been taken
-as it came.  A sweep is a part that keeps no rows: without trace or a
-stop_tol it skips the rows `surely_bounded` clears, and each column's
-outcome is the row it left on, the last row of its traced run.
+error rows in blocks of a fixed length: it advances up to _ROW_BLOCK outer
+iterations (fewer when their held x, y and gradients would pass
+_ROW_FLOATS floats, and never past the smallest live budget), holding each
+iteration's arrays, and takes the block's rows in one `error_rows` call,
+which gives each row the bits of its own `error_vector`.  At the first row
+where a column leaves, the state goes back to that row's arrays and the
+later iterations are dropped, so the narrowed stack steps on from the same
+bits as if every row had been taken as it came.  The loop reads no clock
+and its norms no threaded BLAS call, so the iterations it steps and every
+row are functions of its inputs alone.  A sweep is a part that keeps no
+rows: without trace or a stop_tol it skips the rows `surely_bounded`
+clears, and each column's outcome is the row it left on, the last row of
+its traced run.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import compress
@@ -455,10 +456,10 @@ def error_rows(x: np.ndarray, y: np.ndarray, suite: ObjectiveSuite) -> np.ndarra
     """The three errors against suite.x_star of b states at once: x and y
     are (b, n, d, c) stacks of b states' x and y (c columns each); returns
     the (b, 3, c) rows (optimization error, x consensus error, y consensus
-    error).  Each state's row has the bits of its own computation: one
-    column's norms are the dot products `_norm` takes (np.vecdot runs the
-    same ddot per state), more columns' are np.linalg.norm's own formula,
-    each temporary squared in place."""
+    error).  Every column's norms, whatever c, are np.linalg.norm's own
+    per-column formula, each temporary squared in place and summed by
+    np.add.reduce: no BLAS call, so the bits do not depend on its thread
+    count, and each state's row has the bits of its own computation."""
     b, n, _, c = x.shape
     # sum / n is mean's own formula (same bits, less overhead)
     x_bar = x.sum(axis=1, keepdims=True) / n
@@ -466,11 +467,7 @@ def error_rows(x: np.ndarray, y: np.ndarray, suite: ObjectiveSuite) -> np.ndarra
     rows = np.empty((b, 3, c))
     for i, (a, ref) in enumerate(((x_bar, suite.x_star[:, None]), (x, x_bar), (y, y_bar))):
         v = a - ref
-        if c == 1:
-            v = v.reshape(b, -1)
-            np.vecdot(v, v, out=rows[:, i, 0])
-        else:
-            np.add.reduce(np.square(v, out=v), axis=(1, 2), out=rows[:, i])
+        np.add.reduce(np.square(v, out=v), axis=(1, 2), out=rows[:, i])
         # one temporary at a time: the peak holds one stack-sized temporary,
         # not two
         del v
@@ -478,9 +475,9 @@ def error_rows(x: np.ndarray, y: np.ndarray, suite: ObjectiveSuite) -> np.ndarra
 
 
 def error_vector(state: GtaState, suite: ObjectiveSuite) -> ErrorVector:
-    """Measure the three errors against suite.x_star (`error_rows` of the
-    one state): floats for one column (a run), (c,) arrays per column for
-    more."""
+    """Measure the three errors against suite.x_star: `error_rows` of the
+    one state, so the same formula for any column count; floats for one
+    column (a run), (c,) arrays per column for more."""
     rows = error_rows(state.x[None], state.y[None], suite)[0]
     return ErrorVector(*(rows[:, 0].tolist() if state.x.shape[2] == 1 else rows))
 
@@ -514,21 +511,23 @@ def surely_bounded(state: GtaState, x_star_norm: float) -> bool:
             and _norm(state.y) <= limit)
 
 
-# A traced segment takes its error rows in blocks (`_rows_to_leaving`): up
-# to _ROW_BLOCK outer iterations, whose held (x, y, grads) hold at most
-# _ROW_FLOATS floats (at least one iteration is held), and no more than
-# the pass's rows have paid for.  scripts/error_rows_timing.py measures
-# both bounds: on a 16-node one-column state a row taken alone costs more
-# than an outer iteration, and one in a block of 32 about a fifth of that;
-# past the cap a block takes its rows no faster, an uncapped block slowed
-# torus-1024's solve, and a looser cap raised the benchmark's peak memory
-# (README "Stacked runs").
+# A segment takes its error rows in blocks (`_rows_to_leaving`): up to
+# _ROW_BLOCK outer iterations, whose held (x, y, grads) hold at most
+# _ROW_FLOATS floats (at least one iteration is held).  The lengths follow
+# from the state's size and the budgets alone, never from a clock.
+# scripts/error_rows_timing.py measures both bounds: on a 16-node
+# one-column state a row taken alone costs more than an outer iteration,
+# and one in a block of 32 about a fifth of that; past the cap a block
+# takes its rows no faster, an uncapped block slowed torus-1024's solve,
+# and a looser cap raised the benchmark's peak memory (README "Stacked
+# runs").  The price is what a leave at a stop_tol or a divergence drops:
+# up to _ROW_BLOCK - 1 iterations already stepped.
 _ROW_BLOCK = 32
 _ROW_FLOATS = 1 << 14
 
 
 def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: np.ndarray,
-                     entry: bool, bound: float | None, t0: float, credit: float):
+                     entry: bool, bound: float | None):
     """Advance state until the first row at which a column leaves (its
     budget, opt_err <= its stop_tol, or the divergence rule from k = 1 on;
     budgets and tols hold one entry per column), taking the rows in blocks:
@@ -540,57 +539,34 @@ def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: n
     holds a row.  So a sweep takes rows only where a column may diverge and
     at its budget.
 
-    A block advances up to _ROW_BLOCK iterations, never past the smallest
-    budget, and holds each iteration's (x, y, grads), which `advance`
-    replaces and never mutates, with a timestamp; one `error_rows` call
-    then takes the block's rows.  At the first row where a column leaves,
-    the state is reset to that row's arrays and the later iterations are
-    dropped.
+    A block holds min(_ROW_BLOCK, the _ROW_FLOATS cap) rows, or fewer where
+    it reaches the smallest budget, with each row's (x, y, grads), which
+    `advance` replaces and never mutates; one `error_rows` call then takes
+    the block's rows.  At the first row where a column leaves, the state is
+    reset to that row's arrays and the later iterations are dropped.
 
-    A leave can drop iterations already stepped, so a block grows only
-    while they pay: at 1, 2, 4, ... iterations it stops once they, each at
-    the last one's measured time, cost more than credit (the seconds the
-    pass has spent on rows, less those of the iterations it dropped).  The
-    dropped iterations thus cost at most about twice what the rows took.
-    Where an iteration costs more than a row (an expensive gradient),
-    blocks stay short; where a row costs more, they reach the cap within a
-    few dozen rows.  Lengths of powers of two keep the block arrays' sizes
-    few: allowing every length raised a pass's peak memory (README
-    "Stacked runs").
-
-    Returns the (rows, 3, c) errors up to the leaving row; that row's
+    Returns the (rows, 3, c) errors up to the leaving row, and that row's
     per-column lists of whether the column met the divergence rule and
-    whether it leaves; the seconds since t0 at that row; and the credit
-    left."""
+    whether it leaves."""
     cap = max(1, min(_ROW_BLOCK, _ROW_FLOATS // (3 * state.x.size)))
     k_end, tol_max = int(budgets.min()), tols.max()
     entry = entry and (bound is None or state.k >= k_end)
-    held = [(state.x, state.y, state.grads, time.perf_counter() - t0)] if entry else []
+    held = [(state.x, state.y, state.grads)] if entry else []
     blocks = []
     while True:
-        start = len(held)
-        last = held[-1][3] if held else time.perf_counter() - t0
         while len(held) < cap and state.k < k_end:
             advance(state, step)
-            # a block's rows are consecutive, so a held row ends the skipping;
-            # a skipped iteration's time counts toward the next held one,
-            # which can only shorten the block
+            # a block's rows are consecutive, so a held row ends the skipping
             if (bound is not None and not held and state.k < k_end
                     and surely_bounded(state, bound)):
                 continue
-            now = time.perf_counter() - t0
-            held.append((state.x, state.y, state.grads, now))
-            m = len(held) - start
-            if m & (m - 1) == 0 and m * (now - last) > credit:
-                break
-            last = now
+            held.append((state.x, state.y, state.grads))
         # the stacks live only through the call, so no state outlives its
         # block; a lone state is read in place, so one past the cap is not
         # copied
         errors = (error_rows(held[0][0][None], held[0][1][None], state.suite) if len(held) == 1
                   else error_rows(np.stack([h[0] for h in held]), np.stack([h[1] for h in held]),
                                   state.suite))
-        credit += time.perf_counter() - t0 - held[-1][3]
         # most blocks hold no row where a column may leave: a comparison and
         # two reductions clear them (a NaN fails both error tests)
         if not (state.k < k_end and errors[:, 0].min() > tol_max
@@ -602,12 +578,10 @@ def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: n
             if hit.any():
                 r = int(hit.argmax())
                 blocks.append(errors[:r + 1])
-                state.x, state.y, state.grads, now = held[r]
+                state.x, state.y, state.grads = held[r]
                 state.k = int(ks[r, 0])
-                # the dropped iterations spend their seconds of credit
-                credit -= held[-1][3] - now
                 return ((blocks[0] if len(blocks) == 1 else np.concatenate(blocks)),
-                        dead[r].tolist(), leaves[r].tolist(), now, credit)
+                        dead[r].tolist(), leaves[r].tolist())
         blocks.append(errors)
         held = []
 
@@ -620,12 +594,8 @@ class RunTrace:
     are the algorithm's exact costs: comms = k * n_c consensus rounds and
     grads = k * n_g * n local gradient evaluations, whether or not the
     program evaluates each one (a quadratic's closed-form local steps
-    evaluate one gradient per node for all n_g - 1 of them).  wall_time is
-    the seconds from the start of its `RunStack`'s pass until the end of
-    the outer iteration at which its column left the stack, read from a
-    timestamp taken after each iteration, before the block of rows it
-    belongs to is taken: with several cells, that covers the other
-    columns' work as well.
+    evaluate one gradient per node for all n_g - 1 of them).  Like its
+    rows, a trace is a function of its cell and inputs alone.
     """
 
     k: np.ndarray
@@ -636,7 +606,6 @@ class RunTrace:
     n_g: int
     n: int
     vectors_per_round: int
-    wall_time: float
 
     @property
     def comms(self) -> np.ndarray:
@@ -717,32 +686,28 @@ class RunStack:
         kernel parameters (`_Stack.keep`)."""
         suite, trace = self.suite, self.trace
         n, d, c = suite.n, suite.d, len(cfgs)
-        t0 = time.perf_counter()
         state = initialize(suite, self.x0 if c == 1 else
                            np.broadcast_to(self.x0.reshape(n, d, 1), (n, d, c)))
         x_star_norm = float(np.linalg.norm(suite.x_star))
         budgets = np.array([cfg.max_outer_iters for cfg in cfgs])
         tols = np.array([-math.inf if cfg.stop_tol is None else cfg.stop_tol for cfg in cfgs])
-        # per cell once it left: its DivergenceError, else its wall time with
-        # trace, its last ErrorVector without
+        # per cell once it left: its DivergenceError, else its last
+        # ErrorVector
         ends: list = [None] * c
         # per cell with trace: its column of each segment's (rows, 3) errors
         segments = [[] for _ in cfgs]
         live = list(range(c))
         # whether a segment takes the row it starts at: only the first, at k = 0
         entry = True
-        # the seconds of rows that blocks may still risk in dropped
-        # iterations (`_rows_to_leaving`)
-        credit = 0.0
         step = _stack(cfgs)
         # overflow on the way past the divergence guard is expected, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             while live:
                 live_tols = tols[live]
                 # without trace, rows are needed only to test a stop_tol
-                errors, dead, leaves, now, credit = _rows_to_leaving(
+                errors, dead, leaves = _rows_to_leaving(
                     state, step, budgets[live], live_tols, entry,
-                    None if trace or live_tols.max() > -math.inf else x_star_norm, t0, credit)
+                    None if trace or live_tols.max() > -math.inf else x_star_norm)
                 entry = False
                 errs = errors[-1].T.tolist()
                 for p, j in enumerate(live):
@@ -751,7 +716,7 @@ class RunStack:
                     if dead[p]:
                         ends[j] = DivergenceError(state.k, ErrorVector(*errs[p]))
                     elif leaves[p]:
-                        ends[j] = now if trace else ErrorVector(*errs[p])
+                        ends[j] = ErrorVector(*errs[p])
                 keep = [ends[j] is None for j in live]
                 live = [j for j in live if ends[j] is None]
                 if live and len(live) < len(keep):
@@ -760,14 +725,13 @@ class RunStack:
                     step = step.keep(keep)
         outcomes = []
         for cfg, end, rows in zip(cfgs, ends, segments):
-            if isinstance(end, float):
+            if trace and isinstance(end, ErrorVector):
                 opt_err, x_consensus, y_consensus = (rows[0] if len(rows) == 1
                                                      else np.concatenate(rows)).T
                 end = RunTrace(k=np.arange(len(opt_err)), opt_err=opt_err,
                                x_consensus_err=x_consensus, y_consensus_err=y_consensus,
                                n_c=cfg.strategy.n_c, n_g=cfg.n_g, n=n,
-                               vectors_per_round=cfg.strategy.vectors_per_round(),
-                               wall_time=end)
+                               vectors_per_round=cfg.strategy.vectors_per_round())
             outcomes.append(end)
         return outcomes
 

@@ -660,7 +660,7 @@ def test_measured_contraction_recovers_geometric_rate():
     errs = 0.9**k
     trace = RunTrace(k=k, opt_err=errs, x_consensus_err=0.5 * errs,
                      y_consensus_err=0.1 * errs, n_c=1, n_g=1, n=2,
-                     vectors_per_round=1, wall_time=0.0)
+                     vectors_per_round=1)
     assert measured_contraction(trace) == pytest.approx(0.9, rel=1e-12)
 
 

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -326,18 +330,24 @@ def test_error_vector_mean_cancellation(two_node_suite):
     assert ev.x_consensus == pytest.approx(np.linalg.norm(np.stack([e, -e])))
 
 
+def _column_norms(v, axes):
+    """Each column's norm of v over axes: the per-column sum of squares,
+    np.linalg.norm's formula, which error_rows takes for any column count."""
+    return np.sqrt(np.add.reduce(np.square(v), axis=axes))
+
+
 def test_error_vector_matches_recomputation(small_quadratic):
     s = small_quadratic
     rng = np.random.default_rng(9)
     st = initialize(s, rng.normal(size=s.n * s.d))
     st.y = rng.normal(size=(s.n, s.d, 1))
     ev = error_vector(st, s)
-    x, y = st.x[:, :, 0], st.y[:, :, 0]
+    x, y = st.x, st.y
     xb = x.mean(axis=0)
     yb = y.mean(axis=0)
-    assert ev.opt_err == np.linalg.norm(xb - s.x_star)
-    assert ev.x_consensus == np.linalg.norm(x - xb)
-    assert ev.y_consensus == np.linalg.norm(y - yb)
+    assert ev.opt_err == _column_norms(xb - s.x_star[:, None], 0)[0]
+    assert ev.x_consensus == _column_norms(x - xb, (0, 1))[0]
+    assert ev.y_consensus == _column_norms(y - yb, (0, 1))[0]
 
 
 # ----------------------------------------------------------------------- run
@@ -557,7 +567,7 @@ def test_trace_csv_matches_per_element_formatting(tmp_path):
     errs = rng.lognormal(size=(3, 60)) * 10.0 ** rng.integers(-300, 300, size=(3, 60))
     errs[0, 5], errs[1, 7], errs[2, 9], errs[0, 11] = math.nan, math.inf, 0.0, 5e-324
     tr = RunTrace(k=k, opt_err=errs[0], x_consensus_err=errs[1], y_consensus_err=errs[2],
-                  n_c=7, n_g=100, n=1024, vectors_per_round=3, wall_time=0.0)
+                  n_c=7, n_g=100, n=1024, vectors_per_round=3)
     lines = ["k,comms_cumulative,grads_cumulative,opt_err,x_consensus_err,y_consensus_err"]
     for i in range(len(k)):
         lines.append("%d,%d,%d,%.17g,%.17g,%.17g" % (
@@ -1218,15 +1228,12 @@ def test_a_one_power_stack_mixes_each_column_as_its_own_pair(kind, n_c, patterns
 # ------------------------------------------------------ rows taken in blocks
 
 def _norm_row(state, suite):
-    """The (3, c) errors of state by np.linalg.norm: the whole stack's ravel
-    and dot product for one column, the per-column sum of squares for more
-    (the formulas error_vector took one state at a time)."""
+    """The (3, c) errors of state by the per-column sum of squares, for any
+    column count (the formula error_vector takes one state at a time)."""
     x, y = state.x, state.y
     x_bar, y_bar = x.mean(axis=0), y.mean(axis=0)
     temps = (x_bar - suite.x_star[:, None], x - x_bar, y - y_bar)
-    if x.shape[2] == 1:
-        return np.array([[np.linalg.norm(v)] for v in temps])
-    return np.array([np.linalg.norm(v, axis=axis) for v, axis in zip(temps, (0, (0, 1), (0, 1)))])
+    return np.array([_column_norms(v, axes) for v, axes in zip(temps, (0, (0, 1), (0, 1)))])
 
 
 def _row_loop(suite, cfgs, x0):
@@ -1269,18 +1276,47 @@ _ROW_CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3"]), hst.sampled_
                         hst.sampled_from([0, 1, 31, 32, 33, 98]))
 
 
+def _fixed_advances(suite, cfgs, left):
+    """The `advance` calls of a traced part's fixed blocks, from the k at
+    which each cell's column left: each segment steps to the end of the
+    block that holds its first leaving row (_ROW_BLOCK rows, fewer under
+    the _ROW_FLOATS cap or at the smallest live budget; the first block
+    holds the k = 0 row) and goes on from that row."""
+    tracking = gt.tracking
+    live, k, total, first = list(range(len(cfgs))), 0, 0, 0
+    while live:
+        cap = max(1, min(tracking._ROW_BLOCK,
+                         tracking._ROW_FLOATS // (3 * suite.n * suite.d * len(live))))
+        k_end = min(cfgs[j].max_outer_iters for j in live)
+        k_leave = min(left[j] for j in live)
+        total += min(first + ((k_leave - first) // cap + 1) * cap - 1, k_end) - k
+        # a later segment's first row is the one after its leaving row
+        k, first = k_leave, k_leave + 1
+        live = [j for j in live if left[j] > k_leave]
+    return total
+
+
+def _counting_advances():
+    """A patch of tracking.advance that counts its calls in the list it
+    returns."""
+    calls = [0]
+
+    def counted(state, step):
+        calls[0] += 1
+        return advance(state, step)
+
+    return mock.patch.object(gt.tracking, "advance", counted), calls
+
+
 @settings(max_examples=120, deadline=None)
 @given(kind=hst.sampled_from(["quadratic", "logistic", "wide"]), c=hst.sampled_from([1, 2, 5]),
-       n_g=hst.sampled_from([1, 2]), cells=hst.lists(_ROW_CELLS, min_size=5, max_size=5),
-       frozen=hst.booleans())
-def test_a_traced_stack_takes_the_rows_of_one_row_per_iteration(kind, c, n_g, cells, frozen):
+       n_g=hst.sampled_from([1, 2]), cells=hst.lists(_ROW_CELLS, min_size=5, max_size=5))
+def test_a_traced_stack_takes_the_rows_of_one_row_per_iteration(kind, c, n_g, cells):
     # a traced part takes its rows in blocks and rewinds to the first row
     # where a column leaves: its budget, a stop_tol met inside a block, or
     # a step size that diverges inside one.  Every row, outcome and
     # divergence step is the per-iteration loop's, bit for bit, and the
-    # cells' wall times follow the order in which they left.  Blocks grow
-    # as measured time allows; a frozen clock, where nothing seems to cost
-    # time, lets every block grow to the cap
+    # iterations stepped are the fixed blocks' own, dropped ones included
     suite, w, _ = _stack_suite(kind)
     cells = cells[:1 if kind == "wide" else c]
     x_star_norm = float(np.linalg.norm(suite.x_star))
@@ -1294,10 +1330,8 @@ def test_a_traced_stack_takes_the_rows_of_one_row_per_iteration(kind, c, n_g, ce
     x0 = np.zeros(suite.n * suite.d)
     assert _part_columns(suite, cfgs) == [list(range(len(cfgs)))]
     want, left = _row_loop(suite, cfgs, x0)
-    if frozen:
-        with mock.patch.object(gt.tracking, "time", SimpleNamespace(perf_counter=lambda: 0.0)):
-            got = _stacked(suite, cfgs, x0)
-    else:
+    patch, advances = _counting_advances()
+    with patch:
         got = _stacked(suite, cfgs, x0)
     for g, wnt in zip(got, want, strict=True):
         if isinstance(wnt, tuple):
@@ -1306,53 +1340,54 @@ def test_a_traced_stack_takes_the_rows_of_one_row_per_iteration(kind, c, n_g, ce
         else:
             assert isinstance(g, RunTrace) and np.array_equal(g.k, np.arange(len(wnt)))
             assert _same_bits(g.error_matrix(), wnt)
-    ended = sorted((k, g.wall_time) for k, g in zip(left, got) if isinstance(g, RunTrace))
-    for (k_a, t_a), (k_b, t_b) in itertools.pairwise(ended):
-        assert t_a <= t_b and (k_a < k_b or t_a == t_b)
+    assert advances[0] == _fixed_advances(suite, cfgs, left)
 
 
-@pytest.mark.parametrize("costly", ["advance", "rows"])
-def test_blocks_drop_iterations_only_against_the_time_rows_took(costly, monkeypatch):
-    # a clock that moves only in `advance` (an expensive gradient) keeps
-    # every block at one iteration, so a leave at the stop_tol drops none;
-    # one that moves only while rows are taken lets every block grow to
-    # the cap of 32 rows (the first holds k = 0 and 31 iterations), so the
-    # leave drops the rest of its block.  The rows are the same either way
+def test_a_stop_tol_solve_steps_the_fixed_blocks_iterations_on_every_repeat():
+    # the blocks' lengths follow the inputs alone: a solve that leaves at
+    # its stop_tol steps to the end of its last 32-row block (the first
+    # holds k = 0 and 31 iterations), the same count in every repeat, and
+    # drops the rest of that block
     suite, w, _ = _stack_suite("quadratic")
     cfg = GtaConfig(strategy=gt.strategy_for("GTA3", w, 2), alpha=0.5 / suite.L,
                     max_outer_iters=10_000, stop_tol=1e-9 * float(np.linalg.norm(suite.x_star)))
     x0 = np.zeros(suite.n * suite.d)
-    want = run(suite, cfg, x0)
-    clock, advances, blocks = [0.0], [0], [0]
-    tracking = gt.tracking
-    error_rows = tracking.error_rows
+    counts = []
+    for _ in range(3):
+        patch, advances = _counting_advances()
+        with patch:
+            k = int(run(suite, cfg, x0).k[-1])
+        counts.append(advances[0])
+    assert k > 64 and k % 32 != 31
+    assert counts == [32 * (k // 32) + 31] * 3
 
-    def counted_rows(*args):
-        blocks[0] += 1
-        return error_rows(*args)
 
-    def timed(fn):
-        def call(*args):
-            clock[0] += 1.0
-            return fn(*args)
-        return call
+_THREADS_SCRIPT = """
+import numpy as np
+import gradtrack as gt
+suite = gt.generate_quadratic(gt.QuadraticSpec(n=1024, d=10, kappa_target=100.0, seed=3))
+w = gt.metropolis_weights(gt.build_graph("torus", 1024))
+cfg = gt.GtaConfig(strategy=gt.strategy_for("GTA3", w, 1), alpha=0.5 / suite.L,
+                   max_outer_iters=30)
+trace = gt.run(suite, cfg, np.zeros(suite.n * suite.d))
+print(" ".join(v.hex() for v in trace.error_matrix().ravel().tolist()))
+"""
 
-    def counted(state, step):
-        advances[0] += 1
-        return advance(state, step)
 
-    monkeypatch.setattr(tracking, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-    monkeypatch.setattr(tracking, "advance", timed(counted) if costly == "advance" else counted)
-    monkeypatch.setattr(tracking, "error_rows",
-                        timed(counted_rows) if costly == "rows" else counted_rows)
-    got = run(suite, cfg, x0)
-    assert _same_bits(got.error_matrix(), want.error_matrix())
-    k = int(got.k[-1])
-    assert k > 64
-    if costly == "advance":
-        assert advances[0] == k and blocks[0] == k
-    else:
-        assert advances[0] == 32 * blocks[0] - 1 and advances[0] - k < 32
+def test_a_wide_runs_rows_do_not_depend_on_the_blas_thread_count():
+    # a 32 x 32 torus at d = 10 holds n*d = 10240 entries per column, past
+    # the size from which OpenBLAS splits a dot product across threads; the
+    # rows' norms take no BLAS call, so one and two threads give the same
+    # bits.  Each thread count needs its own process: OpenBLAS reads it at
+    # import
+    src = str(Path(gt.__file__).resolve().parent.parent)
+    rows = [subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True,
+                           text=True, timeout=60, check=True,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+            for threads in (1, 2)]
+    assert len(rows[0].split()) == 3 * 31
+    assert rows[0] == rows[1]
 
 
 # (method, n_c, step 2^-t / (n_g L), stop_tol as a fraction of ||x*||,
