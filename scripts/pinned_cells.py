@@ -2,15 +2,19 @@
 """Check every cell of the pinned grids against the committed table
 scripts/pinned_cells.csv.
 
-The pinned grids are the three shipped configs and two quadratic grids on
-16- and 64-node cycles (GTA1 and GTA3, n_c in {1, 5}, n_g in {1, 5, 20},
-tuned over the whole run budget): the 16-node grid tunes and runs each as
-one stack, the 64-node one is past `tracking.BATCH_MAX_FLOATS` and runs one
-part per strategy.  Each row of the table holds a cell's (config, method,
-n_c, n_g), its tuned step size, the outer iteration at which its run
-stopped and its three final errors.  The step size and the stop step must
-match exactly; the errors within a relative RTOL or an absolute ATOL,
-since a machine's BLAS kernels move their last bits.  A change that moves a tuned step
+The pinned grids are the three shipped configs and three quadratic grids
+on 16- and 64-node cycles (GTA1 and GTA3, n_c in {1, 5}, n_g in {1, 5, 20},
+tuned over the whole run budget): each 16-node grid tunes and runs as one
+stack, the 64-node one is past `tracking.BATCH_MAX_FLOATS` and runs one
+part per strategy.  Every cell stops at its budget but in the third grid,
+on the 16-node cycle at kappa_target = 10 with stop_tol = 1e-6: six of its
+twelve cells stop at their stop_tol, each on its own row of one stack.
+
+Each row of the table holds a cell's (config, method, n_c, n_g), its tuned
+step size, the outer iteration at which its run stopped and its three
+final errors.  The step size and the stop step must match exactly; the
+errors within a relative RTOL or an absolute ATOL, since a machine's BLAS
+kernels move their last bits.  A change that moves a tuned step
 size or a final error shows up as a diff of the table.
 
 Usage: python scripts/pinned_cells.py [--write]
@@ -48,6 +52,7 @@ SHIPPED = ("logreg_synth", "quadratic_cyclic", "quadratic_star")
 CYCLES = {
     "cycle16": "n = 16\nbudget = 400\ntune_budget = 400\n",
     "cycle64": "n = 64\nbudget = 300\ntune_budget = 300\n",
+    "cycle16tol": "n = 16\nbudget = 400\ntune_budget = 400\nkappa_target = 10\nstop_tol = 1e-6\n",
 }
 CYCLE_GRID = ("problem = quadratic\ngraph = cycle\nmethods = GTA1,GTA3\nnc_grid = 1,5\n"
               "ng_grid = 1,5,20\n")
