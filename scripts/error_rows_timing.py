@@ -11,26 +11,33 @@ per iteration would), and of
 one row taken in a block of b states (`np.stack` of the held x and y, one
 `error_rows` call and the test that clears a block where no column leaves,
 divided by b), with the floats a block of b states holds (3 * n * d * c *
-b: x, y and the gradients).  This is the measurement behind the fixed block
-length `tracking._ROW_BLOCK` and its float cap `tracking._ROW_FLOATS`.  The
-24 000-sample suite shows the blocks' worst case: its iteration costs more
-than a row, and a leave at a stop_tol or a divergence drops up to
-_ROW_BLOCK - 1 iterations already stepped.
+b: x, y and the gradients).  This is the measurement behind the block
+length `tracking._ROW_BLOCK` and its float cap `tracking._ROW_FLOATS`.
+
+Then, for each logistic suite's GTA3 solve (n_c = 1, alpha = 0.5/L, from
+zero) at a stop_tol of 0.3, 0.1 and 0.01 of ||x*||, it prints the
+iterations its trace keeps and the `advance` calls it stepped: blocks
+whose length follows the last block's decay end at the leaving row, so the
+two agree unless a block misjudged the decay.  On the 24 000-sample suite
+an iteration costs more than a row, so a stepped iteration that a leave
+drops would cost more than the rows blocks save.
 
 Usage: python scripts/error_rows_timing.py [N ...]     (default: 16 256 1024)
 """
 
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
-from gradtrack import (GtaConfig, LogisticSuite, LogRegDataset, QuadraticSpec, build_graph,
-                       generate_quadratic, metropolis_weights, strategy_for, tracking)
+from gradtrack import (GtaConfig, LogRegDataset, QuadraticSpec, build_graph, generate_quadratic,
+                       logreg_suite, metropolis_weights, strategy_for, tracking)
 
 BLOCKS = (1, 2, 4, 8, 16, 32, 64)
 COLUMNS = (1, 12)
 SAMPLES = (240, 24_000)
+SOLVE_TOLS = (0.3, 0.1, 0.01)
 
 
 def best_of(fn, repeats=5, min_s=0.02):
@@ -57,15 +64,13 @@ def held_states(suite, step, c, count):
 
 
 def logistic(samples, n=8, d=8, seed=0):
-    """An n-node logistic suite on samples Gaussian samples, split evenly.
-    Its x_star is zero, not the optimum: a row costs the same either way."""
+    """An n-node logistic suite on samples Gaussian samples, split evenly,
+    with its reference optimum."""
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(samples, d))
     labels = np.where(features @ rng.normal(size=d) > 0, 1.0, -1.0)
-    suite = LogisticSuite(LogRegDataset(tuple(np.array_split(features, n)),
-                                        tuple(np.array_split(labels, n)), d))
-    suite.x_star = np.zeros(d)
-    return suite
+    return logreg_suite(LogRegDataset(tuple(np.array_split(features, n)),
+                                      tuple(np.array_split(labels, n)), d))
 
 
 def suites(sizes):
@@ -111,6 +116,18 @@ def main(sizes):
 
                 cols.append(f"{best_of(rows) / b * 1e6:.2f},{3 * n * suite.d * c * b}")
             print(f"{name},{n},{c},{advance * 1e6:.2f},{per_state * 1e6:.2f}," + ",".join(cols))
+    print()
+    print("suite,stop_tol_rel,iterations,advance_calls")
+    for samples in SAMPLES:
+        suite = logistic(samples)
+        strategy = strategy_for("GTA3", metropolis_weights(build_graph("cycle", suite.n)), 1)
+        x_star_norm = float(np.linalg.norm(suite.x_star))
+        for rel in SOLVE_TOLS:
+            cfg = GtaConfig(strategy=strategy, alpha=0.5 / suite.L, max_outer_iters=100_000,
+                            stop_tol=rel * x_star_norm)
+            with mock.patch.object(tracking, "advance", wraps=tracking.advance) as advance:
+                trace = tracking.run(suite, cfg, np.zeros(suite.n * suite.d))
+            print(f"logistic{samples},{rel},{trace.k[-1]},{advance.call_count}")
 
 
 if __name__ == "__main__":

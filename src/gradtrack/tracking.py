@@ -61,16 +61,20 @@ of its own run: only the rounding of the batched mixing and the stacked
 gradient and norm operations can differ.
 
 Every part steps through one loop (`_rows_to_leaving`), which takes its
-error rows in blocks of a fixed length: it advances up to _ROW_BLOCK outer
-iterations (fewer when their held x, y and gradients would pass
-_ROW_FLOATS floats, and never past the smallest live budget), holding each
-iteration's arrays, and takes the block's rows in one `error_rows` call,
-which gives each row the bits of its own `error_vector`.  At the first row
-where a column leaves, the state goes back to that row's arrays and the
-later iterations are dropped, so the narrowed stack steps on from the same
-bits as if every row had been taken as it came.  The loop reads no clock
-and its norms no threaded BLAS call, so the iterations it steps and every
-row are functions of its inputs alone.  A sweep is a part that keeps no
+error rows in blocks: it advances up to _ROW_BLOCK outer iterations (fewer
+when their held x, y and gradients would pass _ROW_FLOATS floats, and
+never past the smallest live budget), holding each iteration's arrays, and
+takes the block's rows in one `error_rows` call, which gives each row the
+bits of its own `error_vector`.  While a live column has a stop_tol, a
+block after one in which no column left ends where that block's
+log-linear opt_err decay reaches the nearest stop_tol
+(`_predicted_length`), so a stop_tol leave is the last row stepped unless
+the decay changed.  At the first row where a column leaves, the state goes
+back to that row's arrays and the later iterations are dropped, so the
+narrowed stack steps on from the same bits as if every row had been taken
+as it came.  The loop reads no clock and its norms no threaded BLAS call,
+so the iterations it steps, the blocks' lengths and every row are
+functions of its inputs alone.  A sweep is a part that keeps no
 rows: without trace or a stop_tol it skips the rows `surely_bounded`
 clears, and each column's outcome is the row it left on, the last row of
 its traced run.
@@ -514,16 +518,37 @@ def surely_bounded(state: GtaState, x_star_norm: float) -> bool:
 # A segment takes its error rows in blocks (`_rows_to_leaving`): up to
 # _ROW_BLOCK outer iterations, whose held (x, y, grads) hold at most
 # _ROW_FLOATS floats (at least one iteration is held).  The lengths follow
-# from the state's size and the budgets alone, never from a clock.
-# scripts/error_rows_timing.py measures both bounds: on a 16-node
+# from the state's size, the budgets and the rows alone, never from a
+# clock.  scripts/error_rows_timing.py measures both bounds: on a 16-node
 # one-column state a row taken alone costs more than an outer iteration,
 # and one in a block of 32 about a fifth of that; past the cap a block
 # takes its rows no faster, an uncapped block slowed torus-1024's solve,
 # and a looser cap raised the benchmark's peak memory (README "Stacked
-# runs").  The price is what a leave at a stop_tol or a divergence drops:
-# up to _ROW_BLOCK - 1 iterations already stepped.
+# runs").  A leave drops the block's iterations past its row: none at a
+# budget; at a stop_tol none where the last block's decay held
+# (`_predicted_length`), up to _ROW_BLOCK - 1 in a segment's first block;
+# at a divergence up to _ROW_BLOCK - 1.
 _ROW_BLOCK = 32
 _ROW_FLOATS = 1 << 14
+
+
+def _predicted_length(opt_err: np.ndarray, tols: np.ndarray, cap: int) -> int:
+    """The length of the block after one in which no column left, from
+    that block's (rows, c) opt_err, every entry positive and finite, and
+    the columns' stop_tols (-inf where none): the fewest iterations n >= 1
+    after which the log-linear decay of a column with a stop_tol, from the
+    block's first row to its last, opt_err[-1] * (opt_err[-1] /
+    opt_err[0])^(n / (rows - 1)), reaches that stop_tol; at most cap, and
+    cap when no such column's errors fall across the block (one row
+    included)."""
+    steps, n = len(opt_err) - 1, cap
+    # Python floats: a block's few columns cost less than numpy's per-call
+    # overhead
+    for first, last, tol in zip(opt_err[0].tolist(), opt_err[-1].tolist(), tols.tolist()):
+        if tol > 0 and last < first:
+            rate = (math.log(last) - math.log(first)) / steps
+            n = min(n, math.ceil((math.log(tol) - math.log(last)) / rate))
+    return max(1, n)
 
 
 def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: np.ndarray,
@@ -539,11 +564,16 @@ def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: n
     holds a row.  So a sweep takes rows only where a column may diverge and
     at its budget.
 
-    A block holds min(_ROW_BLOCK, the _ROW_FLOATS cap) rows, or fewer where
-    it reaches the smallest budget, with each row's (x, y, grads), which
-    `advance` replaces and never mutates; one `error_rows` call then takes
-    the block's rows.  At the first row where a column leaves, the state is
-    reset to that row's arrays and the later iterations are dropped.
+    A segment's first block holds the cap's rows, min(_ROW_BLOCK, the
+    _ROW_FLOATS cap); after a block in which no column leaves, the next
+    holds the cap's rows too unless a live column has a stop_tol and the
+    cap is more than one row: then it holds `_predicted_length` rows, the
+    iterations after which that block's opt_err decay reaches the nearest
+    stop_tol.  No block passes the smallest budget.  A block keeps each
+    row's (x, y, grads), which `advance` replaces and never mutates; one
+    `error_rows` call then takes the block's rows.  At the first row where
+    a column leaves, the state is reset to that row's arrays and the later
+    iterations are dropped.
 
     Returns the (rows, 3, c) errors up to the leaving row, and that row's
     per-column lists of whether the column met the divergence rule and
@@ -553,8 +583,9 @@ def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: n
     entry = entry and (bound is None or state.k >= k_end)
     held = [(state.x, state.y, state.grads)] if entry else []
     blocks = []
+    length = cap
     while True:
-        while len(held) < cap and state.k < k_end:
+        while len(held) < length and state.k < k_end:
             advance(state, step)
             # a block's rows are consecutive, so a held row ends the skipping
             if (bound is not None and not held and state.k < k_end
@@ -584,6 +615,9 @@ def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: n
                         dead[r].tolist(), leaves[r].tolist())
         blocks.append(errors)
         held = []
+        # one-row blocks (cap 1) and segments without a stop_tol keep the cap
+        if cap > 1 and tol_max > -math.inf:
+            length = _predicted_length(errors[:, 0], tols, cap)
 
 
 @dataclass(frozen=True)

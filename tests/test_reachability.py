@@ -103,6 +103,8 @@ def _entry_points(tmp):
         custom_w4 = {w_csv}
         outdir = {tmp / 'quad'}
     """)
+    # a GTA3 column leaves at its stop_tol (k = 52) after a block sized by
+    # the decay of the block before it
     complete = _write(tmp / "complete.cfg", f"""
         problem = quadratic
         n = 3
@@ -111,8 +113,9 @@ def _entry_points(tmp):
         graph = complete
         methods = GTA2,GTA3
         ng_grid = 1,2
-        budget = 20
+        budget = 60
         tune_budget = 5
+        stop_tol = 1e-6
         outdir = {tmp / 'complete'}
     """)
     logreg = _write(tmp / "logreg.cfg", f"""

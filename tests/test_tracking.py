@@ -1240,7 +1240,8 @@ def _row_loop(suite, cfgs, x0):
     """One part's traced stack written out as one `advance` and one row per
     outer iteration, narrowing the state and the kernel's parameters where
     columns leave: per cell, its (rows, 3) errors or, where it met the
-    divergence rule, (k, its (3,) errors); and the k at which it left."""
+    divergence rule, (k, its (3,) errors); the k at which it left; and its
+    opt_err at every row up to that k."""
     n, d, c = suite.n, suite.d, len(cfgs)
     state = initialize(suite, np.broadcast_to(np.reshape(x0, (n, d, 1)), (n, d, c)))
     step = gt.tracking._stack(cfgs)
@@ -1262,7 +1263,7 @@ def _row_loop(suite, cfgs, x0):
             keep = np.array([out[j] is None for j in live])
             live = [j for j in live if out[j] is None]
             if not live:
-                return out, left
+                return out, left, [np.array(r)[:, 0] for r in rows]
             if not keep.all():
                 state.keep(keep)
                 step = step.keep(keep)
@@ -1276,12 +1277,18 @@ _ROW_CELLS = hst.tuples(hst.sampled_from(["GTA1", "GTA2", "GTA3"]), hst.sampled_
                         hst.sampled_from([0, 1, 31, 32, 33, 98]))
 
 
-def _fixed_advances(suite, cfgs, left):
-    """The `advance` calls of a traced part's fixed blocks, from the k at
-    which each cell's column left: each segment steps to the end of the
-    block that holds its first leaving row (_ROW_BLOCK rows, fewer under
-    the _ROW_FLOATS cap or at the smallest live budget; the first block
-    holds the k = 0 row) and goes on from that row."""
+def _block_advances(suite, cfgs, left, opt):
+    """The `advance` calls of a traced part's blocks, from the k at which
+    each cell's column left and its opt_err rows (`_row_loop`).  A
+    segment's first block holds the cap's rows (_ROW_BLOCK, fewer under the
+    _ROW_FLOATS cap; the first segment's holds the k = 0 row).  After a
+    block in which no column leaves, the next holds the fewest iterations n
+    (at least 1, at most the cap) with last * (last / first)^(n / (rows - 1))
+    at or below the stop_tol of a live column whose opt_err falls from the
+    block's first row to its last; the cap when none does or the block
+    holds one row.  No block passes the smallest live budget; a segment
+    steps to the end of the block that holds its first leaving row and goes
+    on from that row."""
     tracking = gt.tracking
     live, k, total, first = list(range(len(cfgs))), 0, 0, 0
     while live:
@@ -1289,23 +1296,50 @@ def _fixed_advances(suite, cfgs, left):
                          tracking._ROW_FLOATS // (3 * suite.n * suite.d * len(live))))
         k_end = min(cfgs[j].max_outer_iters for j in live)
         k_leave = min(left[j] for j in live)
-        total += min(first + ((k_leave - first) // cap + 1) * cap - 1, k_end) - k
+        length = cap
+        while (last := min(first + length - 1, k_end)) < k_leave:
+            length = cap
+            for j in live:
+                tol, e_first, e_last = cfgs[j].stop_tol, opt[j][first], opt[j][last]
+                if tol and e_last < e_first:
+                    # n iterations reach tol where log(e_last) + n * rate <= log(tol)
+                    rate = (math.log(e_last) - math.log(e_first)) / (last - first)
+                    length = min(length, max(1, math.ceil((math.log(tol) - math.log(e_last))
+                                                          / rate)))
+            first = last + 1
+        total += last - k
         # a later segment's first row is the one after its leaving row
         k, first = k_leave, k_leave + 1
         live = [j for j in live if left[j] > k_leave]
     return total
 
 
-def _counting_advances():
-    """A patch of tracking.advance that counts its calls in the list it
-    returns."""
-    calls = [0]
+def _counting(*names):
+    """A patch of the named tracking functions that counts their calls in
+    the dict it returns, by name."""
+    calls = dict.fromkeys(names, 0)
 
-    def counted(state, step):
-        calls[0] += 1
-        return advance(state, step)
+    def counted(name):
+        fn = getattr(gt.tracking, name)
 
-    return mock.patch.object(gt.tracking, "advance", counted), calls
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    return mock.patch.multiple(gt.tracking, **{name: counted(name) for name in names}), calls
+
+
+def _assert_row_loop_outcomes(got, want):
+    """A traced stack's outcomes against `_row_loop`'s, bit for bit."""
+    for g, wnt in zip(got, want, strict=True):
+        if isinstance(wnt, tuple):
+            assert isinstance(g, DivergenceError) and g.k == wnt[0]
+            assert _same_bits(as_array(g.errors), wnt[1])
+        else:
+            assert isinstance(g, RunTrace) and np.array_equal(g.k, np.arange(len(wnt)))
+            assert _same_bits(g.error_matrix(), wnt)
 
 
 @settings(max_examples=120, deadline=None)
@@ -1316,7 +1350,7 @@ def test_a_traced_stack_takes_the_rows_of_one_row_per_iteration(kind, c, n_g, ce
     # where a column leaves: its budget, a stop_tol met inside a block, or
     # a step size that diverges inside one.  Every row, outcome and
     # divergence step is the per-iteration loop's, bit for bit, and the
-    # iterations stepped are the fixed blocks' own, dropped ones included
+    # iterations stepped are the blocks' own, dropped ones included
     suite, w, _ = _stack_suite(kind)
     cells = cells[:1 if kind == "wide" else c]
     x_star_norm = float(np.linalg.norm(suite.x_star))
@@ -1329,37 +1363,95 @@ def test_a_traced_stack_takes_the_rows_of_one_row_per_iteration(kind, c, n_g, ce
                               stop_tol=None if rel_tol is None else rel_tol * x_star_norm))
     x0 = np.zeros(suite.n * suite.d)
     assert _part_columns(suite, cfgs) == [list(range(len(cfgs)))]
-    want, left = _row_loop(suite, cfgs, x0)
-    patch, advances = _counting_advances()
+    want, left, opt = _row_loop(suite, cfgs, x0)
+    patch, calls = _counting("advance")
     with patch:
         got = _stacked(suite, cfgs, x0)
-    for g, wnt in zip(got, want, strict=True):
-        if isinstance(wnt, tuple):
-            assert isinstance(g, DivergenceError) and g.k == wnt[0]
-            assert _same_bits(as_array(g.errors), wnt[1])
-        else:
-            assert isinstance(g, RunTrace) and np.array_equal(g.k, np.arange(len(wnt)))
-            assert _same_bits(g.error_matrix(), wnt)
-    assert advances[0] == _fixed_advances(suite, cfgs, left)
+    _assert_row_loop_outcomes(got, want)
+    assert calls["advance"] == _block_advances(suite, cfgs, left, opt)
 
 
-def test_a_stop_tol_solve_steps_the_fixed_blocks_iterations_on_every_repeat():
-    # the blocks' lengths follow the inputs alone: a solve that leaves at
-    # its stop_tol steps to the end of its last 32-row block (the first
-    # holds k = 0 and 31 iterations), the same count in every repeat, and
-    # drops the rest of that block
+def test_a_stop_tol_solve_steps_exactly_its_iterations_on_every_repeat():
+    # a solve that leaves at its stop_tol: after its first 32-row block
+    # each block ends where the last one's decay reaches the stop_tol, so
+    # no block passes the leaving row and no stepped iteration is dropped,
+    # in every repeat (32-row blocks stepped 32 * floor(k / 32) + 31)
     suite, w, _ = _stack_suite("quadratic")
     cfg = GtaConfig(strategy=gt.strategy_for("GTA3", w, 2), alpha=0.5 / suite.L,
                     max_outer_iters=10_000, stop_tol=1e-9 * float(np.linalg.norm(suite.x_star)))
     x0 = np.zeros(suite.n * suite.d)
     counts = []
     for _ in range(3):
-        patch, advances = _counting_advances()
+        patch, calls = _counting("advance")
         with patch:
             k = int(run(suite, cfg, x0).k[-1])
-        counts.append(advances[0])
+        counts.append(calls["advance"])
     assert k > 64 and k % 32 != 31
-    assert counts == [32 * (k // 32) + 31] * 3
+    assert counts == [k] * 3
+
+
+def _assert_blocks_keep_the_rows(suite, cfgs):
+    """Run cfgs, the cells of one part, as a traced stack three times: every
+    row, outcome and divergence step is the per-iteration loop's, bit for
+    bit, and every repeat makes the blocks' `advance` calls and the same
+    `error_rows` calls, at most 3 per column over the ceil((k + 1) / 32)
+    of 32-row blocks up to the last leave.  Returns the k at which each
+    column left and its opt_err rows."""
+    x0 = np.zeros(suite.n * suite.d)
+    assert _part_columns(suite, cfgs) == [list(range(len(cfgs)))]
+    want, left, opt = _row_loop(suite, cfgs, x0)
+    counts = []
+    for _ in range(3):
+        patch, calls = _counting("advance", "error_rows")
+        with patch:
+            got = _stacked(suite, cfgs, x0)
+        _assert_row_loop_outcomes(got, want)
+        counts.append(calls)
+    assert counts == [counts[0]] * 3
+    assert counts[0]["advance"] == _block_advances(suite, cfgs, left, opt)
+    assert counts[0]["error_rows"] <= -(-(max(left) + 1) // 32) + 3 * len(cfgs)
+    return left, opt
+
+
+def test_a_solve_that_stalls_above_its_stop_tol_keeps_its_rows():
+    # GTA3 at 1.25/L reaches its rounding floor, a fixed point, from about
+    # k = 825 on; at a stop_tol just below the floor the blocks first
+    # shorten towards it, then their decay flattens to none and they keep
+    # the full 32 rows to the budget (65 error_rows calls, 32-row blocks 63)
+    suite, w, _ = _stack_suite("quadratic")
+    strategy = gt.strategy_for("GTA3", w, 1)
+    floor = run(suite, GtaConfig(strategy=strategy, alpha=1.25 / suite.L, max_outer_iters=2000),
+                np.zeros(suite.n * suite.d)).opt_err.min()
+    cfg = GtaConfig(strategy=strategy, alpha=1.25 / suite.L, max_outer_iters=2000,
+                    stop_tol=0.99 * floor)
+    left, _ = _assert_blocks_keep_the_rows(suite, [cfg])
+    assert left == [2000]
+
+
+@pytest.mark.parametrize("n_g, step", [(1, 2.15), (2, 2.2)])
+def test_a_solve_whose_errors_oscillate_keeps_its_rows(n_g, step):
+    # GTA3 near the stability edge (2.25/L diverges at n_g = 1 and 2):
+    # opt_err rises on more than a sixth of its iterations, so a
+    # block's decay from its first row to its last misjudges the next
+    # block's, and a block can end past the leaving row
+    suite, w, _ = _stack_suite("quadratic")
+    cfg = GtaConfig(strategy=gt.strategy_for("GTA3", w, 1), alpha=step / suite.L, n_g=n_g,
+                    max_outer_iters=3000, stop_tol=1e-9 * float(np.linalg.norm(suite.x_star)))
+    left, opt = _assert_blocks_keep_the_rows(suite, [cfg])
+    assert left[0] < 3000 and np.count_nonzero(np.diff(opt[0]) > 0) > left[0] / 6
+
+
+def test_stop_tol_columns_that_leave_at_different_rows_keep_their_rows():
+    # five columns of one part with their own step sizes and stop_tols:
+    # each leave starts a segment whose first block holds 32 rows again
+    suite, w, _ = _stack_suite("quadratic")
+    strategy = gt.strategy_for("GTA3", w, 1)
+    x_star_norm = float(np.linalg.norm(suite.x_star))
+    cfgs = [GtaConfig(strategy=strategy, alpha=a / suite.L, max_outer_iters=2000,
+                      stop_tol=rel_tol * x_star_norm)
+            for a, rel_tol in ((0.5, 1e-3), (0.5, 1e-6), (0.25, 1e-6), (0.5, 1e-9), (1.0, 1e-12))]
+    left, _ = _assert_blocks_keep_the_rows(suite, cfgs)
+    assert len(set(left)) == 5 and max(left) < 2000
 
 
 _THREADS_SCRIPT = """
