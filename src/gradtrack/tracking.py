@@ -539,15 +539,15 @@ def _predicted_length(opt_err: np.ndarray, tols: np.ndarray, cap: int) -> int:
     after which the log-linear decay of a column with a stop_tol, from the
     block's first row to its last, opt_err[-1] * (opt_err[-1] /
     opt_err[0])^(n / (rows - 1)), reaches that stop_tol; at most cap, and
-    cap when no such column's errors fall across the block (one row
+    cap when no such column's log opt_err falls across the block (one row
     included)."""
     steps, n = len(opt_err) - 1, cap
     # Python floats: a block's few columns cost less than numpy's per-call
-    # overhead
+    # overhead.  The test is on the logs: at a rounding floor two errors an
+    # ulp apart can share one log, a decay of zero
     for first, last, tol in zip(opt_err[0].tolist(), opt_err[-1].tolist(), tols.tolist()):
-        if tol > 0 and last < first:
-            rate = (math.log(last) - math.log(first)) / steps
-            n = min(n, math.ceil((math.log(tol) - math.log(last)) / rate))
+        if tol > 0 and (drop := math.log(first) - math.log(last)) > 0:
+            n = min(n, math.ceil((math.log(tol) - math.log(last)) / (-drop / steps)))
     return max(1, n)
 
 
@@ -566,14 +566,13 @@ def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: n
 
     A segment's first block holds the cap's rows, min(_ROW_BLOCK, the
     _ROW_FLOATS cap); after a block in which no column leaves, the next
-    holds the cap's rows too unless a live column has a stop_tol and the
-    cap is more than one row: then it holds `_predicted_length` rows, the
-    iterations after which that block's opt_err decay reaches the nearest
-    stop_tol.  No block passes the smallest budget.  A block keeps each
-    row's (x, y, grads), which `advance` replaces and never mutates; one
-    `error_rows` call then takes the block's rows.  At the first row where
-    a column leaves, the state is reset to that row's arrays and the later
-    iterations are dropped.
+    holds `_predicted_length` rows: the iterations after which that
+    block's opt_err decay reaches the nearest stop_tol, the cap when no
+    live column has one.  No block passes the smallest budget.  A block
+    keeps each row's (x, y, grads), which `advance` replaces and never
+    mutates; one `error_rows` call then takes the block's rows.  At the
+    first row where a column leaves, the state is reset to that row's
+    arrays and the later iterations are dropped.
 
     Returns the (rows, 3, c) errors up to the leaving row, and that row's
     per-column lists of whether the column met the divergence rule and
@@ -615,9 +614,7 @@ def _rows_to_leaving(state: GtaState, step: _Stack, budgets: np.ndarray, tols: n
                         dead[r].tolist(), leaves[r].tolist())
         blocks.append(errors)
         held = []
-        # one-row blocks (cap 1) and segments without a stop_tol keep the cap
-        if cap > 1 and tol_max > -math.inf:
-            length = _predicted_length(errors[:, 0], tols, cap)
+        length = _predicted_length(errors[:, 0], tols, cap)
 
 
 @dataclass(frozen=True)

@@ -1284,8 +1284,8 @@ def _block_advances(suite, cfgs, left, opt):
     _ROW_FLOATS cap; the first segment's holds the k = 0 row).  After a
     block in which no column leaves, the next holds the fewest iterations n
     (at least 1, at most the cap) with last * (last / first)^(n / (rows - 1))
-    at or below the stop_tol of a live column whose opt_err falls from the
-    block's first row to its last; the cap when none does or the block
+    at or below the stop_tol of a live column whose log opt_err falls from
+    the block's first row to its last; the cap when none does or the block
     holds one row.  No block passes the smallest live budget; a segment
     steps to the end of the block that holds its first leaving row and goes
     on from that row."""
@@ -1301,10 +1301,10 @@ def _block_advances(suite, cfgs, left, opt):
             length = cap
             for j in live:
                 tol, e_first, e_last = cfgs[j].stop_tol, opt[j][first], opt[j][last]
-                if tol and e_last < e_first:
-                    # n iterations reach tol where log(e_last) + n * rate <= log(tol)
-                    rate = (math.log(e_last) - math.log(e_first)) / (last - first)
-                    length = min(length, max(1, math.ceil((math.log(tol) - math.log(e_last))
+                if tol and (drop := math.log(e_first) - math.log(e_last)) > 0:
+                    # n iterations reach tol where log(e_last) - n * rate <= log(tol)
+                    rate = drop / (last - first)
+                    length = min(length, max(1, math.ceil((math.log(e_last) - math.log(tol))
                                                           / rate)))
             first = last + 1
         total += last - k
@@ -1372,10 +1372,10 @@ def test_a_traced_stack_takes_the_rows_of_one_row_per_iteration(kind, c, n_g, ce
 
 
 def test_a_stop_tol_solve_steps_exactly_its_iterations_on_every_repeat():
-    # a solve that leaves at its stop_tol: after its first 32-row block
-    # each block ends where the last one's decay reaches the stop_tol, so
+    # a solve that leaves at its stop_tol past its first 32-row block: each
+    # later block ends where the last one's decay reaches the stop_tol, so
     # no block passes the leaving row and no stepped iteration is dropped,
-    # in every repeat (32-row blocks stepped 32 * floor(k / 32) + 31)
+    # in every repeat
     suite, w, _ = _stack_suite("quadratic")
     cfg = GtaConfig(strategy=gt.strategy_for("GTA3", w, 2), alpha=0.5 / suite.L,
                     max_outer_iters=10_000, stop_tol=1e-9 * float(np.linalg.norm(suite.x_star)))
@@ -1386,7 +1386,7 @@ def test_a_stop_tol_solve_steps_exactly_its_iterations_on_every_repeat():
         with patch:
             k = int(run(suite, cfg, x0).k[-1])
         counts.append(calls["advance"])
-    assert k > 64 and k % 32 != 31
+    assert k > 64
     assert counts == [k] * 3
 
 
@@ -1426,6 +1426,29 @@ def test_a_solve_that_stalls_above_its_stop_tol_keeps_its_rows():
                     stop_tol=0.99 * floor)
     left, _ = _assert_blocks_keep_the_rows(suite, [cfg])
     assert left == [2000]
+
+
+def test_errors_an_ulp_apart_that_share_a_log_predict_no_decay():
+    # near 1e-9 the ulp of log(x) is about 16 times x's relative ulp, so an
+    # error one ulp below the block's first shares its log: no decay, the cap
+    x = 1e-9
+    first = x * (1 + 2.0 ** -52)
+    assert first > x and math.log(first) == math.log(x)
+    opt_err = np.array([[first, 1.0], [x, 1.0]])
+    assert gt.tracking._predicted_length(opt_err, np.array([x / 2, -math.inf]), 32) == 32
+
+
+def test_a_solve_whose_errors_fall_by_ulps_keeps_its_rows():
+    # at 2^-53 / L opt_err falls about one ulp per 32-row block, and in the
+    # fifth (rows 128 to 159) less than the ulp of its log: every block
+    # keeps the cap to the budget
+    suite, w, _ = _stack_suite("quadratic")
+    x_star_norm = float(np.linalg.norm(suite.x_star))
+    cfg = GtaConfig(strategy=gt.strategy_for("GTA3", w, 1), alpha=2.0 ** -53 / suite.L,
+                    max_outer_iters=200, stop_tol=0.5 * x_star_norm)
+    left, opt = _assert_blocks_keep_the_rows(suite, [cfg])
+    assert left == [200] and opt[0][159] < opt[0][128]
+    assert math.log(opt[0][159]) == math.log(opt[0][128])
 
 
 @pytest.mark.parametrize("n_g, step", [(1, 2.15), (2, 2.2)])
