@@ -11,11 +11,13 @@ on the 16-node cycle at kappa_target = 10 with stop_tol = 1e-6: six of its
 twelve cells stop at their stop_tol, each on its own row of one stack.
 
 Each row of the table holds a cell's (config, method, n_c, n_g), its tuned
-step size, the outer iteration at which its run stopped and its three
-final errors.  The step size and the stop step must match exactly; the
-errors within a relative RTOL or an absolute ATOL, since a machine's BLAS
-kernels move their last bits.  A change that moves a tuned step
-size or a final error shows up as a diff of the table.
+step size, the outer iteration at which its run stopped, its three final
+errors and its three theory columns of theory_report.csv (rho_theory,
+lambda_u, step_bound).  The step size and the stop step must match
+exactly; the errors and theory columns within a relative RTOL or an
+absolute ATOL, since a machine's BLAS kernels move their last bits, and a
+nan only a nan.  A change that moves a tuned step size, a final error or a
+theory column shows up as a diff of the table.
 
 Usage: python scripts/pinned_cells.py [--write]
 
@@ -35,7 +37,7 @@ from gradtrack import harness
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "scripts" / "pinned_cells.csv"
 HEADER = ("config,method,n_c,n_g,alpha,stop_k,final_opt_err,final_x_consensus_err,"
-          "final_y_consensus_err")
+          "final_y_consensus_err,rho_theory,lambda_u,step_bound")
 
 # Errors match within a relative RTOL or an absolute ATOL.  Measured on
 # this table (a 2-vCPU Xeon with AVX-512, numpy's OpenBLAS 0.3.31): one and
@@ -45,6 +47,7 @@ HEADER = ("config,method,n_c,n_g,alpha,stop_k,final_opt_err,final_x_consensus_er
 # exceeds 1e-10.  Errors at a suite's floor move in every digit (a logistic
 # y consensus error of 1.5e-31 read 1.8e-16), but by at most 4.2e-13 more
 # than RTOL allows, so ATOL holds them.  No step size or stop step moved.
+# The theory columns are held to the same tolerances.
 RTOL = 1e-6
 ATOL = 1e-11
 
@@ -79,8 +82,15 @@ def rows():
                 trace = rec["trace"]
                 out.append([name, rec["method"], str(rec["n_c"]), str(rec["n_g"]),
                             "%.17g" % rec["alpha"], str(int(trace.k[-1]))]
-                           + ["%.17g" % e for e in trace.error_matrix()[-1].tolist()])
+                           + ["%.17g" % e for e in trace.error_matrix()[-1].tolist()]
+                           + ["%.17g" % rec[key] for key in ("rho", "lambda_u", "step_bound")])
     return out
+
+
+def close(a: str, b: str) -> bool:
+    """Two pinned values agree within RTOL or ATOL; a nan only with a nan."""
+    x, y = float(a), float(b)
+    return (math.isnan(x) and math.isnan(y)) or math.isclose(x, y, rel_tol=RTOL, abs_tol=ATOL)
 
 
 def differences(got, want):
@@ -91,11 +101,10 @@ def differences(got, want):
         pinned = keyed.pop(tuple(row[:4]), None)
         if pinned is None:
             lines.append(f"{' '.join(row[:4])}: not in the table")
-        elif row[4:6] != pinned[:2] or not all(
-                math.isclose(float(a), float(b), rel_tol=RTOL, abs_tol=ATOL)
-                for a, b in zip(row[6:], pinned[2:])):
-            lines.append(f"{' '.join(row[:4])}: alpha, stop_k, errors {', '.join(row[4:])}; "
-                         f"pinned {', '.join(pinned)}")
+        elif (row[4:6] != pinned[:2] or len(row) != len(pinned) + 4
+              or not all(close(a, b) for a, b in zip(row[6:], pinned[2:]))):
+            lines.append(f"{' '.join(row[:4])}: alpha, stop_k, errors, theory "
+                         f"{', '.join(row[4:])}; pinned {', '.join(pinned)}")
     lines += [f"{' '.join(key)}: pinned but not run" for key in keyed]
     return lines
 

@@ -31,9 +31,9 @@ import numpy as np
 from . import theory
 from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_quadratic,
                        load_libsvm, logreg_suite)
-from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, CommunicationStrategy,
-                       MixingMatrix, build_graph, communication_matrices, metropolis_weights,
-                       read_matrix_csv, strategy_for)
+from .topology import (METHOD_NAMES, CommunicationStrategy, MixingMatrix, build_graph,
+                       communication_matrices, metropolis_weights, read_matrix_csv,
+                       strategy_for)
 from .tracking import DivergenceError, GtaConfig, RunStack, RunTrace, mixing_power, run
 
 
@@ -388,34 +388,6 @@ def measured_contraction(trace: RunTrace) -> float:
     return float(np.exp(np.mean(np.log(tail))))
 
 
-def _theory_columns(cfg, suite, strategy, method, n_c, n_g, alpha):
-    """rho / lambda_u / step bound for one grid cell (nan where not applicable)."""
-    p = theory.params_from_strategy(strategy, alpha=alpha, L=suite.L, mu=suite.mu,
-                                    n_g=n_g, z1_mode=cfg.z1_mode)
-    # the slowest mixing matrix that exchanges anything; 1 if none does
-    beta = max((m.beta for m in strategy.slots if m is not None), default=1.0)
-    route = "general"
-    rho = float("nan")
-    admissible = alpha <= 1.0 / (n_g * suite.L)
-    if method in ("GTA2", "GTA3") and p.b1c <= EXACT_AVERAGING_TOL:
-        route = "fully_connected"
-        try:
-            reduced = theory.fully_connected_rate(method, p)
-            rho = reduced if isinstance(reduced, float) else theory.spectral_radius(reduced)
-        except ValueError:
-            admissible = False
-    elif admissible:
-        rho = theory.spectral_radius(theory.recursion_matrix_multi(p))
-    lam_u = float("nan")
-    if n_g == 1 and alpha <= 1.0 / suite.L:
-        lam_u = theory.rate_upper_bound(p)
-    if n_g == 1:
-        bound = theory.step_size_bound(p)
-    else:
-        bound = theory.step_size_bound_multi(p)
-    return p, beta, route, rho, lam_u, bound, admissible
-
-
 _SUMMARY_HEADER = ("method,n_c,n_g,alpha,beta,final_opt_err,final_x_consensus_err,"
                    "final_y_consensus_err,contraction_measured,rho_theory,lambda_u,"
                    "step_bound,alpha_admissible")
@@ -498,14 +470,13 @@ def _execute_cells(cfg: ExperimentConfig, suite, w):
             trace = run(suite, cell, x0, stack)
         except DivergenceError as exc:
             raise _in_cell(exc, method, n_c, n_g)
-        p, beta, route, rho, lam_u, bound, admissible = _theory_columns(
-            cfg, suite, strategy, method, n_c, n_g, alpha)
         yield {
             "method": method, "n_c": n_c, "n_g": n_g, "alpha": alpha,
-            "beta": beta, "trace": trace, "route": route,
-            "contraction": measured_contraction(trace),
-            "rho": rho, "lambda_u": lam_u, "step_bound": bound,
-            "admissible": admissible, "params": p,
+            # the slowest mixing matrix that exchanges anything; 1 if none does
+            "beta": max((m.beta for m in strategy.slots if m is not None), default=1.0),
+            "trace": trace, "contraction": measured_contraction(trace),
+            **theory.cell_columns(strategy, method, alpha=alpha, L=suite.L, mu=suite.mu,
+                                  n_g=n_g, z1_mode=cfg.z1_mode),
         }
     if failure is not None:
         raise failure
@@ -583,22 +554,10 @@ def theory_report(cfg: ExperimentConfig, result: GridResult | None = None,
         result = execute_grid(cfg)
     suite, w, records = result.suite, result.w, result.records
 
-    ordering_ok = {}
-    for n_c in sorted({r["n_c"] for r in records}):
-        for n_g in sorted({r["n_g"] for r in records}):
-            bounds = []
-            for method in METHOD_NAMES:
-                p = theory.params_for_method(method, w.beta, n_c=n_c, n_g=n_g,
-                                             alpha=1.0, L=suite.L, mu=suite.mu, n=suite.n)
-                bounds.append(theory.step_size_bound(p) if n_g == 1
-                              else theory.step_size_bound_multi(p))
-            a_chk = 0.9 * min(bounds)
-            if a_chk <= 0 or w.beta ** n_c <= EXACT_AVERAGING_TOL:
-                ordering_ok[n_c, n_g] = True   # degenerate regime, nothing to rank
-                continue
-            point = theory.GridPoint(beta=w.beta, alpha=a_chk, L=suite.L, mu=suite.mu,
-                                     n=suite.n, n_g=n_g)
-            ordering_ok[n_c, n_g] = theory.monotonicity_report([point], nc_values=(n_c,)).ok
+    ordering_ok = {(n_c, n_g): theory.ordering_holds(w.beta, n_c=n_c, n_g=n_g, L=suite.L,
+                                                     mu=suite.mu, n=suite.n)
+                   for n_c in sorted({r["n_c"] for r in records})
+                   for n_g in sorted({r["n_g"] for r in records})}
 
     lines = [_THEORY_HEADER]
     for rec in records:

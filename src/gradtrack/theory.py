@@ -11,7 +11,9 @@ This module builds those recursion matrices from the four communication
 spectral gaps, evaluates their spectral radii, and exposes the closed-form
 step-size admissibility conditions and rate upper bounds, including the
 degenerate fully connected reductions.  All bounds are sufficient, not
-necessary: a tuned step size often works well beyond them.
+necessary: a tuned step size often works well beyond them.  It also
+answers a grid's per-cell questions (`cell_columns`, `ordering_holds`),
+which the harness only formats.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .topology import (EXACT_AVERAGING_TOL, METHOD_NAMES, SLOT_PATTERNS,
                        CommunicationStrategy)
+from .tracking import _check_count
 
 _ORDERING_TOL = 1e-10   # float slack for >=-type spectral comparisons
 
@@ -56,14 +59,13 @@ class SpectralParams:
             b = getattr(self, name)
             if not (0.0 <= b <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {b}")
-        if self.n_c < 1 or self.n_g < 1:
-            raise ValueError("n_c and n_g must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        for name in ("n_c", "n_g", "n"):
+            _check_count(name, getattr(self, name), 1)
+        # NaN fails the comparison, as in GtaConfig
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be a positive finite number, got {self.alpha}")
         if not (0 < self.mu <= self.L):
             raise ValueError(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         if not (0.0 <= self.z1_dev <= 2.0):
             raise ValueError(f"z1_dev must be in [0, 2], got {self.z1_dev}")
 
@@ -123,60 +125,46 @@ def params_from_strategy(strategy: CommunicationStrategy, *, alpha: float, L: fl
                           n_g=n_g, alpha=alpha, L=L, mu=mu, n=strategy.n, z1_dev=z1)
 
 
-@dataclass(frozen=True)
-class TheoryMatrix:
-    """A nonnegative error-recursion matrix together with its construction label."""
+def recursion_matrix(p: SpectralParams) -> np.ndarray:
+    """3x3 error-recursion matrix with n_g computation steps per iteration.
 
-    m: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        if np.any(self.m < 0):
-            raise ValueError(f"{self.label}: recursion matrix has negative entries")
-
-
-def _consensus_rows(p: SpectralParams) -> tuple[list, list]:
-    """Rows 2 and 3 shared by the single- and multi-computation recursions."""
-    a, L = p.alpha, p.L
-    row2 = [0.0, p.b1c, a * ((p.n_g - 1) * p.b1c + p.b2c)]
-    row3 = [math.sqrt(p.n) * a * p.b4c * L * L,
-            p.b4c * L * (p.z1_dev + a * L),
-            p.b3c + a * p.b4c * L]
-    return row2, row3
-
-
-def recursion_matrix(p: SpectralParams) -> TheoryMatrix:
-    """3x3 error-recursion matrix for a single computation step per iteration.
-
-    Valid for alpha <= 1/L.  Entry pattern:
+    Valid for alpha <= 1/(n_g*L).  At n_g = 1 the entry pattern is
         [1 - a*mu,            a*L/sqrt(n),                  0        ]
         [0,                   b1^nc,                        a*b2^nc  ]
         [sqrt(n)*a*b4^nc*L^2, b4^nc*L*(z1_dev + a*L), b3^nc + a*b4^nc*L]
+    For n_g > 1, with c = (1 - a*mu)^n_g, the first row becomes
+    [c, kappa/sqrt(n)*(1 - c), 0], a*b2^nc in the second grows to
+    a*((n_g - 1)*b1^nc + b2^nc), and a*L*(n_g - 1) times
+    inner_loop_error_matrix is added.
     """
-    if p.n_g != 1:
-        raise ValueError("single-computation recursion needs n_g = 1")
-    if p.alpha > 1.0 / p.L:
-        raise ValueError(f"alpha = {p.alpha} exceeds 1/L = {1.0 / p.L}")
-    a, L = p.alpha, p.L
-    row2, row3 = _consensus_rows(p)
-    m = np.array([
-        [1.0 - a * p.mu, a * L / math.sqrt(p.n), 0.0],
+    a, L, g = p.alpha, p.L, p.n_g
+    if a > 1.0 / (g * L):
+        raise ValueError(f"alpha = {a} exceeds 1/L = {1.0 / L}" if g == 1 else
+                         f"alpha = {a} exceeds 1/(n_g*L) = {1.0 / (g * L)}")
+    row2 = [0.0, p.b1c, a * ((g - 1) * p.b1c + p.b2c)]
+    row3 = [math.sqrt(p.n) * a * p.b4c * L * L,
+            p.b4c * L * (p.z1_dev + a * L),
+            p.b3c + a * p.b4c * L]
+    if g == 1:
+        return np.array([[1.0 - a * p.mu, a * L / math.sqrt(p.n), 0.0], row2, row3])
+    contraction = (1.0 - a * p.mu) ** g
+    core = np.array([
+        [contraction, p.kappa / math.sqrt(p.n) * (1.0 - contraction), 0.0],
         row2,
         row3,
     ])
-    return TheoryMatrix(m=m, label="recursion_single")
+    return core + a * L * (g - 1) * inner_loop_error_matrix(p)
 
 
-def recursion_matrix_for_method(method: str, beta: float, p: SpectralParams) -> TheoryMatrix:
-    """Printed special-case recursion matrix of GTA-1/2/3 (z1_dev fixed at 2)."""
+def recursion_matrix_for_method(method: str, beta: float, p: SpectralParams) -> np.ndarray:
+    """Printed special-case recursion matrix of GTA-1/2/3 (n_g = 1, z1_dev
+    fixed at 2)."""
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown method {method!r}")
     if not (0.0 <= beta < 1.0):
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    q = params_for_method(method, beta, n_c=p.n_c, n_g=1, alpha=p.alpha,
-                          L=p.L, mu=p.mu, n=p.n, z1_dev=2.0)
-    out = recursion_matrix(q)
-    return TheoryMatrix(m=out.m, label=f"recursion_{method}")
+    return recursion_matrix(params_for_method(method, beta, n_c=p.n_c, n_g=1, alpha=p.alpha,
+                                              L=p.L, mu=p.mu, n=p.n, z1_dev=2.0))
 
 
 def inner_loop_error_terms(p: SpectralParams) -> tuple[float, float]:
@@ -203,42 +191,21 @@ def inner_loop_error_matrix(p: SpectralParams) -> np.ndarray:
     ])
 
 
-def recursion_matrix_multi(p: SpectralParams) -> TheoryMatrix:
-    """3x3 error-recursion matrix with n_g computation steps per iteration.
-
-    Valid for alpha <= 1/(n_g*L).  Reduces to recursion_matrix entrywise
-    exactly when n_g = 1.
-    """
-    if p.alpha > 1.0 / (p.n_g * p.L):
-        raise ValueError(f"alpha = {p.alpha} exceeds 1/(n_g*L) = {1.0 / (p.n_g * p.L)}")
-    if p.n_g == 1:
-        base = recursion_matrix(p)
-        return TheoryMatrix(m=base.m, label="recursion_multi")
-    a, L = p.alpha, p.L
-    contraction = (1.0 - a * p.mu) ** p.n_g
-    row2, row3 = _consensus_rows(p)
-    core = np.array([
-        [contraction, p.kappa / math.sqrt(p.n) * (1.0 - contraction), 0.0],
-        row2,
-        row3,
-    ])
-    m = core + a * L * (p.n_g - 1) * inner_loop_error_matrix(p)
-    return TheoryMatrix(m=m, label="recursion_multi")
-
-
-def spectral_radius(m) -> float:
+def spectral_radius(m):
     """Spectral radius of a nonnegative matrix (the recursions are 3x3 or
-    2x2), by a dense eigensolve.  Raises ArithmeticError for a matrix with
-    non-finite entries.
+    2x2), by a dense eigensolve; of a (..., k, k) stack, the (...) array of
+    its matrices' radii, from one eigensolve call, each with the bits of its
+    own.  Raises ArithmeticError for a matrix with non-finite entries.
     """
-    a = np.asarray(m.m if isinstance(m, TheoryMatrix) else m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ArithmeticError("spectral radius of a matrix with non-finite entries")
     if np.any(a < 0):
         raise ValueError("expected a nonnegative matrix")
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    rho = np.max(np.abs(np.linalg.eigvals(a)), axis=-1)
+    return float(rho) if a.ndim == 2 else rho
 
 
 def _stable_sqrt_term(x: float) -> float:
@@ -399,6 +366,7 @@ def fully_connected_rate(method: str, p: SpectralParams):
     gradient-descent factor 1 - a*mu when n_g = 1.  GTA-2 with n_g > 1
     couples with the tracker consensus error through a 2x2 recursion.
     GTA-1 stays irreducible even at beta = 0 and is not reduced here.
+    Returns the scalar factor, or GTA-2's 2x2 matrix for n_g > 1.
     """
     if method == "GTA1":
         raise ValueError("GTA1 does not reduce at beta = 0; use the full recursion")
@@ -423,11 +391,10 @@ def fully_connected_rate(method: str, p: SpectralParams):
         return factor
     dt = 1.0 + 2.0 * (g - 1) * (2.0 + 1.0 / g)
     rn = math.sqrt(p.n)
-    m = np.array([
+    return np.array([
         [factor, a * a * L * g * (g - 1) / rn],
         [rn * a * L * L * dt, a * L * dt],
     ])
-    return TheoryMatrix(m=m, label="reduced_GTA2")
 
 
 @dataclass(frozen=True)
@@ -468,14 +435,14 @@ def monotonicity_report(points, nc_values=(1, 2, 5, 10, 50)) -> MonotonicityRepo
     rows = []
     violations = []
     for idx, pt in enumerate(points):
-        radii = {}
+        # the point's method x n_c matrices as one stack, one eigensolve
+        stack = np.array([recursion_matrix(params_for_method(
+            method, pt.beta, n_c=n_c, n_g=pt.n_g, alpha=pt.alpha, L=pt.L, mu=pt.mu, n=pt.n))
+            for method in METHOD_NAMES for n_c in nc_values])
+        flat = iter(spectral_radius(stack).tolist())
+        radii = {(method, n_c): next(flat) for method in METHOD_NAMES for n_c in nc_values}
+        rows += [(idx, method, n_c, rho) for (method, n_c), rho in radii.items()]
         for method in METHOD_NAMES:
-            for n_c in nc_values:
-                p = params_for_method(method, pt.beta, n_c=n_c, n_g=pt.n_g,
-                                      alpha=pt.alpha, L=pt.L, mu=pt.mu, n=pt.n)
-                rho = spectral_radius(recursion_matrix_multi(p))
-                radii[method, n_c] = rho
-                rows.append((idx, method, n_c, rho))
             seq = [radii[method, c] for c in nc_values]
             for a, b, ca, cb in zip(seq, seq[1:], nc_values, nc_values[1:]):
                 if b > a + _ORDERING_TOL:
@@ -490,3 +457,53 @@ def monotonicity_report(points, nc_values=(1, 2, 5, 10, 50)) -> MonotonicityRepo
                     f"(GTA1={r1:.12g}, GTA2={r2:.12g}, GTA3={r3:.12g}) at {pt}")
     return MonotonicityReport(nc_values=tuple(nc_values), rows=tuple(rows),
                               violations=tuple(violations))
+
+
+def ordering_holds(beta: float, *, n_c: int, n_g: int, L: float, mu: float, n: int) -> bool:
+    """Whether the spectral radii of GTA-1, GTA-2 and GTA-3 on a mixing
+    matrix of gap beta keep GTA-1 >= GTA-2 >= GTA-3 at one common step size,
+    0.9 x the smallest of the three methods' step-size bounds.  True where
+    nothing is ranked: no step size is admissible, or beta^n_c is exact
+    averaging."""
+    bounds = []
+    for method in METHOD_NAMES:
+        p = params_for_method(method, beta, n_c=n_c, n_g=n_g, alpha=1.0, L=L, mu=mu, n=n)
+        bounds.append(step_size_bound(p) if n_g == 1 else step_size_bound_multi(p))
+    a_chk = 0.9 * min(bounds)
+    if a_chk <= 0 or beta ** n_c <= EXACT_AVERAGING_TOL:
+        return True
+    point = GridPoint(beta=beta, alpha=a_chk, L=L, mu=mu, n=n, n_g=n_g)
+    return monotonicity_report([point], nc_values=(n_c,)).ok
+
+
+def cell_columns(strategy: CommunicationStrategy, method: str, *, alpha: float, L: float,
+                 mu: float, n_g: int = 1, z1_mode: str = "bound") -> dict:
+    """The theory columns of one grid cell, as a dict of
+    - params: its SpectralParams (params_from_strategy, at its tuned alpha)
+    - route: "fully_connected" for GTA2 and GTA3 where b1^nc is exact
+      averaging (fully_connected_rate), else "general" (recursion_matrix)
+    - rho: the route's spectral radius; nan where the route does not hold
+      at alpha
+    - admissible: whether alpha lies in the route's range (on the general
+      route, alpha <= 1/(n_g*L), where the recursion holds); not a verdict
+      on stability
+    - lambda_u: rate_upper_bound, nan unless n_g = 1 and alpha <= 1/L
+    - step_bound: step_size_bound at n_g = 1, else step_size_bound_multi
+    """
+    p = params_from_strategy(strategy, alpha=alpha, L=L, mu=mu, n_g=n_g, z1_mode=z1_mode)
+    route = "general"
+    rho = math.nan
+    admissible = alpha <= 1.0 / (n_g * L)
+    if method in ("GTA2", "GTA3") and p.b1c <= EXACT_AVERAGING_TOL:
+        route = "fully_connected"
+        try:
+            reduced = fully_connected_rate(method, p)
+            rho = reduced if isinstance(reduced, float) else spectral_radius(reduced)
+        except ValueError:
+            admissible = False
+    elif admissible:
+        rho = spectral_radius(recursion_matrix(p))
+    lam_u = rate_upper_bound(p) if n_g == 1 and alpha <= 1.0 / L else math.nan
+    bound = step_size_bound(p) if n_g == 1 else step_size_bound_multi(p)
+    return {"params": p, "route": route, "rho": rho, "admissible": admissible,
+            "lambda_u": lam_u, "step_bound": bound}

@@ -72,12 +72,14 @@ log-linear opt_err decay reaches the nearest stop_tol
 the decay changed.  At the first row where a column leaves, the state goes
 back to that row's arrays and the later iterations are dropped, so the
 narrowed stack steps on from the same bits as if every row had been taken
-as it came.  The loop reads no clock and its norms no threaded BLAS call,
-so the iterations it steps, the blocks' lengths and every row are
-functions of its inputs alone.  A sweep is a part that keeps no
+as it came.  The loop reads no clock and its rows take no BLAS call, so
+the iterations it steps, the blocks' lengths and every row are functions
+of its inputs alone.  A sweep is a part that keeps no
 rows: without trace or a stop_tol it skips the rows `surely_bounded`
 clears, and each column's outcome is the row it left on, the last row of
-its traced run.
+its traced run.  That pre-check does take a BLAS call, two dot products
+that OpenBLAS may split across threads, but its 1e-6 margin lets it
+decide only which rows are taken, never a row's value or an outcome.
 """
 
 from __future__ import annotations

@@ -125,7 +125,7 @@ def test_criterion_3_contraction_certificate():
         alpha = 0.9 * bound
         p = theory.params_from_strategy(strat, alpha=alpha, L=suite.L,
                                         mu=suite.mu, n_g=n_g)
-        b = theory.recursion_matrix_multi(p).m
+        b = theory.recursion_matrix(p)
         trace = gt.run(suite, gt.GtaConfig(strategy=strat, alpha=alpha, n_g=n_g,
                                            max_outer_iters=400),
                        rng.normal(size=8 * 4))
@@ -232,7 +232,7 @@ def test_criterion_6_step_bound_validity():
         bound = theory.step_size_bound_multi(probe)
         p = theory.SpectralParams(*betas, n_c=n_c, n_g=n_g, alpha=0.99 * bound,
                                   L=L, mu=mu, n=8)
-        assert theory.spectral_radius(theory.recursion_matrix_multi(p)) < 1.0
+        assert theory.spectral_radius(theory.recursion_matrix(p)) < 1.0
     _finish("6 step-bound validity", t0, 60.0)
 
 

@@ -1301,14 +1301,14 @@ def test_cli_reference_optimum_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_cli_spectral_radius_failure_exit_code(tmp_path, capsys, monkeypatch):
     # the theory report's ordering check meets a recursion matrix with an
     # infinite entry, which has no spectral radius
-    real = gt.theory.recursion_matrix_multi
+    real = gt.theory.recursion_matrix
 
     def poisoned(p):
-        m = real(p).m.copy()
+        m = real(p)
         m[0, 2] = math.inf
-        return gt.theory.TheoryMatrix(m=m, label="poisoned")
+        return m
 
-    monkeypatch.setattr(gt.theory, "recursion_matrix_multi", poisoned)
+    monkeypatch.setattr(gt.theory, "recursion_matrix", poisoned)
     cfg_path = _write_cfg(tmp_path, MINI_CFG.format(out=tmp_path / "sr_out")
                           .replace("n = 2", "n = 4").replace("complete", "cycle"))
     assert cli.main(["theory", str(cfg_path)]) == 5

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from gradtrack.theory import (GridPoint, SpectralParams, fully_connected_rate,
                               monotonicity_report, params_for_method,
                               params_from_strategy, rate_upper_bound,
                               rate_upper_bound_for_method, recursion_matrix,
-                              recursion_matrix_for_method, recursion_matrix_multi,
-                              spectral_radius, step_size_bound,
-                              step_size_bound_for_method, step_size_bound_multi)
+                              recursion_matrix_for_method, spectral_radius,
+                              step_size_bound, step_size_bound_for_method,
+                              step_size_bound_multi)
 
 
 def _draw_params(rng, n_g=1, beta_lo=0.01, beta_hi=0.999):
@@ -29,10 +30,21 @@ def _draw_params(rng, n_g=1, beta_lo=0.01, beta_hi=0.999):
 
 # ------------------------------------------------------- recursion matrices
 
+@pytest.mark.parametrize("change", [
+    {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": -0.1}, {"alpha": 0.0},
+    {"n_c": 1.5}, {"n_g": 2.0}, {"n": 4.5}, {"n_c": 0}, {"n": 0},
+], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
+def test_spectral_params_reject_a_non_finite_step_and_non_integer_counts(change):
+    # a NaN step used to construct and make rate_upper_bound return nan
+    good = dict(n_c=1, n_g=1, alpha=0.5, L=1.0, mu=0.5, n=4)
+    with pytest.raises(ValueError, match=next(iter(change))):
+        SpectralParams(0.5, 0.5, 0.5, 0.5, **{**good, **change})
+
+
 def test_single_step_matrix_hand_example():
     # mu = 1, L = 1, alpha = 0.1, n = 4, GTA-1 slots with beta^nc = 0.5
     p = params_for_method("GTA1", 0.5, n_c=1, n_g=1, alpha=0.1, L=1.0, mu=1.0, n=4)
-    m = recursion_matrix(p).m
+    m = recursion_matrix(p)
     expected = np.array([[0.9, 0.05, 0.0],
                          [0.0, 0.5, 0.1],
                          [0.2, 2.1, 0.6]])
@@ -41,7 +53,7 @@ def test_single_step_matrix_hand_example():
 
 def test_gta3_with_exact_averaging_zeroes_consensus_rows():
     p = params_for_method("GTA3", 0.0, n_c=3, n_g=1, alpha=0.1, L=1.0, mu=0.5, n=4)
-    m = recursion_matrix(p).m
+    m = recursion_matrix(p)
     assert np.array_equal(m[1], [0.0, 0.0, 0.0])
     assert np.array_equal(m[2], [0.0, 0.0, 0.0])
 
@@ -50,8 +62,8 @@ def test_tracker_coupling_entry_differs_between_gta1_and_gta2():
     # the (2,3) entry carries beta^nc for GTA-2 but not for GTA-1
     p1 = params_for_method("GTA1", 0.6, n_c=2, n_g=1, alpha=0.05, L=1.0, mu=0.5, n=4)
     p2 = params_for_method("GTA2", 0.6, n_c=2, n_g=1, alpha=0.05, L=1.0, mu=0.5, n=4)
-    assert recursion_matrix(p1).m[1, 2] == pytest.approx(0.05)
-    assert recursion_matrix(p2).m[1, 2] == pytest.approx(0.05 * 0.6**2)
+    assert recursion_matrix(p1)[1, 2] == pytest.approx(0.05)
+    assert recursion_matrix(p2)[1, 2] == pytest.approx(0.05 * 0.6**2)
 
 
 def test_specialized_matrix_numeric_example():
@@ -64,7 +76,7 @@ def test_specialized_matrix_numeric_example():
         [0.0, b, 0.25 * b],
         [4 * 0.25 * b * 4, b * 2 * (2 + 0.5), b + 0.25 * b * 2],
     ])
-    m = recursion_matrix_for_method("GTA2", 0.9, p).m
+    m = recursion_matrix_for_method("GTA2", 0.9, p)
     # GTA-2 keeps beta4 = 1, so rebuild the expectation for its slots
     expected[2] = [4 * 0.25 * 4, 2 * (2 + 0.5), b + 0.5]
     assert np.max(np.abs(m - expected)) <= 1e-14
@@ -74,7 +86,7 @@ def test_gta2_at_zero_beta_reduces_to_the_fully_connected_system():
     # the x-consensus row vanishes and deleting it leaves exactly the
     # reduced 2x2 recursion of the exact-averaging analysis at n_g = 1
     p = params_for_method("GTA2", 0.0, n_c=1, n_g=1, alpha=0.05, L=2.0, mu=0.5, n=9)
-    m = recursion_matrix_for_method("GTA2", 0.0, p).m
+    m = recursion_matrix_for_method("GTA2", 0.0, p)
     assert np.array_equal(m[1], [0.0, 0.0, 0.0])
     reduced = m[np.ix_([0, 2], [0, 2])]
     expected = np.array([[1 - 0.05 * 0.5, 0.0],
@@ -91,9 +103,9 @@ def test_entrywise_dominance_of_method_matrices(beta, alpha_frac, kappa):
     mu = L / kappa
     p = SpectralParams(beta, beta, beta, beta, n_c=1, n_g=1,
                        alpha=alpha_frac / L, L=L, mu=mu, n=9)
-    a1 = recursion_matrix_for_method("GTA1", beta, p).m
-    a2 = recursion_matrix_for_method("GTA2", beta, p).m
-    a3 = recursion_matrix_for_method("GTA3", beta, p).m
+    a1 = recursion_matrix_for_method("GTA1", beta, p)
+    a2 = recursion_matrix_for_method("GTA2", beta, p)
+    a3 = recursion_matrix_for_method("GTA3", beta, p)
     assert np.all(a1 >= a2 - 1e-15)
     assert np.all(a2 >= a3 - 1e-15)
     assert np.all(a3 >= 0)
@@ -103,7 +115,13 @@ def test_multi_step_matrix_equals_single_step_exactly_at_ng_one():
     rng = np.random.default_rng(0)
     for _ in range(20):
         p = _draw_params(rng, n_g=1)
-        assert np.array_equal(recursion_matrix_multi(p).m, recursion_matrix(p).m)
+        a, L, rn = p.alpha, p.L, math.sqrt(p.n)
+        single = np.array([
+            [1.0 - a * p.mu, a * L / rn, 0.0],
+            [0.0, p.b1c, a * p.b2c],
+            [rn * a * p.b4c * L * L, p.b4c * L * (p.z1_dev + a * L), p.b3c + a * p.b4c * L],
+        ])
+        assert np.array_equal(recursion_matrix(p), single)
 
 
 def test_multi_step_matrix_numeric_example():
@@ -126,7 +144,7 @@ def test_multi_step_matrix_numeric_example():
         [4 * L * d2, L * d2, d2],
     ])
     expected = core + a * L * (g - 1) * e
-    assert np.max(np.abs(recursion_matrix_multi(p).m - expected)) <= 1e-13
+    assert np.max(np.abs(recursion_matrix(p) - expected)) <= 1e-13
 
 
 @pytest.mark.parametrize("method,d1_fn,d2_fn", [
@@ -155,7 +173,7 @@ def test_recursion_matrix_rejects_large_alpha():
         recursion_matrix(p)
     p2 = SpectralParams(0.5, 0.5, 0.5, 0.5, n_c=1, n_g=3, alpha=0.5, L=1.0, mu=0.5, n=4)
     with pytest.raises(ValueError, match="exceeds"):
-        recursion_matrix_multi(p2)
+        recursion_matrix(p2)
 
 
 # ----------------------------------------------------------- spectral radius
@@ -170,7 +188,7 @@ def test_radius_of_permutation_like_matrix():
 
 def test_radius_of_hand_example_matches_root_oracle():
     p = params_for_method("GTA1", 0.5, n_c=1, n_g=1, alpha=0.1, L=1.0, mu=1.0, n=4)
-    m = recursion_matrix(p).m
+    m = recursion_matrix(p)
     rho = spectral_radius(m)
     oracle = max(abs(np.roots(np.poly(m))))
     assert rho == pytest.approx(oracle, abs=1e-10)
@@ -184,6 +202,9 @@ def test_radius_matches_eigvals_oracle_on_random_nonneg(seed):
     rho = spectral_radius(m)
     oracle = float(np.max(np.abs(np.linalg.eigvals(m))))
     assert rho == pytest.approx(oracle, abs=1e-9 * (1 + oracle))
+    # a stack's radii, from one eigensolve, have each matrix's own bits
+    stack = np.concatenate([m[None], rng.uniform(0.0, 2.0, size=(5, 3, 3))])
+    assert spectral_radius(stack).tolist() == [spectral_radius(a) for a in stack]
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,7 +227,7 @@ def test_radius_near_one_is_cross_checked_without_warning(method, n_c):
                                                         L=L, mu=mu, n=1024))
                       for m in ("GTA1", "GTA2", "GTA3"))
     m = recursion_matrix(params_for_method(method, beta, n_c=n_c, n_g=1, alpha=a_chk,
-                                           L=L, mu=mu, n=1024)).m
+                                           L=L, mu=mu, n=1024))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rho = spectral_radius(m)
@@ -250,9 +271,9 @@ def test_irreducibility_detection():
     assert is_irreducible(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert not is_irreducible(np.diag([1.0, 2.0]))
     p = params_for_method("GTA3", 0.0, n_c=1, n_g=1, alpha=0.1, L=1.0, mu=0.5, n=4)
-    assert not is_irreducible(recursion_matrix(p).m)
+    assert not is_irreducible(recursion_matrix(p))
     p2 = params_for_method("GTA3", 0.5, n_c=1, n_g=1, alpha=0.1, L=1.0, mu=0.5, n=4)
-    assert is_irreducible(recursion_matrix(p2).m)
+    assert is_irreducible(recursion_matrix(p2))
 
 
 # ----------------------------------------------------------- step-size bounds
@@ -397,7 +418,7 @@ def test_bounds_certify_contraction_on_random_draws():
         bound = step_size_bound_multi(probe)
         p = SpectralParams(*betas, n_c=probe.n_c, n_g=ng, alpha=0.99 * bound,
                            L=L, mu=mu, n=8)
-        assert spectral_radius(recursion_matrix_multi(p)) < 1.0
+        assert spectral_radius(recursion_matrix(p)) < 1.0
 
 
 # ---------------------------------------------------------------- rate bound
@@ -466,7 +487,7 @@ def test_fully_connected_multi_computation_contracts():
 
 def test_fully_connected_gta2_two_by_two_entries():
     p = params_for_method("GTA2", 0.0, n_c=1, n_g=2, alpha=0.01, L=2.0, mu=0.5, n=8)
-    m = fully_connected_rate("GTA2", p).m
+    m = fully_connected_rate("GTA2", p)
     dt = 1 + 2 * (2 - 1) * (2 + 0.5)
     expected = np.array([
         [(1 - 0.005) ** 2 + 1e-4 * 4 * 2, 1e-4 * 2 * 2 / math.sqrt(8)],
@@ -548,7 +569,7 @@ def test_measured_recursion_certified_by_theory_matrix(small_quadratic, cycle8_m
         bound = step_size_bound(probe) if n_g == 1 else step_size_bound_multi(probe)
         alpha = 0.9 * bound
         p = params_from_strategy(strat, alpha=alpha, L=s.L, mu=s.mu, n_g=n_g)
-        b = recursion_matrix_multi(p).m
+        b = recursion_matrix(p)
         trace = gt.run(s, gt.GtaConfig(strategy=strat, alpha=alpha, n_g=n_g,
                                        max_outer_iters=200),
                        rng.normal(size=s.n * s.d))
@@ -556,12 +577,22 @@ def test_measured_recursion_certified_by_theory_matrix(small_quadratic, cycle8_m
         assert np.all(r[1:] <= r[:-1] @ b.T + 1e-9)
 
 
+def test_the_readme_library_example_prints_a_contracting_radius(capsys):
+    # README's "Library example" block runs as printed and prints the final
+    # error and a finite rho below 1
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    rho = float(capsys.readouterr().out.split()[-1])
+    assert math.isfinite(rho) and rho < 1.0
+
+
 def test_exact_deviation_mode_tightens_the_matrix(cycle8_mixing):
     strat = gt.strategy_for("GTA1", cycle8_mixing, 2)
     loose = params_from_strategy(strat, alpha=1e-3, L=1.0, mu=0.1, z1_mode="bound")
     tight = params_from_strategy(strat, alpha=1e-3, L=1.0, mu=0.1, z1_mode="exact")
     assert tight.z1_dev <= loose.z1_dev == 2.0
-    assert np.all(recursion_matrix(tight).m <= recursion_matrix(loose).m + 1e-15)
+    assert np.all(recursion_matrix(tight) <= recursion_matrix(loose) + 1e-15)
 
 
 @pytest.mark.parametrize("graph", [gt.build_graph("cycle", 9), gt.build_graph("star", 7),
@@ -609,9 +640,10 @@ def test_the_recursion_contracts_and_certifies_runs_across_the_papers_families(
 
     bound = step_size_bound(params(1.0)) if n_g == 1 else step_size_bound_multi(params(1.0))
     top = 0.999 * min(bound, 1.0 / (n_g * suite.L))
-    assert spectral_radius(recursion_matrix_multi(params(top))) < 1.0
+    assert spectral_radius(recursion_matrix(params(top))) < 1.0
     alpha = frac * top
-    m = recursion_matrix_multi(params(alpha)).m
+    m = recursion_matrix(params(alpha))
+    assert np.all(np.isfinite(m)) and np.all(m >= 0)
     x0 = np.random.default_rng(seed).normal(size=n * d)
     r = gt.run(suite, gt.GtaConfig(strategy=strat, alpha=alpha, n_g=n_g, max_outer_iters=200),
                x0).error_matrix()
