@@ -4,8 +4,7 @@ the theory reports alongside the trace CSVs.
 
 Usage: python scripts/reproduce_quadratic.py [--quick]
 
---quick shrinks the grid and budgets so the whole thing finishes in seconds
-(useful as a smoke run before the multi-minute full grid).
+--quick shrinks the grid and budgets to a smoke run of the full grids.
 """
 
 import sys

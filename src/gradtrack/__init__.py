@@ -6,6 +6,10 @@ iteration, problem suites (quadratics, logistic regression), a convergence
 theory engine and an experiment harness.
 """
 
+# set before the submodules load: harness writes it into each manifest.json,
+# and pyproject.toml's version must equal it
+__version__ = "0.1.0"
+
 from .topology import (
     Graph,
     MixingMatrix,
@@ -40,5 +44,3 @@ from .tracking import (
     run,
 )
 from . import theory, harness
-
-__version__ = "0.1.0"

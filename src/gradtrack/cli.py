@@ -8,8 +8,9 @@ Verbs:
 
 Exit codes: 0 success, 2 config error (a config file that does not decode
 as text included), 3 data/parse error (a malformed LIBSVM dataset or custom
-matrix CSV file: a token that is not a number, a repeated feature index,
-rows of unequal length, bytes that do not decode as text), 4 divergence
+matrix CSV file: a token that is not a number, a repeated feature index or
+one past the platform's integers, rows of unequal length, bytes that do not
+decode as text; a feature array that cannot be allocated), 4 divergence
 (including an all-candidates-diverged tuning sweep), 5 numerical failure
 (a reference optimum that does not reach its tolerance, a spectral radius
 of a non-finite matrix, or a ValueError raised on computed numbers, such as

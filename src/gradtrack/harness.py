@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import theory
+from . import __version__, theory
 from .problems import (DataFormatError, ObjectiveSuite, QuadraticSpec, generate_quadratic,
                        load_libsvm, logreg_suite)
 from .topology import (METHOD_NAMES, CommunicationStrategy, MixingMatrix, build_graph,
@@ -154,17 +154,17 @@ def parse_config(path) -> ExperimentConfig:
 
     Schema (defaults in brackets; '#' starts a comment):
 
-        problem       quadratic | logreg
-        n             node count
+        problem       quadratic | logreg [quadratic]
+        n             node count [16]
         d             decision dimension, quadratic only [10]
         kappa_target  global condition number target, quadratic only [1e4]
         seed          RNG seed [0]
         dataset       LIBSVM file path, logreg only
         normalize     scale features to [0,1], logreg only [false]
-        graph         cycle | star | complete | torus | edge_list
+        graph         cycle | star | complete | torus | edge_list [cycle]
         edges         "0-1,1-2,...", edge_list only
         laziness      lazy Metropolis weight in [0,1) [0]
-        methods       comma list out of GTA1,GTA2,GTA3,custom
+        methods       comma list out of GTA1,GTA2,GTA3,custom [GTA1,GTA2,GTA3]
         nc_grid       comma list of communication-step counts [1]
         ng_grid       comma list of computation-step counts [1]
         <M>.nc_grid / <M>.ng_grid   per-method overrides
@@ -522,7 +522,7 @@ def run_experiment(cfg: ExperimentConfig, result: GridResult | None = None) -> P
         "seed": cfg.seed,
         "config": config,
         "versions": {
-            "gradtrack": _package_version(),
+            "gradtrack": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
@@ -587,11 +587,3 @@ def _file_record(path) -> dict[str, str]:
     """An input file by name and the SHA-256 of its bytes."""
     path = Path(path)
     return {"name": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("gradtrack")
-    except Exception:
-        return "unknown"

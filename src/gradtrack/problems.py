@@ -253,6 +253,10 @@ def read_text(path) -> str:
         raise DataFormatError(f"{path}: not a text file: {exc}") from exc
 
 
+# the largest feature index numpy can hold as an array index
+_INDEX_MAX = np.iinfo(np.intp).max
+
+
 def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     """Parse a LIBSVM text file ("label idx:val ...") and shard it.
 
@@ -261,9 +265,11 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     remainder goes to the first shards).  Labels in {0,1} (or any two
     distinct values) are mapped to {-1,+1}.  normalize rescales each feature
     to [0, 1] over the whole dataset.  A line that does not parse, repeats
-    a feature index, or holds a label or value that is not finite (float()
-    reads "nan" and "inf") is a DataFormatError naming its line, and so is
-    a file that does not decode as text (`read_text`).
+    a feature index, holds an index past the platform's integers, or holds
+    a label or value that is not finite (float() reads "nan" and "inf") is a
+    DataFormatError naming its line, and so is a file that does not decode
+    as text (`read_text`); a dense (samples, d) array that numpy cannot
+    allocate is one naming that shape.
     """
     if n_nodes < 1:
         raise DataFormatError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -296,12 +302,14 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
         if len(set(line_idx)) < len(line_idx):
             raise DataFormatError(f"{path}: malformed line {ln}: a feature index repeats")
         if line_idx:
-            d = max(d, max(line_idx))
+            top = max(line_idx)
+            if top > _INDEX_MAX:
+                raise DataFormatError(f"{path}: malformed line {ln}: feature index {top} "
+                                      "exceeds the platform's integers")
+            d = max(d, top)
         idx += line_idx
         counts.append(len(line_idx))
         lines.append(ln)
-    # an index beyond the platform's integers is an OverflowError, as numpy
-    # raises it
     cols = np.array(idx, dtype=np.intp) - 1
     m = len(counts)
     if m < n_nodes:
@@ -309,7 +317,12 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     if d == 0:
         raise DataFormatError(f"{path}: no features found")
 
-    a = np.zeros((m, d))
+    try:
+        a = np.zeros((m, d))
+    except (MemoryError, ValueError) as exc:
+        # ValueError: more bytes than the platform's integers count
+        raise DataFormatError(f"{path}: the ({m}, {d}) feature array cannot be "
+                              f"allocated: {exc}") from exc
     a[np.repeat(np.arange(m), counts), cols] = val
     raw = np.asarray(labels)
     finite = np.isfinite(raw) & np.isfinite(a).all(axis=1)

@@ -64,8 +64,10 @@ class SpectralParams:
         # NaN fails the comparison, as in GtaConfig
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be a positive finite number, got {self.alpha}")
-        if not (0 < self.mu <= self.L):
-            raise ValueError(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
+        # an infinite L would make every step-size bound read 0, as if no
+        # step contracted; NaN fails the comparisons
+        if not (0 < self.mu <= self.L < math.inf):
+            raise ValueError(f"need 0 < mu <= L < inf, got mu={self.mu}, L={self.L}")
         if not (0.0 <= self.z1_dev <= 2.0):
             raise ValueError(f"z1_dev must be in [0, 2], got {self.z1_dev}")
 

@@ -1,28 +1,25 @@
 """Network graphs, mixing matrices and communication strategies.
 
 A mixing matrix is a symmetric doubly stochastic matrix whose sparsity
-pattern matches an undirected graph; one multiplication by it performs one
-consensus (averaging) step across neighbors.  A communication strategy is a
-tuple of four such matrices (identity allowed) plus a number of consensus
-steps per iteration; the classic gradient tracking variants GTA-1, GTA-2 and
-GTA-3 are particular assignments of the four slots.
+pattern matches an undirected graph; one multiplication by it is one
+consensus (averaging) round across neighbours.  A communication strategy is
+four such matrices (None for the identity) plus the rounds per iteration;
+GTA-1, GTA-2 and GTA-3 are assignments of its slots (SLOT_PATTERNS).
 
 A `Graph` holds one thing, its sorted edge array; its constructor is the
-one place edges are checked, and `is_connected` is a numpy pass over the
-array.  Graphs, like mixing matrices and strategies, compare by identity.
+one place edges are checked.  Graphs, mixing matrices and strategies
+compare by identity.
 
-Every `MixingMatrix` is built by `_from_entries` out of W's nonzero entries
-(rows, cols, vals), sorted by row and then by column: a Metropolis matrix
-reads them off the graph's edge list, a custom matrix off its validated
-array.  That one function chooses the one representation W gets.  A matrix
-with few nonzeros per row (see ROUND_COST) holds its neighbour table, with
-no n x n array; `MixingMatrix.apply` runs W^n_c on it as n_c gather rounds
-(one consensus round each, the paper's cost unit) where that is cheaper
-than one dense product with the power, which is built from rounds on first
-use; its beta comes from a Lanczos iteration whose steps are gather rounds
-(see KRYLOV_CAP).  Any other matrix holds its dense array, scattered from
-the entries.  An n x n array of a table matrix exists only while a dense
-product, a dense eigensolve or a caller of `MixingMatrix.w` needs it.
+Every `MixingMatrix` is built by `_from_entries` out of W's nonzero entries,
+sorted by row and then by column (a Metropolis matrix reads them off the
+edge list, a custom matrix off its validated array), and holds one
+representation.  A matrix with few nonzeros per row (see ROUND_COST) holds
+its neighbour table and no n x n array: `MixingMatrix.apply` runs W^n_c as
+n_c gather rounds where that is cheaper than one dense product with the
+power, and its beta comes from a Lanczos iteration whose steps are gather
+rounds (see KRYLOV_CAP).  Any other matrix holds its dense array.  A table
+matrix's n x n array exists only while a dense product, a dense eigensolve
+or a reader of `MixingMatrix.w` needs it.
 
 Matrices are checked where input enters: `validate_communication_matrix`
 checks a custom matrix, and `compute_beta` checks an array it is given.  A
@@ -55,9 +52,11 @@ _POWERED_ATOL = 1e-9
 EXACT_AVERAGING_TOL = 1e-12
 
 # One gather round costs about ROUND_COST times a dense product's work per
-# matrix entry it reads (measured crossover in README.md, with margin).  So
-# an n x n matrix whose densest row holds m nonzeros gets a neighbour table
-# when m * ROUND_COST <= n, and W^n_c is applied as n_c rounds when
+# matrix entry it reads: about half the break-even that
+# scripts/mixing_crossover.py measures, a margin against noisier hosts
+# (CHANGES.md, "Sparse consensus rounds on sparse networks").  So an n x n
+# matrix whose densest row holds m nonzeros gets a neighbour table when
+# m * ROUND_COST <= n, and W^n_c is applied as n_c rounds when
 # n_c * m * ROUND_COST <= n; otherwise as one dense product with the power.
 ROUND_COST = 64
 # floats in the gather temporary of one row block of a round

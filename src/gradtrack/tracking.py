@@ -1,85 +1,30 @@
-"""Gradient tracking runtime.
+"""Gradient tracking runtime: the iteration kernel and the one loop that steps it.
 
-Every node keeps a local copy of the decision variable and an auxiliary
-tracker whose node-average always equals the average of the current local
-gradients.  One outer iteration performs n_g local gradient steps (the last
-one fused with communication) and n_c consensus steps through each of the
-four communication matrices:
+One outer iteration (`advance`) takes n_g - 1 local steps, then the
+communication step through the four slots of a strategy:
 
     inner (j = 1 .. n_g-1):  x <- x - alpha*y ;  y <- y + grad(x') - grad(x)
     outer:  x' = W1^nc x - alpha W2^nc y
             y' = W3^nc y + W4^nc (grad(x') - grad(x))
 
-On a quadratic suite the n_g - 1 inner steps are linear in (x, y), and
-`advance` applies them at once in the suite's eigenbasis
-(`ObjectiveSuite.local_steps`, m = n_g - 1 per column), then evaluates one
-gradient; a suite without a closed form (logistic) steps them one
-`inner_step` at a time.
+A quadratic suite takes the n_g - 1 local steps at once in closed form
+(`ObjectiveSuite.local_steps`); other suites take them one `inner_step` at
+a time.  The state is an (n, d, c) stack, one column per cell
+(`GtaConfig`).  A `RunStack` splits its cells into the parts that share a
+state (`_parts`, the one rule) and steps each part in one pass until every
+column has left: at its budget, at opt_err <= its stop_tol, or at the
+divergence rule (`diverged`).  A grid's cells run as one traced RunStack,
+a step-size sweep is a RunStack without trace, and `run` returns one
+cell's trace.
 
-Each update is applied as a pair Z_a u + Z_b v: as the single product
-Z (u + v) when both slots hold the same matrix, so GTA-3 (all four slots
-W^nc) runs x' = W^nc (x - alpha y) and y' = W^nc (y + grad(x') - grad(x)),
-two mixing applies per outer iteration.
-
-The state is an (n, d, c) stack, and everything goes through one kernel
-and one loop: a `RunStack` takes cells (`GtaConfig`), each with its own
-strategy, step size, n_g, budget and stop_tol, and steps the cells of each
-of its parts (`_parts`, the one rule of which cells share a state) as the
-columns of one state, in one pass that runs every column until it has
-left.  A column at n_g = 1 in a part of distinct n_g takes the closed
-form's zero move (m = 0), which keeps its x and y bit for bit.  A grid
-runs its cells as one RunStack; a step-size sweep is a RunStack of one
-cell per candidate step size and tuned cell that yields only each
-column's final errors.  `run` returns one cell's trace: from a one-cell
-RunStack, or as its column of a stack, whose first request for any cell
-of a part runs that part.
-
-A part's kernel parameters (`_stack`: step sizes, local step counts,
-slot masks, product blocks, the closed form) are built once and narrowed
-with compress as columns leave (`_Stack.keep`); the mixing path is picked
-anew for each set of live columns.  When their strategies share one
-`mixing_power` (one strategy object: a sweep of one strategy, a one-cell
-run; or strategies whose non-identity slots all hold one MixingMatrix at
-one n_c: GTA1, GTA2 and GTA3 at one n_c) the stack mixes as an (n, d*c)
-array, never materializing the (nd, nd) Kronecker form, and each slot is
-the identity or P = W^n_c.  Columns of one slot pattern (Z_a, Z_b) in
-{P, I}^2 mix whole: each slot's `MixingMatrix.apply` runs n_c gather
-rounds or one dense product with W^n_c, without a copy.  The choice
-depends only on the matrix and n_c, so a sweep column and its run take
-the same path.  Columns of several patterns apply P once to one operand
-(u, v or u + v per column, chosen by boolean slot masks) and add the
-identity slots' terms back by masked adds.  Other distinct strategies (a
-grid's cells at several n_c) mix as one batched product per slot pair:
-column j's Z_a u + Z_b v is [Z_a | Z_b] [u; v], so one matmul of the
-(c, n, 2n) stack of those blocks with the (c, 2n, d) stack [u; v] mixes
-every column.
-
-A column leaves the stack at the first row that meets the divergence
-rule, reaches its budget, or has an optimization error at or below its
-stop_tol; the other columns go on.  A stacked column takes the iterations
-of its own run: only the rounding of the batched mixing and the stacked
-gradient and norm operations can differ.
-
-Every part steps through one loop (`_rows_to_leaving`), which takes its
-error rows in blocks: it advances up to _ROW_BLOCK outer iterations (fewer
-when their held x, y and gradients would pass _ROW_FLOATS floats, and
-never past the smallest live budget), holding each iteration's arrays, and
-takes the block's rows in one `error_rows` call, which gives each row the
-bits of its own `error_vector`.  While a live column has a stop_tol, a
-block after one in which no column left ends where that block's
-log-linear opt_err decay reaches the nearest stop_tol
-(`_predicted_length`), so a stop_tol leave is the last row stepped unless
-the decay changed.  At the first row where a column leaves, the state goes
-back to that row's arrays and the later iterations are dropped, so the
-narrowed stack steps on from the same bits as if every row had been taken
-as it came.  The loop reads no clock and its rows take no BLAS call, so
-the iterations it steps, the blocks' lengths and every row are functions
-of its inputs alone.  A sweep is a part that keeps no
-rows: without trace or a stop_tol it skips the rows `surely_bounded`
-clears, and each column's outcome is the row it left on, the last row of
-its traced run.  That pre-check does take a BLAS call, two dot products
-that OpenBLAS may split across threads, but its 1e-6 margin lets it
-decide only which rows are taken, never a row's value or an outcome.
+Each update Z_a u + Z_b v mixes through one `mixing_power` when the
+columns' strategies share it (`_pair`), else as one batched product per
+slot pair (`_product`).  `_rows_to_leaving` takes the error rows in blocks
+and rewinds to the first row where a column leaves, so every row has the
+bits of its own `error_vector`, and no row takes a BLAS call.  The loop
+reads no clock: the iterations it steps and every row are functions of its
+inputs alone.  A stacked column takes the iterations of its own run; only
+the rounding of the batched products and norms can differ.
 """
 
 from __future__ import annotations
@@ -107,13 +52,14 @@ DIVERGENCE_LIMIT = 1e12
 # it pays only while the per-call overhead it saves dominates: the smallest
 # stack measured to lose to one-cell runs held 110592 floats, and a merged
 # sweep, which mixes through its one power, also loses past the bound
-# (README "Stacked runs").  The bound also keeps out the matrices applied as
-# gather rounds: two cells fit only while n <= 128, and a table needs
-# n >= m * ROUND_COST for a densest row of m nonzeros, where a Metropolis
-# matrix (positive diagonal, a connected graph with n >= 3) has m >= 3.
-# Only a custom matrix whose rows hold at most 2 nonzeros (a matching's)
-# can gather at n = 128; in a batched product it mixes through its dense
-# power, the same matrix with other rounding.
+# (CHANGES.md, "Grid stacks mix as one batched product per slot pair" and
+# "Quadratic grids stack across n_g").  The bound also keeps out the
+# matrices applied as gather rounds: two cells fit only while n <= 128, and
+# a table needs n >= m * ROUND_COST for a densest row of m nonzeros, where a
+# Metropolis matrix (positive diagonal, a connected graph with n >= 3) has
+# m >= 3.  Only a custom matrix whose rows hold at most 2 nonzeros (a
+# matching's) can gather at n = 128; in a batched product it mixes through
+# its dense power, the same matrix with other rounding.
 BATCH_MAX_FLOATS = 1 << 16
 
 
@@ -256,9 +202,9 @@ class _Stack:
 
 def _stack(cfgs: list[GtaConfig]) -> _Stack:
     """The kernel's parameters for one column per cfg.  A lone cfg keeps
-    its scalar step size, so a single run steps as it always has; columns
-    whose strategies share one `mixing_power` mix through it (`_pair_of`),
-    others as one batched product per slot pair (`_product`)."""
+    its scalar step size; columns whose strategies share one `mixing_power`
+    mix through it (`_pair_of`), others as one batched product per slot
+    pair (`_product`)."""
     alpha = cfgs[0].alpha if len(cfgs) == 1 else np.array([cfg.alpha for cfg in cfgs])
     slots = np.array([[m is not None for m in cfg.strategy.slots] for cfg in cfgs])
     blocks = None if _one_power(cfgs) else (_operands(cfgs, 0, 1), _operands(cfgs, 2, 3))
@@ -408,7 +354,8 @@ def _product(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     uv[:, :n] = u.transpose(2, 0, 1)
     uv[:, n:] = v.transpose(2, 0, 1)
     # the next gradient and norms read a C-ordered stack faster than the
-    # product's (n, d, c) view (README "Stacked runs")
+    # product's (n, d, c) view (CHANGES.md, "Grid stacks mix as one batched
+    # product per slot pair")
     out = np.empty(u.shape)
     np.matmul(z, uv, out=out.transpose(2, 0, 1))
     return out
@@ -510,6 +457,8 @@ def surely_bounded(state: GtaState, x_star_norm: float) -> bool:
     whole stack.  So two dot products clear every column at once; a
     non-finite entry makes a norm non-finite and the check fail.  It only
     decides when `diverged` must be evaluated; it is not a second rule.
+    Its two dot products may be split across BLAS threads, but the margin
+    lets their rounding decide only which rows are taken, never a row.
     """
     limit = DIVERGENCE_LIMIT * (1.0 - _BOUND_MARGIN)
     x_norm = _norm(state.x)
@@ -525,11 +474,11 @@ def surely_bounded(state: GtaState, x_star_norm: float) -> bool:
 # one-column state a row taken alone costs more than an outer iteration,
 # and one in a block of 32 about a fifth of that; past the cap a block
 # takes its rows no faster, an uncapped block slowed torus-1024's solve,
-# and a looser cap raised the benchmark's peak memory (README "Stacked
-# runs").  A leave drops the block's iterations past its row: none at a
-# budget; at a stop_tol none where the last block's decay held
-# (`_predicted_length`), up to _ROW_BLOCK - 1 in a segment's first block;
-# at a divergence up to _ROW_BLOCK - 1.
+# and a looser cap raised the benchmark's peak memory (CHANGES.md, "README
+# as a reference of what gradtrack computes").  A leave drops the block's
+# iterations past its row: none at a budget; at a stop_tol none where the
+# last block's decay held (`_predicted_length`), up to _ROW_BLOCK - 1 in a
+# segment's first block; at a divergence up to _ROW_BLOCK - 1.
 _ROW_BLOCK = 32
 _ROW_FLOATS = 1 << 14
 

@@ -1029,6 +1029,17 @@ def test_manifest_does_not_depend_on_where_files_live(tmp_path):
                                  "sha256": hashlib.sha256(data).hexdigest()}
 
 
+def test_the_manifest_records_the_version_of_the_code_that_ran(tmp_path):
+    # read from the package itself, so a checkout on PYTHONPATH that is not
+    # pip-installed records its version too, not "unknown"
+    tomllib = pytest.importorskip("tomllib")
+    cfg = parse_config(_write_cfg(tmp_path, MINI_CFG.format(out=tmp_path / "out")))
+    manifest = json.loads((run_experiment(cfg) / "manifest.json").read_text())
+    assert manifest["versions"]["gradtrack"] == gt.__version__
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == gt.__version__
+
+
 def test_manifest_echoes_an_edge_list_config_as_asdict_did(tmp_path):
     # the echo reads the config's fields as they are; the reference is the
     # recursive dataclasses.asdict copy it replaced
@@ -1153,6 +1164,28 @@ def test_cli_data_error_exit_code(tmp_path, capsys):
     """)
     assert cli.main(["run", str(cfg_path)]) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index, message", [
+    ("99999999999999999999", "line 2: feature index"),
+    ("1000000000000000", "(2, 1000000000000000) feature array"),
+], ids=["past-the-integers", "unallocatable"])
+def test_cli_a_huge_feature_index_is_a_data_error(index, message, tmp_path, capsys):
+    # unchecked, an index past the platform's integers exits as a numerical
+    # failure, and an array numpy cannot allocate with a MemoryError traceback
+    data = tmp_path / "huge.libsvm"
+    data.write_text(f"1 1:1\n0 {index}:2\n")
+    cfg_path = _write_cfg(tmp_path, f"""
+        problem = logreg
+        dataset = {data}
+        n = 1
+        graph = complete
+        methods = GTA1
+        budget = 10
+        outdir = {tmp_path / 'huge_out'}
+    """)
+    assert cli.main(["run", str(cfg_path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_cli_a_repeated_feature_index_is_a_data_error(tmp_path, capsys):

@@ -283,6 +283,22 @@ def test_a_non_finite_label_or_value_is_malformed(text, tmp_path):
         load_libsvm(p, 1)
 
 
+def test_a_feature_index_past_the_platforms_integers_is_malformed(tmp_path):
+    # unchecked, numpy's conversion to an index array raises an
+    # OverflowError, which the command line reports as a numerical failure
+    p = _write(tmp_path, "1 1:1\n0 99999999999999999999:2\n")
+    with pytest.raises(DataFormatError, match="line 2: feature index 99999999999999999999"):
+        load_libsvm(p, 1)
+
+
+def test_a_feature_array_numpy_cannot_allocate_is_a_data_error(tmp_path):
+    # two samples at d = 10^15 need 16 PB, past any 2^47-byte address
+    # space, so the allocation fails at once and no page is touched
+    p = _write(tmp_path, "1 1:1\n0 1000000000000000:2\n")
+    with pytest.raises(DataFormatError, match=r"\(2, 1000000000000000\) feature array"):
+        load_libsvm(p, 1)
+
+
 def test_more_nodes_than_samples_rejected(tmp_path):
     p = _write(tmp_path, "1 1:1\n0 1:2\n")
     with pytest.raises(DataFormatError, match="split over"):

@@ -33,9 +33,11 @@ def _draw_params(rng, n_g=1, beta_lo=0.01, beta_hi=0.999):
 @pytest.mark.parametrize("change", [
     {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": -0.1}, {"alpha": 0.0},
     {"n_c": 1.5}, {"n_g": 2.0}, {"n": 4.5}, {"n_c": 0}, {"n": 0},
+    {"L": math.inf}, {"L": math.nan},
 ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
 def test_spectral_params_reject_a_non_finite_step_and_non_integer_counts(change):
-    # a NaN step used to construct and make rate_upper_bound return nan
+    # a NaN step would make rate_upper_bound return nan, and an infinite L
+    # would make both step-size bounds read 0, as if no step contracted
     good = dict(n_c=1, n_g=1, alpha=0.5, L=1.0, mu=0.5, n=4)
     with pytest.raises(ValueError, match=next(iter(change))):
         SpectralParams(0.5, 0.5, 0.5, 0.5, **{**good, **change})
