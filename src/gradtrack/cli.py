@@ -7,7 +7,8 @@ Verbs:
     beta --graph KIND --n N [...]     compute a mixing matrix's spectral gap
 
 Exit codes: 0 success, 2 config error (a config file that does not decode
-as text included), 3 data/parse error (a malformed LIBSVM dataset or custom
+as text, and a key that applies to another problem, graph or method only,
+included), 3 data/parse error (a malformed LIBSVM dataset or custom
 matrix CSV file: a token that is not a number, a repeated feature index or
 one past the platform's integers, rows of unequal length, bytes that do not
 decode as text; a feature array that cannot be allocated), 4 divergence

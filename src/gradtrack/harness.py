@@ -74,6 +74,15 @@ _KNOWN_KEYS = {
 
 _VALID_METHODS = METHOD_NAMES + ("custom",)
 
+# keys that apply to one graph, problem or method only: elsewhere they would
+# be ignored, yet written into manifest.json as if they had been used
+_SCOPED_KEYS = {
+    "edges": "graph = edge_list",
+    "dataset": "problem = logreg", "normalize": "problem = logreg",
+    "d": "problem = quadratic", "kappa_target": "problem = quadratic",
+    **{f"custom_w{i}": "method custom" for i in range(1, 5)},
+}
+
 # 2^-1074 is the smallest positive double; 2^-1075 rounds to 0
 _TMAX_LIMIT = 1074
 
@@ -177,6 +186,8 @@ def parse_config(path) -> ExperimentConfig:
         outdir        artifact directory [results]
         z1_mode       bound | exact deviation norm in theory matrices [bound]
         custom_w1..custom_w4   matrix CSV paths, method "custom" only
+
+    A key marked "only" is a config error where it does not apply.
     """
     path = Path(path)
     if not path.exists():
@@ -214,6 +225,14 @@ def parse_config(path) -> ExperimentConfig:
             if m not in _VALID_METHODS:
                 raise ConfigError(f"unknown method {m!r} (expected one of {_VALID_METHODS})")
         _reject_duplicates(methods, raw_methods)
+        graph = base.get("graph", "cycle")
+        applies = {"graph = edge_list": graph == "edge_list",
+                   "problem = logreg": problem == "logreg",
+                   "problem = quadratic": problem == "quadratic",
+                   "method custom": "custom" in methods}
+        for key, scope in _SCOPED_KEYS.items():
+            if key in base and not applies[scope]:
+                raise ConfigError(f"key {key!r} applies only to {scope}")
         nc_default = _parse_int_list(base.get("nc_grid", "1"))
         ng_default = _parse_int_list(base.get("ng_grid", "1"))
         grids = []
@@ -265,7 +284,7 @@ def parse_config(path) -> ExperimentConfig:
             seed=int(base.get("seed", 0)),
             dataset=base.get("dataset"),
             normalize=_parse_bool(base["normalize"]) if "normalize" in base else False,
-            graph=base.get("graph", "cycle"),
+            graph=graph,
             edges=edges,
             laziness=float(base.get("laziness", 0.0)),
             grids=tuple(grids),

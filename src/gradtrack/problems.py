@@ -4,7 +4,7 @@ strong-convexity constants, and a reference optimum."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +109,9 @@ class QuadraticSuite(ObjectiveSuite):
         x' = x - alpha y.  With Q_i = V diag(lam) V', m steps move x by
         alpha V (sigma_m * V'y), sigma_m = sum_{j<m} (1 - alpha*lam)^j, which
         is 0 in a column with m = 0.  The factor is built here, once per
-        (alpha, m); the eigensolve once per suite."""
+        (alpha, m), and for one column also as the matrices
+        alpha V diag(sigma_m) V' (`EigenSteps`); the eigensolve once per
+        suite."""
         if self._eig is None:
             lam, v = np.linalg.eigh(self.qs)
             self._eig = lam, v, np.ascontiguousarray(v.transpose(0, 2, 1))
@@ -121,13 +123,28 @@ class QuadraticSuite(ObjectiveSuite):
 class EigenSteps:
     """A quadratic's closed-form local steps (`QuadraticSuite.local_steps`):
     y -> V (step * V'y), with step = alpha * sigma_m per node, eigenvalue
-    and column (a last axis of 1 for a scalar alpha and m)."""
+    and column (a last axis of 1 for a scalar alpha and m).  A factor of
+    one column also holds matrix, the (n, d, d) stack V diag(step) V', and
+    applies it as one product, in about half the eigen form's time; with
+    more columns one matrix per column costs more than the eigen form's
+    two products, so that form stays (CHANGES.md, "A one-column closed
+    form is one product per node").  matrix is built from step alone, so
+    a factor that compress narrows to one column equals a freshly built
+    one bit for bit."""
 
     v: np.ndarray
     vt: np.ndarray
     step: np.ndarray
+    matrix: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        matrix = (np.matmul(self.v * self.step[:, None, :, 0], self.vt)
+                  if self.step.shape[2] == 1 else None)
+        object.__setattr__(self, "matrix", matrix)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
+        if self.matrix is not None:
+            return np.matmul(self.matrix, y)
         return np.matmul(self.v, self.step * np.matmul(self.vt, y))
 
     def compress(self, cols: np.ndarray) -> EigenSteps:
@@ -269,10 +286,11 @@ def load_libsvm(path, n_nodes: int, normalize: bool = False) -> LogRegDataset:
     a label or value that is not finite (float() reads "nan" and "inf") is a
     DataFormatError naming its line, and so is a file that does not decode
     as text (`read_text`); a dense (samples, d) array that numpy cannot
-    allocate is one naming that shape.
+    allocate is one naming that shape.  n_nodes < 1 is a ValueError: the
+    node count is the caller's input, not the file's.
     """
     if n_nodes < 1:
-        raise DataFormatError(f"n_nodes must be >= 1, got {n_nodes}")
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     labels: list[float] = []
     # per feature entry: its 1-based index and value; per sample: its count
     # and line

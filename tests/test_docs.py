@@ -3,9 +3,10 @@
 README.md is the reference of what gradtrack computes and guarantees, and
 CHANGES.md holds the history and the measurements behind it.  These tests
 keep the two apart and current: every backticked dotted gradtrack name in
-README.md and in the docstrings and comments of src/gradtrack resolves,
-every pointer from the source into README.md or CHANGES.md names a heading
-or an entry that exists, and README.md and the module docstrings stay short.
+README.md and in the docstrings and comments of src/gradtrack and scripts/
+resolves, every pointer from them into README.md or CHANGES.md names a
+heading or an entry that exists, and README.md and the module docstrings
+stay short.
 """
 
 import ast
@@ -22,6 +23,7 @@ import gradtrack
 ROOT = Path(__file__).resolve().parent.parent
 PKG = Path(gradtrack.__file__).resolve().parent
 SOURCES = sorted(PKG.glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 MODULES = {path.stem: importlib.import_module(f"gradtrack.{path.stem}")
            for path in SOURCES if path.stem != "__init__"}
 
@@ -127,7 +129,8 @@ def test_every_dotted_gradtrack_name_in_the_readme_resolves():
 
 
 def test_every_dotted_gradtrack_name_in_the_source_prose_resolves():
-    bad = {path.name: _unresolved(_source_prose(path)) for path in SOURCES}
+    assert SCRIPTS, "no script found"
+    bad = {path.name: _unresolved(_source_prose(path)) for path in SOURCES + SCRIPTS}
     assert {name: names for name, names in bad.items() if names} == {}
 
 
@@ -150,7 +153,7 @@ def test_every_pointer_from_the_source_names_a_readme_heading_or_a_changes_entry
                 if line.startswith("#")}
     changes = " ".join((ROOT / "CHANGES.md").read_text().split())
     pointers = []
-    for path in SOURCES:
+    for path in SOURCES + SCRIPTS:
         for text in _source_prose(path):
             pointers += [(path.name, "README", h) for h in _README_POINTER.findall(text)]
             pointers += [(path.name, "CHANGES.md", e)

@@ -1166,6 +1166,50 @@ def test_cli_data_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+LOGREG_CFG = """
+problem = logreg
+dataset = {data}
+n = 4
+graph = complete
+methods = GTA1
+budget = 10
+tune_budget = 5
+outdir = {out}
+"""
+
+
+@pytest.mark.parametrize("problem, line, scope", [
+    ("quadratic", "edges = 0-1", "graph = edge_list"),
+    ("quadratic", "dataset = {data}", "problem = logreg"),
+    ("quadratic", "normalize = true", "problem = logreg"),
+    ("logreg", "d = 99", "problem = quadratic"),
+    ("logreg", "kappa_target = 10", "problem = quadratic"),
+    ("quadratic", "custom_w1 = w.csv", "method custom"),
+    ("logreg", "custom_w4 = w.csv", "method custom"),
+], ids=["edges", "dataset", "normalize", "d", "kappa_target", "custom_w1", "custom_w4"])
+def test_cli_a_key_that_does_not_apply_is_a_config_error(problem, line, scope, tmp_path,
+                                                          capsys):
+    # unchecked, the key is ignored yet written into manifest.json: a
+    # logistic grid with d = 99 runs at the dataset's d = 8
+    data = Path(__file__).resolve().parent.parent / "data" / "synth_binary.libsvm"
+    text = (MINI_CFG if problem == "quadratic" else LOGREG_CFG).format(
+        data=data, out=tmp_path / "out")
+    cfg_path = _write_cfg(tmp_path, text + line.format(data=data) + "\n")
+    assert cli.main(["run", str(cfg_path)]) == 2
+    key = line.partition(" ")[0]
+    assert f"config error: key {key!r} applies only to {scope}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_cli_a_logistic_node_count_below_one_is_a_config_error(n, tmp_path, capsys):
+    # as on a quadratic: the node count is the config's, not the dataset's
+    data = Path(__file__).resolve().parent.parent / "data" / "synth_binary.libsvm"
+    text = LOGREG_CFG.format(data=data, out=tmp_path / "out").replace("n = 4\n", f"n = {n}\n")
+    assert cli.main(["run", str(_write_cfg(tmp_path, text))]) == 2
+    assert f"config error: n_nodes must be >= 1, got {n}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("index, message", [
     ("99999999999999999999", "line 2: feature index"),
     ("1000000000000000", "(2, 1000000000000000) feature array"),

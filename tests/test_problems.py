@@ -208,6 +208,54 @@ def test_closed_form_local_steps_match_the_step_loop(d, a, t, m, columns, rotate
     assert np.array_equal(closed.grads, suite.grad_stack_batch(closed.x))
 
 
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 4), a=st.lists(_A_REGIMES, min_size=8, max_size=8),
+       t=st.integers(0, 40), m=st.integers(0, 100), rotate=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_column_matrix_form_matches_the_eigen_form(d, a, t, m, rotate, seed):
+    # a one-column factor applies V diag(step) V' as one product; against
+    # the eigen form V (step * V'y) of the same column, both round on the
+    # scale of the node's largest step times |y|: each entry of either side
+    # sums 2d products of at most that size (V is orthonormal), so 8 d^2
+    # eps bounds the gap, also in the growing regimes (|rho| up to 2, so
+    # step up to 2^100 alpha)
+    rng = np.random.default_rng(seed)
+    alpha = 2.0 ** -t
+    lam = np.vstack([np.reshape(a[:2 * d], (2, d)), np.full(d, 1.5)]) / alpha
+    u = np.linalg.qr(rng.normal(size=(3, d, d)))[0] if rotate else np.tile(np.eye(d), (3, 1, 1))
+    q = (u * lam[:, None, :]) @ np.swapaxes(u, 1, 2)
+    suite = QuadraticSuite(0.5 * (q + np.swapaxes(q, 1, 2)), rng.normal(size=(3, d)))
+    factor = suite.local_steps(alpha, m)
+    assert factor.step.shape == (3, d, 1) and factor.matrix.shape == (3, d, d)
+    y = rng.normal(size=(3, d, 1))
+    eigen = np.matmul(factor.v, factor.step * np.matmul(factor.vt, y))
+    scale = np.abs(factor.step).max(axis=(1, 2)) * np.linalg.norm(y, axis=(1, 2))
+    gap = np.linalg.norm(factor(y) - eigen, axis=(1, 2))
+    assert np.all(gap <= 8 * d * d * EPS * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.lists(st.integers(0, 12), min_size=2, max_size=6),
+       m=st.lists(st.integers(0, 99), min_size=6, max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_a_factor_narrowed_to_one_column_equals_a_freshly_built_one(t, m, seed):
+    # several columns keep the eigen form; compress down to one column
+    # builds the matrix form by the one formula local_steps uses, so the
+    # matrices and their products agree bit for bit
+    suite = generate_quadratic(QuadraticSpec(n=8, d=4, kappa_target=30.0, seed=2))
+    alphas = 2.0 ** -np.array(t) / suite.L
+    counts = np.array(m[:len(t)])
+    factor = suite.local_steps(alphas, counts)
+    assert factor.matrix is None
+    y = np.random.default_rng(seed).normal(size=(suite.n, suite.d, 1))
+    for j in range(len(t)):
+        narrowed = factor.compress(np.arange(len(t)) == j)
+        fresh = suite.local_steps(float(alphas[j]), int(counts[j]))
+        assert np.array_equal(narrowed.step, fresh.step)
+        assert np.array_equal(narrowed.matrix, fresh.matrix)
+        assert np.array_equal(narrowed(y), fresh(y))
+    assert factor.compress(np.arange(len(t)) < 2).matrix is None
+
+
 @pytest.mark.parametrize("lam", [1.0, 0.3, 3.7, 9.5])
 @pytest.mark.parametrize("m", [1, 4, 19, 99])
 def test_closed_form_factor_keeps_full_precision_for_small_steps(lam, m):

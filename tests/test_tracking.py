@@ -786,6 +786,30 @@ def test_a_diverging_column_leaves_the_stack_at_its_single_run_k(small_quadratic
     assert [len(got.k) for got in out if isinstance(got, RunTrace)] == [201, 201]
 
 
+@pytest.mark.parametrize("n_g, scale, k", [(20, 2.5, 5), (20, 3.0, 3), (20, 4.0, 2),
+                                           (100, 64.0, 1), (400, 8.0, 1)])
+def test_a_one_cell_run_whose_steps_overflow_leaves_on_the_eigen_forms_row(n_g, scale, k,
+                                                                            small_quadratic):
+    # a lone cell applies its closed form as V diag(step) V', one product;
+    # the same cell in a two-column stack applies V (step * V'y) until it
+    # leaves.  Where the growing steps blow the run up, both leave on row k,
+    # the row the eigen form alone gave.  At n_g = 400 and 8/L the step
+    # itself overflows to inf, and every error of that row is nan
+    s = small_quadratic
+    strat = _strategy("GTA3", s.n, n_c=2)
+    cfg = GtaConfig(strategy=strat, alpha=scale / s.L, n_g=n_g, max_outer_iters=200)
+    calm = GtaConfig(strategy=strat, alpha=1e-3, n_g=n_g, max_outer_iters=200)
+    x0 = np.zeros(s.n * s.d)
+    alone, stacked = _stacked(s, [cfg], x0)[0], _stacked(s, [cfg, calm], x0)[0]
+    assert isinstance(alone, DivergenceError) and isinstance(stacked, DivergenceError)
+    assert alone.k == stacked.k == k
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflows = np.isinf(s.local_steps(cfg.alpha, n_g - 1).step).any()
+    assert overflows == (n_g == 400)
+    if overflows:
+        assert np.isnan(as_array(alone.errors)).all() and np.isnan(as_array(stacked.errors)).all()
+
+
 def _loop_sweep(suite, strategy, n_g, budget, alphas):
     """A step-size sweep written out as its own loop from the zero start:
     per step size, its final (3,) errors, taken at the budget on the row of
