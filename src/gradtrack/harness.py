@@ -184,7 +184,8 @@ def parse_config(path) -> ExperimentConfig:
         stop_tol      optional early-stop threshold on the optimization error,
                       a finite number >= 0
         outdir        artifact directory [results]
-        z1_mode       bound | exact deviation norm in theory matrices [bound]
+        z1_mode       bound | exact deviation norm in theory matrices [bound];
+                      exact only for n <= theory.EXACT_Z1_MAX_N (4096)
         custom_w1..custom_w4   matrix CSV paths, method "custom" only
 
     A key marked "only" is a config error where it does not apply.
@@ -267,6 +268,9 @@ def parse_config(path) -> ExperimentConfig:
         z1_mode = base.get("z1_mode", "bound")
         if z1_mode not in ("bound", "exact"):
             raise ConfigError(f"z1_mode must be bound or exact, got {z1_mode!r}")
+        if z1_mode == "exact" and n > theory.EXACT_Z1_MAX_N:
+            raise ConfigError(f"z1_mode = exact needs a dense eigensolve of the n x n mixing "
+                              f"matrix: n must be <= {theory.EXACT_Z1_MAX_N}, got {n}")
 
         custom = None
         if "custom" in methods:

@@ -103,6 +103,12 @@ def params_for_method(method: str, beta: float, *, n_c: int, n_g: int, alpha: fl
                           alpha=alpha, L=L, mu=mu, n=n, z1_dev=z1_dev)
 
 
+# Largest n at which z1_mode = exact may run (`harness.parse_config`): it
+# needs every eigenvalue of W, from one dense eigensolve of the n x n array,
+# which at n = 4096 holds 128 MiB and took 5.0-5.6 s (README, "Config format")
+EXACT_Z1_MAX_N = 4096
+
+
 def exact_z1_deviation(strategy: CommunicationStrategy) -> float:
     """Measured ||W1^nc - I||_2 (largest |1 - lambda^nc| over the
     eigenvalues lambda of the first slot, solved once per matrix; 0 for an

@@ -14,12 +14,14 @@ Every `MixingMatrix` is built by `_from_entries` out of W's nonzero entries,
 sorted by row and then by column (a Metropolis matrix reads them off the
 edge list, a custom matrix off its validated array), and holds one
 representation.  A matrix with few nonzeros per row (see ROUND_COST) holds
-its neighbour table and no n x n array: `MixingMatrix.apply` runs W^n_c as
-n_c gather rounds where that is cheaper than one dense product with the
-power, and its beta comes from a Lanczos iteration whose steps are gather
-rounds (see KRYLOV_CAP).  Any other matrix holds its dense array.  A table
-matrix's n x n array exists only while a dense product, a dense eigensolve
-or a reader of `MixingMatrix.w` needs it.
+its neighbour table and no n x n array: `MixingMatrix.apply` runs W^n_c on
+an (n, k) block as n_c gather rounds where `rounds_pay` finds them cheaper
+than one dense product with the power at that width k (a lone run's narrow
+block takes rounds where a sweep's wide one takes the product), and its
+beta comes from a Lanczos iteration whose steps are gather rounds (see
+KRYLOV_CAP).  Any other matrix holds its dense array.  A table matrix's
+n x n array exists only while a dense product, a dense eigensolve or a
+reader of `MixingMatrix.w` needs it.
 
 Matrices are checked where input enters: `validate_communication_matrix`
 checks a custom matrix, and `compute_beta` checks an array it is given.  A
@@ -56,9 +58,18 @@ EXACT_AVERAGING_TOL = 1e-12
 # scripts/mixing_crossover.py measures, a margin against noisier hosts
 # (CHANGES.md, "Sparse consensus rounds on sparse networks").  So an n x n
 # matrix whose densest row holds m nonzeros gets a neighbour table when
-# m * ROUND_COST <= n, and W^n_c is applied as n_c rounds when
-# n_c * m * ROUND_COST <= n; otherwise as one dense product with the power.
+# m * ROUND_COST <= n.
 ROUND_COST = 64
+# How a table matrix applies W^n_c to an (n, k) block (`rounds_pay`), by
+# costs in units of one gathered float: n_c gather rounds gather m * k
+# floats per row and pay ROUND_ROW more per row for the round's fixed work,
+# while one dense product with the power streams its n x n entries at
+# DENSE_ENTRY each and multiplies each into the k columns at DENSE_COLUMN
+# per column.  Fitted to the in-run timings of scripts/mixing_crossover.py
+# (README, "Sparse consensus rounds").
+ROUND_ROW = 40
+DENSE_ENTRY = 0.75
+DENSE_COLUMN = 1 / 40
 # floats in the gather temporary of one row block of a round
 _GATHER_FLOATS = 1 << 16
 # columns per block of a power built from rounds: the block and its round buffers
@@ -238,6 +249,16 @@ def _readonly(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def rounds_pay(n: int, m: int, n_c: int, k: int) -> bool:
+    """Whether n_c gather rounds on the table of an n x n matrix whose
+    densest row holds m nonzeros cost no more than one dense product with
+    its power, applied to an (n, k) block: whether
+    n_c * (m * k + ROUND_ROW) <= n * (DENSE_ENTRY + DENSE_COLUMN * k).
+    A pure function of its arguments, so a run takes the same route on
+    every host and every repeat."""
+    return n_c * (m * k + ROUND_ROW) <= n * (DENSE_ENTRY + DENSE_COLUMN * k)
+
+
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Symmetric doubly stochastic matrix respecting a graph: a Metropolis
@@ -250,9 +271,10 @@ class MixingMatrix:
     The matrix has one representation, chosen by `_from_entries`:
     ``table``, its neighbour table, when gather rounds can pay
     (m * ROUND_COST <= n), else ``dense``, its read-only n x n array; the
-    other field is None.  `apply` applies
-    W^n_c; powers are computed on first use and shared by every strategy
-    built from this matrix.  Wrappers compare and hash by identity.
+    other field is None.  `apply` applies W^n_c, by the route `rounds_pay`
+    picks for the block's width; powers are computed on first use and
+    shared by every strategy built from this matrix.  Wrappers compare and
+    hash by identity.
     """
 
     beta: float
@@ -289,10 +311,12 @@ class MixingMatrix:
 
     def apply(self, v: np.ndarray, n_c: int) -> np.ndarray:
         """W^n_c v for an (n, k) array v, always a new array: n_c gather
-        rounds on the table when they cost less than one dense product
-        (ROUND_COST), else one product with ``power(n_c)``."""
+        rounds on the table when `rounds_pay` for this width k, else one
+        product with ``power(n_c)``.  A narrow block (a lone run) can take
+        rounds where a wide one (a sweep) takes the product, at the same
+        n_c; the two routes differ only in rounding."""
         table = self.table
-        if table is not None and n_c * len(table.nbr) * ROUND_COST <= self.graph.n:
+        if table is not None and rounds_pay(self.graph.n, len(table.nbr), n_c, v.shape[1]):
             return table.apply(v, n_c)
         # ndarray.dot: matmul's BLAS call (same bits) without its ufunc dispatch,
         # and a cached power without a call to `power`; a run's products notice

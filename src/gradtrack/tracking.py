@@ -54,12 +54,14 @@ DIVERGENCE_LIMIT = 1e12
 # sweep, which mixes through its one power, also loses past the bound
 # (CHANGES.md, "Grid stacks mix as one batched product per slot pair" and
 # "Quadratic grids stack across n_g").  The bound also keeps out the
-# matrices applied as gather rounds: two cells fit only while n <= 128, and
-# a table needs n >= m * ROUND_COST for a densest row of m nonzeros, where a
-# Metropolis matrix (positive diagonal, a connected graph with n >= 3) has
-# m >= 3.  Only a custom matrix whose rows hold at most 2 nonzeros (a
-# matching's) can gather at n = 128; in a batched product it mixes through
-# its dense power, the same matrix with other rounding.
+# matrices that can take gather rounds: two cells fit only while n <= 128,
+# and a table needs n >= m * ROUND_COST for a densest row of m nonzeros,
+# where a Metropolis matrix (positive diagonal, a connected graph with
+# n >= 3) has m >= 3.  Only a custom matrix whose rows hold at most 2
+# nonzeros (a matching's) has a table at n = 128; in a batched product it
+# mixes through its dense power, the same matrix with other rounding, as a
+# one-power stack does wherever `topology.rounds_pay` sends its width to
+# the product while a lone run of the same cell takes rounds.
 BATCH_MAX_FLOATS = 1 << 16
 
 

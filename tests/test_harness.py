@@ -928,6 +928,38 @@ def test_an_18x18_torus_grid_tunes_and_traces_alike_on_rounds_and_dense(tmp_path
         assert np.all(np.abs(ea - eb) <= _ROUNDS_TRACE_RTOL * np.max(np.abs(eb), axis=0))
 
 
+def test_a_lone_run_takes_rounds_while_its_sweep_takes_the_product(monkeypatch):
+    # a 26x26 torus at d = 2 and n_c = 10: ten rounds beat one product with
+    # W^10 on a run's 2 columns, not on a 21-candidate sweep's 42
+    n, d = 676, 2
+    graph = gt.build_graph("torus", n)
+    suite = gt.generate_quadratic(gt.QuadraticSpec(n=n, d=d, kappa_target=10.0, seed=1))
+    x0 = np.zeros(n * d)
+
+    def lone_run(w, alpha):
+        strategy = gt.strategy_for("GTA3", w, 10)
+        return gt.run(suite, gt.GtaConfig(strategy=strategy, alpha=alpha, max_outer_iters=30),
+                      x0)
+
+    def tune(w):
+        return tune_step_size(suite, gt.strategy_for("GTA3", w, 10), 1, budget=20)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gt.topology, "ROUND_COST", math.inf)      # dense products only
+        dense_w = gt.metropolis_weights(graph)
+        alpha = tune(dense_w)
+        dense = lone_run(dense_w, alpha)
+    w = gt.metropolis_weights(graph)
+    assert w.table is not None and dense_w.table is None
+    rounds = lone_run(w, alpha)
+    assert not w._powers                                # ten rounds: no W^10
+    assert tune(w) == alpha and set(w._powers) == {10}
+    assert gt.topology.rounds_pay(n, 5, 10, d) and not gt.topology.rounds_pay(n, 5, 10, 21 * d)
+    ea, eb = rounds.error_matrix(), dense.error_matrix()
+    assert ea.shape == eb.shape
+    assert np.all(np.abs(ea - eb) <= _ROUNDS_TRACE_RTOL * np.max(np.abs(eb), axis=0))
+
+
 def test_custom_matrices_are_read_powered_and_eigensolved_once_per_grid(tmp_path,
                                                                         monkeypatch):
     # three files, two of them repeated; n_c in {1, 5} and two n_g values
@@ -1208,6 +1240,34 @@ def test_cli_a_logistic_node_count_below_one_is_a_config_error(n, tmp_path, caps
     text = LOGREG_CFG.format(data=data, out=tmp_path / "out").replace("n = 4\n", f"n = {n}\n")
     assert cli.main(["run", str(_write_cfg(tmp_path, text))]) == 2
     assert f"config error: n_nodes must be >= 1, got {n}" in capsys.readouterr().err
+
+
+def test_cli_exact_z1_past_its_node_limit_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # z1_mode = exact needs every eigenvalue of W: past the limit it would
+    # densify the table and run an O(n^3) eigensolve
+    def densify(table):
+        raise AssertionError("densified a neighbour table")
+
+    monkeypatch.setattr(gt.topology.NeighbourTable, "densify", densify)
+    n = 4097                                # theory.EXACT_Z1_MAX_N + 1
+    cfg_path = _write_cfg(tmp_path, f"""
+        n = {n}
+        d = 2
+        kappa_target = 10
+        graph = cycle
+        methods = GTA1
+        budget = 2
+        z1_mode = exact
+        outdir = {tmp_path / 'out'}
+    """)
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert (f"config error: z1_mode = exact needs a dense eigensolve of the n x n mixing "
+            f"matrix: n must be <= {n - 1}, got {n}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # at the limit the config parses
+    assert gt.theory.EXACT_Z1_MAX_N == n - 1
+    assert parse_config(_write_cfg(tmp_path, cfg_path.read_text().replace(
+        f"n = {n}", f"n = {n - 1}"), name="at_limit.cfg")).z1_mode == "exact"
 
 
 @pytest.mark.parametrize("index, message", [

@@ -12,8 +12,9 @@ from gradtrack import harness, topology
 from gradtrack.topology import (_POWERED_ATOL, KRYLOV_CAP, METHOD_NAMES, ROUND_COST,
                                 NeighbourTable, _lanczos_beta, build_graph,
                                 communication_matrices, compute_beta, matrix_power,
-                                metropolis_weights, read_matrix_csv, strategy_for,
-                                validate_communication_matrix, write_matrix_csv)
+                                metropolis_weights, read_matrix_csv, rounds_pay,
+                                strategy_for, validate_communication_matrix,
+                                write_matrix_csv)
 
 from conftest import (adjacency, apply_counting_rounds, bfs_connected, custom_strategy,
                       edge_set, eig_beta, eig_matrix_power, loop_metropolis,
@@ -663,9 +664,15 @@ def test_an_18x18_torus_runs_one_round_sparse_and_ten_dense():
     assert w.table.nbr.shape == (5, 324) and 5 * ROUND_COST <= 324 < 2 * 5 * ROUND_COST
     s1, s10 = strategy_for("GTA1", w, 1), strategy_for("GTA1", w, 10)
     assert s1.slots == s10.slots == (w, None, w, None)
-    v = np.ones((324, 1))
-    assert apply_counting_rounds(w, v, 1)[1] == [1]
-    assert apply_counting_rounds(w, v, 10)[1] == []
+    # one round beats the product at every width (5 gathers a row per column
+    # against 324 / 40 dense), ten rounds lose at every width
+    for k in (1, 4, 84, 210):
+        v = np.ones((324, k))
+        assert apply_counting_rounds(w, v, 1)[1] == [1]
+        assert apply_counting_rounds(w, v, 10)[1] == []
+    # two rounds: the width decides, rounds up to 85 columns and one product past them
+    assert apply_counting_rounds(w, np.ones((324, 85)), 2)[1] == [2]
+    assert apply_counting_rounds(w, np.ones((324, 86)), 2)[1] == []
     # a dense star never gets a table, whatever n
     assert metropolis_weights(build_graph("star", 400)).table is None
 
@@ -685,23 +692,34 @@ def _apply_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(w=_apply_cases(), n_c=st.integers(min_value=1, max_value=12),
-       k=st.integers(min_value=1, max_value=25), seed=st.integers(min_value=0, max_value=2**32 - 1))
+       k=st.integers(min_value=1, max_value=250), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_apply_matches_the_matrix_power_on_both_routes(w, n_c, k, seed):
-    # tori of side 18-30 and 192-400 cycles take rounds up to n_c = 1 or 2
-    # and dense products beyond, so both routes occur
-    v = np.random.default_rng(seed).normal(size=(w.graph.n, k))
-    out, rounds = apply_counting_rounds(w, v, n_c)
-    ref = np.linalg.matrix_power(w.w, n_c) @ v
-    assert np.all(np.abs(out - ref) <= 1e-14 * np.max(np.abs(ref), axis=0))
+    # tori of side 18-30 and 192-400 cycles: at small n_c rounds pay up to
+    # some width and the product past it, so the drawn width and the two
+    # widths on either side of that edge cover both routes at one (w, n_c)
     m, n = w.table.nbr.shape
-    assert rounds == ([n_c] if n_c * m * ROUND_COST <= n else [])
+    edge = next((j for j in range(2, 251) if not rounds_pay(n, m, n_c, j)
+                 and rounds_pay(n, m, n_c, j - 1)), None)
+    widths = {k} if edge is None else {k, edge - 1, edge}
+    # rounds pay at most up to one width: a wider block never takes rounds
+    # where a narrower one takes the product
+    routes = [rounds_pay(n, m, n_c, j) for j in range(1, 251)]
+    assert routes == sorted(routes, reverse=True)
+    rng = np.random.default_rng(seed)
+    power = np.linalg.matrix_power(w.w, n_c)
+    for width in sorted(widths):
+        v = rng.normal(size=(n, width))
+        out, rounds = apply_counting_rounds(w, v, n_c)
+        ref = power @ v
+        assert np.all(np.abs(out - ref) <= 1e-14 * np.max(np.abs(ref), axis=0))
+        assert rounds == ([n_c] if rounds_pay(n, m, n_c, width) else [])
 
 
-def _torus26_run(method, n_c):
-    """A 26x26 torus (m = 5, n = 676: n_c <= 2 runs as rounds), its
-    strategy, and a quadratic suite on it."""
+def _torus26_run(method, n_c, d=2):
+    """A 26x26 torus (m = 5, n = 676: n_c <= 3 runs as rounds at any width,
+    n_c = 10 up to 3 columns), its strategy, and a quadratic suite on it."""
     w = metropolis_weights(_torus(26))
-    suite = gt.generate_quadratic(gt.QuadraticSpec(n=676, d=2, kappa_target=10.0, seed=1))
+    suite = gt.generate_quadratic(gt.QuadraticSpec(n=676, d=d, kappa_target=10.0, seed=1))
     return w, strategy_for(method, w, n_c), suite
 
 
@@ -714,7 +732,9 @@ def test_a_rounds_slot_builds_no_power():
 
 
 def test_a_dense_slot_builds_its_power_once_at_its_first_apply(monkeypatch):
-    w, gta1, suite = _torus26_run("GTA1", 10)
+    # d = 4: ten rounds lose to the product on 4 columns (they win on 2)
+    w, gta1, suite = _torus26_run("GTA1", 10, d=4)
+    assert not rounds_pay(676, 5, 10, 4) and rounds_pay(676, 5, 10, 3)
     gta3 = strategy_for("GTA3", w, 10)
     built = []
     real = topology.matrix_power
@@ -723,7 +743,7 @@ def test_a_dense_slot_builds_its_power_once_at_its_first_apply(monkeypatch):
     assert 10 not in w._powers
     for strat in (gta1, gta3, gta1):
         gt.run(suite, gt.GtaConfig(strategy=strat, alpha=0.1, max_outer_iters=3),
-               np.zeros(676 * 2))
+               np.zeros(676 * 4))
         assert built == [10]
     assert gta1.slots[0] is gta3.slots[0] is w and 10 in w._powers
 
